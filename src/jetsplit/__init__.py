@@ -14,7 +14,8 @@ from .ift import ImplicitSystem, ift_solve, ift_solve_newton
 from .jacobian import (DEFAULT_MAX_DEGREE, MilnorReport, determinacy_bound,
                        determinacy_certificate, milnor_number,
                        mu_determinacy_bound, verify_milnor)
-from .jet import ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError
+from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
+                  VerificationError)
 from .quadform import (ArfDecomposition, QuadNormalForm, QuadraticForm,
                        arf_decompose, arf_normal_form, arf_reduce_solvable,
                        diagonal_signs, diagonalize, normal_form,
@@ -36,10 +37,10 @@ __all__ = [
     "PrimeField", "QuadNormalForm", "QuadraticForm", "RationalField",
     "SplitResult", "SplitShapeError", "TransportError",
     "TransportHypothesisError", "TransportProblem", "TrivialValuation",
-    "Valuation", "arf_decompose", "arf_normal_form", "arf_reduce_solvable",
-    "determinacy_bound", "determinacy_certificate", "diagonal_signs",
-    "diagonalize", "embed_from_tail", "ift_solve", "ift_solve_newton",
-    "iterate_arf", "iterate_diagonal", "milnor_number",
+    "Valuation", "VerificationError", "arf_decompose", "arf_normal_form",
+    "arf_reduce_solvable", "determinacy_bound", "determinacy_certificate",
+    "diagonal_signs", "diagonalize", "embed_from_tail", "ift_solve",
+    "ift_solve_newton", "iterate_arf", "iterate_diagonal", "milnor_number",
     "mu_determinacy_bound", "normal_form", "normalize_squares",
     "normalize_tail_linear", "parse_field_spec", "parse_jet",
     "parse_valuation_spec", "project_to_tail", "serialize_jet", "split",

@@ -17,7 +17,7 @@ from .field import FieldError, parse_field_spec, parse_valuation_spec
 from .ift import ImplicitSystem, ift_solve
 from .jacobian import (DEFAULT_MAX_DEGREE, determinacy_certificate,
                        milnor_number, verify_determinacy, verify_milnor)
-from .jet import CoordinateChange
+from .jet import CoordinateChange, VerificationError
 from .quadform import (QuadNormalForm, QuadraticForm, arf_reduce_solvable,
                        diagonal_signs, normal_form, normalize_squares)
 from .split import SplitResult, split, verify_split
@@ -268,21 +268,46 @@ def _cmd_transport(args):
     return 0 if verified else 1
 
 
-def _cmd_verify(args):
-    with open(args.result, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    field = parse_field_spec(data["field"])
-    names = _parse_vars(args.vars)
-    N = data["precision"]
-    change = CoordinateChange([parse_jet(t, field, names, N) for t in data["change"]])
-    residual = parse_jet(data["residual"], field, names, N)
-    quad = QuadNormalForm.from_json(field, data["quad"])
-    from .jet import Jet
+def _result_entry(data, key, kind):
+    """data[key] from a split result file, checked to be of the given type."""
+    if key not in data:
+        raise FieldError(f"result file has no {key!r} key")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FieldError(f"result file key {key!r} is not a {kind.__name__}")
+    return value
 
-    result = SplitResult(quad, data["rank"], residual, change, N,
-                         Jet.zero(field, residual.nvars, N))
-    f = parse_jet(args.expr, field, names, N)
-    check = verify_split(f, result)
+
+def _read_split_result(path, names):
+    data = json.loads(_read_text(path))
+    if not isinstance(data, dict):
+        raise FieldError("result file is not a JSON object")
+    field = parse_field_spec(_result_entry(data, "field", str))
+    N = _result_entry(data, "precision", int)
+    texts = _result_entry(data, "change", list)
+    if not all(isinstance(t, str) for t in texts):
+        raise FieldError("result file key 'change' is not a list of strings")
+    change = CoordinateChange([parse_jet(t, field, names, N) for t in texts])
+    residual = parse_jet(_result_entry(data, "residual", str), field, names, N)
+    try:
+        quad = QuadNormalForm.from_json(field, _result_entry(data, "quad", dict))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise FieldError(f"result file key 'quad' is malformed: {exc!r}") from None
+    if quad.nvars != len(names) or quad.rank > quad.nvars:
+        raise FieldError("result file key 'quad' does not fit the variables")
+    return SplitResult(quad, _result_entry(data, "rank", int), residual, change, N, None)
+
+
+def _cmd_verify(args):
+    names = _parse_vars(args.vars)
+    result = _read_split_result(args.result, names)
+    f = parse_jet(args.expr, result.field, names, result.precision)
+    try:
+        check = verify_split(f, result)
+    except VerificationError as exc:
+        payload = {"schema": 1, "command": "verify", "verified": False, "reason": str(exc)}
+        _emit(args, payload, [f"reason: {exc}", "verified: false"])
+        return 1
     verified = check.is_zero()
     payload = {"schema": 1, "command": "verify", "verified": verified,
                "difference": serialize_jet(check, names)}
@@ -364,8 +389,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AssertionError:
-        raise
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

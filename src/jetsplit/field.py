@@ -121,14 +121,35 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below the smallest strong pseudoprime to all of them (Sorenson & Webster,
+# Math. Comp. 2017); larger moduli are rejected rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise FieldError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -12,7 +12,7 @@ identical jets.
 from __future__ import annotations
 
 from . import linalg
-from .jet import Jet, PrecisionError
+from .jet import Jet, PrecisionError, VerificationError
 
 
 class ImplicitSystem:
@@ -102,8 +102,8 @@ def ift_solve(sys: ImplicitSystem, N: int):
                 if corr[j] != field.zero:
                     sol[j][alpha] = field.neg(corr[j])
     ys = [Jet(field, nx, N, s) for s in sol]
-    for r in sys.residuals(ys, N):
-        assert r.is_zero(), "implicit solver left a nonzero residual"
+    if not all(r.is_zero() for r in sys.residuals(ys, N)):
+        raise VerificationError("ift", "the solution leaves a nonzero residual")
     return ys
 
 
@@ -133,7 +133,8 @@ def ift_solve_newton(sys: ImplicitSystem, N: int):
         if all(r.is_zero() for r in res):
             break
         steps += 1
-        assert steps <= N + 3, "Newton iteration failed to converge"
+        if steps > N + 3:
+            raise VerificationError("ift newton", "no convergence after N + 3 steps")
         ys = [y - _row_dot(u[i], res) for i, y in enumerate(ys)]
         parts = sys._parts(ys, N)
         jmat = [[p.substitute(parts) for p in row] for row in partials]

@@ -5,6 +5,16 @@ a sparse map from exponent tuples to nonzero field elements.  All operations
 are exact on the retained terms: binary operations return the minimum of the
 two precisions, and products drop terms above the result precision during
 accumulation.
+
+Substitution, the kernel under every coordinate change, works on packed
+monomials instead (see ``_packed_substitute``): one int per monomial, with a
+bit field of ``N.bit_length()`` bits per variable and the total degree above
+them, so a monomial product is one integer addition and the degree guard is
+one comparison.  Terms are kept in lists sorted by key, hence by degree, and
+the series is evaluated in Horner form: monomials are grouped by their
+leading exponent, each part's powers are cached in packed form, each
+distinct exponent prefix costs one truncated product, and the sum is
+accumulated in one dict that becomes a tuple-keyed jet once, at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +30,19 @@ ABOVE_PRECISION = math.inf
 
 class PrecisionError(ValueError):
     pass
+
+
+class VerificationError(Exception):
+    """An exact check of a computed result failed.
+
+    Not a ValueError: the input was accepted, and the failure is the
+    program's (or a supplied certificate's).  ``stage`` names the step whose
+    check failed.
+    """
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"{stage}: {message}")
+        self.stage = stage
 
 
 def grlex_key(alpha):
@@ -233,31 +256,7 @@ class Jet:
                 raise PrecisionError("substitution component precision below target")
             if p.constant_term() != field.zero:
                 raise ValueError("substitution component has a nonzero constant term")
-        parts = [p if p.prec == prec else p.truncate(prec) for p in parts]
-        powers = [{0: Jet.constant(field, m, prec, field.one)} for _ in range(self.nvars)]
-
-        def power_of(i, e):
-            cache = powers[i]
-            if e not in cache:
-                best = max(k for k in cache if k <= e)
-                acc = cache[best]
-                for k in range(best + 1, e + 1):
-                    acc = acc * parts[i]
-                    cache[k] = acc
-            return cache[e]
-
-        acc = Jet.zero(field, m, prec)
-        for alpha, c in sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0])):
-            term = None
-            for i, e in enumerate(alpha):
-                if e == 0:
-                    continue
-                p = power_of(i, e)
-                term = p if term is None else term * p
-            if term is None:
-                term = Jet.constant(field, m, prec, field.one)
-            acc = acc + term.scale(c)
-        return acc
+        return Jet(field, m, prec, _packed_substitute(field, self.coeffs, parts, m, prec))
 
     # -- second-order data ---------------------------------------------------
 
@@ -311,6 +310,95 @@ class Jet:
             else:
                 total += valuation.value(self.field, c) * weight
         return float(total) if archimedean else total
+
+
+def _packed_substitute(field, coeffs, parts, m, prec):
+    """Coefficients of sum c_alpha * prod parts[i]^alpha_i, truncated at prec.
+
+    A monomial beta in the m target variables is one int: exponent beta_j in
+    bits [w*j, w*j + w) with w = prec.bit_length(), and the total degree in
+    the field above them.  Keys add under multiplication; every kept product
+    has degree <= prec < 2^w, so no exponent field carries, and a key is at
+    or above ``(d + 1) << (w*m)`` exactly when its degree exceeds d.  Term
+    lists sorted by key are sorted by degree, so truncation is a ``break``.
+    """
+    n = len(parts)
+    width = prec.bit_length()
+    shift = width * m
+    zero = field.zero
+    add = field.add
+    mul = field.mul
+
+    def pack(beta):
+        key = sum(beta) << shift
+        for j, e in enumerate(beta):
+            key |= e << (width * j)
+        return key
+
+    def sorted_terms(packed):
+        return sorted((k, c) for k, c in packed.items() if c != zero)
+
+    def product_into(out, a, b, limit):
+        """out += a * b, dropping keys at or above limit."""
+        if not b:
+            return
+        b0 = b[0][0]
+        for ka, ca in a:
+            if ka + b0 >= limit:
+                break
+            for kb, cb in b:
+                k = ka + kb
+                if k >= limit:
+                    break
+                v = out.get(k)
+                out[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
+
+    full_limit = (prec + 1) << shift
+    powers = []
+    orders = []
+    for p in parts:
+        base = sorted_terms({pack(beta): c for beta, c in p.coeffs.items()
+                             if sum(beta) <= prec})
+        powers.append([None, base])
+        orders.append(base[0][0] >> shift if base else None)
+
+    def power(i, e):
+        cache = powers[i]
+        while len(cache) <= e:
+            out = {}
+            product_into(out, cache[-1], cache[1], full_limit)
+            cache.append(sorted_terms(out))
+        return cache[e]
+
+    def horner(terms, k, budget):
+        """Sum of c * prod_{i >= k} parts[i]^alpha_i to degree budget.
+
+        f = sum_e x_k^e f_e(x_{k+1}, ...): each inner sum is evaluated to the
+        budget left after part k's order, then multiplied once by parts[k]^e.
+        """
+        if k == n:
+            return {0: terms[0][1]}
+        groups = {}
+        for alpha, c in terms:
+            groups.setdefault(alpha[k], []).append((alpha, c))
+        out = {}
+        order = orders[k]
+        for e, group in groups.items():
+            if e == 0:
+                for key, c in horner(group, k + 1, budget).items():
+                    v = out.get(key)
+                    out[key] = c if v is None else add(v, c)
+            elif order is not None and e * order <= budget:
+                inner = horner(group, k + 1, budget - e * order)
+                product_into(out, power(k, e), sorted_terms(inner), (budget + 1) << shift)
+        return out
+
+    mask = (1 << width) - 1
+    result = {}
+    for key, c in horner(list(coeffs.items()), 0, prec).items():
+        if c != zero:
+            result[tuple(key >> (width * j) & mask for j in range(m))] = c
+    return result
 
 
 class CoordinateChange:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .field import CharacteristicError, Field, RationalField
-from .jet import CoordinateChange, Jet
+from .jet import CoordinateChange, Jet, VerificationError
 
 
 class QuadraticShapeError(ValueError):
@@ -263,9 +263,9 @@ def _verify_transition(q: QuadraticForm, nf: QuadNormalForm):
     got = nf.change(2).apply(q.as_jet(2))
     want = nf.normal_jet(2)
     if got != want:
-        raise AssertionError("normal form transition failed to verify")
+        raise VerificationError("quadform", "the transition does not give the normal form")
     if linalg.rank(q.field, nf.matrix) != q.nvars:
-        raise AssertionError("normal form transition is singular")
+        raise VerificationError("quadform", "the normal form transition is singular")
 
 
 def diagonalize(q: QuadraticForm) -> QuadNormalForm:
@@ -397,10 +397,8 @@ def arf_decompose(q: QuadraticForm) -> ArfDecomposition:
         remaining = fixed
     pair_vectors = [u for p in pairs for u in p]
     for z in remaining:
-        for w in pair_vectors:
-            assert q.bilinear(z, w) == field.zero
-        for z2 in remaining:
-            assert q.bilinear(z, z2) == field.zero
+        if any(q.bilinear(z, w) != field.zero for w in pair_vectors + remaining):
+            raise VerificationError("arf decomposition", "the radical is not orthogonal")
     return ArfDecomposition(gram, pairs, remaining)
 
 
@@ -484,7 +482,7 @@ def arf_reduce_solvable(nf: QuadNormalForm):
                          pairs=tuple((field.zero, field.zero) for _ in range(l)))
     extra_change = CoordinateChange.from_linear(field, extra, 2)
     if extra_change.apply(nf.normal_jet(2)) != out.normal_jet(2):
-        raise AssertionError("solvable reduction failed to verify")
+        raise VerificationError("quadform", "the solvable reduction does not verify")
     return out
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jet import ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError
+from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
+                  VerificationError)
 from .quadform import QuadNormalForm, QuadraticForm, arf_normal_form, diagonalize
 
 
@@ -124,13 +125,16 @@ def _iterate(f: Jet, head_quad: Jet, head: int, make_components, N: int):
     passes = 0
     while mixed_order != ABOVE_PRECISION:
         passes += 1
-        assert passes <= N + 1, "splitting iteration failed to make progress"
+        if passes > N + 1:
+            raise VerificationError("split iteration", "no progress after N + 1 passes")
         change = CoordinateChange(make_components(gs))
         f = change.apply(f)
         total = total.compose(change)
         gs = _cofactors(f, head_quad, head)
         new_order = _mixed_order(gs)
-        assert new_order > mixed_order, "mixed part order did not increase"
+        if new_order <= mixed_order:
+            raise VerificationError(
+                "split iteration", f"mixed part order did not increase past {mixed_order}")
         mixed_order = new_order
     residual = f - head_quad
     return total, residual
@@ -243,17 +247,36 @@ def split(f: Jet, N: int) -> SplitResult:
     else:
         change_it, residual = iterate_diagonal(f1, N)
     total = linear.compose(change_it)
-    check = total.apply(f) - (nf.head_jet(N) + residual)
+    check = verify_split(f, SplitResult(nf, rank, residual, total, N, None))
     if not check.is_zero():
-        raise AssertionError("split verification failed")
-    assert rank == f.hessian_rank() or field.char != 2
+        raise VerificationError("split", "f(change) differs from head + residual")
     return SplitResult(nf, rank, residual, total, N, check)
 
 
 def verify_split(f: Jet, result: SplitResult) -> Jet:
-    """Recompute f(change) - (head quadratic + residual); zero on contract."""
+    """Recompute f(change) - (head quadratic + residual); zero on contract.
+
+    Raises VerificationError when the result is not a split whatever the
+    difference: its rank is not the rank of its quadratic head, the head is
+    degenerate or of another rank than the Hessian of f, the change is not
+    an automorphism, or the residual involves a head variable.
+    """
+    quad = result.quad
+    rank = quad.rank
+    if result.rank != rank:
+        raise VerificationError(
+            "split", f"rank {result.rank} is not the quadratic head's rank {rank}")
     if f.prec > result.precision:
         f = f.truncate(result.precision)
-    lhs = result.change.apply(f)
-    rhs = result.head_jet() + result.residual
-    return lhs - rhs
+    head = result.head_jet()
+    if head.hessian_rank() != rank:
+        raise VerificationError("split", "the quadratic head is degenerate")
+    f_rank = f.hessian_rank()
+    if f_rank != rank:
+        raise VerificationError(
+            "split", f"the series has Hessian rank {f_rank}, not the head's rank {rank}")
+    if not result.change.is_automorphism():
+        raise VerificationError("split", "the change is not an automorphism")
+    if any(any(alpha[:rank]) for alpha in result.residual.coeffs):
+        raise VerificationError("split", "the residual involves head variables")
+    return result.change.apply(f) - (head + result.residual)

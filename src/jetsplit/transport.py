@@ -25,7 +25,7 @@ from __future__ import annotations
 from . import linalg
 from .field import CharacteristicError
 from .ift import ImplicitSystem, ift_solve
-from .jet import CoordinateChange, Jet
+from .jet import CoordinateChange, Jet, VerificationError
 from .quadform import QuadNormalForm
 from .split import SplitShapeError, embed_from_tail, project_to_tail
 
@@ -170,9 +170,10 @@ def transport(p: TransportProblem) -> CoordinateChange:
     parts = list(psi) + [Jet.variable(field, m, j, N) for j in range(m)]
     phi_prime = CoordinateChange(
         [p.phi.components[i].substitute(parts) for i in range(rank, n)])
-    assert phi_prime.is_automorphism(), "transported change lost invertibility"
+    if not phi_prime.is_automorphism():
+        raise VerificationError("transport", "the transported change is not an automorphism")
     if phi_prime.apply(p.g0) != p.g1:
-        raise AssertionError("transport verification failed")
+        raise VerificationError("transport", "g0(change) differs from g1")
     return phi_prime
 
 

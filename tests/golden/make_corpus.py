@@ -1,0 +1,206 @@
+"""Regenerate the golden CLI corpus (``corpus.json`` next to this file).
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/make_corpus.py
+
+Each case is a CLI argument list, the input files it reads and the exit code
+and stdout the program produced.  ``tests/test_golden.py`` replays every
+case and requires byte-identical output, so regenerate only when an output
+change is intended, and say so in the change log.  Inputs are drawn from
+fixed seeds with the generators in ``tests/gen.py``.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.dirname(HERE))
+
+from gen import (rand_automorphism, rand_implicit_system, rand_jet,  # noqa: E402
+                 rand_split_form, transport_roundtrip)
+from jetsplit import parse_field_spec, serialize_jet  # noqa: E402
+from jetsplit.cli import main  # noqa: E402
+
+FILE_PREFIX = "file:"
+
+
+def names_of(n):
+    return [f"x{i + 1}" for i in range(n)]
+
+
+def run_case(argv, files):
+    """Exit code and stdout of one CLI call, with its input files in a temp dir."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
+        real = [os.path.join(tmp, a[len(FILE_PREFIX):]) if a.startswith(FILE_PREFIX) else a
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(real)
+    return code, out.getvalue()
+
+
+def readme_cases():
+    f0 = "x^2 + y^4\n"
+    f1 = "x^2 + y^4 + 4*y^5 + 6*y^6 + 4*y^7 + y^8\n"
+    phi = "x\ny + y^2\n"
+    cases = [
+        ("readme-split", ["split", "--field", "q", "--vars", "x,y", "--precision", "4",
+                          "x^2 + x*y^2"], {}),
+        ("readme-quadform", ["quadform", "--field", "fp:2", "--vars", "x1,x2,x3",
+                             "x1^2+x1*x2+x2^2+x3^2"], {}),
+        ("readme-milnor", ["milnor", "--field", "q", "--vars", "x,y", "x^2+y^2"], {}),
+        ("readme-determinacy", ["determinacy", "--field", "q", "--vars", "x", "x^3"], {}),
+        ("readme-norm", ["norm", "--field", "q", "--vars", "x", "--valuation", "padic:2",
+                         "12*x"], {}),
+        ("readme-ift", ["ift", "--field", "q", "--vars", "x,y", "--split-vars", "y",
+                        "--precision", "5", "y - x - y^2"], {}),
+        ("readme-transport", ["transport", "--field", "q", "--vars", "x,y", "--precision",
+                              "8", "file:f0.txt", "file:f1.txt", "file:phi.txt"],
+         {"f0.txt": f0, "f1.txt": f1, "phi.txt": phi}),
+    ]
+    split_json = ["split", "--field", "q", "--vars", "x,y", "--precision", "4",
+                  "--format", "json", "x^2 + x*y^2"]
+    _, result = run_case(split_json, {})
+    cases.append(("readme-split-json", split_json, {}))
+    cases.append(("readme-verify", ["verify", "--field", "q", "--vars", "x,y",
+                                    "x^2 + x*y^2", "file:result.json"],
+                  {"result.json": result}))
+    return cases
+
+
+# (field spec, variables, precision); two seeded inputs each
+SPLIT_SIZES = [
+    ("q", 2, 7), ("q", 3, 5), ("q", 4, 4),
+    ("fp:7", 2, 7), ("fp:7", 3, 6), ("fp:7", 4, 5),
+    ("fp:2", 2, 7), ("fp:2", 3, 6), ("fp:2", 4, 5),
+    ("f2k:4", 2, 7), ("f2k:4", 3, 6), ("f2k:4", 4, 5),
+]
+
+
+def split_input(field, n, N, rank, rng):
+    """A split form with extra mixed terms, moved by a random automorphism."""
+    _, _, f = rand_split_form(field, n, N, rng, rank=rank)
+    f = f + rand_jet(field, n, N, rng, min_degree=3, terms=3)
+    phi = rand_automorphism(field, n, N, rng, higher_terms=1)
+    return phi.apply(f)
+
+
+def split_cases(rng):
+    cases = []
+    for spec, n, N in SPLIT_SIZES:
+        field = parse_field_spec(spec)
+        names = names_of(n)
+        common = ["--field", spec, "--vars", ",".join(names), "--precision", str(N)]
+        for k in range(2):
+            rank = n - k if field.char != 2 else 2 * ((n - k) // 2)
+            expr = serialize_jet(split_input(field, n, N, rank, rng), names)
+            tag = f"{spec.replace(':', '')}-n{n}-N{N}-{k}"
+            text = ["split"] + common + [expr]
+            as_json = ["split"] + common + ["--format", "json", expr]
+            _, result = run_case(as_json, {})
+            cases.append((f"split-{tag}", text, {}))
+            cases.append((f"split-json-{tag}", as_json, {}))
+            cases.append((f"verify-{tag}",
+                          ["verify", "--field", spec, "--vars", ",".join(names),
+                           "--format", "json", expr, "file:result.json"],
+                          {"result.json": result}))
+    return cases
+
+
+def ift_cases(rng):
+    cases = []
+    for spec, nx, ny, N in [("q", 1, 1, 6), ("q", 2, 1, 4), ("fp:7", 2, 1, 5),
+                            ("fp:2", 1, 2, 5), ("f2k:4", 2, 2, 4)]:
+        field = parse_field_spec(spec)
+        names = names_of(nx + ny)
+        system = rand_implicit_system(field, nx, ny, N, rng)
+        eqs = [serialize_jet(eq, names, with_precision=False) for eq in system.equations]
+        cases.append((f"ift-{spec.replace(':', '')}-{nx}x{ny}-N{N}",
+                      ["ift", "--field", spec, "--vars", ",".join(names), "--split-vars",
+                       ",".join(names[nx:]), "--precision", str(N), "--format", "json"]
+                      + eqs, {}))
+    return cases
+
+
+def transport_cases(rng):
+    cases = []
+    for spec, n, N in [("q", 2, 5), ("fp:7", 3, 5), ("fp:2", 3, 5), ("f2k:4", 3, 4)]:
+        field = parse_field_spec(spec)
+        names = names_of(n)
+        p = transport_roundtrip(field, n, N, rng)
+        while p.rank == 0:
+            p = transport_roundtrip(field, n, N, rng)
+        files = {"f0.txt": serialize_jet(p.f0_jet(), names) + "\n",
+                 "f1.txt": serialize_jet(p.f1_jet(), names) + "\n",
+                 "phi.txt": "".join(serialize_jet(c, names) + "\n"
+                                    for c in p.phi.components)}
+        cases.append((f"transport-{spec.replace(':', '')}-n{n}-N{N}",
+                      ["transport", "--field", spec, "--vars", ",".join(names),
+                       "--precision", str(N), "--format", "json",
+                       "file:f0.txt", "file:f1.txt", "file:phi.txt"], files))
+    return cases
+
+
+def quadform_cases():
+    return [
+        ("quadform-q-signs", ["quadform", "--field", "q", "--vars", "x,y,z",
+                              "--format", "json", "2*x^2 - 3*y^2 + x*z + 5*z^2"], {}),
+        ("quadform-fp7", ["quadform", "--field", "fp:7", "--vars", "x,y,z",
+                          "x^2 + 3*x*y + 5*y^2 + 6*z^2 + y*z"], {}),
+        ("quadform-f2k2", ["quadform", "--field", "f2k:2", "--vars", "x1,x2",
+                           "--format", "json", "x1^2+x1*x2+x2^2"], {}),
+        ("quadform-f2k4", ["quadform", "--field", "f2k:4", "--vars", "x1,x2,x3,x4",
+                           "t*x1^2 + x1*x3 + (t^2+1)*x2*x4 + x4^2 + x2^2"], {}),
+    ]
+
+
+def norm_cases():
+    return [
+        ("norm-q-abs", ["norm", "--field", "q", "--vars", "x,y", "--valuation", "abs",
+                        "--epsilon", "1/2,1/3", "1 + 2*x - 3/4*x*y^2"], {}),
+        ("norm-q-padic3", ["norm", "--field", "q", "--vars", "x,y", "--valuation",
+                           "padic:3", "--format", "json", "9*x + 2/27*y^3 + 5"], {}),
+        ("norm-fp7-trivial", ["norm", "--field", "fp:7", "--vars", "x", "3*x^2 + x"], {}),
+    ]
+
+
+def milnor_cases():
+    return [
+        ("milnor-q-cusp", ["milnor", "--field", "q", "--vars", "x,y", "--format", "json",
+                           "x^3 + y^4"], {}),
+        ("determinacy-fp7", ["determinacy", "--field", "fp:7", "--vars", "x,y",
+                             "x^2 + y^5"], {}),
+    ]
+
+
+def build():
+    rng = random.Random(20260)
+    specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
+             + quadform_cases() + norm_cases() + milnor_cases())
+    corpus = []
+    for name, argv, files in specs:
+        code, out = run_case(argv, files)
+        if code != 0:
+            raise SystemExit(f"case {name} exited {code}")
+        corpus.append({"name": name, "argv": argv, "files": files,
+                       "exit": code, "stdout": out})
+    return corpus
+
+
+if __name__ == "__main__":
+    corpus = build()
+    with open(os.path.join(HERE, "corpus.json"), "w", encoding="utf-8") as handle:
+        json.dump(corpus, handle, indent=1, ensure_ascii=False)
+        handle.write("\n")
+    print(f"wrote {len(corpus)} cases")

@@ -1,6 +1,13 @@
+import importlib
 import json
 
+import pytest
+
 from jetsplit.cli import main
+
+# the package re-exports functions named like these modules
+ift_module = importlib.import_module("jetsplit.ift")
+split_module = importlib.import_module("jetsplit.split")
 
 
 def run(capsys, *argv):
@@ -177,3 +184,111 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def split_json(capsys, expr="x^2 + x*y^2"):
+    code, out, _ = run(capsys, "split", "--field", "q", "--vars", "x,y",
+                       "--precision", "4", "--format", "json", expr)
+    assert code == 0
+    return json.loads(out)
+
+
+def verify(capsys, tmp_path, data, expr="x^2 + x*y^2"):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(data))
+    return run(capsys, "verify", "--field", "q", "--vars", "x,y", expr, str(result))
+
+
+def test_verify_rejects_forged_zero_change(tmp_path, capsys):
+    # f(0) = 0 = x^2 + (-x^2): the identity holds, but the change is not invertible
+    data = split_json(capsys)
+    data["change"] = ["0", "0"]
+    data["residual"] = "-x^2"
+    code, out, err = verify(capsys, tmp_path, data)
+    assert code == 1
+    assert "verified: false" in out
+    assert "automorphism" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("forge, reason", [
+    ("rank", "rank 2 is not the quadratic head's rank 1"),
+    ("residual_in_head", "the residual involves head variables"),
+    ("degenerate_head", "the quadratic head is degenerate"),
+    ("low_rank_head", "the series has Hessian rank 2"),
+], ids=["rank", "residual_in_head", "degenerate_head", "low_rank_head"])
+def test_verify_rejects_other_forgeries(tmp_path, capsys, forge, reason):
+    expr = "x^2 + x*y^2"
+    data = split_json(capsys)
+    if forge == "rank":
+        data["rank"] = 2
+    elif forge == "residual_in_head":
+        # the identity change leaves x*y^2, which involves the head variable x
+        data["change"] = ["x", "y"]
+        data["residual"] = "x*y^2"
+    elif forge == "degenerate_head":
+        # f = x^2; the change swaps x and y and claims a zero head of rank 1
+        expr = "x^2"
+        data["change"] = ["y", "x"]
+        data["residual"] = "y^2"
+        data["quad"]["diagonal"] = ["0"]
+    else:
+        # f = x^2 + y^2 has Hessian rank 2; y^2 stays in the residual
+        expr = "x^2 + y^2"
+        data["change"] = ["x", "y"]
+        data["residual"] = "y^2"
+    code, out, _ = verify(capsys, tmp_path, data, expr)
+    assert code == 1
+    assert f"reason: split: {reason}" in out
+    assert "verified: false" in out
+
+
+@pytest.mark.parametrize("key", ["field", "precision", "change", "residual", "quad", "rank"])
+def test_verify_missing_key_is_input_error(tmp_path, capsys, key):
+    data = split_json(capsys)
+    del data[key]
+    code, out, err = verify(capsys, tmp_path, data)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
+@pytest.mark.parametrize("damage", ["not_object", "change_not_list", "precision_text",
+                                    "quad_no_variant", "quad_wrong_nvars"])
+def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
+    data = split_json(capsys)
+    if damage == "not_object":
+        data = [data]
+    elif damage == "change_not_list":
+        data["change"] = "x"
+    elif damage == "precision_text":
+        data["precision"] = "4"
+    elif damage == "quad_no_variant":
+        del data["quad"]["variant"]
+    else:
+        data["quad"]["nvars"] = 3
+    code, _, err = verify(capsys, tmp_path, data)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_split_check_exits_1_without_traceback(monkeypatch, capsys):
+    # a mixed part whose order never rises trips the iteration's progress check
+    monkeypatch.setattr(split_module, "_mixed_order", lambda gs: 3)
+    code, out, err = run(capsys, "split", "--field", "q", "--vars", "x,y",
+                         "--precision", "4", "x^2 + x*y^2")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: split iteration: mixed part order did not " \
+                  "increase past 3\n"
+
+
+def test_failed_ift_check_exits_1_without_traceback(monkeypatch, capsys):
+    # dropping every correction leaves the residual of y - x - y^2 nonzero
+    monkeypatch.setattr(ift_module.linalg, "matvec", lambda field, m, v: [field.zero] * len(v))
+    code, out, err = run(capsys, "ift", "--field", "q", "--vars", "x,y",
+                         "--split-vars", "y", "--precision", "5", "y - x - y^2")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: ift: the solution leaves a nonzero residual\n"

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from jetsplit import (ArchimedeanValuation, BinaryField, CharacteristicError,
                       FieldError, PAdicValuation, PrimeField, RationalField,
                       TrivialValuation, parse_field_spec, parse_valuation_spec)
-from jetsplit.field import (default_modulus, format_t_poly,
+from jetsplit.cli import main
+from jetsplit.field import (_is_prime, default_modulus, format_t_poly,
                             gf2_poly_irreducible, parse_t_poly)
 
 FIELDS = [RationalField(), PrimeField(7), PrimeField(2), BinaryField(2), BinaryField(4)]
@@ -240,3 +242,37 @@ def test_scalar_text_roundtrip():
         for _ in range(50):
             a = field.random_element(rng)
             assert field.parse_scalar(field.format_scalar(a)) == a
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(_is_prime(n) == _trial_division_is_prime(n) for n in range(-3, 5000))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1)
+    assert _is_prime(2 ** 31 - 1)
+
+
+def test_large_prime_field_parses_fast(capsys):
+    start = time.perf_counter()
+    code = main(["quadform", "--field", "fp:2305843009213693951", "--vars", "x,y",
+                 "x^2 + 3*x*y"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "field: fp:2305843009213693951" in capsys.readouterr().out
+
+
+def test_prime_above_certified_range_is_input_error(capsys):
+    with pytest.raises(FieldError):
+        PrimeField(2 ** 89 - 1)
+    code = main(["quadform", "--field", f"fp:{2 ** 89 - 1}", "--vars", "x", "x^2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,40 @@
+"""Byte-identical CLI output on the golden corpus (tests/golden/corpus.json).
+
+The corpus holds README examples and seeded split/verify, ift, transport,
+quadform, norm, milnor and determinacy calls over every field, with the
+output recorded by ``tests/golden/make_corpus.py``.  A refactor or kernel
+change that alters any byte of any output fails here.
+"""
+
+import json
+import os
+
+import pytest
+
+from jetsplit.cli import main
+
+CORPUS = os.path.join(os.path.dirname(__file__), "golden", "corpus.json")
+FILE_PREFIX = "file:"
+
+with open(CORPUS, encoding="utf-8") as _handle:
+    CASES = json.load(_handle)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_output(case, tmp_path, capsys):
+    for name, text in case["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a[len(FILE_PREFIX):]) if a.startswith(FILE_PREFIX) else a
+            for a in case["argv"]]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == case["exit"]
+    assert out.encode("utf-8") == case["stdout"].encode("utf-8")
+
+
+def test_corpus_covers_every_field_and_command():
+    specs = {c["argv"][c["argv"].index("--field") + 1] for c in CASES}
+    assert {"q", "fp:7", "fp:2", "f2k:4"} <= specs
+    commands = {c["argv"][0] for c in CASES}
+    assert commands == {"split", "verify", "quadform", "milnor", "determinacy",
+                        "norm", "ift", "transport"}

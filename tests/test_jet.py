@@ -6,7 +6,7 @@ import pytest
 from gen import FIELDS, rand_automorphism, rand_jet, rand_m2_jet
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Jet, PAdicValuation, PrecisionError,
-                      PrimeField, RationalField, parse_jet)
+                      PrimeField, RationalField, parse_field_spec, parse_jet)
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -238,3 +238,83 @@ def test_power_matches_repeated_product():
     for e in range(5):
         assert f.power(e) == acc
         acc = acc * f
+
+
+# -- substitution against a naive tuple-exponent expansion --------------------
+
+ORACLE_FIELDS = [parse_field_spec(s) for s in ("q", "fp:7", "fp:2", "f2k:4")]
+
+
+def naive_substitute(f, parts, m):
+    """sum c_alpha * prod parts[i]^alpha_i by repeated dict products, at f.prec."""
+    field = f.field
+    prec = f.prec
+
+    def times(a, b):
+        out = {}
+        for x, cx in a.items():
+            for y, cy in b.items():
+                z = tuple(i + j for i, j in zip(x, y))
+                if sum(z) <= prec:
+                    out[z] = field.add(out.get(z, field.zero), field.mul(cx, cy))
+        return out
+
+    acc = {}
+    for alpha, c in f.coeffs.items():
+        term = {(0,) * m: c}
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                term = times(term, parts[i].coeffs)
+        for z, v in term.items():
+            acc[z] = field.add(acc.get(z, field.zero), v)
+    return Jet(field, m, prec, acc)
+
+
+def test_substitute_matches_naive_expansion():
+    rng = random.Random(11)
+    # precisions on both sides of the bit-width steps 2^B - 1 -> 2^B
+    for field in ORACLE_FIELDS:
+        for _ in range(120):
+            n = rng.randint(0, 3)
+            m = rng.randint(0, 3)
+            prec = rng.choice((0, 1, 2, 3, 4, 7, 8))
+            f = rand_jet(field, n, prec, rng, terms=rng.randint(0, 6))
+            parts = [rand_jet(field, m, prec + rng.choice((0, 0, 2)), rng, min_degree=1,
+                              terms=rng.randint(0, 4)) for _ in range(n)]
+            got = f.substitute(parts)
+            if n:
+                assert got == naive_substitute(f, parts, m)
+            else:
+                assert got == f
+
+
+def test_substitute_zero_jet_and_zero_parts():
+    for field in ORACLE_FIELDS:
+        zero = Jet.zero(field, 2, 5)
+        parts = [Jet.variable(field, 3, 0, 5), Jet.variable(field, 3, 2, 6)]
+        assert zero.substitute(parts) == Jet.zero(field, 3, 5)
+        f = parse_jet("1 + x + x*y^2", field, ["x", "y"], 5)
+        assert f.substitute([Jet.zero(field, 1, 5)] * 2) == Jet.constant(field, 1, 5, field.one)
+
+
+def test_substitute_cancels_to_zero_over_gf2():
+    names = ["x", "y"]
+    f = parse_jet("x^2 + y^2", F2, names, 4)
+    s = parse_jet("x + y", F2, names, 4)
+    got = f.substitute([s, s])
+    assert got.is_zero() and got == naive_substitute(f, [s, s], 2)
+    g = parse_jet("x^2 + y^2", Q, names, 4)
+    sq = jq("x + y", names, 4)
+    assert g.substitute([sq, sq]) == jq("2*x^2 + 4*x*y + 2*y^2", names, 4)
+
+
+def test_substitute_at_polynomial_precision():
+    prec = 10 ** 9
+    for field in ORACLE_FIELDS:
+        names = ["x", "y"]
+        f = parse_jet("x^3*y + x*y^5 + y^7 + x^40", field, names, prec)
+        parts = [parse_jet("u + v^2", field, ["u", "v"], prec),
+                 parse_jet("u*v + v^3", field, ["u", "v"], prec)]
+        got = f.substitute(parts)
+        assert got.prec == prec
+        assert got == naive_substitute(f, parts, 2)
