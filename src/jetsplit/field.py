@@ -532,15 +532,31 @@ class BinaryField(Field):
             s ^= x
         return s
 
-    def half_trace(self, a):
-        """For odd k: h with h^2 + h = a whenever trace(a) = 0."""
-        s = a
-        x = a
-        for _ in range((self.k - 1) // 2):
-            x = self.mul(x, x)
-            x = self.mul(x, x)
-            s ^= x
-        return s
+    def _artin_schreier_root(self, d):
+        """A root v of v^2 + v = d, for d of trace 0.
+
+        v -> v^2 + v is GF(2)-linear with kernel {0, 1} and image the trace-0
+        hyperplane, so solve the k x k system over GF(2): eliminate on the
+        images of the basis elements t^i as bitmasks, each carrying the
+        preimage it is the image of.
+        """
+        basis = {}  # top bit -> (image, preimage), images with distinct top bits
+        for i in range(self.k):
+            pre = 1 << i
+            img = self.mul(pre, pre) ^ pre
+            while img:
+                top = img.bit_length() - 1
+                if top not in basis:
+                    basis[top] = (img, pre)
+                    break
+                img ^= basis[top][0]
+                pre ^= basis[top][1]
+        v = 0
+        while d:
+            img, pre = basis[d.bit_length() - 1]
+            d ^= img
+            v ^= pre
+        return v
 
     def solve_affine_quadratic(self, a, c):
         if a == 0:
@@ -549,18 +565,8 @@ class BinaryField(Field):
         d = self.mul(a, c)
         if self.trace(d) != 0:
             return None
-        if self.k % 2 == 1:
-            v = self.half_trace(d)
-        else:
-            v = None
-            for cand in range(self.order):
-                if self.mul(cand, cand) ^ cand == d:
-                    v = cand
-                    break
-            if v is None:
-                return None
         ai = self.inv(a)
-        u = self.mul(v, ai)
+        u = self.mul(self._artin_schreier_root(d), ai)
         return min(u, u ^ ai)
 
     def elements(self):

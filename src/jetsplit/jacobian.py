@@ -1,20 +1,44 @@
 """Milnor number and finite-determinacy bounds by exact linear algebra.
 
-Inputs are treated as polynomials (their jets carry every term).  Ideal
-membership at bounded degree is decided by incremental row reduction over
-the monomial basis; the inclusion m^s <= J + m^(s+1), once seen, upgrades to
-m^s <= J in the local ring by Nakayama, which both certifies finiteness of
-the Milnor number and bounds the quotient computation.
+Inputs are treated as polynomials (their jets carry every term).  For an
+ideal I with generators g, I + m^(s+1) is spanned modulo m^(s+1) by the
+multiples beta*g with |beta| + ord g <= s, cut above degree s: the rows of a
+truncated Macaulay matrix (Lazard, EUROCAL 1983).  Once m^s <= I + m^(s+1)
+holds, Nakayama upgrades it to m^s <= I in the local ring.  With I = J, the
+Jacobian ideal, that certifies a finite Milnor number mu = dim O/J, which is
+then the codimension of J modulo m^s; with I = m^2 J it bounds determinacy.
+
+A row's lead is its lowest-degree term.  Reduction never lowers a lead, so
+truncation commutes with reduction: the rank at cutoff s is the number of
+pivots of lead degree <= s in any echelon cut at a degree >= s.  The search
+(``milnor_number``, ``determinacy_certificate``) therefore keeps one echelon,
+cut at max_degree, and inserts the multiples in increasing order of lowest
+degree.  Once the batch of lowest degree s is in, the pivots of lead degree
+<= s are final: degree s is covered exactly when its pivot count equals the
+number of degree-s monomials, and mu is read off the same echelon.
+
+The verifiers (``verify_milnor``, ``verify_determinacy``) share the row
+kernel but not the search.  Each builds a fresh echelon at the certified
+cutoff, inserting generator by generator, and checks every monomial of the
+certified degree by full reduction rather than by counting leads;
+``verify_milnor`` also recounts mu on a second echelon at cutoff s - 1.
+
+A search or check refuses (``ValueError``) a negative degree, and more than
+``MAX_MONOMIALS`` monomials of degree <= max_degree, which bounds the
+number of columns of its echelon.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .field import Field
-from .jet import ABOVE_PRECISION, Jet, grlex_key
+from .field import Field, PrimeField, RationalField
+from .jet import ABOVE_PRECISION, Jet
 
 DEFAULT_MAX_DEGREE = 12
+# 4 variables admit max_degree 20, 3 variables 37, 2 variables 198
+MAX_MONOMIALS = 20_000
 
 
 def monomials_of_degree(nvars: int, degree: int):
@@ -31,78 +55,213 @@ def monomials_of_degree(nvars: int, degree: int):
 
 
 def count_monomials_upto(nvars: int, degree: int) -> int:
-    import math
+    return math.comb(degree + nvars, nvars)
 
-    return sum(math.comb(d + nvars - 1, nvars - 1) for d in range(degree + 1))
+
+def _check_search_size(nvars: int, max_degree: int):
+    """Raise ValueError unless a search to max_degree fits MAX_MONOMIALS."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be >= 0, not {max_degree}")
+    count = count_monomials_upto(nvars, max_degree)
+    if count > MAX_MONOMIALS:
+        raise ValueError(f"{count} monomials of degree <= {max_degree} in {nvars} variables "
+                         f"exceed the limit of {MAX_MONOMIALS}; lower --max-degree")
 
 
 class _Echelon:
-    """Sparse exact row echelon keyed by graded-lex leading monomials."""
+    """Row echelon form of polynomials cut above degree ``cutoff``.
 
-    def __init__(self, field: Field):
+    A row is a dict from packed monomial to nonzero coefficient.  Monomial
+    alpha packs into one int: alpha_j in bits [w*j, w*j + w) with
+    w = cutoff.bit_length(), the total degree above them.  Rows hold degrees
+    <= cutoff only, so no field carries: multiplying by beta adds its key, a
+    key is below ``limit`` exactly when its degree is <= cutoff, and
+    ``min(row)`` is a lowest-degree term, the lead.  The order within a
+    degree is arbitrary; only per-degree pivot counts are read.
+
+    This class reduces with the field's methods and stores monic pivots; the
+    subclasses below work on native ints for Q and GF(p).
+    """
+
+    def __init__(self, field: Field, nvars: int, cutoff: int):
         self.field = field
-        self.rows = {}
+        self.nvars = nvars
+        self.width = max(cutoff.bit_length(), 1)
+        self.shift = self.width * nvars
+        self.limit = (cutoff + 1) << self.shift
+        self.pivots = {}
+        self.rank_by_degree = [0] * (cutoff + 1)
+        self._monomials = {}
+
+    def pack(self, alpha) -> int:
+        key = sum(alpha) << self.shift
+        for j, e in enumerate(alpha):
+            key |= e << (self.width * j)
+        return key
+
+    def monomials(self, degree: int):
+        keys = self._monomials.get(degree)
+        if keys is None:
+            keys = [self.pack(beta) for beta in monomials_of_degree(self.nvars, degree)]
+            self._monomials[degree] = keys
+        return keys
+
+    def terms(self, g: Jet):
+        """Packed terms of g up to the cutoff, with native coefficients."""
+        limit = self.limit
+        packed = [(self.pack(alpha), c) for alpha, c in g.coeffs.items()]
+        return self._native([(k, c) for k, c in packed if k < limit])
+
+    def _native(self, terms):
+        return terms
+
+    def multiples(self, terms, degree: int):
+        """The rows beta*g, cut at the cutoff, for every beta of the degree."""
+        limit = self.limit
+        for kb in self.monomials(degree):
+            yield {kb + ka: c for ka, c in terms if kb + ka < limit}
+
+    def insert(self, row: dict):
+        """Reduce the row (consumed) and keep what is left as a new pivot."""
+        lead = self._reduce(row)
+        if lead is not None:
+            self.pivots[lead] = self._normalize(row, lead)
+            self.rank_by_degree[lead >> self.shift] += 1
+
+    def contains_monomial(self, key: int) -> bool:
+        return self._reduce(dict(self._native([(key, self.field.one)]))) is None
+
+    def covers(self, degree: int) -> bool:
+        """Every degree-d monomial is a pivot lead (pivots of degree d are final)."""
+        return self.rank_by_degree[degree] == math.comb(degree + self.nvars - 1, self.nvars - 1)
+
+    def rank_upto(self, degree: int) -> int:
+        return sum(self.rank_by_degree[:degree + 1])
 
     def _reduce(self, row):
+        """Reduce in place until the lead is no pivot lead; that lead, or None at zero."""
+        pivots = self.pivots
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                return lead
+            self._eliminate(row, pivot, lead)
+        return None
+
+    def _eliminate(self, row, pivot, lead):
+        """row <- row - c*pivot, which cancels the lead (pivots are monic)."""
         field = self.field
         zero = field.zero
-        row = dict(row)
-        while row:
-            lead = min(row, key=grlex_key)
-            pivot = self.rows.get(lead)
-            if pivot is None:
-                return row, lead
-            c = row[lead]
-            for mono, pc in pivot.items():
-                new = field.sub(row.get(mono, zero), field.mul(c, pc))
-                if new == zero:
-                    row.pop(mono, None)
-                else:
-                    row[mono] = new
-        return row, None
+        sub, mul = field.sub, field.mul
+        c = row[lead]
+        for m, v in pivot.items():
+            new = sub(row.get(m, zero), mul(c, v))
+            if new == zero:
+                del row[m]
+            else:
+                row[m] = new
 
-    def insert(self, row):
+    def _normalize(self, row, lead):
         field = self.field
-        row, lead = self._reduce(row)
-        if lead is None:
-            return
         inv = field.inv(row[lead])
-        self.rows[lead] = {m: field.mul(inv, c) for m, c in row.items()}
-
-    def contains(self, row) -> bool:
-        reduced, lead = self._reduce(row)
-        return lead is None
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+        return {m: field.mul(inv, c) for m, c in row.items()}
 
 
-def _ideal_echelon(field: Field, gens, cutoff: int, min_multiplier_degree: int = 0):
-    """Echelon of all monomial multiples of the generators, kept mod m^(cutoff+1)."""
-    ech = _Echelon(field)
-    nvars = gens[0].nvars if gens else 0
+class _RationalEchelon(_Echelon):
+    """Integer rows, fraction-free: row <- a*row - b*pivot, pivots primitive."""
+
+    def _native(self, terms):
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        ints = [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
+        content = math.gcd(*(c for _, c in ints)) or 1
+        return [(k, c // content) for k, c in ints]
+
+    def _eliminate(self, row, pivot, lead):
+        a, b = pivot[lead], row[lead]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for m in row:
+                row[m] *= a
+        for m, v in pivot.items():
+            new = row.get(m, 0) - b * v
+            if new:
+                row[m] = new
+            else:
+                del row[m]
+
+    def _normalize(self, row, lead):
+        content = math.gcd(*row.values())
+        return {m: c // content for m, c in row.items()}
+
+
+class _PrimeEchelon(_Echelon):
+    """Residues in [0, p) with monic pivots, reduced inline mod p."""
+
+    def _eliminate(self, row, pivot, lead):
+        p = self.field.p
+        c = row[lead]
+        for m, v in pivot.items():
+            new = (row.get(m, 0) - c * v) % p
+            if new:
+                row[m] = new
+            else:
+                del row[m]
+
+    def _normalize(self, row, lead):
+        p = self.field.p
+        inv = pow(row[lead], -1, p)
+        return {m: c * inv % p for m, c in row.items()}
+
+
+def _new_echelon(field: Field, nvars: int, cutoff: int) -> _Echelon:
+    if isinstance(field, RationalField):
+        return _RationalEchelon(field, nvars, cutoff)
+    if isinstance(field, PrimeField):
+        return _PrimeEchelon(field, nvars, cutoff)
+    return _Echelon(field, nvars, cutoff)
+
+
+def _growing_echelon(field: Field, gens, nvars: int, max_degree: int,
+                     min_multiplier_degree: int = 0):
+    """Yield (s, echelon) after each batch of multiples of lowest degree s.
+
+    One echelon cut at max_degree takes every beta*g with
+    |beta| >= min_multiplier_degree, in increasing order of |beta| + ord g,
+    starting at s = 0 so that constant generators count.  When s is yielded,
+    the pivots of lead degree <= s are final.
+    """
+    ech = _new_echelon(field, nvars, max_degree)
+    batches = [(int(g.order()), ech.terms(g)) for g in gens]
+    for s in range(max_degree + 1):
+        for order, terms in batches:
+            if s - order >= min_multiplier_degree:
+                for row in ech.multiples(terms, s - order):
+                    ech.insert(row)
+        yield s, ech
+
+
+def _ideal_echelon(field: Field, gens, nvars: int, cutoff: int,
+                   min_multiplier_degree: int = 0) -> _Echelon:
+    """Fresh echelon of all beta*g mod m^(cutoff+1), generator by generator."""
+    ech = _new_echelon(field, nvars, cutoff)
     for g in gens:
-        if g.is_zero():
-            continue
-        ordg = int(g.order())
-        top = cutoff - ordg
-        for bdeg in range(min_multiplier_degree, top + 1):
-            for beta in monomials_of_degree(nvars, bdeg):
-                row = {}
-                for alpha, c in g.coeffs.items():
-                    if bdeg + sum(alpha) <= cutoff:
-                        row[tuple(b + a for b, a in zip(beta, alpha))] = c
+        terms = ech.terms(g)
+        for bdeg in range(min_multiplier_degree, cutoff - int(g.order()) + 1):
+            for row in ech.multiples(terms, bdeg):
                 ech.insert(row)
     return ech
 
 
-def _covers_degree(field: Field, ech: _Echelon, nvars: int, degree: int) -> bool:
-    return all(ech.contains({mono: field.one}) for mono in monomials_of_degree(nvars, degree))
+def _covers_degree(ech: _Echelon, degree: int) -> bool:
+    """Every monomial of the degree reduces to zero: full reduction, not counting."""
+    return all(ech.contains_monomial(key) for key in ech.monomials(degree))
 
 
 def jacobian_generators(f: Jet):
-    return [f.partial(i) for i in range(f.nvars)]
+    """The nonzero partial derivatives of f."""
+    return [g for g in (f.partial(i) for i in range(f.nvars)) if not g.is_zero()]
 
 
 @dataclass
@@ -123,45 +282,54 @@ class MilnorReport:
 
 
 def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
-    field = f.field
+    _check_search_size(f.nvars, max_degree)
     order = f.order()
     order = None if order == ABOVE_PRECISION else int(order)
-    gens = [g for g in jacobian_generators(f) if not g.is_zero()] if order is not None else []
+    gens = jacobian_generators(f) if order is not None else []
     if gens:
-        for s in range(1, max_degree + 1):
-            ech = _ideal_echelon(field, gens, cutoff=s)
-            if _covers_degree(field, ech, f.nvars, s):
-                quotient = _ideal_echelon(field, gens, cutoff=s - 1)
-                mu = count_monomials_upto(f.nvars, s - 1) - quotient.rank
-                bound = 2 * mu - order + 2
-                return MilnorReport(mu, s, bound, order, max_degree)
+        for s, ech in _growing_echelon(f.field, gens, f.nvars, max_degree):
+            if s >= 1 and ech.covers(s):
+                mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
+                return MilnorReport(mu, s, 2 * mu - order + 2, order, max_degree)
     return MilnorReport(None, None, None, order, max_degree)
 
 
 def verify_milnor(f: Jet, report: MilnorReport) -> bool:
-    """Re-run the certificate membership checks from scratch."""
+    """Re-check the certificate and mu on fresh echelons, apart from the search.
+
+    Every degree-s monomial must reduce to zero modulo J + m^(s+1), and mu
+    must equal the codimension of J modulo m^s, with the bound and order
+    that follow from it.
+    """
     if report.mu is None:
         return True
-    field = f.field
-    gens = [g for g in jacobian_generators(f) if not g.is_zero()]
     s = report.stabilization_degree
-    ech = _ideal_echelon(field, gens, cutoff=s)
-    return _covers_degree(field, ech, f.nvars, s)
+    if s is None or s < 1:
+        return False
+    _check_search_size(f.nvars, s)
+    gens = jacobian_generators(f)
+    if not gens:
+        return False
+    if not _covers_degree(_ideal_echelon(f.field, gens, f.nvars, s), s):
+        return False
+    quotient = _ideal_echelon(f.field, gens, f.nvars, s - 1)
+    mu = count_monomials_upto(f.nvars, s - 1) - quotient.rank_upto(s - 1)
+    order = int(f.order())
+    return (report.mu == mu and report.order == order
+            and report.determinacy_bound == 2 * mu - order + 2)
 
 
 def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):
     """Smallest k with m^(k+2) <= m^2 J + m^(k+3), or None up to max_degree."""
-    order = f.order()
-    if order == ABOVE_PRECISION:
+    _check_search_size(f.nvars, max_degree)
+    if f.order() == ABOVE_PRECISION:
         return None
-    field = f.field
-    gens = [g for g in jacobian_generators(f) if not g.is_zero()]
+    gens = jacobian_generators(f)
     if not gens:
         return None
-    for k in range(0, max_degree - 1):
-        ech = _ideal_echelon(field, gens, cutoff=k + 2, min_multiplier_degree=2)
-        if _covers_degree(field, ech, f.nvars, k + 2):
-            return k
+    for s, ech in _growing_echelon(f.field, gens, f.nvars, max_degree, min_multiplier_degree=2):
+        if s >= 2 and ech.covers(s):
+            return s - 2
     return None
 
 
@@ -169,12 +337,14 @@ def verify_determinacy(f: Jet, k) -> bool:
     """Re-check the membership certificate m^(k+2) <= m^2 J + m^(k+3)."""
     if k is None:
         return True
-    field = f.field
-    gens = [g for g in jacobian_generators(f) if not g.is_zero()]
+    if k < 0:
+        return False
+    _check_search_size(f.nvars, k + 2)
+    gens = jacobian_generators(f)
     if not gens:
         return False
-    ech = _ideal_echelon(field, gens, cutoff=k + 2, min_multiplier_degree=2)
-    return _covers_degree(field, ech, f.nvars, k + 2)
+    ech = _ideal_echelon(f.field, gens, f.nvars, k + 2, min_multiplier_degree=2)
+    return _covers_degree(ech, k + 2)
 
 
 def determinacy_bound(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):

@@ -175,13 +175,39 @@ def norm_cases():
     ]
 
 
+# (tag, field, variables, expression, [milnor options, determinacy options]):
+# Brieskorn-Pham sums with higher terms (mu up to 100) over every field, a
+# non-isolated input, an order-1 input (mu = 0), a constant term, the zero
+# jet, a search cut below the stabilization degree and both --precision
+# branches of milnor; text and json alternate.
+TEXT, JSON = [], ["--format", "json"]
+JACOBIAN_INPUTS = [
+    ("q-bp-a566", "q", "x,y,z", "x^5 + y^6 + z^6 + x^2*y^3*z", [TEXT, JSON]),
+    ("fp7-sqh", "fp:7", "x,y,z", "2*x^3 + y^4 + 3*z^5 + x^2*y^2 + y*z^4", [JSON, TEXT]),
+    ("fp2-sqh", "fp:2", "x,y,z", "x^3 + y^5 + z^3 + x*y^3 + x^2*z^2", [TEXT, JSON]),
+    ("f2k4-sqh", "f2k:4", "x1,x2,x3,x4",
+     "t*x1^3 + x2^3 + (t^2+1)*x3^5 + x4^3 + t^3*x1^2*x2^2 + x3*x4^3", [JSON, TEXT]),
+    ("q-nonisolated", "q", "x,y,z", "(x+y-z)^2*((x-y+2*z)^2 + x*y*z)",
+     [["--max-degree", "7"], ["--max-degree", "7"] + JSON]),
+    ("q-order1", "q", "x,y", "x + 3*y^2 - x*y", [JSON, TEXT]),
+    ("q-constant-term", "q", "x,y", "5 + x^2 + 2*x*y^2 + y^4 + y^5", [JSON, TEXT]),
+    ("zero", "fp:7", "x,y", "0", [TEXT, JSON]),
+    ("q-below-stabilization", "q", "x,y", "x^3 + y^7",
+     [["--max-degree", "4"], ["--max-degree", "4"] + JSON]),
+    ("q-precision-fits", "q", "x,y", "x^2 + y^3 + x*y^4", [["--precision", "6"], TEXT]),
+    ("q-precision-short", "q", "x,y", "x^2 + y^7", [["--precision", "4"] + JSON, TEXT]),
+]
+
+
 def milnor_cases():
     return [
         ("milnor-q-cusp", ["milnor", "--field", "q", "--vars", "x,y", "--format", "json",
                            "x^3 + y^4"], {}),
         ("determinacy-fp7", ["determinacy", "--field", "fp:7", "--vars", "x,y",
                              "x^2 + y^5"], {}),
-    ]
+    ] + [(f"{cmd}-{tag}", [cmd, "--field", spec, "--vars", names] + opts + [expr], {})
+         for tag, spec, names, expr, per_command in JACOBIAN_INPUTS
+         for cmd, opts in zip(("milnor", "determinacy"), per_command)]
 
 
 def build():

@@ -118,6 +118,26 @@ def test_solve_affine_quadratic_small_fields_bruteforce():
                 assert f.solve_affine_quadratic(a, c) == expected, (k, a, c)
 
 
+@pytest.mark.parametrize("spec", ["f2k:32:modulus=t32+t22+t2+t+1",
+                                  "f2k:64:modulus=t64+t4+t3+t+1"])
+def test_solve_affine_quadratic_large_fields(spec):
+    start = time.perf_counter()
+    f = parse_field_spec(spec)
+    rng = random.Random(96)
+    solved = 0
+    for _ in range(40):
+        a, c = f.random_element(rng, nonzero=True), f.random_element(rng)
+        u = f.solve_affine_quadratic(a, c)
+        if u is None:
+            assert f.trace(f.mul(a, c)) == 1
+            continue
+        solved += 1
+        assert f.add(f.add(f.mul(a, f.mul(u, u)), u), c) == f.zero
+        assert u < u ^ f.inv(a)  # the smaller of the two roots
+    assert solved >= 10
+    assert time.perf_counter() - start < 1.0
+
+
 def test_solve_affine_quadratic_exhaustive_upto_gf256():
     # root-table oracle: roots of a u^2 + u + c = 0 are u = v/a with v^2 + v = a c
     for k in range(5, 9):

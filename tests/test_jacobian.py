@@ -1,10 +1,17 @@
+import dataclasses
 import random
+import time
+
+import pytest
 
 from gen import rand_invertible, rand_jet
-from jetsplit import (Jet, PrimeField, RationalField, determinacy_bound,
-                      determinacy_certificate, milnor_number,
+from jetsplit import (BinaryField, Jet, PrimeField, RationalField, determinacy_bound,
+                      determinacy_certificate, linalg, milnor_number,
                       mu_determinacy_bound, parse_jet, verify_milnor)
-from jetsplit.jacobian import count_monomials_upto, monomials_of_degree, verify_determinacy
+from jetsplit.cli import main
+from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon,
+                               count_monomials_upto, monomials_of_degree,
+                               verify_determinacy)
 
 Q = RationalField()
 POLY = 10 ** 9
@@ -167,3 +174,112 @@ def test_milnor_when_characteristic_divides_an_exponent():
     f3 = PrimeField(3)
     assert milnor_number(parse_jet("x^3", f3, ["x"], POLY)).mu is None
     assert milnor_number(parse_jet("x^4", f3, ["x"], POLY)).mu == 3
+
+
+def macaulay_rank(field, gens, nvars, cutoff, min_multiplier_degree):
+    """Rank of the dense matrix of all beta*g mod m^(cutoff+1), tuple-keyed."""
+    columns = {alpha: j for j, alpha in enumerate(
+        alpha for d in range(cutoff + 1) for alpha in monomials_of_degree(nvars, d))}
+    rows = []
+    for g in gens:
+        for bdeg in range(min_multiplier_degree, cutoff + 1):
+            for beta in monomials_of_degree(nvars, bdeg):
+                row = [field.zero] * len(columns)
+                for alpha, c in g.coeffs.items():
+                    gamma = tuple(b + a for b, a in zip(beta, alpha))
+                    if gamma in columns:
+                        row[columns[gamma]] = c
+                rows.append(row)
+    return linalg.rank(field, rows)
+
+
+ORACLE_FIELDS = [RationalField(), PrimeField(7), PrimeField(2), BinaryField(4)]
+
+
+@pytest.mark.parametrize("min_multiplier_degree", [0, 2])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec())
+def test_echelon_ranks_match_dense_macaulay_matrix(field, min_multiplier_degree):
+    rng = random.Random(55 + min_multiplier_degree)
+    cutoff = 5
+    for trial in range(8):
+        nvars = 2 + trial % 2
+        gens = [rand_jet(field, nvars, POLY, rng, min_degree=trial % 3, max_degree=4,
+                         terms=rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        oracle = [macaulay_rank(field, gens, nvars, s, min_multiplier_degree)
+                  for s in range(cutoff + 1)]
+        for s, ech in _growing_echelon(field, gens, nvars, cutoff, min_multiplier_degree):
+            # after batch s the pivots up to degree s are final
+            assert ech.rank_upto(s) == oracle[s], (trial, s)
+        assert [ech.rank_upto(s) for s in range(cutoff + 1)] == oracle
+        for s in range(cutoff + 1):
+            fresh = _ideal_echelon(field, gens, nvars, s, min_multiplier_degree)
+            assert len(fresh.pivots) == oracle[s], (trial, s)
+
+
+def test_verify_milnor_rejects_forged_reports():
+    for text in ("x^3 + y^4", "x^2 + y^2", "x + y^2"):
+        f = poly(text, ["x", "y"])
+        report = milnor_number(f)
+        assert verify_milnor(f, report)
+        for forged in (dataclasses.replace(report, mu=report.mu + 1),
+                       dataclasses.replace(report, mu=report.mu - 1),
+                       dataclasses.replace(report, determinacy_bound=report.determinacy_bound + 1),
+                       dataclasses.replace(report, order=report.order + 1),
+                       dataclasses.replace(report, stabilization_degree=0)):
+            assert not verify_milnor(f, forged), (text, forged)
+    # a degree below the true stabilization degree has no certificate
+    f = poly("x^3 + y^4", ["x", "y"])
+    report = milnor_number(f)
+    early = dataclasses.replace(report, stabilization_degree=report.stabilization_degree - 1)
+    assert not verify_milnor(f, early)
+
+
+def test_verify_determinacy_rejects_a_lower_degree():
+    f = poly("x^3 + y^4", ["x", "y"])
+    k = determinacy_certificate(f)
+    assert verify_determinacy(f, k)
+    assert not verify_determinacy(f, k - 1)
+    assert not verify_determinacy(f, -1)
+
+
+@pytest.mark.parametrize("command", ["milnor", "determinacy"])
+def test_non_isolated_four_variables_is_fast(command, capsys):
+    start = time.perf_counter()
+    code = main([command, "--field", "q", "--vars", "x,y,z,w", "--max-degree", "10",
+                 "(x+y+z+w)^2*(x-y+2*z)^2 + x^3*z^3"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "verified: true" in out
+    assert elapsed < 2.0, elapsed
+
+
+def test_search_size_limit():
+    f = poly("x^2 + y^2", ["x", "y"])
+    for search in (milnor_number, determinacy_certificate):
+        with pytest.raises(ValueError, match="max degree"):
+            search(f, max_degree=-1)
+    big = parse_jet("x1^2", Q, [f"x{i}" for i in range(8)], POLY)
+    assert count_monomials_upto(8, 12) > MAX_MONOMIALS
+    for search in (milnor_number, determinacy_certificate):
+        with pytest.raises(ValueError, match="exceed the limit"):
+            search(big, max_degree=12)
+    # the largest benchmark search, 4 variables to degree 16, is admitted
+    assert count_monomials_upto(4, 16) == 4845 <= MAX_MONOMIALS
+
+
+@pytest.mark.parametrize("argv", [
+    ["milnor", "--vars", ",".join(f"x{i}" for i in range(8)), "x1^2 + x2^3"],
+    ["determinacy", "--vars", "x,y", "--max-degree", str(10 ** 9), "x^2 + y^3"],
+    ["milnor", "--vars", "x,y", "--max-degree", "-1", "x^2 + y^3"],
+])
+def test_search_size_limit_exits_2_at_once(argv, capsys):
+    start = time.perf_counter()
+    code = main([argv[0], "--field", "q"] + argv[1:])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 1.0, elapsed
