@@ -4,9 +4,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_corpus.py
 
-Each case is a CLI argument list, the input files it reads and the exit code
-and stdout the program produced.  ``tests/test_golden.py`` replays every
-case and requires byte-identical output, so regenerate only when an output
+Each case is a CLI argument list, the input files it reads and the exit code,
+stdout and stderr the program produced.  ``tests/test_golden.py`` replays
+every case and requires byte-identical output, so regenerate only when an output
 change is intended, and say so in the change log.  Inputs are drawn from
 fixed seeds with the generators in ``tests/gen.py``.
 """
@@ -37,7 +37,7 @@ def names_of(n):
 
 
 def run_case(argv, files):
-    """Exit code and stdout of one CLI call, with its input files in a temp dir."""
+    """Exit code, stdout and stderr of one CLI call, with its input files in a temp dir."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
@@ -47,7 +47,7 @@ def run_case(argv, files):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(real)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def readme_cases():
@@ -71,7 +71,7 @@ def readme_cases():
     ]
     split_json = ["split", "--field", "q", "--vars", "x,y", "--precision", "4",
                   "--format", "json", "x^2 + x*y^2"]
-    _, result = run_case(split_json, {})
+    _, result, _ = run_case(split_json, {})
     cases.append(("readme-split-json", split_json, {}))
     cases.append(("readme-verify", ["verify", "--field", "q", "--vars", "x,y",
                                     "x^2 + x*y^2", "file:result.json"],
@@ -108,7 +108,7 @@ def split_cases(rng):
             tag = f"{spec.replace(':', '')}-n{n}-N{N}-{k}"
             text = ["split"] + common + [expr]
             as_json = ["split"] + common + ["--format", "json", expr]
-            _, result = run_case(as_json, {})
+            _, result, _ = run_case(as_json, {})
             cases.append((f"split-{tag}", text, {}))
             cases.append((f"split-json-{tag}", as_json, {}))
             cases.append((f"verify-{tag}",
@@ -210,17 +210,52 @@ def milnor_cases():
          for cmd, opts in zip(("milnor", "determinacy"), per_command)]
 
 
+# transport inputs in split shape or not, as (tag, field, variables, f0, f1)
+TRANSPORT_EDGE_INPUTS = [
+    ("not-diagonal", "q", "x,y", "x*y + y^3", "x*y + y^3"),
+    ("not-leading", "q", "x,y", "y^2 + x^3", "y^2 + x^3"),
+    ("pairs-not-consecutive", "fp:2", "x1,x2,x3", "x1*x3 + x2^3", "x1*x3 + x2^3"),
+    ("middle-not-1", "f2k:2", "x1,x2,x3", "t*x1*x2 + x3^3", "t*x1*x2 + x3^3"),
+    ("head-in-residual", "q", "x,y", "x^2 + x*y^2", "x^2 + x*y^2"),
+    ("linear-term", "q", "x,y", "x + y^2", "x + y^2"),
+    ("other-diagonal", "q", "x,y", "x^2 + y^3", "2*x^2 + y^3"),
+    ("other-square-tail", "fp:2", "x1,x2,x3", "x1*x2 + x3^2 + x3^3", "x1*x2 + x3^3"),
+    ("phi-does-not-map", "q", "x,y", "x^2 + y^3", "x^2 + y^3 + y^4"),
+]
+
+
+def edge_cases():
+    """Rejected inputs and edge cases: exit 2 with one error line, or exit 0."""
+    cases = []
+    for tag, spec, names, f0, f1 in TRANSPORT_EDGE_INPUTS:
+        identity = "".join(v + "\n" for v in names.split(","))
+        cases.append((f"transport-{tag}",
+                      ["transport", "--field", spec, "--vars", names, "--precision", "4",
+                       "file:f0.txt", "file:f1.txt", "file:phi.txt"],
+                      {"f0.txt": f0 + "\n", "f1.txt": f1 + "\n", "phi.txt": identity}))
+    for spec, names, f in [("q", "x,y", "x^2 + y^3"), ("fp:2", "x1,x2,x3", "x1*x2 + x3^2")]:
+        identity = "".join(v + "\n" for v in names.split(","))
+        cases.append((f"transport-precision-1-{spec.replace(':', '')}",
+                      ["transport", "--field", spec, "--vars", names, "--precision", "1",
+                       "file:f0.txt", "file:f1.txt", "file:phi.txt"],
+                      {"f0.txt": f + "\n", "f1.txt": f + "\n", "phi.txt": identity}))
+    cases.append(("split-linear-term", ["split", "--field", "q", "--vars", "x,y",
+                                        "--precision", "4", "x + y^2"], {}))
+    return cases
+
+
 def build():
     rng = random.Random(20260)
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
              + quadform_cases() + norm_cases() + milnor_cases())
     corpus = []
-    for name, argv, files in specs:
-        code, out = run_case(argv, files)
-        if code != 0:
-            raise SystemExit(f"case {name} exited {code}")
+    for name, argv, files in specs + edge_cases():
+        code, out, err = run_case(argv, files)
         corpus.append({"name": name, "argv": argv, "files": files,
-                       "exit": code, "stdout": out})
+                       "exit": code, "stdout": out, "stderr": err})
+    failed = [c["name"] for c in corpus[:len(specs)] if c["exit"] != 0]
+    if failed:
+        raise SystemExit(f"cases exited nonzero: {failed}")
     return corpus
 
 

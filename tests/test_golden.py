@@ -1,9 +1,10 @@
 """Byte-identical CLI output on the golden corpus (tests/golden/corpus.json).
 
 The corpus holds README examples and seeded split/verify, ift, transport,
-quadform, norm, milnor and determinacy calls over every field, with the
-output recorded by ``tests/golden/make_corpus.py``.  A refactor or kernel
-change that alters any byte of any output fails here.
+quadform, norm, milnor and determinacy calls over every field, plus rejected
+transport and split inputs, with the exit code, stdout and stderr recorded
+by ``tests/golden/make_corpus.py``.  A refactor or kernel change that alters
+any byte of any output fails here.
 """
 
 import json
@@ -27,9 +28,10 @@ def test_golden_output(case, tmp_path, capsys):
     argv = [str(tmp_path / a[len(FILE_PREFIX):]) if a.startswith(FILE_PREFIX) else a
             for a in case["argv"]]
     code = main(argv)
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == case["exit"]
-    assert out.encode("utf-8") == case["stdout"].encode("utf-8")
+    assert captured.out.encode("utf-8") == case["stdout"].encode("utf-8")
+    assert captured.err.encode("utf-8") == case["stderr"].encode("utf-8")
 
 
 def test_corpus_covers_every_field_and_command():
