@@ -10,19 +10,18 @@ from .field import (ArchimedeanValuation, BinaryField, CharacteristicError,
                     Field, FieldError, PAdicValuation, PrimeField,
                     RationalField, TrivialValuation, Valuation,
                     parse_field_spec, parse_valuation_spec)
-from .ift import ImplicitSystem, ift_solve, ift_solve_newton
+from .ift import ImplicitSystem, ift_solve
 from .jacobian import (DEFAULT_MAX_DEGREE, MilnorReport, determinacy_bound,
                        determinacy_certificate, milnor_number,
                        mu_determinacy_bound, verify_milnor)
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
                   VerificationError)
 from .quadform import (ArfDecomposition, QuadNormalForm, QuadraticForm,
-                       arf_decompose, arf_normal_form, arf_reduce_solvable,
-                       diagonal_signs, diagonalize, normal_form,
-                       normalize_squares)
-from .split import (SplitResult, SplitShapeError, embed_from_tail,
-                    iterate_arf, iterate_diagonal, project_to_tail, split,
-                    verify_split)
+                       SplitShapeError, arf_decompose, arf_normal_form,
+                       arf_reduce_solvable, diagonal_signs, diagonalize,
+                       normal_form, normalize_squares)
+from .split import (SplitResult, embed_from_tail, iterate_arf,
+                    iterate_diagonal, project_to_tail, split, verify_split)
 from .transport import (TransportError, TransportHypothesisError,
                         TransportProblem, normalize_tail_linear, split_shape,
                         transport)
@@ -40,7 +39,7 @@ __all__ = [
     "Valuation", "VerificationError", "arf_decompose", "arf_normal_form",
     "arf_reduce_solvable", "determinacy_bound", "determinacy_certificate",
     "diagonal_signs", "diagonalize", "embed_from_tail", "ift_solve",
-    "ift_solve_newton", "iterate_arf", "iterate_diagonal", "milnor_number",
+    "iterate_arf", "iterate_diagonal", "milnor_number",
     "mu_determinacy_bound", "normal_form", "normalize_squares",
     "normalize_tail_linear", "parse_field_spec", "parse_jet",
     "parse_valuation_spec", "project_to_tail", "serialize_jet", "split",

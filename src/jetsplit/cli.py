@@ -245,8 +245,7 @@ def _cmd_transport(args):
     phi = CoordinateChange([parse_jet(line, field, names, N) for line in comp_lines])
     quad0, g0 = split_shape(f0)
     quad1, g1 = split_shape(f1)
-    if (quad0.variant, quad0.diagonal, quad0.pairs, quad0.tail) != \
-            (quad1.variant, quad1.diagonal, quad1.pairs, quad1.tail):
+    if quad0 != quad1:
         raise FieldError("f0 and f1 do not share one quadratic normal form")
     problem = TransportProblem(quad0, g0, g1, phi, N)
     if field.char == 2:

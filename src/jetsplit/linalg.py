@@ -78,19 +78,3 @@ def invert(field: Field, m):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
 
-
-def nullspace(field: Field, m):
-    """Basis of the right nullspace, as a list of vectors."""
-    if not m:
-        return []
-    cols = len(m[0])
-    red, pivots = rref(field, m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero] * cols
-        v[f] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(red[r][f])
-        basis.append(v)
-    return basis

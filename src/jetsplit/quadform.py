@@ -10,8 +10,9 @@ transition by exact substitution before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 
 from . import linalg
 from .field import CharacteristicError, Field, RationalField
@@ -22,8 +23,20 @@ class QuadraticShapeError(ValueError):
     pass
 
 
+class SplitShapeError(ValueError):
+    pass
+
+
+TRIAL_BOUND = 1 << 21
+
+
 def _square_free_split(fr: Fraction):
-    """Write fr = s * t^2 with s a squarefree integer (t > 0 rational)."""
+    """Write fr = s * t^2 with s a squarefree integer (t > 0 rational).
+
+    Trial division stops at B = TRIAL_BOUND.  A cofactor left below B^3 is 1,
+    p, p*q or p^2 with primes p != q >= B, told apart by isqrt; a larger one
+    is rejected with ValueError.
+    """
     if fr == 0:
         return Fraction(0), Fraction(1)
     m = fr.numerator * fr.denominator
@@ -31,7 +44,7 @@ def _square_free_split(fr: Fraction):
     mm = abs(m)
     u, s0 = 1, 1
     d = 2
-    while d * d <= mm:
+    while d * d <= mm and d < TRIAL_BOUND:
         if mm % d == 0:
             e = 0
             while mm % d == 0:
@@ -41,7 +54,15 @@ def _square_free_split(fr: Fraction):
             if e % 2:
                 s0 *= d
         d += 1
-    s0 *= mm
+    if mm >= TRIAL_BOUND ** 3:
+        raise ValueError(
+            f"cannot take the squarefree part of the diagonal coefficient {fr}: its factor "
+            f"{mm} has no prime factor below {TRIAL_BOUND} and is not below {TRIAL_BOUND}^3")
+    r = isqrt(mm)
+    if r * r == mm:
+        u *= r
+    else:
+        s0 *= mm
     return Fraction(sign * s0), Fraction(u, fr.denominator)
 
 
@@ -111,16 +132,6 @@ class QuadraticForm:
                 b[i][j] = b[j][i] = field.mul(half, c)
         return b
 
-    def bilinear_gram(self):
-        """The polarization b(e_i, e_j) = a_ij as an alternating matrix (char 2)."""
-        field = self.field
-        n = self.nvars
-        b = [[field.zero] * n for _ in range(n)]
-        for (i, j), c in self.gram.items():
-            if i != j:
-                b[i][j] = b[j][i] = c
-        return b
-
     def bilinear(self, v, w):
         field = self.field
         s = field.zero
@@ -147,7 +158,6 @@ class ArfDecomposition:
     Pair vectors are rescaled so that b(u, w) = 1 inside every pair.
     """
 
-    bilinear_gram: list
     symplectic_pairs: list
     radical_basis: list
 
@@ -158,6 +168,8 @@ class QuadNormalForm:
 
     ``matrix`` is the substitution matrix S: applying the change
     phi_i = sum_j S[i][j] x_j to the original form reproduces ``normal_jet``.
+    ``normal_jet`` writes the split shape and ``read_split_shape`` reads it
+    back; no other code knows where its coefficients sit.
     """
 
     variant: str  # diagonal | unit_diagonal | arf | char2_solvable_a | char2_solvable_b
@@ -218,10 +230,45 @@ class QuadNormalForm:
     def head_jet(self, prec: int = 2) -> Jet:
         """Only the nondegenerate head: the diagonal, or the Arf pairs."""
         if self.variant == "arf":
-            trimmed = QuadNormalForm(self.variant, self.field, self.nvars,
-                                     self.matrix, pairs=self.pairs, tail=())
-            return trimmed.normal_jet(prec)
+            return replace(self, tail=()).normal_jet(prec)
         return self.normal_jet(prec)
+
+    @classmethod
+    def read_split_shape(cls, f: Jet) -> "QuadNormalForm":
+        """The identity-transition normal form whose ``normal_jet`` is f's 2-jet.
+
+        f must lie in m^2.  Away from characteristic 2 its 2-jet must be
+        diagonal in leading position (variant ``diagonal``); in characteristic
+        2 its cross terms must be x_1 x_2, x_3 x_4, ... with coefficient 1
+        (variant ``arf``).  Raises SplitShapeError otherwise.
+        """
+        field = f.field
+        n = f.nvars
+        if any(sum(alpha) < 2 for alpha in f.coeffs):
+            raise SplitShapeError("series has terms of degree < 2")
+        squares, cross = {}, {}
+        for alpha, c in f.degree_part(2).coeffs.items():
+            support = tuple(i for i, e in enumerate(alpha) if e)
+            if len(support) == 1:
+                squares[support[0]] = c
+            else:
+                cross[support] = c
+        identity = linalg.identity(field, n)
+        if field.char != 2:
+            if cross:
+                raise SplitShapeError("2-jet is not diagonal")
+            if sorted(squares) != list(range(len(squares))):
+                raise SplitShapeError("diagonal entries are not in leading position")
+            return cls("diagonal", field, n, identity,
+                       diagonal=tuple(squares[i] for i in range(len(squares))))
+        rank = 2 * len(cross)
+        if sorted(cross) != [(i, i + 1) for i in range(0, rank, 2)]:
+            raise SplitShapeError("2-jet cross terms do not pair consecutive variables")
+        if any(c != field.one for c in cross.values()):
+            raise SplitShapeError("2-jet pair middle coefficients are not 1")
+        d = [squares.get(i, field.zero) for i in range(n)]
+        return cls("arf", field, n, identity,
+                   pairs=tuple(zip(d[0:rank:2], d[1:rank:2])), tail=tuple(d[rank:]))
 
     def to_json(self) -> dict:
         fmt = self.field.format_scalar
@@ -367,7 +414,6 @@ def arf_decompose(q: QuadraticForm) -> ArfDecomposition:
     if field.char != 2:
         raise CharacteristicError("Arf decomposition requires characteristic 2")
     n = q.nvars
-    gram = q.bilinear_gram()
     remaining = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
     pairs = []
     while True:
@@ -399,7 +445,7 @@ def arf_decompose(q: QuadraticForm) -> ArfDecomposition:
     for z in remaining:
         if any(q.bilinear(z, w) != field.zero for w in pair_vectors + remaining):
             raise VerificationError("arf decomposition", "the radical is not orthogonal")
-    return ArfDecomposition(gram, pairs, remaining)
+    return ArfDecomposition(pairs, remaining)
 
 
 def arf_normal_form(q: QuadraticForm) -> QuadNormalForm:

@@ -2,13 +2,15 @@
 
 A series f in m^2 is transformed, by an explicit automorphism computed to a
 requested jet precision N, into (nondegenerate quadratic normal form in head
-variables) + (residual series in the tail variables).  Away from
-characteristic 2 the head is diagonal and the iteration substitutes
-x_i -> x_i - g_i/(2 a_i); in characteristic 2 the head consists of Arf pairs
-with middle coefficient 1 and the iteration substitutes, per pair,
-x_i -> x_i + g_{i+1} and x_{i+1} -> x_{i+1} + g_i.  Each pass strictly
-raises the order of the mixed part, so the loop ends once it vanishes at
-precision N.
+variables) + (residual series in the tail variables).  ``split`` classifies
+the 2-jet and moves it to its normal form by a linear change; the iteration
+then reads the head back from the moved series' 2-jet with
+``QuadNormalForm.read_split_shape``.  Away from characteristic 2 the head is
+diagonal and the iteration substitutes x_i -> x_i - g_i/(2 a_i); in
+characteristic 2 the head consists of Arf pairs with middle coefficient 1
+and the iteration substitutes, per pair, x_i -> x_i + g_{i+1} and
+x_{i+1} -> x_{i+1} + g_i.  Each pass strictly raises the order of the mixed
+part, so the loop ends once it vanishes at precision N.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ from dataclasses import dataclass
 
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
                   VerificationError)
-from .quadform import QuadNormalForm, QuadraticForm, arf_normal_form, diagonalize
-
-
-class SplitShapeError(ValueError):
-    pass
+from .quadform import (QuadNormalForm, QuadraticForm, SplitShapeError, arf_normal_form,
+                       diagonalize)
 
 
 @dataclass
@@ -52,10 +51,6 @@ class SplitResult:
     def head_jet(self) -> Jet:
         return self.quad.head_jet(self.precision)
 
-    def residual_tail_jet(self) -> Jet:
-        """The residual as a jet in the tail variables alone."""
-        return project_to_tail(self.residual, self.rank)
-
     def to_json(self, varnames=None) -> dict:
         from .expr import serialize_jet
 
@@ -83,11 +78,6 @@ def embed_from_tail(g: Jet, rank: int) -> Jet:
     """Inverse of project_to_tail: pad with rank zero head exponents."""
     return Jet(g.field, g.nvars + rank, g.prec,
                {(0,) * rank + alpha: c for alpha, c in g.coeffs.items()})
-
-
-def _check_m2(f: Jet):
-    if any(sum(alpha) < 2 for alpha in f.coeffs):
-        raise SplitShapeError("series must have no terms of degree < 2")
 
 
 def _cofactors(f: Jet, head_quad: Jet, head: int):
@@ -151,18 +141,8 @@ def iterate_diagonal(f: Jet, N: int):
     if f.prec < N:
         raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
     f = f.truncate(N)
-    _check_m2(f)
-    two_jet = f.degree_part(2)
-    diag = {}
-    for alpha, c in two_jet.coeffs.items():
-        support = [i for i, e in enumerate(alpha) if e]
-        if len(support) != 1:
-            raise SplitShapeError("2-jet is not diagonal")
-        diag[support[0]] = c
-    head = (max(diag) + 1) if diag else 0
-    if sorted(diag) != list(range(head)):
-        raise SplitShapeError("diagonal 2-jet entries are not in leading position")
-    coeffs = [diag[i] for i in range(head)]
+    quad = QuadNormalForm.read_split_shape(f)
+    head = quad.rank
     two = field.from_int(2)
 
     def components(gs):
@@ -170,13 +150,13 @@ def iterate_diagonal(f: Jet, N: int):
         for i in range(f.nvars):
             x = Jet.variable(field, f.nvars, i, N)
             if i < head and not gs[i].is_zero():
-                scale = field.neg(field.inv(field.mul(two, coeffs[i])))
+                scale = field.neg(field.inv(field.mul(two, quad.diagonal[i])))
                 out.append(x + gs[i].scale(scale))  # x_i -> x_i - g_i/(2 a_i)
             else:
                 out.append(x)
         return out
 
-    return _iterate(f, two_jet, head, components, N)
+    return _iterate(f, quad.head_jet(N), head, components, N)
 
 
 def iterate_arf(f: Jet, N: int):
@@ -191,33 +171,12 @@ def iterate_arf(f: Jet, N: int):
     if f.prec < N:
         raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
     f = f.truncate(N)
-    _check_m2(f)
-    two_jet = f.degree_part(2)
+    quad = QuadNormalForm.read_split_shape(f)
     n = f.nvars
-    cross = {}
-    squares = {}
-    for alpha, c in two_jet.coeffs.items():
-        support = [i for i, e in enumerate(alpha) if e]
-        if len(support) == 2:
-            cross[(support[0], support[1])] = c
-        else:
-            squares[support[0]] = c
-    if sorted(cross) != [(2 * t, 2 * t + 1) for t in range(len(cross))]:
-        raise SplitShapeError("2-jet cross terms do not pair consecutive variables")
-    if any(c != field.one for c in cross.values()):
-        raise SplitShapeError("2-jet pair middle coefficients are not 1")
-    l = len(cross)
-    head = 2 * l
-    head_coeffs = {}
-    for alpha, c in two_jet.coeffs.items():
-        support = [i for i, e in enumerate(alpha) if e]
-        if len(support) == 2 or support[0] < head:
-            head_coeffs[alpha] = c
-    head_quad = Jet(field, n, f.prec, head_coeffs)
 
     def components(gs):
         out = [Jet.variable(field, n, i, N) for i in range(n)]
-        for t in range(l):
+        for t in range(quad.half_rank):
             e = 2 * t
             if not gs[e + 1].is_zero():
                 out[e] = out[e] + gs[e + 1]  # x_i -> x_i + g_{i+1}
@@ -225,7 +184,7 @@ def iterate_arf(f: Jet, N: int):
                 out[e + 1] = out[e + 1] + gs[e]  # x_{i+1} -> x_{i+1} + g_i
         return out
 
-    return _iterate(f, head_quad, head, components, N)
+    return _iterate(f, quad.head_jet(N), quad.rank, components, N)
 
 
 def split(f: Jet, N: int) -> SplitResult:
@@ -235,7 +194,8 @@ def split(f: Jet, N: int) -> SplitResult:
     if N > f.prec:
         raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
     f = f.truncate(N)
-    _check_m2(f)
+    if any(sum(alpha) < 2 for alpha in f.coeffs):
+        raise SplitShapeError("series must have no terms of degree < 2")
     field = f.field
     q = QuadraticForm.from_jet(f)
     nf = arf_normal_form(q) if field.char == 2 else diagonalize(q)

@@ -18,6 +18,10 @@ Sum d_i phi_i^2 = Sum d_i x_i^2 + Sum d_i k_i^2 then matches the d_i k_i^2
 terms against the transform of g0's own square tail, so the F-system above
 already yields g0(phi') = g1 exactly.  The result is verified by
 substitution before it is returned.
+
+f0 and f1 are read by ``split_shape``: ``QuadNormalForm.read_split_shape``
+gives q, and the rest is projected to the tail variables.  The square tail
+Sum d_i x_i^2 is the part of q's ``normal_jet`` outside its ``head_jet``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .field import CharacteristicError
 from .ift import ImplicitSystem, ift_solve
 from .jet import CoordinateChange, Jet, VerificationError
 from .quadform import QuadNormalForm
-from .split import SplitShapeError, embed_from_tail, project_to_tail
+from .split import embed_from_tail, project_to_tail
 
 
 class TransportHypothesisError(ValueError):
@@ -63,7 +67,8 @@ class TransportProblem:
         g0 = g0.truncate(precision)
         g1 = g1.truncate(precision)
         phi = CoordinateChange([c.truncate(precision) for c in phi.components])
-        square_tail = _square_tail_jet(quad, precision)
+        square_tail = project_to_tail(
+            quad.normal_jet(precision) - quad.head_jet(precision), rank)
         for g in (g0, g1):
             h = g - square_tail
             if not h.is_zero() and h.order() < 3:
@@ -100,19 +105,6 @@ class TransportProblem:
 
     def f1_jet(self) -> Jet:
         return self.quad.head_jet(self.precision) + embed_from_tail(self.g1, self.rank)
-
-
-def _square_tail_jet(quad: QuadNormalForm, prec: int) -> Jet:
-    """Sum d_i x_i^2 over the tail, as a jet in the tail variables."""
-    field = quad.field
-    m = quad.nvars - quad.rank
-    coeffs = {}
-    if quad.variant == "arf":
-        for j, d in enumerate(quad.tail):
-            if d != field.zero:
-                alpha = tuple(2 if t == j else 0 for t in range(m))
-                coeffs[alpha] = d
-    return Jet(field, m, prec, coeffs)
 
 
 def normalize_tail_linear(p: TransportProblem) -> TransportProblem:
@@ -180,50 +172,12 @@ def transport(p: TransportProblem) -> CoordinateChange:
 def split_shape(f: Jet):
     """Read a series already in split normal shape as (quad, tail residual).
 
-    The 2-jet must be a diagonal form in leading position (char != 2) or an
-    Arf normal form with unit middle coefficients (char 2); everything else
-    must involve only tail variables.  The returned residual is a jet in the
-    tail variables; in characteristic 2 it includes the square tail.
+    The quad is ``QuadNormalForm.read_split_shape(f)``; everything else must
+    involve only tail variables.  The returned residual is a jet in the tail
+    variables; in characteristic 2 it includes the square tail.
     """
-    field = f.field
-    n = f.nvars
-    two_jet = f.degree_part(2)
-    if any(sum(alpha) < 2 for alpha in f.coeffs):
-        raise SplitShapeError("series has terms of degree < 2")
-    if field.char != 2:
-        diag = {}
-        for alpha, c in two_jet.coeffs.items():
-            support = [i for i, e in enumerate(alpha) if e]
-            if len(support) != 1:
-                raise SplitShapeError("2-jet is not diagonal")
-            diag[support[0]] = c
-        rank = (max(diag) + 1) if diag else 0
-        if sorted(diag) != list(range(rank)):
-            raise SplitShapeError("diagonal entries are not in leading position")
-        quad = QuadNormalForm("diagonal", field, n, linalg.identity(field, n),
-                              diagonal=tuple(diag[i] for i in range(rank)))
-    else:
-        cross = {}
-        squares = {}
-        for alpha, c in two_jet.coeffs.items():
-            support = [i for i, e in enumerate(alpha) if e]
-            if len(support) == 2:
-                cross[(support[0], support[1])] = c
-            else:
-                squares[support[0]] = c
-        l = len(cross)
-        if sorted(cross) != [(2 * t, 2 * t + 1) for t in range(l)]:
-            raise SplitShapeError("2-jet cross terms do not pair consecutive variables")
-        if any(c != field.one for c in cross.values()):
-            raise SplitShapeError("2-jet pair middle coefficients are not 1")
-        rank = 2 * l
-        pairs = tuple((squares.get(2 * t, field.zero), squares.get(2 * t + 1, field.zero))
-                      for t in range(l))
-        tail = tuple(squares.get(rank + j, field.zero) for j in range(n - rank))
-        quad = QuadNormalForm("arf", field, n, linalg.identity(field, n),
-                              pairs=pairs, tail=tail)
-    residual = project_to_tail(f - quad.head_jet(f.prec), rank)
-    return quad, residual
+    quad = QuadNormalForm.read_split_shape(f)
+    return quad, project_to_tail(f - quad.head_jet(f.prec), quad.rank)
 
 
 def _char2_system(p: TransportProblem, linears, highers):

@@ -102,8 +102,7 @@ def transport_roundtrip(field, nvars, prec, rng):
     total = rho.compose(lin_inv).compose(sigma)
     f1 = total.apply(f0)
     quad1, g1 = split_shape(f1)
-    assert (quad1.variant, quad1.diagonal, quad1.pairs, quad1.tail) == \
-        (quad.variant, quad.diagonal, quad.pairs, quad.tail)
+    assert quad1 == quad
     return TransportProblem(quad, g0, g1, total, prec)
 
 

@@ -14,11 +14,12 @@ from gen import (FIELDS, rand_automorphism, rand_implicit_system, rand_jet,
 from jetsplit import (BinaryField, CoordinateChange, ImplicitSystem,
                       PrimeField, QuadraticForm, RationalField,
                       arf_normal_form, arf_reduce_solvable, ift_solve,
-                      ift_solve_newton, milnor_number, mu_determinacy_bound,
+                      milnor_number, mu_determinacy_bound,
                       normalize_tail_linear, parse_jet, serialize_jet, split,
                       transport, verify_split)
 from jetsplit import linalg
 from jetsplit.cli import main
+from newton import ift_solve_newton
 
 Q = RationalField()
 F7 = PrimeField(7)

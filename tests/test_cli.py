@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 
 import pytest
 
@@ -176,6 +177,31 @@ def test_input_error_exit_code(capsys):
     code2, _, err2 = run(capsys, "split", "--field", "fp:6", "--vars", "x",
                          "--precision", "4", "x^2")
     assert code2 == 2
+
+
+P, Q2 = 1000000007, 1000000009
+
+
+@pytest.mark.parametrize("command", [["quadform"], ["split", "--precision", "3"]])
+def test_large_squarefree_coefficient_is_fast(capsys, command):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *command, "--field", "q", "--vars", "x", f"{P}*{Q2}*x^2")
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    assert str(P * Q2) in out
+
+
+@pytest.mark.parametrize("command", [["quadform"], ["split", "--precision", "3"]])
+def test_undecidable_squarefree_coefficient_exits_2(capsys, command):
+    coeff = P * Q2 * 998244353  # no prime factor below 2^21, above 2^63
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--field", "q", "--vars", "x,y",
+                         f"{coeff}*x^2 + y^3")
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(coeff) in err
 
 
 def test_byte_identical_reruns(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from gen import FIELDS, rand_implicit_system, rand_invertible
 from jetsplit import (ImplicitSystem, Jet, PrimeField, RationalField,
-                      ift_solve, ift_solve_newton, parse_jet)
+                      ift_solve, parse_jet)
+from newton import ift_solve_newton
 
 Q = RationalField()
 

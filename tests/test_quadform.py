@@ -1,15 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from gen import FIELDS, rand_invertible, rand_m2_jet
+from gen import FIELDS, rand_invertible, rand_m2_jet, rand_split_form
 from jetsplit import (BinaryField, CharacteristicError, CoordinateChange,
                       PrimeField, QuadNormalForm, QuadraticForm,
-                      RationalField, arf_decompose, arf_normal_form,
-                      arf_reduce_solvable, diagonal_signs, diagonalize,
-                      normal_form, normalize_squares, parse_jet)
-from jetsplit import linalg
+                      RationalField, SplitShapeError, arf_decompose,
+                      arf_normal_form, arf_reduce_solvable, diagonal_signs,
+                      diagonalize, normal_form, normalize_squares, parse_jet)
+from jetsplit import linalg, quadform
 from jetsplit.quadform import QuadraticShapeError, _square_free_split
 
 Q = RationalField()
@@ -46,6 +47,86 @@ def test_square_free_split():
         got_s, got_t = _square_free_split(fr)
         assert (got_s, got_t) == (s, t)
         assert got_s * got_t ** 2 == fr
+
+
+def square_free_by_trial_division(m):
+    """(s, u) with |m| = |s| * u^2, s squarefree with the sign of m."""
+    s, u, rest, d = 1, 1, abs(m), 2
+    while rest > 1:
+        e = 0
+        while rest % d == 0:
+            rest //= d
+            e += 1
+        u *= d ** (e // 2)
+        s *= d ** (e % 2)
+        d += 1
+    return (s if m > 0 else -s), u
+
+
+def test_square_free_split_matches_trial_division(monkeypatch):
+    # with B = 6, cofactors free of 2, 3 and 5 are decided below 216
+    monkeypatch.setattr(quadform, "TRIAL_BOUND", 6)
+    decided = rejected = 0
+    for num in range(-300, 301):
+        for den in (1, 2, 3, 5, 7, 12, 49):
+            fr = Fraction(num, den)
+            if fr == 0:
+                continue
+            m = fr.numerator * fr.denominator
+            cofactor = abs(m)
+            for d in (2, 3, 5):
+                while cofactor % d == 0:
+                    cofactor //= d
+            if cofactor >= 216:
+                with pytest.raises(ValueError, match=re.escape(str(fr))):
+                    _square_free_split(fr)
+                rejected += 1
+                continue
+            s, u = square_free_by_trial_division(m)
+            assert _square_free_split(fr) == (Fraction(s), Fraction(u, fr.denominator))
+            decided += 1
+    assert decided > 1000 and rejected > 500
+
+
+def test_square_free_split_past_the_trial_bound():
+    p, q = 1000000007, 1000000009
+    assert _square_free_split(Fraction(12 * p * p, 5)) == (Fraction(15), Fraction(2 * p, 5))
+    assert _square_free_split(Fraction(-p * q)) == (Fraction(-p * q), Fraction(1))
+    with pytest.raises(ValueError, match=str(p * q * 998244353)):
+        _square_free_split(Fraction(p * q * 998244353))
+
+
+def test_read_split_shape_inverts_normal_jet():
+    rng = random.Random(61)
+    for field in FIELDS:
+        for n in range(1, 5):
+            for _ in range(6):
+                quad, _, f = rand_split_form(field, n, 5, rng)
+                assert QuadNormalForm.read_split_shape(f) == quad
+                for prec in (2, 5):
+                    assert QuadNormalForm.read_split_shape(quad.normal_jet(prec)) == quad
+
+
+def test_read_split_shape_below_precision_2():
+    f = parse_jet("x^2 + y^3", Q, ["x", "y"], 1)
+    quad = QuadNormalForm.read_split_shape(f)
+    assert (quad.variant, quad.rank, quad.diagonal) == ("diagonal", 0, ())
+
+
+@pytest.mark.parametrize("field, names, text, message", [
+    (Q, "x,y", "x*y + y^3", "2-jet is not diagonal"),
+    (F7, "x,y", "y^2 + x^3", "diagonal entries are not in leading position"),
+    (Q, "x,y", "x + y^2", "series has terms of degree < 2"),
+    (F2, "x1,x2,x3", "x1*x3 + x2^3", "2-jet cross terms do not pair consecutive variables"),
+    (F4, "x1,x2,x3", "x2*x3 + x1^2", "2-jet cross terms do not pair consecutive variables"),
+    (F4, "x1,x2,x3", "t*x1*x2 + x3^3", "2-jet pair middle coefficients are not 1"),
+    (F2, "x1,x2", "1 + x1*x2", "series has terms of degree < 2"),
+], ids=["not-diagonal", "not-leading", "linear", "not-consecutive", "not-from-x1",
+        "middle-not-1", "constant"])
+def test_read_split_shape_rejections(field, names, text, message):
+    f = parse_jet(text, field, names.split(","), 4)
+    with pytest.raises(SplitShapeError, match=f"^{re.escape(message)}$"):
+        QuadNormalForm.read_split_shape(f)
 
 
 def test_diagonalize_hyperbolic_rational():
