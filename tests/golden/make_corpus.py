@@ -244,18 +244,79 @@ def edge_cases():
     return cases
 
 
+# Parser inputs, as (tag, field, variables, precision, expression).  At rank 0
+# `split` prints its input back as the residual, so most of these echo the
+# parsed jet.
+PARSER_INPUTS = [
+    ("nested-parens", "q", "x,y,z", 6,
+     "x^3 - (y*(z - (x + (y - 2*z))))^2*(((x))) + ((((z))))^3"),
+    ("power-of-sum", "fp:7", "x,y", 7, "x^2 + (x + 2*y)^3 - (y - x^2)^4 + (1*x*y)^2"),
+    ("chained-power", "q", "x,y", 8, "x^2^1 + y^3^2 - (x + y)^2^2*x + 3^2^2*y^4*x^0"),
+    ("signs", "q", "x,y", 6, "-x^2 + (-y + x)^3 - (-(x*y))^2 - y^2"),
+    ("cancel-to-zero-q", "q", "x,y", 5,
+     "x*y^2 + (x + y)^2 - x^2 - 2*x*y - y^2 - y^2*x"),
+    ("cancel-to-zero-fp2", "fp:2", "x,y", 5, "(x + y)^2 + x^2 + y^2"),
+    ("above-precision", "q", "x,y", 3, "x^2 + y^3 + x^4 + (x + y)^5 - x^2*y^2 + y^7"),
+    ("t-literals", "f2k:4", "x1,x2,x3", 5,
+     "t*x1*x2 + (t+1)*x1^2 + x3^3*(t^2 + t) + t^3*x1^2*x2 + (t*x3 + 1*x2)^4"),
+    ("rational-literals", "q", "x,y", 4,
+     "1/2*x^2 - 3/4*y^2 + 5/6*x*y^2 - 10/4*y^3 + 0/3*x^3 + 7*y^4"),
+]
+
+# Rejected parser inputs (exit 2), as (tag, field, variables, precision, expression):
+# every syntax error is reported before an unknown variable or a literal
+# outside the field.
+PARSER_ERRORS = [
+    ("unknown-variable", "q", "x,y", 4, "x^2 + z^3"),
+    ("fraction-over-fp7", "fp:7", "x", 4, "1/2*x^2"),
+    ("literal-over-f2k2", "f2k:2", "x", 4, "2*x^2"),
+    ("operator-for-operand", "q", "x,y", 4, "x + * y"),
+    ("bad-character", "q", "x,y", 4, "x # y"),
+    ("empty", "q", "x,y", 4, ""),
+    ("empty-before-suffix", "q", "x,y", 4, "  + O(deg 3)"),
+    ("syntax-before-semantic", "q", "x,y", 4, "z + * y"),
+    ("bad-character-after-syntax-error", "q", "x,y", 4, "x + * y # z"),
+    ("unclosed-paren", "q", "x,y", 4, "(x + y^2"),
+    ("stray-paren", "q", "x,y", 4, "x^2)"),
+    ("missing-operator", "q", "x,y", 4, "x^2 y^2"),
+    ("exponent-not-number", "q", "x,y", 4, "x^y"),
+    ("exponent-fraction", "q", "x,y", 4, "x^1/2"),
+    ("reserved-t", "f2k:4", "t,x", 4, "x^2 + t"),
+    ("semantic-in-source-order", "fp:7", "x,y", 4, "x^2 + z*1/2 + w"),
+    ("variable-at-precision-0", "q", "x", 0, "x^2"),
+]
+
+
+def parser_case(prefix, tag, spec, names, N, expr):
+    return (f"{prefix}-{tag}", ["split", "--field", spec, "--vars", names,
+                                "--precision", str(N), expr], {})
+
+
 def build():
     rng = random.Random(20260)
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
              + quadform_cases() + norm_cases() + milnor_cases())
+    parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
+    parsed += [
+        ("parse-zero-powers-norm",
+         ["norm", "--field", "q", "--vars", "x,y", "--valuation", "abs",
+          "--epsilon", "1/2,1/3", "--format", "json",
+          "0^0 + x^0*(x-x)^0 - 2*(3*x)^2*y + 1/3*y"], {}),
+        ("parse-precision-override-norm",
+         ["norm", "--field", "q", "--vars", "x", "--precision", "3", "--valuation", "abs",
+          "--epsilon", "2", "x + x^5 + O(deg 6)"], {}),
+    ]
+    rejected = [parser_case("parse-error", *row) for row in PARSER_ERRORS]
     corpus = []
-    for name, argv, files in specs + edge_cases():
+    for name, argv, files in specs + edge_cases() + parsed + rejected:
         code, out, err = run_case(argv, files)
         corpus.append({"name": name, "argv": argv, "files": files,
                        "exit": code, "stdout": out, "stderr": err})
-    failed = [c["name"] for c in corpus[:len(specs)] if c["exit"] != 0]
-    if failed:
-        raise SystemExit(f"cases exited nonzero: {failed}")
+    names = {name for name, _, _ in specs + parsed}
+    failed = [c["name"] for c in corpus if c["name"] in names and c["exit"] != 0]
+    accepted = [c["name"] for c in corpus[-len(rejected):] if c["exit"] != 2]
+    if failed or accepted:
+        raise SystemExit(f"cases exited nonzero: {failed}; parser errors not exit 2: {accepted}")
     return corpus
 
 
