@@ -10,15 +10,19 @@ Coefficient literals follow the field: ``p/q`` over the rationals, plain
 integers over GF(p), and polynomials in ``t`` over GF(2^k), where the bare
 name ``t`` denotes the field generator.  A jet may carry its precision as a
 trailing ``+ O(deg N)``; serialization always emits it, parsing accepts it.
+
+Parsing walks the tokens once, without recursion: nested parentheses are an
+explicit stack, and terms accumulate as packed monomials into one coefficient
+dict per open sum, truncated at the precision.  Each parse builds exactly one
+``Jet``, at the end, so length and nesting depth are limited by memory only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .field import BinaryField, Field, FieldError, RationalField
-from .jet import Jet, grlex_key
+from .field import BinaryField, Field, FieldError, RationalField, gf2_poly_mod
+from .jet import Jet, PrecisionError, _packed_product, _Packing, grlex_key
 
 
 class ParseError(ValueError):
@@ -29,131 +33,44 @@ class ParseError(ValueError):
 
 # -- tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
-)
-
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# One token per match: a number, a name, an operator, or (the last
+# alternative) a character that starts no token.  Positions are needed only
+# for error messages, so they are found again then, by the same pattern.
+_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]|\S)")
+_OPERATORS = frozenset("+-*^()")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_END = ""
 
 
 def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("number"):
-            tokens.append(_Token("number", m.group("number"), m.start("number")))
-        elif m.group("name"):
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op")))
-        i = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    """Token strings in order, then ``_END``."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
     return tokens
 
 
-# -- AST ----------------------------------------------------------------------
+def _is_operand(tok: str) -> bool:
+    """A number or a name (multi-character tokens are always one of these)."""
+    return tok != _END and tok not in _OPERATORS and (
+        len(tok) > 1 or tok in _NAME_START or tok.isdecimal())
 
 
-@dataclass
-class Num:
-    text: str
-    pos: int
+def _position(text: str, tokens, i: int) -> int:
+    if tokens[i] == _END:
+        return len(text)
+    return list(_TOKEN_RE.finditer(text))[i].start(1)
 
 
-@dataclass
-class Var:
-    name: str
-    pos: int
+def _syntax_error(text: str, tokens, i: int, message: str) -> ParseError:
+    """The error for token i, unless some token is a character that starts none.
 
-
-@dataclass
-class Neg:
-    arg: object
-
-
-@dataclass
-class Add:
-    left: object
-    right: object
-
-
-@dataclass
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass
-class Pow:
-    base: object
-    exponent: int
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
-        self.i += 1
-        return tok
-
-    def parse_expr(self):
-        sign = None
-        if self.peek().kind in ("+", "-"):
-            sign = self.take().kind
-        node = self.parse_term()
-        if sign == "-":
-            node = Neg(node)
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.parse_term()
-            node = Add(node, Neg(rhs) if op == "-" else rhs)
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().kind == "*":
-            self.take()
-            node = Mul(node, self.parse_factor())
-        return node
-
-    def parse_factor(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            node = Num(self.take().text, tok.pos)
-        elif tok.kind == "name":
-            node = Var(self.take().text, tok.pos)
-        elif tok.kind == "(":
-            self.take()
-            node = self.parse_expr()
-            self.take(")")
-        else:
-            raise ParseError(f"expected a literal, variable or '(', found {tok.text!r}", tok.pos)
-        while self.peek().kind == "^":
-            self.take()
-            exp = self.take("number")
-            if "/" in exp.text:
-                raise ParseError("exponent must be a natural number", exp.pos)
-            node = Pow(node, int(exp.text))
-        return node
+    Such a character anywhere in the text is reported first, as it would be
+    by tokenizing the whole text before parsing.
+    """
+    for j, tok in enumerate(tokens):
+        if tok != _END and tok not in _OPERATORS and not _is_operand(tok):
+            return ParseError(f"unexpected character {tok!r}", _position(text, tokens, j))
+    return ParseError(message, _position(text, tokens, i))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -164,7 +81,10 @@ _PRECISION_SUFFIX = re.compile(r"\+\s*O\s*\(\s*deg\s+(\d+)\s*\)\s*$")
 def parse_jet(text: str, field: Field, varnames, precision: int) -> Jet:
     """Parse an expression to a jet over ``field`` at the given precision.
 
-    A trailing ``+ O(deg N)`` overrides the precision argument.
+    A trailing ``+ O(deg N)`` overrides the precision argument.  Every syntax
+    error is reported before any semantic one (an unknown variable, a literal
+    outside the field, a precision too small for a variable), and semantic
+    errors are reported in source order.
     """
     varnames = list(varnames)
     m = _PRECISION_SUFFIX.search(text)
@@ -173,44 +93,197 @@ def parse_jet(text: str, field: Field, varnames, precision: int) -> Jet:
         text = text[: m.start()]
     if text.strip() == "":
         raise ParseError("empty expression", 0)
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    ast = parser.parse_expr()
-    parser.take("end")
     index = {name: i for i, name in enumerate(varnames)}
-    if isinstance(field, BinaryField) and "t" in index:
-        raise FieldError("variable name 't' is reserved over binary fields")
-    return _eval(ast, field, index, len(varnames), precision)
+    return _Evaluator(field, index, len(varnames), precision).run(text)
 
 
-def _eval(node, field, index, nvars, prec) -> Jet:
-    if isinstance(node, Num):
-        if "/" in node.text and not isinstance(field, RationalField):
-            raise ParseError(f"literal {node.text!r} is not in {field}", node.pos)
-        if isinstance(field, BinaryField) and node.text not in ("0", "1"):
-            raise ParseError(f"literal {node.text!r} is not in {field}", node.pos)
-        try:
-            value = field.parse_scalar(node.text)
-        except FieldError as exc:
-            raise ParseError(str(exc), node.pos) from None
-        return Jet.constant(field, nvars, prec, value)
-    if isinstance(node, Var):
-        if isinstance(field, BinaryField) and node.name == "t":
-            from .field import gf2_poly_mod
+class _Evaluator:
+    """One parse: terms accumulate as packed monomials in one dict.
 
-            return Jet.constant(field, nvars, prec, gf2_poly_mod(0b10, field.modulus))
-        if node.name not in index:
-            raise ParseError(f"unknown variable {node.name!r}", node.pos)
-        return Jet.variable(field, nvars, index[node.name], prec)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, field, index, nvars, prec)
-    if isinstance(node, Add):
-        return _eval(node.left, field, index, nvars, prec) + _eval(node.right, field, index, nvars, prec)
-    if isinstance(node, Mul):
-        return _eval(node.left, field, index, nvars, prec) * _eval(node.right, field, index, nvars, prec)
-    if isinstance(node, Pow):
-        return _eval(node.base, field, index, nvars, prec).power(node.exponent)
-    raise TypeError(f"unexpected AST node {node!r}")
+    A monomial is one int (``jet._Packing``), so a monomial product is one
+    addition and a key is at or above ``limit`` exactly when its degree
+    exceeds the precision.  A factor's value is a list of (key, coefficient) pairs sorted by key, with
+    no zero coefficient.  A term is ``c * x^key * prod(poly)``: literals,
+    variables, powers of them and parenthesised sums with one term cost one
+    key addition and one coefficient product; only a parenthesised sum with
+    several terms goes through a truncated product.  Nesting is an explicit
+    stack, so no Python frame is spent per term, factor or parenthesis.
+    """
+
+    def __init__(self, field, index, nvars, prec):
+        self.field = field
+        self.index = index
+        self.nvars = nvars
+        self.prec = prec
+        self.packing = _Packing(prec, nvars)
+        self.shift, self.limit = self.packing.shift, self.packing.limit
+        self.one = field.one    # a variable's coefficient, skipped in products
+        self.leaves = {}        # token -> value of the literals and variables seen
+
+    def leaf(self, text, tokens, i):
+        """The value of a literal or variable token, or its semantic error."""
+        tok = tokens[i]
+        field = self.field
+        binary = isinstance(field, BinaryField)
+        if tok[0] not in _NAME_START:
+            if ("/" in tok and not isinstance(field, RationalField)) or (
+                    binary and tok not in ("0", "1")):
+                raise ParseError(f"literal {tok!r} is not in {field}", _position(text, tokens, i))
+            try:
+                value = field.parse_scalar(tok)
+            except FieldError as exc:
+                raise ParseError(str(exc), _position(text, tokens, i)) from None
+        elif binary and tok == "t":
+            value = gf2_poly_mod(0b10, field.modulus)
+        elif tok not in self.index:
+            raise ParseError(f"unknown variable {tok!r}", _position(text, tokens, i))
+        elif self.prec < 1:
+            raise PrecisionError("a coordinate jet needs precision >= 1")
+        else:
+            j = self.index[tok]
+            return [(self.packing.pack([int(i == j) for i in range(self.nvars)]), self.one)]
+        if self.prec < 0:
+            raise PrecisionError("precision must be >= 0")
+        return [] if value == field.zero else [(0, value)]
+
+    def power(self, terms, e):
+        """terms^e, truncated at the precision (e >= 1)."""
+        if e * (terms[0][0] >> self.shift) > self.prec:
+            return []
+        field, limit = self.field, self.limit
+        result = None
+        while True:
+            if e & 1:
+                result = terms if result is None else _packed_product(
+                    result, terms, limit, field.add, field.mul, field.zero)
+            e >>= 1
+            if not e:
+                return result
+            terms = _packed_product(terms, terms, limit, field.add, field.mul, field.zero)
+
+    def run(self, text):
+        tokens = _tokenize(text)
+        field = self.field
+        zero, one, add, mul = field.zero, self.one, field.add, field.mul
+        shift, limit, prec, leaves = self.shift, self.limit, self.prec, self.leaves
+        error = None        # the first semantic error, raised once the syntax is checked
+        stack = []          # enclosing (acc, sign, c, key, poly) at each open '('
+        acc = {}            # the finished terms of the innermost open sum
+        i = 0
+        sign = tokens[0]
+        if sign == "+" or sign == "-":
+            i = 1
+        c, key, poly = one, 0, None     # the current term; c is None once it is zero
+        while True:
+            # a factor: '(' opens a sum, else a literal or variable
+            tok = tokens[i]
+            i += 1
+            if tok == "(":
+                stack.append((acc, sign, c, key, poly))
+                acc = {}
+                sign = tokens[i]
+                if sign == "+" or sign == "-":
+                    i += 1
+                c, key, poly = (one if error is None else None), 0, None
+                continue
+            atom = leaves.get(tok)
+            if atom is None:
+                if not _is_operand(tok):
+                    raise _syntax_error(text, tokens, i - 1,
+                                        f"expected a literal, variable or '(', found {tok!r}")
+                if error is None:
+                    try:
+                        atom = leaves[tok] = self.leaf(text, tokens, i - 1)
+                    except (ParseError, PrecisionError) as exc:
+                        error, c = exc, None
+            while True:
+                # the factor's powers: x^a^b is (x^a)^b = x^(a*b)
+                e = 1
+                while tokens[i] == "^":
+                    exp = tokens[i + 1]
+                    if not exp.isdecimal():
+                        fraction = _is_operand(exp) and "/" in exp
+                        raise _syntax_error(text, tokens, i + 1,
+                                            "exponent must be a natural number" if fraction
+                                            else f"expected 'number', found {exp!r}")
+                    e *= int(exp)
+                    i += 2
+                # multiply the term by atom^e
+                if c is not None and e:
+                    if len(atom) > 1:
+                        atom = self.power(atom, e)
+                        e = 1
+                    if len(atom) > 1:
+                        poly = atom if poly is None else _packed_product(
+                            poly, atom, limit, add, mul, zero)
+                    elif not atom:
+                        c = None
+                    else:
+                        k, v = atom[0]
+                        if e != 1:
+                            if e * (k >> shift) > prec:
+                                k = limit
+                            else:
+                                k *= e
+                                if v is not one:
+                                    v = _scalar_power(field, v, e)
+                        key += k
+                        if key >= limit:
+                            c = None
+                        elif v is not one:
+                            c = v if c is one else mul(c, v)
+                op = tokens[i]
+                i += 1
+                if op == "*":
+                    break
+                # the term is complete: add it to the sum
+                if c is not None:
+                    if sign == "-":
+                        c = field.neg(c)
+                    if poly is None:
+                        old = acc.get(key)
+                        acc[key] = c if old is None else add(old, c)
+                    else:
+                        for k, v in poly:
+                            k += key
+                            if k >= limit:
+                                break
+                            old = acc.get(k)
+                            acc[k] = mul(c, v) if old is None else add(old, mul(c, v))
+                if op == "+" or op == "-":
+                    sign = op
+                    c, key, poly = (one if error is None else None), 0, None
+                    break
+                if op == ")" and stack:
+                    atom = sorted((k, v) for k, v in acc.items() if v != zero)
+                    acc, sign, c, key, poly = stack.pop()
+                    if error is not None:
+                        c = None
+                    continue
+                if op == _END and not stack:
+                    return self.finish(acc, error)
+                expected = "')'" if stack else "'end'"
+                raise _syntax_error(text, tokens, i - 1, f"expected {expected}, found {op!r}")
+
+    def finish(self, acc, error):
+        if isinstance(self.field, BinaryField) and "t" in self.index:
+            raise FieldError("variable name 't' is reserved over binary fields")
+        if error is not None:
+            raise error
+        coeffs = self.packing.unpack(acc, self.field.zero)
+        return Jet(self.field, self.nvars, self.prec, coeffs)
+
+
+def _scalar_power(field, v, e):
+    """v^e in the field by repeated squaring (e >= 1)."""
+    result = None
+    while True:
+        if e & 1:
+            result = v if result is None else field.mul(result, v)
+        e >>= 1
+        if not e:
+            return result
+        v = field.mul(v, v)
 
 
 # -- serialization ---------------------------------------------------------------

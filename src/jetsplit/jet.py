@@ -6,11 +6,11 @@ are exact on the retained terms: binary operations return the minimum of the
 two precisions, and products drop terms above the result precision during
 accumulation.
 
-Substitution, the kernel under every coordinate change, works on packed
-monomials instead (see ``_packed_substitute``): one int per monomial, with a
-bit field of ``N.bit_length()`` bits per variable and the total degree above
-them, so a monomial product is one integer addition and the degree guard is
-one comparison.  Terms are kept in lists sorted by key, hence by degree, and
+Substitution, the kernel under every coordinate change, and the expression
+parser work on packed monomials instead (see ``_Packing``): one int per
+monomial, with a bit field of ``N.bit_length()`` bits per variable and the
+total degree above them, so a monomial product is one integer addition and
+the degree guard is one comparison.  Terms are kept in lists sorted by key, hence by degree, and
 the series is evaluated in Horner form: monomials are grouped by their
 leading exponent, each part's powers are cached in packed form, each
 distinct exponent prefix costs one truncated product, and the sum is
@@ -312,48 +312,51 @@ class Jet:
         return float(total) if archimedean else total
 
 
-def _packed_substitute(field, coeffs, parts, m, prec):
-    """Coefficients of sum c_alpha * prod parts[i]^alpha_i, truncated at prec.
+class _Packing:
+    """Monomials in m variables up to total degree prec, one int each.
 
-    A monomial beta in the m target variables is one int: exponent beta_j in
-    bits [w*j, w*j + w) with w = prec.bit_length(), and the total degree in
-    the field above them.  Keys add under multiplication; every kept product
-    has degree <= prec < 2^w, so no exponent field carries, and a key is at
-    or above ``(d + 1) << (w*m)`` exactly when its degree exceeds d.  Term
-    lists sorted by key are sorted by degree, so truncation is a ``break``.
+    Exponent beta_j sits in bits [w*j, w*j + w) with w = prec.bit_length(),
+    and the total degree in the field above them.  Keys add under
+    multiplication; every kept product has degree <= prec < 2^w, so no
+    exponent field carries, and a key is at or above ``(d + 1) << shift``
+    exactly when its degree exceeds d (``limit`` for d = prec).  Term lists
+    sorted by key are sorted by degree, so truncation is a ``break``.
     """
+
+    def __init__(self, prec, m):
+        self.m = m
+        self.width = max(prec, 0).bit_length()
+        self.shift = self.width * m
+        self.limit = (prec + 1) << self.shift
+
+    def pack(self, beta):
+        key = sum(beta) << self.shift
+        for j, e in enumerate(beta):
+            key |= e << (self.width * j)
+        return key
+
+    def unpack(self, packed, zero):
+        """The tuple-keyed coefficient dict of a packed one, without zeros."""
+        mask = (1 << self.width) - 1
+        shifts = [self.width * j for j in range(self.m)]
+        return {tuple(key >> s & mask for s in shifts): c
+                for key, c in packed.items() if c != zero}
+
+
+def _packed_substitute(field, coeffs, parts, m, prec):
+    """Coefficients of sum c_alpha * prod parts[i]^alpha_i, truncated at prec,
+    computed on packed monomials (``_Packing``) in the m target variables."""
     n = len(parts)
-    width = prec.bit_length()
-    shift = width * m
+    packing = _Packing(prec, m)
+    pack, shift = packing.pack, packing.shift
     zero = field.zero
     add = field.add
     mul = field.mul
 
-    def pack(beta):
-        key = sum(beta) << shift
-        for j, e in enumerate(beta):
-            key |= e << (width * j)
-        return key
-
     def sorted_terms(packed):
         return sorted((k, c) for k, c in packed.items() if c != zero)
 
-    def product_into(out, a, b, limit):
-        """out += a * b, dropping keys at or above limit."""
-        if not b:
-            return
-        b0 = b[0][0]
-        for ka, ca in a:
-            if ka + b0 >= limit:
-                break
-            for kb, cb in b:
-                k = ka + kb
-                if k >= limit:
-                    break
-                v = out.get(k)
-                out[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
-
-    full_limit = (prec + 1) << shift
+    full_limit = packing.limit
     powers = []
     orders = []
     for p in parts:
@@ -365,9 +368,7 @@ def _packed_substitute(field, coeffs, parts, m, prec):
     def power(i, e):
         cache = powers[i]
         while len(cache) <= e:
-            out = {}
-            product_into(out, cache[-1], cache[1], full_limit)
-            cache.append(sorted_terms(out))
+            cache.append(_packed_product(cache[-1], cache[1], full_limit, add, mul, zero))
         return cache[e]
 
     def horner(terms, k, budget):
@@ -390,15 +391,34 @@ def _packed_substitute(field, coeffs, parts, m, prec):
                     out[key] = c if v is None else add(v, c)
             elif order is not None and e * order <= budget:
                 inner = horner(group, k + 1, budget - e * order)
-                product_into(out, power(k, e), sorted_terms(inner), (budget + 1) << shift)
+                _product_into(out, power(k, e), sorted_terms(inner), (budget + 1) << shift,
+                              add, mul)
         return out
 
-    mask = (1 << width) - 1
-    result = {}
-    for key, c in horner(list(coeffs.items()), 0, prec).items():
-        if c != zero:
-            result[tuple(key >> (width * j) & mask for j in range(m))] = c
-    return result
+    return packing.unpack(horner(list(coeffs.items()), 0, prec), zero)
+
+
+def _packed_product(a, b, limit, add, mul, zero):
+    """a * b as a packed term list sorted by key, dropping keys at or above limit."""
+    out = {}
+    _product_into(out, a, b, limit, add, mul)
+    return sorted((k, c) for k, c in out.items() if c != zero)
+
+
+def _product_into(out, a, b, limit, add, mul):
+    """out += a * b for packed term lists sorted by key, dropping keys at or above limit."""
+    if not b:
+        return
+    b0 = b[0][0]
+    for ka, ca in a:
+        if ka + b0 >= limit:
+            break
+        for kb, cb in b:
+            k = ka + kb
+            if k >= limit:
+                break
+            v = out.get(k)
+            out[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
 
 
 class CoordinateChange:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg
-from .field import CharacteristicError, Field, RationalField
+from .field import _MR_LIMIT, CharacteristicError, Field, RationalField, _is_prime
 from .jet import CoordinateChange, Jet, VerificationError
 
 
@@ -34,8 +34,10 @@ def _square_free_split(fr: Fraction):
     """Write fr = s * t^2 with s a squarefree integer (t > 0 rational).
 
     Trial division stops at B = TRIAL_BOUND.  A cofactor left below B^3 is 1,
-    p, p*q or p^2 with primes p != q >= B, told apart by isqrt; a larger one
-    is rejected with ValueError.
+    p, p*q or p^2 with primes p != q >= B, told apart by isqrt.  A larger one
+    is decided when it is a prime or the square of a prime that Miller-Rabin
+    proves prime (below ``field._MR_LIMIT``), and rejected with ValueError
+    otherwise.
     """
     if fr == 0:
         return Fraction(0), Fraction(1)
@@ -54,16 +56,22 @@ def _square_free_split(fr: Fraction):
             if e % 2:
                 s0 *= d
         d += 1
-    if mm >= TRIAL_BOUND ** 3:
+    small = mm < TRIAL_BOUND ** 3
+    r = isqrt(mm)
+    if r * r == mm and (small or _proved_prime(r)):
+        u *= r
+    elif small or _proved_prime(mm):
+        s0 *= mm
+    else:
         raise ValueError(
             f"cannot take the squarefree part of the diagonal coefficient {fr}: its factor "
-            f"{mm} has no prime factor below {TRIAL_BOUND} and is not below {TRIAL_BOUND}^3")
-    r = isqrt(mm)
-    if r * r == mm:
-        u *= r
-    else:
-        s0 *= mm
+            f"{mm} has no prime factor below {TRIAL_BOUND}, is not below {TRIAL_BOUND}^3, "
+            f"and is not a prime or the square of a prime below {_MR_LIMIT}")
     return Fraction(sign * s0), Fraction(u, fr.denominator)
+
+
+def _proved_prime(n: int) -> bool:
+    return n < _MR_LIMIT and _is_prime(n)
 
 
 class QuadraticForm:

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import time
 
@@ -191,6 +192,32 @@ def test_large_squarefree_coefficient_is_fast(capsys, command):
     assert str(P * Q2) in out
 
 
+BIG_PRIME = 9223372036854775837  # above 2^63
+
+
+@pytest.mark.parametrize("command", [["quadform"], ["split", "--precision", "3"]])
+@pytest.mark.parametrize("coeff, diagonal", [(f"{BIG_PRIME}", f"{BIG_PRIME}"),
+                                             (f"{BIG_PRIME}^2", "1")])
+def test_prime_coefficient_above_2_63_is_decided(capsys, command, coeff, diagonal):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--field", "q", "--vars", "x", f"{coeff}*x^2")
+    assert time.perf_counter() - start < 3.0
+    assert code == 0 and err == ""
+    assert f'"diagonal": ["{diagonal}"]' in out
+
+
+def test_composite_minor_ratio_still_exits_2(capsys):
+    # the second diagonal entry 4000292005641012732/4000144000387 leaves the
+    # composite non-square 620359215642592015573 after trial division
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quadform", "--field", "q", "--vars", "x,y,z",
+                         "1000003*x^2 + 3*x*y + 1000033*y^2 + 5*y*z + 7*x*z + 1000037*z^2")
+    assert time.perf_counter() - start < 3.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "620359215642592015573" in err
+
+
 @pytest.mark.parametrize("command", [["quadform"], ["split", "--precision", "3"]])
 def test_undecidable_squarefree_coefficient_exits_2(capsys, command):
     coeff = P * Q2 * 998244353  # no prime factor below 2^21, above 2^63
@@ -318,3 +345,39 @@ def test_failed_ift_check_exits_1_without_traceback(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "verification failed: ift: the solution leaves a nonzero residual\n"
+
+
+LONG_EXPRESSIONS = {
+    "sum": " - ".join(["x"] * 1500),
+    "product": "*".join(["x"] * 1500),
+    "power-chain": "x" + "^1" * 1500,
+    "nested": "(" * 600 + "x" + ")" * 600,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LONG_EXPRESSIONS))
+def test_long_and_deep_expressions_run_without_traceback(capsys, shape):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "norm", "--field", "q", "--vars", "x", "--valuation",
+                         "padic:3", LONG_EXPRESSIONS[shape])
+    assert time.perf_counter() - start < 3.0
+    assert code == 0 and err == ""
+    assert out.startswith("value: ")
+
+
+def test_split_and_verify_a_1267_term_jet(tmp_path, capsys):
+    names = [f"x{i}" for i in range(1, 7)]
+    terms = ["x1^2"] + ["*".join(m) for d in range(3, 9)
+                        for m in itertools.combinations_with_replacement(names[1:], d)]
+    assert len(terms) == 1267
+    expr = " + ".join(terms)
+    common = ["--field", "fp:7", "--vars", ",".join(names)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "split", *common, "--precision", "8", "--format", "json", expr)
+    assert code == 0 and err == ""
+    result = tmp_path / "result.json"
+    result.write_text(out)
+    code, out, err = run(capsys, "verify", *common, expr, str(result))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert "verified: true" in out

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,3 +106,40 @@ def test_roundtrip_random_jets():
             names = [f"x{i + 1}" for i in range(n)]
             text = serialize_jet(f, names)
             assert parse_jet(text, field, names, 99) == f
+
+
+def parse_timed(text, field, names, prec):
+    """parse_jet, required to finish within a few seconds."""
+    start = time.perf_counter()
+    f = parse_jet(text, field, names, prec)
+    assert time.perf_counter() - start < 3.0
+    return f
+
+
+def test_long_sum_parses():
+    f = parse_timed(" - ".join(["x"] * 1500), Q, ["x"], 2)
+    assert f.coeffs == {(1,): Fraction(-1498)}
+
+
+def test_long_product_parses():
+    text = "*".join(["x"] * 1500)
+    assert parse_timed(text, Q, ["x"], 1500).coeffs == {(1500,): Fraction(1)}
+    assert parse_timed(text, Q, ["x"], 1499).is_zero()
+
+
+def test_long_power_chain_parses():
+    assert parse_timed("x" + "^1" * 1500, Q, ["x"], 3) == parse_jet("x", Q, ["x"], 3)
+    # (x + 1)^(2^1500) = x^(2^1500) + 1 over GF(2)
+    assert parse_timed("(x + 1)" + "^2^1" * 1500, PrimeField(2), ["x"], 4).coeffs == {(0,): 1}
+
+
+def test_deep_parentheses_parse():
+    assert parse_timed("(" * 600 + "x" + ")" * 600, Q, ["x"], 2) == parse_jet("x", Q, ["x"], 2)
+    f = parse_timed("(-" * 601 + "x" + ")" * 601, Q, ["x"], 2)
+    assert f.coeffs == {(1,): Fraction(-1)}
+
+
+def test_deep_unclosed_parentheses_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_timed("(" * 600 + "x", Q, ["x"], 2)
+    assert str(err.value) == "expected ')', found '' (at position 601)"

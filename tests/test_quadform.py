@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -63,10 +64,15 @@ def square_free_by_trial_division(m):
     return (s if m > 0 else -s), u
 
 
+def is_prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def test_square_free_split_matches_trial_division(monkeypatch):
-    # with B = 6, cofactors free of 2, 3 and 5 are decided below 216
+    # with B = 6, cofactors free of 2, 3 and 5 are decided below 216, and
+    # above it when they are a prime or the square of a prime
     monkeypatch.setattr(quadform, "TRIAL_BOUND", 6)
-    decided = rejected = 0
+    decided = rejected = large_primes = large_squares = 0
     for num in range(-300, 301):
         for den in (1, 2, 3, 5, 7, 12, 49):
             fr = Fraction(num, den)
@@ -77,7 +83,10 @@ def test_square_free_split_matches_trial_division(monkeypatch):
             for d in (2, 3, 5):
                 while cofactor % d == 0:
                     cofactor //= d
-            if cofactor >= 216:
+            root = isqrt(cofactor)
+            prime = is_prime_by_trial_division(cofactor)
+            prime_square = root * root == cofactor and is_prime_by_trial_division(root)
+            if cofactor >= 216 and not (prime or prime_square):
                 with pytest.raises(ValueError, match=re.escape(str(fr))):
                     _square_free_split(fr)
                 rejected += 1
@@ -85,7 +94,9 @@ def test_square_free_split_matches_trial_division(monkeypatch):
             s, u = square_free_by_trial_division(m)
             assert _square_free_split(fr) == (Fraction(s), Fraction(u, fr.denominator))
             decided += 1
-    assert decided > 1000 and rejected > 500
+            large_primes += cofactor >= 216 and prime
+            large_squares += cofactor >= 216 and prime_square
+    assert decided > 1000 and rejected > 400 and large_primes > 100 and large_squares > 5
 
 
 def test_square_free_split_past_the_trial_bound():
@@ -94,6 +105,22 @@ def test_square_free_split_past_the_trial_bound():
     assert _square_free_split(Fraction(-p * q)) == (Fraction(-p * q), Fraction(1))
     with pytest.raises(ValueError, match=str(p * q * 998244353)):
         _square_free_split(Fraction(p * q * 998244353))
+
+
+def test_square_free_split_decides_large_primes_and_their_squares():
+    big = 9223372036854775837  # prime, above 2^63
+    assert _square_free_split(Fraction(big)) == (Fraction(big), Fraction(1))
+    assert _square_free_split(Fraction(-3 * big, 4)) == (Fraction(-3 * big), Fraction(1, 2))
+    assert _square_free_split(Fraction(2 * big * big)) == (Fraction(2), Fraction(big))
+    top = 3317044064679887385961813  # the largest prime below field._MR_LIMIT
+    assert _square_free_split(Fraction(top * top, 3)) == (Fraction(3), Fraction(top, 3))
+    for composite in (big * 1000000007 * 1000000009, big * big * 1000000007,
+                      620359215642592015573):
+        with pytest.raises(ValueError, match=str(composite)):
+            _square_free_split(Fraction(composite))
+    above = 3317044064679887385962123  # prime, above field._MR_LIMIT: not decided
+    with pytest.raises(ValueError, match=str(above)):
+        _square_free_split(Fraction(above))
 
 
 def test_read_split_shape_inverts_normal_jet():
