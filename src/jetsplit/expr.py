@@ -20,6 +20,7 @@ dict per open sum, truncated at the precision.  Each parse builds exactly one
 from __future__ import annotations
 
 import re
+import string
 
 from .field import BinaryField, Field, FieldError, RationalField, gf2_poly_mod
 from .jet import Jet, PrecisionError, _packed_product, _Packing, grlex_key
@@ -38,7 +39,7 @@ class ParseError(ValueError):
 # for error messages, so they are found again then, by the same pattern.
 _TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*^()]|\S)")
 _OPERATORS = frozenset("+-*^()")
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_START = frozenset(string.ascii_letters + "_")
 _END = ""
 
 

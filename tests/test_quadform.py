@@ -96,7 +96,7 @@ def test_square_free_split_matches_trial_division(monkeypatch):
             decided += 1
             large_primes += cofactor >= 216 and prime
             large_squares += cofactor >= 216 and prime_square
-    assert decided > 1000 and rejected > 400 and large_primes > 100 and large_squares > 5
+    assert decided > 1000 and rejected > 500 and large_primes > 100 and large_squares > 5
 
 
 def test_square_free_split_past_the_trial_bound():
