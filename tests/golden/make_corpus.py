@@ -96,6 +96,21 @@ def split_input(field, n, N, rank, rng):
     return phi.apply(f)
 
 
+def verify_failure_cases():
+    """`verify` on a stored split result that was tampered with: exit 1."""
+    split_json = ["split", "--field", "q", "--vars", "x,y", "--precision", "4",
+                  "--format", "json", "x^2 + x*y^2"]
+    result = json.loads(run_case(split_json, {})[1])
+    tampered = dict(result, residual="-1/3*y^4 + O(deg 4)")
+    forged = dict(result, rank=2)
+    return [(f"verify-fails-{tag}",
+             ["verify", "--field", "q", "--vars", "x,y"] + fmt + ["x^2 + x*y^2",
+                                                                  "file:result.json"],
+             {"result.json": json.dumps(data, indent=2) + "\n"})
+            for tag, fmt, data in [("tampered-residual", [], tampered),
+                                   ("forged-rank", ["--format", "json"], forged)]]
+
+
 def split_cases(rng):
     cases = []
     for spec, n, N in SPLIT_SIZES:
@@ -162,6 +177,10 @@ def quadform_cases():
                            "--format", "json", "x1^2+x1*x2+x2^2"], {}),
         ("quadform-f2k4", ["quadform", "--field", "f2k:4", "--vars", "x1,x2,x3,x4",
                            "t*x1^2 + x1*x3 + (t^2+1)*x2*x4 + x4^2 + x2^2"], {}),
+        ("quadform-q-unit-diagonal", ["quadform", "--field", "q", "--vars", "x,y",
+                                      "x^2 + 4*y^2"], {}),
+        ("quadform-fp7-no-unit-diagonal", ["quadform", "--field", "fp:7", "--vars", "x,y",
+                                           "--format", "json", "3*x^2 + y^2"], {}),
     ]
 
 
@@ -307,16 +326,20 @@ def build():
           "--epsilon", "2", "x + x^5 + O(deg 6)"], {}),
     ]
     rejected = [parser_case("parse-error", *row) for row in PARSER_ERRORS]
+    refused = verify_failure_cases()
     corpus = []
-    for name, argv, files in specs + edge_cases() + parsed + rejected:
+    for name, argv, files in specs + edge_cases() + parsed + rejected + refused:
         code, out, err = run_case(argv, files)
         corpus.append({"name": name, "argv": argv, "files": files,
                        "exit": code, "stdout": out, "stderr": err})
     names = {name for name, _, _ in specs + parsed}
     failed = [c["name"] for c in corpus if c["name"] in names and c["exit"] != 0]
-    accepted = [c["name"] for c in corpus[-len(rejected):] if c["exit"] != 2]
-    if failed or accepted:
-        raise SystemExit(f"cases exited nonzero: {failed}; parser errors not exit 2: {accepted}")
+    tail = corpus[len(corpus) - len(rejected) - len(refused):]
+    accepted = [c["name"] for c in tail[:len(rejected)] if c["exit"] != 2]
+    passed = [c["name"] for c in tail[len(rejected):] if c["exit"] != 1]
+    if failed or accepted or passed:
+        raise SystemExit(f"cases exited nonzero: {failed}; parser errors not exit 2: "
+                         f"{accepted}; failed checks not exit 1: {passed}")
     return corpus
 
 
