@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Every result-producing command re-verifies its certificate (an exact
-substitution or membership identity) before printing and reports it as
-``verified``.  Exit codes: 0 success, 1 verification failure, 2 input error.
+The commands print what the library returns and make no check of their own:
+every algorithm verifies its result (an exact substitution or membership
+identity) once, before it returns, and raises ``VerificationError``
+otherwise, which exits 1 with one ``verification failed: <stage>: ...`` line
+on stderr.  ``verified`` therefore reports the library's check.  ``verify``
+is the exception: it re-checks a split result read from a file.  ``norm``
+is a direct exact evaluation with no certificate behind its flag.
+Exit codes: 0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from fractions import Fraction
 from .expr import parse_jet, serialize_jet
 from .field import FieldError, parse_field_spec, parse_valuation_spec
 from .ift import ImplicitSystem, ift_solve
-from .jacobian import (DEFAULT_MAX_DEGREE, determinacy_certificate,
-                       milnor_number, verify_determinacy, verify_milnor)
+from .jacobian import DEFAULT_MAX_DEGREE, determinacy_certificate, milnor_number
 from .jet import CoordinateChange, VerificationError
 from .quadform import (QuadNormalForm, QuadraticForm, arf_reduce_solvable,
                        diagonal_signs, normal_form, normalize_squares)
@@ -47,16 +51,24 @@ def _bool(b):
     return "true" if b else "false"
 
 
+def _emit_checked(args, payload: dict, lines):
+    """Print a result the library checked, ``verified`` last.
+
+    The flag is the one the result carries (``SplitResult.to_json``), else
+    true: a failed library check has already raised ``VerificationError``.
+    """
+    verified = payload.setdefault("verified", True)
+    _emit(args, payload, lines + [f"verified: {_bool(verified)}"])
+    return 0 if verified else 1
+
+
 def _cmd_split(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
     f = parse_jet(args.expr, field, names, args.precision)
     result = split(f, args.precision)
-    check = verify_split(f, result)
-    verified = check.is_zero()
     payload = {"schema": 1, "command": "split"}
     payload.update(result.to_json(names))
-    payload["verified"] = verified
     lines = [
         f"field: {field.spec()}",
         f"precision: {args.precision}",
@@ -66,9 +78,7 @@ def _cmd_split(args):
     ]
     for name, comp in zip(names, result.change.components):
         lines.append(f"change[{name}]: {serialize_jet(comp, names)}")
-    lines.append(f"verified: {_bool(verified)}")
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+    return _emit_checked(args, payload, lines)
 
 
 def _cmd_quadform(args):
@@ -77,7 +87,6 @@ def _cmd_quadform(args):
     f = parse_jet(args.expr, field, names, max(2, args.precision))
     q = QuadraticForm.from_jet(f)
     nf = normal_form(q)
-    verified = nf.change(2).apply(q.as_jet(2)) == nf.normal_jet(2)
     nf_text = serialize_jet(nf.normal_jet(2), names)
     payload = {"schema": 1, "command": "quadform", "field": field.spec(),
                "normal_form_text": nf_text, "normal_form": nf.to_json()}
@@ -87,8 +96,6 @@ def _cmd_quadform(args):
     if field.char == 2:
         reduced = arf_reduce_solvable(nf)
         if reduced is not None:
-            ok = reduced.change(2).apply(q.as_jet(2)) == reduced.normal_jet(2)
-            verified = verified and ok
             payload["solvable_reduction"] = reduced.to_json()
             lines.append(f"solvable_reduction: {json.dumps(reduced.to_json())}")
         else:
@@ -97,8 +104,6 @@ def _cmd_quadform(args):
     else:
         unit = normalize_squares(nf)
         if unit is not None:
-            ok = unit.change(2).apply(q.as_jet(2)) == unit.normal_jet(2)
-            verified = verified and ok
             payload["unit_diagonal"] = unit.to_json()
             lines.append(f"unit_diagonal: {json.dumps(unit.to_json())}")
         else:
@@ -108,10 +113,7 @@ def _cmd_quadform(args):
                 signs = "".join(diagonal_signs(nf))
                 payload["signs"] = signs
                 lines.append(f"signs: {signs}")
-    payload["verified"] = verified
-    lines.append(f"verified: {_bool(verified)}")
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+    return _emit_checked(args, payload, lines)
 
 
 def _milnor_input(args, field, names):
@@ -137,17 +139,14 @@ def _cmd_milnor(args):
             payload.update({"mu": None, "stabilization_degree": None,
                             "bound": None,
                             "order": None if f.is_zero() else int(f.order()),
-                            "note": note, "verified": True})
-            _emit(args, payload, ["mu: unknown", f"note: {note}", "verified: true"])
-            return 0
+                            "note": note})
+            return _emit_checked(args, payload, ["mu: unknown", f"note: {note}"])
     report = milnor_number(f, args.max_degree)
-    verified = verify_milnor(f, report)
     payload.update({
         "mu": report.mu,
         "stabilization_degree": report.stabilization_degree,
         "bound": report.determinacy_bound,
         "order": report.order,
-        "verified": verified,
     })
     mu_text = "infinite-or-unknown" if report.mu is None else str(report.mu)
     lines = [
@@ -156,10 +155,8 @@ def _cmd_milnor(args):
         f"bound: {report.determinacy_bound}",
         f"order: {report.order}",
         f"max_degree_searched: {args.max_degree}",
-        f"verified: {_bool(verified)}",
     ]
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+    return _emit_checked(args, payload, lines)
 
 
 def _cmd_determinacy(args):
@@ -169,19 +166,16 @@ def _cmd_determinacy(args):
     k = determinacy_certificate(f, args.max_degree)
     order = None if f.is_zero() else int(f.order())
     bound = None if k is None else 2 * k - order + 2
-    verified = verify_determinacy(f, k)
     payload = {"schema": 1, "command": "determinacy", "field": field.spec(),
                "stabilization_degree": k, "bound": bound, "order": order,
-               "max_degree_searched": args.max_degree, "verified": verified}
+               "max_degree_searched": args.max_degree}
     lines = [
         f"stabilization_degree: {k}",
         f"bound: {'absent' if bound is None else bound}",
         f"order: {order}",
         f"max_degree_searched: {args.max_degree}",
-        f"verified: {_bool(verified)}",
     ]
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+    return _emit_checked(args, payload, lines)
 
 
 def _cmd_norm(args):
@@ -195,16 +189,13 @@ def _cmd_norm(args):
     else:
         eps = [Fraction(1)] * f.nvars
     value = f.norm(valuation, eps)
-    verified = f.norm(valuation, eps) == value
     if isinstance(value, Fraction):
         rendered = str(value)
     else:
         rendered = repr(value)
     payload = {"schema": 1, "command": "norm", "field": field.spec(),
-               "valuation": valuation.kind, "value": rendered, "verified": verified}
-    lines = [f"value: {rendered}", f"verified: {_bool(verified)}"]
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+               "valuation": valuation.kind, "value": rendered}
+    return _emit_checked(args, payload, [f"value: {rendered}"])
 
 
 def _cmd_ift(args):
@@ -218,16 +209,12 @@ def _cmd_ift(args):
     eqs = [parse_jet(e, field, names, args.precision) for e in args.equation]
     system = ImplicitSystem(eqs, y_idx)
     ys = ift_solve(system, args.precision)
-    verified = all(r.is_zero() for r in system.residuals(ys, args.precision))
     x_names = [names[i] for i in system.x_indices]
     payload = {"schema": 1, "command": "ift", "field": field.spec(),
                "precision": args.precision,
-               "solution": {u: serialize_jet(y, x_names) for u, y in zip(unknowns, ys)},
-               "verified": verified}
+               "solution": {u: serialize_jet(y, x_names) for u, y in zip(unknowns, ys)}}
     lines = [f"{u}: {serialize_jet(y, x_names)}" for u, y in zip(unknowns, ys)]
-    lines.append(f"verified: {_bool(verified)}")
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+    return _emit_checked(args, payload, lines)
 
 
 def _read_text(path):
@@ -251,20 +238,16 @@ def _cmd_transport(args):
     if field.char == 2:
         problem = normalize_tail_linear(problem)
     phi_prime = transport(problem)
-    verified = phi_prime.apply(problem.g0) == problem.g1
     tail_names = names[problem.rank:]
     payload = {"schema": 1, "command": "transport", "field": field.spec(),
                "precision": N, "rank": problem.rank,
                "g0": serialize_jet(problem.g0, tail_names),
                "g1": serialize_jet(problem.g1, tail_names),
-               "change": [serialize_jet(c, tail_names) for c in phi_prime.components],
-               "verified": verified}
+               "change": [serialize_jet(c, tail_names) for c in phi_prime.components]}
     lines = [f"rank: {problem.rank}"]
     for name, comp in zip(tail_names, phi_prime.components):
         lines.append(f"change[{name}]: {serialize_jet(comp, tail_names)}")
-    lines.append(f"verified: {_bool(verified)}")
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+    return _emit_checked(args, payload, lines)
 
 
 def _result_entry(data, key, kind):

@@ -22,6 +22,8 @@ kernel but not the search.  Each builds a fresh echelon at the certified
 cutoff, inserting generator by generator, and checks every monomial of the
 certified degree by full reduction rather than by counting leads;
 ``verify_milnor`` also recounts mu on a second echelon at cutoff s - 1.
+Each search runs its verifier on the certificate it found before returning
+it, and raises ``VerificationError`` when the verifier rejects it.
 
 A search or check refuses (``ValueError``) a negative degree, and more than
 ``MAX_MONOMIALS`` monomials of degree <= max_degree, which bounds the
@@ -34,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .field import Field, PrimeField, RationalField
-from .jet import ABOVE_PRECISION, Jet
+from .jet import ABOVE_PRECISION, Jet, VerificationError, _Packing
 
 DEFAULT_MAX_DEGREE = 12
 # 4 variables admit max_degree 20, 3 variables 37, 2 variables 198
@@ -71,13 +73,13 @@ def _check_search_size(nvars: int, max_degree: int):
 class _Echelon:
     """Row echelon form of polynomials cut above degree ``cutoff``.
 
-    A row is a dict from packed monomial to nonzero coefficient.  Monomial
-    alpha packs into one int: alpha_j in bits [w*j, w*j + w) with
-    w = cutoff.bit_length(), the total degree above them.  Rows hold degrees
-    <= cutoff only, so no field carries: multiplying by beta adds its key, a
-    key is below ``limit`` exactly when its degree is <= cutoff, and
-    ``min(row)`` is a lowest-degree term, the lead.  The order within a
-    degree is arbitrary; only per-degree pivot counts are read.
+    A row is a dict from packed monomial (``jet._Packing`` at precision
+    cutoff) to nonzero coefficient.  Rows hold degrees <= cutoff only, so
+    multiplying by beta adds its key, a key is below ``limit`` exactly when
+    its degree is <= cutoff, and ``min(row)`` is a lowest-degree term, the
+    lead.  At cutoff 0 every exponent field is empty and only the constant
+    monomial, key 0, is below the limit.  The order within a degree is
+    arbitrary; only per-degree pivot counts are read.
 
     This class reduces with the field's methods and stores monic pivots; the
     subclasses below work on native ints for Q and GF(p).
@@ -86,31 +88,24 @@ class _Echelon:
     def __init__(self, field: Field, nvars: int, cutoff: int):
         self.field = field
         self.nvars = nvars
-        self.width = max(cutoff.bit_length(), 1)
-        self.shift = self.width * nvars
-        self.limit = (cutoff + 1) << self.shift
+        self.packing = _Packing(cutoff, nvars)
+        self.shift = self.packing.shift
+        self.limit = self.packing.limit
         self.pivots = {}
         self.rank_by_degree = [0] * (cutoff + 1)
         self._monomials = {}
 
-    def pack(self, alpha) -> int:
-        key = sum(alpha) << self.shift
-        for j, e in enumerate(alpha):
-            key |= e << (self.width * j)
-        return key
-
     def monomials(self, degree: int):
         keys = self._monomials.get(degree)
         if keys is None:
-            keys = [self.pack(beta) for beta in monomials_of_degree(self.nvars, degree)]
+            pack = self.packing.pack
+            keys = [pack(beta) for beta in monomials_of_degree(self.nvars, degree)]
             self._monomials[degree] = keys
         return keys
 
     def terms(self, g: Jet):
         """Packed terms of g up to the cutoff, with native coefficients."""
-        limit = self.limit
-        packed = [(self.pack(alpha), c) for alpha, c in g.coeffs.items()]
-        return self._native([(k, c) for k, c in packed if k < limit])
+        return self._native(self.packing.terms(g.coeffs))
 
     def _native(self, terms):
         return terms
@@ -282,6 +277,7 @@ class MilnorReport:
 
 
 def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
+    """The bounded search for mu; a found certificate is verified before it is returned."""
     _check_search_size(f.nvars, max_degree)
     order = f.order()
     order = None if order == ABOVE_PRECISION else int(order)
@@ -290,7 +286,11 @@ def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
         for s, ech in _growing_echelon(f.field, gens, f.nvars, max_degree):
             if s >= 1 and ech.covers(s):
                 mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
-                return MilnorReport(mu, s, 2 * mu - order + 2, order, max_degree)
+                report = MilnorReport(mu, s, 2 * mu - order + 2, order, max_degree)
+                if not verify_milnor(f, report):
+                    raise VerificationError(
+                        "milnor", f"the certificate at degree {s} with mu {mu} does not verify")
+                return report
     return MilnorReport(None, None, None, order, max_degree)
 
 
@@ -320,7 +320,7 @@ def verify_milnor(f: Jet, report: MilnorReport) -> bool:
 
 
 def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):
-    """Smallest k with m^(k+2) <= m^2 J + m^(k+3), or None up to max_degree."""
+    """Smallest k with m^(k+2) <= m^2 J + m^(k+3), verified, or None up to max_degree."""
     _check_search_size(f.nvars, max_degree)
     if f.order() == ABOVE_PRECISION:
         return None
@@ -329,6 +329,9 @@ def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):
         return None
     for s, ech in _growing_echelon(f.field, gens, f.nvars, max_degree, min_multiplier_degree=2):
         if s >= 2 and ech.covers(s):
+            if not verify_determinacy(f, s - 2):
+                raise VerificationError(
+                    "determinacy", f"the certificate at degree {s} does not verify")
             return s - 2
     return None
 

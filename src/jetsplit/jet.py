@@ -6,15 +6,18 @@ are exact on the retained terms: binary operations return the minimum of the
 two precisions, and products drop terms above the result precision during
 accumulation.
 
-Substitution, the kernel under every coordinate change, and the expression
-parser work on packed monomials instead (see ``_Packing``): one int per
-monomial, with a bit field of ``N.bit_length()`` bits per variable and the
-total degree above them, so a monomial product is one integer addition and
-the degree guard is one comparison.  Terms are kept in lists sorted by key, hence by degree, and
-the series is evaluated in Horner form: monomials are grouped by their
-leading exponent, each part's powers are cached in packed form, each
-distinct exponent prefix costs one truncated product, and the sum is
-accumulated in one dict that becomes a tuple-keyed jet once, at the end.
+Products, substitution (the kernel under every coordinate change) and the
+expression parser work on packed monomials instead (see ``_Packing``): one
+int per monomial, with a bit field of ``N.bit_length()`` bits per variable
+and the total degree above them, so a monomial product is one integer
+addition and the degree guard is one comparison.  Terms are kept in lists
+sorted by key, hence by degree, and all three share one truncated product,
+``_product_into``.  Substitution evaluates the series in Horner form:
+monomials are grouped by their leading exponent, each part's powers are
+cached in packed form, each distinct exponent prefix costs one truncated
+product, and the sum is accumulated in one dict that becomes a tuple-keyed
+jet once, at the end.  Horner takes one Python frame per source variable,
+so substitution accepts at most ``MAX_SUBSTITUTION_VARIABLES`` of them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .field import Field, Valuation
 
 # order() of the zero jet: larger than any precision, safe in comparisons
 ABOVE_PRECISION = math.inf
+# Horner substitution takes one Python frame per source variable
+MAX_SUBSTITUTION_VARIABLES = 512
 
 
 class PrecisionError(ValueError):
@@ -159,24 +164,11 @@ class Jet:
         self._check_compatible(other)
         field = self.field
         prec = min(self.prec, other.prec)
-        left = sorted(((sum(a), a, c) for a, c in self.coeffs.items()))
-        right = sorted(((sum(a), a, c) for a, c in other.coeffs.items()))
+        packing = _Packing(prec, self.nvars)
         out = {}
-        zero = field.zero
-        for da, a, ca in left:
-            if da + (right[0][0] if right else 0) > prec:
-                break
-            for db, b, cb in right:
-                if da + db > prec:
-                    break
-                g = tuple(x + y for x, y in zip(a, b))
-                prod = field.mul(ca, cb)
-                s = field.add(out.get(g, zero), prod)
-                if s == zero:
-                    out.pop(g, None)
-                else:
-                    out[g] = s
-        return Jet(field, self.nvars, prec, out)
+        _product_into(out, packing.terms(self.coeffs), packing.terms(other.coeffs),
+                      packing.limit, field.add, field.mul)
+        return Jet(field, self.nvars, prec, packing.unpack(out, field.zero))
 
     def scale(self, c) -> "Jet":
         field = self.field
@@ -238,10 +230,14 @@ class Jet:
 
         Every part must live in the same target variable set and carry at
         least this jet's precision; the result is exact at that precision.
+        At most ``MAX_SUBSTITUTION_VARIABLES`` source variables are accepted.
         """
         parts = list(parts)
         if len(parts) != self.nvars:
             raise ValueError(f"need {self.nvars} substitution components, got {len(parts)}")
+        if self.nvars > MAX_SUBSTITUTION_VARIABLES:
+            raise ValueError(f"substitution in {self.nvars} variables exceeds the limit of "
+                             f"{MAX_SUBSTITUTION_VARIABLES}")
         field = self.field
         prec = self.prec
         if self.nvars == 0:
@@ -325,6 +321,7 @@ class _Packing:
 
     def __init__(self, prec, m):
         self.m = m
+        self.prec = prec
         self.width = max(prec, 0).bit_length()
         self.shift = self.width * m
         self.limit = (prec + 1) << self.shift
@@ -334,6 +331,11 @@ class _Packing:
         for j, e in enumerate(beta):
             key |= e << (self.width * j)
         return key
+
+    def terms(self, coeffs):
+        """The terms of degree <= prec of a tuple-keyed dict, packed and sorted by key."""
+        pack, prec = self.pack, self.prec
+        return sorted((pack(beta), c) for beta, c in coeffs.items() if sum(beta) <= prec)
 
     def unpack(self, packed, zero):
         """The tuple-keyed coefficient dict of a packed one, without zeros."""
@@ -348,7 +350,7 @@ def _packed_substitute(field, coeffs, parts, m, prec):
     computed on packed monomials (``_Packing``) in the m target variables."""
     n = len(parts)
     packing = _Packing(prec, m)
-    pack, shift = packing.pack, packing.shift
+    shift = packing.shift
     zero = field.zero
     add = field.add
     mul = field.mul
@@ -360,8 +362,7 @@ def _packed_substitute(field, coeffs, parts, m, prec):
     powers = []
     orders = []
     for p in parts:
-        base = sorted_terms({pack(beta): c for beta, c in p.coeffs.items()
-                             if sum(beta) <= prec})
+        base = packing.terms(p.coeffs)
         powers.append([None, base])
         orders.append(base[0][0] >> shift if base else None)
 

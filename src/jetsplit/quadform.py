@@ -399,7 +399,8 @@ def diagonal_signs(nf: QuadNormalForm):
 def normalize_squares(nf: QuadNormalForm):
     """Rescale a diagonal form to unit diagonal when every entry is a square.
 
-    Returns None when some entry has no square root in the field.
+    Returns None when some entry has no square root in the field.  The
+    rescaling is checked to carry the diagonal form to the unit one.
     """
     if nf.variant != "diagonal":
         raise ValueError("normalize_squares expects a diagonal normal form")
@@ -411,9 +412,12 @@ def normalize_squares(nf: QuadNormalForm):
     m = linalg.identity(field, n)
     for i, r in enumerate(roots):
         m[i][i] = field.inv(r)
-    return QuadNormalForm("unit_diagonal", field, n,
-                          linalg.matmul(field, nf.matrix, m),
-                          diagonal=tuple(field.one for _ in roots))
+    out = QuadNormalForm("unit_diagonal", field, n,
+                         linalg.matmul(field, nf.matrix, m),
+                         diagonal=tuple(field.one for _ in roots))
+    if CoordinateChange.from_linear(field, m, 2).apply(nf.normal_jet(2)) != out.normal_jet(2):
+        raise VerificationError("quadform", "the unit-diagonal rescaling does not verify")
+    return out
 
 
 def arf_decompose(q: QuadraticForm) -> ArfDecomposition:

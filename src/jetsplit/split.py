@@ -25,12 +25,14 @@ from .quadform import (QuadNormalForm, QuadraticForm, SplitShapeError, arf_norma
 
 @dataclass
 class SplitResult:
-    """Verified outcome of a split.
+    """Outcome of a split, with its check.
 
     ``residual`` lives in the ambient variables but involves only tail
     variables; in characteristic 2 it includes the diagonal square tail of
-    the 2-jet.  ``change`` satisfies f(change) = head quadratic + residual,
-    and ``verification_residual`` is the recomputed difference (zero).
+    the 2-jet.  ``change`` satisfies f(change) = head quadratic + residual.
+    ``verification_residual`` is the difference ``verify_split`` computed,
+    which ``split`` requires to be zero before it returns; ``to_json``
+    reports it as ``verified``, so the result is not checked again.
     """
 
     quad: QuadNormalForm

@@ -2,14 +2,19 @@ import importlib
 import itertools
 import json
 import time
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from jetsplit import Jet, RationalField
 from jetsplit.cli import main
 
 # the package re-exports functions named like these modules
 ift_module = importlib.import_module("jetsplit.ift")
+jacobian_module = importlib.import_module("jetsplit.jacobian")
 split_module = importlib.import_module("jetsplit.split")
+transport_module = importlib.import_module("jetsplit.transport")
 
 
 def run(capsys, *argv):
@@ -345,6 +350,54 @@ def test_failed_ift_check_exits_1_without_traceback(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "verification failed: ift: the solution leaves a nonzero residual\n"
+
+
+def test_failed_transport_check_exits_1_without_traceback(monkeypatch, tmp_path, capsys):
+    # tail coordinates y -> y + y^2 while phi' is built: g0(phi') is no longer g1
+    def shifted_variable(field, nvars, i, prec):
+        x = Jet.variable(field, nvars, i, prec)
+        return x + x * x
+
+    monkeypatch.setattr(transport_module, "Jet", SimpleNamespace(variable=shifted_variable))
+    files = {"f0.txt": "x^2 + y^4", "f1.txt": "x^2 + y^4 + 4*y^5 + 6*y^6 + 4*y^7 + y^8",
+             "phi.txt": "x\ny + y^2"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    code, out, err = run(capsys, "transport", "--field", "q", "--vars", "x,y",
+                         "--precision", "8", *(str(tmp_path / name) for name in files))
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: transport: g0(change) differs from g1\n"
+
+
+def test_failed_quadform_check_exits_1_without_traceback(monkeypatch, capsys):
+    # a wrong square root of 1 rescales x^2 + y^2 to (x^2 + y^2)/4
+    monkeypatch.setattr(RationalField, "sqrt", lambda self, a: Fraction(2))
+    code, out, err = run(capsys, "quadform", "--field", "q", "--vars", "x,y", "x^2 + 4*y^2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: quadform: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["milnor", "determinacy"])
+def test_failed_jacobian_check_exits_1_without_traceback(monkeypatch, capsys, command):
+    # a search that claims coverage at its first degree certifies too early
+    monkeypatch.setattr(jacobian_module._Echelon, "covers", lambda self, degree: True)
+    code, out, err = run(capsys, command, "--field", "q", "--vars", "x,y", "x^3 + y^4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"verification failed: {command}: ") and err.count("\n") == 1
+
+
+def test_too_many_variables_for_substitution_exits_2_at_once(capsys):
+    names = ",".join(f"x{i}" for i in range(1, 1201))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "split", "--field", "fp:7", "--vars", names,
+                         "--precision", "3", "x1^2 + x2^3")
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: substitution in 1200 variables exceeds the limit of 512\n"
 
 
 LONG_EXPRESSIONS = {

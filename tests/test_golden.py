@@ -4,9 +4,9 @@ The corpus holds README examples and seeded split/verify, ift, transport,
 quadform, norm, milnor and determinacy calls over every field, rejected
 transport and split inputs, `verify` on tampered split results (exit 1),
 and parser inputs (nesting, powers, signs, truncation, literals, and syntax
-and semantic errors), with the exit code,
-stdout and stderr recorded by ``tests/golden/make_corpus.py``.  A refactor
-or kernel change that alters any byte of any output fails here.
+and semantic errors), with the exit code, stdout and stderr recorded by
+``tests/golden/make_corpus.py``.  A refactor or kernel change that alters
+any byte of any output fails here.
 """
 
 import json

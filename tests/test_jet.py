@@ -7,6 +7,7 @@ from gen import FIELDS, rand_automorphism, rand_jet, rand_m2_jet
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Jet, PAdicValuation, PrecisionError,
                       PrimeField, RationalField, parse_field_spec, parse_jet)
+from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -245,26 +246,27 @@ def test_power_matches_repeated_product():
 ORACLE_FIELDS = [parse_field_spec(s) for s in ("q", "fp:7", "fp:2", "f2k:4")]
 
 
+def naive_times(field, a, b, prec):
+    """Product of two tuple-keyed coefficient dicts, terms above prec dropped."""
+    out = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            z = tuple(i + j for i, j in zip(x, y))
+            if sum(z) <= prec:
+                out[z] = field.add(out.get(z, field.zero), field.mul(cx, cy))
+    return out
+
+
 def naive_substitute(f, parts, m):
     """sum c_alpha * prod parts[i]^alpha_i by repeated dict products, at f.prec."""
     field = f.field
     prec = f.prec
-
-    def times(a, b):
-        out = {}
-        for x, cx in a.items():
-            for y, cy in b.items():
-                z = tuple(i + j for i, j in zip(x, y))
-                if sum(z) <= prec:
-                    out[z] = field.add(out.get(z, field.zero), field.mul(cx, cy))
-        return out
-
     acc = {}
     for alpha, c in f.coeffs.items():
         term = {(0,) * m: c}
         for i, e in enumerate(alpha):
             for _ in range(e):
-                term = times(term, parts[i].coeffs)
+                term = naive_times(field, term, parts[i].coeffs, prec)
         for z, v in term.items():
             acc[z] = field.add(acc.get(z, field.zero), v)
     return Jet(field, m, prec, acc)
@@ -286,6 +288,34 @@ def test_substitute_matches_naive_expansion():
                 assert got == naive_substitute(f, parts, m)
             else:
                 assert got == f
+
+
+def test_product_matches_naive_product():
+    rng = random.Random(12)
+    # operands at different precisions, on both sides of the bit-width steps
+    for field in ORACLE_FIELDS:
+        for _ in range(120):
+            n = rng.randint(0, 3)
+            pa = rng.choice((0, 1, 2, 3, 4, 7, 8))
+            pb = pa + rng.choice((0, 0, 1, 3))
+            a = rand_jet(field, n, pa, rng, terms=rng.randint(0, 6))
+            b = rand_jet(field, n, pb, rng, terms=rng.randint(0, 6))
+            want = Jet(field, n, pa, naive_times(field, a.coeffs, b.coeffs, pa))
+            assert a * b == want and b * a == want
+        f = parse_jet("x^3*y + x*y^5 + y^7 + x^40 + 1", field, ["x", "y"], 10 ** 9)
+        assert f * f == Jet(field, 2, 10 ** 9, naive_times(field, f.coeffs, f.coeffs, 10 ** 9))
+
+
+def test_substitute_variable_cap():
+    n = MAX_SUBSTITUTION_VARIABLES
+    for field in ORACLE_FIELDS:
+        f = Jet(field, n, 3, {(2,) + (0,) * (n - 1): field.one,
+                              (0,) * (n - 1) + (3,): field.one})
+        parts = [Jet.variable(field, 2, i % 2, 3) for i in range(n)]
+        assert f.substitute(parts) == parse_jet("x^2 + y^3", field, ["x", "y"], 3)
+    wide = Jet.zero(Q, n + 1, 3)
+    with pytest.raises(ValueError, match=f"exceeds the limit of {n}"):
+        wide.substitute([Jet.variable(Q, 1, 0, 3)] * (n + 1))
 
 
 def test_substitute_zero_jet_and_zero_parts():
