@@ -5,7 +5,8 @@ every algorithm verifies its result (an exact substitution or membership
 identity) once, before it returns, and raises ``VerificationError``
 otherwise, which exits 1 with one ``verification failed: <stage>: ...`` line
 on stderr.  ``verified`` therefore reports the library's check.  ``verify``
-is the exception: it re-checks a split result read from a file.  ``norm``
+is the exception: it re-checks a split result read from a file, and
+refuses a ``--field`` or ``--precision`` other than the file's.  ``norm``
 is a direct exact evaluation with no certificate behind its flag.
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -47,19 +48,14 @@ def _emit(args, payload: dict, lines):
         print("\n".join(lines))
 
 
-def _bool(b):
-    return "true" if b else "false"
-
-
 def _emit_checked(args, payload: dict, lines):
-    """Print a result the library checked, ``verified`` last.
+    """Print a result the library checked, ``verified: true`` last.
 
-    The flag is the one the result carries (``SplitResult.to_json``), else
-    true: a failed library check has already raised ``VerificationError``.
+    A failed library check has already raised ``VerificationError``.
     """
-    verified = payload.setdefault("verified", True)
-    _emit(args, payload, lines + [f"verified: {_bool(verified)}"])
-    return 0 if verified else 1
+    payload["verified"] = True
+    _emit(args, payload, lines + ["verified: true"])
+    return 0
 
 
 def _cmd_split(args):
@@ -277,12 +273,19 @@ def _read_split_result(path, names):
         raise FieldError(f"result file key 'quad' is malformed: {exc!r}") from None
     if quad.nvars != len(names) or quad.rank > quad.nvars:
         raise FieldError("result file key 'quad' does not fit the variables")
-    return SplitResult(quad, _result_entry(data, "rank", int), residual, change, N, None)
+    return SplitResult(quad, _result_entry(data, "rank", int), residual, change, N)
 
 
 def _cmd_verify(args):
     names = _parse_vars(args.vars)
     result = _read_split_result(args.result, names)
+    field = parse_field_spec(args.field)
+    if field != result.field:
+        raise FieldError(f"--field {field.spec()} is not the result file's field "
+                         f"{result.field.spec()}")
+    if args.precision is not None and args.precision != result.precision:
+        raise FieldError(f"--precision {args.precision} is not the result file's precision "
+                         f"{result.precision}")
     f = parse_jet(args.expr, result.field, names, result.precision)
     try:
         check = verify_split(f, result)
@@ -294,7 +297,7 @@ def _cmd_verify(args):
     payload = {"schema": 1, "command": "verify", "verified": verified,
                "difference": serialize_jet(check, names)}
     lines = [f"difference: {serialize_jet(check, names)}",
-             f"verified: {_bool(verified)}"]
+             f"verified: {'true' if verified else 'false'}"]
     _emit(args, payload, lines)
     return 0 if verified else 1
 

@@ -243,9 +243,6 @@ class Field:
     def elements(self):
         raise FieldError(f"{self} is not finite")
 
-    def random_element(self, rng, nonzero: bool = False):
-        raise NotImplementedError
-
     def format_scalar(self, a) -> str:
         raise NotImplementedError
 
@@ -307,12 +304,6 @@ class RationalField(Field):
         if rn * rn == a.numerator and rd * rd == a.denominator:
             return Fraction(rn, rd)
         return None
-
-    def random_element(self, rng, nonzero=False):
-        while True:
-            a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if a != 0 or not nonzero:
-                return a
 
     def format_scalar(self, a):
         return str(a)
@@ -404,9 +395,6 @@ class PrimeField(Field):
 
     def elements(self):
         return range(self.p)
-
-    def random_element(self, rng, nonzero=False):
-        return rng.randint(1 if nonzero else 0, self.p - 1)
 
     def format_scalar(self, a):
         return str(a)
@@ -571,9 +559,6 @@ class BinaryField(Field):
 
     def elements(self):
         return range(self.order)
-
-    def random_element(self, rng, nonzero=False):
-        return rng.randint(1 if nonzero else 0, self.order - 1)
 
     def format_scalar(self, a):
         return format_t_poly(a)

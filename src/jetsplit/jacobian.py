@@ -22,12 +22,15 @@ kernel but not the search.  Each builds a fresh echelon at the certified
 cutoff, inserting generator by generator, and checks every monomial of the
 certified degree by full reduction rather than by counting leads;
 ``verify_milnor`` also recounts mu on a second echelon at cutoff s - 1.
-Each search runs its verifier on the certificate it found before returning
-it, and raises ``VerificationError`` when the verifier rejects it.
+Like every check in the library, a verifier returns nothing on success and
+raises ``VerificationError`` naming the condition that failed: a degree
+below the least one that can certify, no cover at the certified degree, the
+mu recount, the order or the bound.  Each search runs its verifier on the
+certificate it found before returning it.
 
-A search or check refuses (``ValueError``) a negative degree, and more than
-``MAX_MONOMIALS`` monomials of degree <= max_degree, which bounds the
-number of columns of its echelon.
+A search refuses (``ValueError``) a negative max degree, and a search or
+check refuses more than ``MAX_MONOMIALS`` monomials of degree <= its
+degree, which bounds the number of columns of its echelon.
 """
 
 from __future__ import annotations
@@ -249,9 +252,14 @@ def _ideal_echelon(field: Field, gens, nvars: int, cutoff: int,
     return ech
 
 
-def _covers_degree(ech: _Echelon, degree: int) -> bool:
-    """Every monomial of the degree reduces to zero: full reduction, not counting."""
-    return all(ech.contains_monomial(key) for key in ech.monomials(degree))
+def _check_cover(stage: str, ideal: str, f: Jet, gens, degree: int,
+                 min_multiplier_degree: int = 0):
+    """Raise unless m^degree <= ideal + m^(degree+1), by full reduction on a fresh echelon."""
+    _check_search_size(f.nvars, degree)
+    ech = _ideal_echelon(f.field, gens, f.nvars, degree, min_multiplier_degree)
+    if not all(ech.contains_monomial(key) for key in ech.monomials(degree)):
+        raise VerificationError(
+            stage, f"no cover at degree {degree}: m^{degree} is not in {ideal} + m^{degree + 1}")
 
 
 def jacobian_generators(f: Jet):
@@ -276,78 +284,84 @@ class MilnorReport:
     max_degree: int
 
 
+def _order(f: Jet):
+    order = f.order()
+    return None if order == ABOVE_PRECISION else int(order)
+
+
+def _first_cover(f: Jet, max_degree: int, min_multiplier_degree: int = 0):
+    """(s, echelon) at the least covered s >= max(1, min_multiplier_degree), or None."""
+    _check_search_size(f.nvars, max_degree)
+    least = max(1, min_multiplier_degree)
+    gens = jacobian_generators(f)
+    if gens:
+        for s, ech in _growing_echelon(f.field, gens, f.nvars, max_degree, min_multiplier_degree):
+            if s >= least and ech.covers(s):
+                return s, ech
+    return None
+
+
 def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
     """The bounded search for mu; a found certificate is verified before it is returned."""
-    _check_search_size(f.nvars, max_degree)
-    order = f.order()
-    order = None if order == ABOVE_PRECISION else int(order)
-    gens = jacobian_generators(f) if order is not None else []
-    if gens:
-        for s, ech in _growing_echelon(f.field, gens, f.nvars, max_degree):
-            if s >= 1 and ech.covers(s):
-                mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
-                report = MilnorReport(mu, s, 2 * mu - order + 2, order, max_degree)
-                if not verify_milnor(f, report):
-                    raise VerificationError(
-                        "milnor", f"the certificate at degree {s} with mu {mu} does not verify")
-                return report
-    return MilnorReport(None, None, None, order, max_degree)
+    order = _order(f)
+    found = _first_cover(f, max_degree)
+    if found is None:
+        return MilnorReport(None, None, None, order, max_degree)
+    s, ech = found
+    mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
+    report = MilnorReport(mu, s, 2 * mu - order + 2, order, max_degree)
+    verify_milnor(f, report)
+    return report
 
 
-def verify_milnor(f: Jet, report: MilnorReport) -> bool:
+def verify_milnor(f: Jet, report: MilnorReport):
     """Re-check the certificate and mu on fresh echelons, apart from the search.
 
     Every degree-s monomial must reduce to zero modulo J + m^(s+1), and mu
     must equal the codimension of J modulo m^s, with the bound and order
-    that follow from it.
+    that follow from it.  A report without mu claims only the order.
+    Raises VerificationError naming the first condition that fails.
     """
-    if report.mu is None:
-        return True
     s = report.stabilization_degree
+    if report.mu is None and (s is not None or report.determinacy_bound is not None):
+        raise VerificationError("milnor", "a report without mu claims a degree or a bound")
+    order = _order(f)
+    if report.order != order:
+        raise VerificationError("milnor", f"order {report.order} is not the series' order {order}")
+    if report.mu is None:
+        return
     if s is None or s < 1:
-        return False
-    _check_search_size(f.nvars, s)
+        raise VerificationError("milnor", f"stabilization degree {s} is not >= 1")
     gens = jacobian_generators(f)
-    if not gens:
-        return False
-    if not _covers_degree(_ideal_echelon(f.field, gens, f.nvars, s), s):
-        return False
+    _check_cover("milnor", "J", f, gens, s)
     quotient = _ideal_echelon(f.field, gens, f.nvars, s - 1)
     mu = count_monomials_upto(f.nvars, s - 1) - quotient.rank_upto(s - 1)
-    order = int(f.order())
-    return (report.mu == mu and report.order == order
-            and report.determinacy_bound == 2 * mu - order + 2)
+    if report.mu != mu:
+        raise VerificationError("milnor", f"mu {report.mu} is not the recounted {mu}")
+    bound = 2 * mu - order + 2
+    if report.determinacy_bound != bound:
+        raise VerificationError(
+            "milnor", f"bound {report.determinacy_bound} is not 2*mu - order + 2 = {bound}")
 
 
 def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):
     """Smallest k with m^(k+2) <= m^2 J + m^(k+3), verified, or None up to max_degree."""
-    _check_search_size(f.nvars, max_degree)
-    if f.order() == ABOVE_PRECISION:
+    found = _first_cover(f, max_degree, min_multiplier_degree=2)
+    if found is None:
         return None
-    gens = jacobian_generators(f)
-    if not gens:
-        return None
-    for s, ech in _growing_echelon(f.field, gens, f.nvars, max_degree, min_multiplier_degree=2):
-        if s >= 2 and ech.covers(s):
-            if not verify_determinacy(f, s - 2):
-                raise VerificationError(
-                    "determinacy", f"the certificate at degree {s} does not verify")
-            return s - 2
-    return None
+    k = found[0] - 2
+    verify_determinacy(f, k)
+    return k
 
 
-def verify_determinacy(f: Jet, k) -> bool:
-    """Re-check the membership certificate m^(k+2) <= m^2 J + m^(k+3)."""
+def verify_determinacy(f: Jet, k):
+    """Re-check the certificate m^(k+2) <= m^2 J + m^(k+3); k None claims nothing."""
     if k is None:
-        return True
+        return
     if k < 0:
-        return False
-    _check_search_size(f.nvars, k + 2)
-    gens = jacobian_generators(f)
-    if not gens:
-        return False
-    ech = _ideal_echelon(f.field, gens, f.nvars, k + 2, min_multiplier_degree=2)
-    return _covers_degree(ech, k + 2)
+        raise VerificationError("determinacy", f"degree {k} is not >= 0")
+    _check_cover("determinacy", "m^2 J", f, jacobian_generators(f), k + 2,
+                 min_multiplier_degree=2)
 
 
 def determinacy_bound(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):

@@ -106,10 +106,6 @@ class Jet:
             return ABOVE_PRECISION
         return min(sum(a) for a in self.coeffs)
 
-    def terms(self):
-        """Terms in graded lexicographic order."""
-        return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
-
     def constant_term(self):
         return self.coeffs.get((0,) * self.nvars, self.field.zero)
 

@@ -314,13 +314,13 @@ class QuadNormalForm:
                    pairs=tuple((field.zero, field.zero) for _ in range(half)))
 
 
-def _verify_transition(q: QuadraticForm, nf: QuadNormalForm):
-    got = nf.change(2).apply(q.as_jet(2))
-    want = nf.normal_jet(2)
-    if got != want:
-        raise VerificationError("quadform", "the transition does not give the normal form")
-    if linalg.rank(q.field, nf.matrix) != q.nvars:
-        raise VerificationError("quadform", "the normal form transition is singular")
+def _verify_transition(what: str, source: Jet, matrix, nf: QuadNormalForm):
+    """Raise unless the invertible linear change ``matrix`` carries ``source`` to nf's 2-jet."""
+    field = nf.field
+    if CoordinateChange.from_linear(field, matrix, 2).apply(source) != nf.normal_jet(2):
+        raise VerificationError("quadform", f"the {what} does not give the normal form")
+    if linalg.rank(field, matrix) != nf.nvars:
+        raise VerificationError("quadform", f"the {what} is singular")
 
 
 def diagonalize(q: QuadraticForm) -> QuadNormalForm:
@@ -385,7 +385,7 @@ def diagonalize(q: QuadraticForm) -> QuadNormalForm:
                 step(m)
     nf = QuadNormalForm("diagonal", field, n, s,
                         diagonal=tuple(b[i][i] for i in range(k)))
-    _verify_transition(q, nf)
+    _verify_transition("transition", q.as_jet(2), nf.matrix, nf)
     return nf
 
 
@@ -415,8 +415,7 @@ def normalize_squares(nf: QuadNormalForm):
     out = QuadNormalForm("unit_diagonal", field, n,
                          linalg.matmul(field, nf.matrix, m),
                          diagonal=tuple(field.one for _ in roots))
-    if CoordinateChange.from_linear(field, m, 2).apply(nf.normal_jet(2)) != out.normal_jet(2):
-        raise VerificationError("quadform", "the unit-diagonal rescaling does not verify")
+    _verify_transition("unit-diagonal rescaling", nf.normal_jet(2), m, out)
     return out
 
 
@@ -475,7 +474,7 @@ def arf_normal_form(q: QuadraticForm) -> QuadNormalForm:
     basis.extend(dec.radical_basis)
     s = [[basis[j][i] for j in range(n)] for i in range(n)]  # columns are basis vectors
     nf = QuadNormalForm("arf", field, n, s, pairs=tuple(pair_coeffs), tail=tail)
-    _verify_transition(q, nf)
+    _verify_transition("transition", q.as_jet(2), nf.matrix, nf)
     return nf
 
 
@@ -538,9 +537,7 @@ def arf_reduce_solvable(nf: QuadNormalForm):
     out = QuadNormalForm(variant, field, n,
                          linalg.matmul(field, nf.matrix, extra),
                          pairs=tuple((field.zero, field.zero) for _ in range(l)))
-    extra_change = CoordinateChange.from_linear(field, extra, 2)
-    if extra_change.apply(nf.normal_jet(2)) != out.normal_jet(2):
-        raise VerificationError("quadform", "the solvable reduction does not verify")
+    _verify_transition("solvable reduction", nf.normal_jet(2), extra, out)
     return out
 
 

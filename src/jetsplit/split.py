@@ -29,10 +29,8 @@ class SplitResult:
 
     ``residual`` lives in the ambient variables but involves only tail
     variables; in characteristic 2 it includes the diagonal square tail of
-    the 2-jet.  ``change`` satisfies f(change) = head quadratic + residual.
-    ``verification_residual`` is the difference ``verify_split`` computed,
-    which ``split`` requires to be zero before it returns; ``to_json``
-    reports it as ``verified``, so the result is not checked again.
+    the 2-jet.  ``change`` satisfies f(change) = head quadratic + residual:
+    ``split`` checks that with ``verify_split`` before it returns.
     """
 
     quad: QuadNormalForm
@@ -40,7 +38,6 @@ class SplitResult:
     residual: Jet
     change: CoordinateChange
     precision: int
-    verification_residual: Jet
 
     @property
     def field(self):
@@ -63,7 +60,6 @@ class SplitResult:
             "quad": self.quad.to_json(),
             "residual": serialize_jet(self.residual, varnames),
             "change": [serialize_jet(c, varnames) for c in self.change.components],
-            "verified": self.verification_residual.is_zero(),
         }
 
 
@@ -209,10 +205,10 @@ def split(f: Jet, N: int) -> SplitResult:
     else:
         change_it, residual = iterate_diagonal(f1, N)
     total = linear.compose(change_it)
-    check = verify_split(f, SplitResult(nf, rank, residual, total, N, None))
-    if not check.is_zero():
+    result = SplitResult(nf, rank, residual, total, N)
+    if not verify_split(f, result).is_zero():
         raise VerificationError("split", "f(change) differs from head + residual")
-    return SplitResult(nf, rank, residual, total, N, check)
+    return result
 
 
 def verify_split(f: Jet, result: SplitResult) -> Jet:

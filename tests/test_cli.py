@@ -312,6 +312,24 @@ def test_verify_missing_key_is_input_error(tmp_path, capsys, key):
     assert key in err
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--field", "bogus", "--precision", "99"], "unknown field spec 'bogus'"),
+    (["--field", "fp:7"], "--field fp:7 is not the result file's field q"),
+    (["--field", "q", "--precision", "99"], "--precision 99 is not the result file's precision 4"),
+], ids=["field_unparsed", "field_other", "precision_other"])
+def test_verify_refuses_other_field_or_precision(tmp_path, capsys, options, message):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(split_json(capsys)))
+    code, out, err = run(capsys, "verify", *options, "--vars", "x,y", "x^2 + x*y^2", str(result))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    code, out, err = run(capsys, "verify", "--field", "q", "--precision", "4", "--vars", "x,y",
+                         "x^2 + x*y^2", str(result))
+    assert code == 0 and err == ""
+    assert out.endswith("verified: true\n")
+
+
 @pytest.mark.parametrize("damage", ["not_object", "change_not_list", "precision_text",
                                     "quad_no_variant", "quad_wrong_nvars"])
 def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
@@ -379,14 +397,17 @@ def test_failed_quadform_check_exits_1_without_traceback(monkeypatch, capsys):
     assert err.startswith("verification failed: quadform: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["milnor", "determinacy"])
-def test_failed_jacobian_check_exits_1_without_traceback(monkeypatch, capsys, command):
+@pytest.mark.parametrize("command, condition", [
+    ("milnor", "no cover at degree 1: m^1 is not in J + m^2"),
+    ("determinacy", "no cover at degree 2: m^2 is not in m^2 J + m^3"),
+], ids=["milnor", "determinacy"])
+def test_failed_jacobian_check_exits_1_without_traceback(monkeypatch, capsys, command, condition):
     # a search that claims coverage at its first degree certifies too early
     monkeypatch.setattr(jacobian_module._Echelon, "covers", lambda self, degree: True)
     code, out, err = run(capsys, command, "--field", "q", "--vars", "x,y", "x^3 + y^4")
     assert code == 1
     assert out == ""
-    assert err.startswith(f"verification failed: {command}: ") and err.count("\n") == 1
+    assert err == f"verification failed: {command}: {condition}\n"
 
 
 def test_too_many_variables_for_substitution_exits_2_at_once(capsys):

@@ -5,9 +5,9 @@ import time
 import pytest
 
 from gen import rand_invertible, rand_jet
-from jetsplit import (BinaryField, Jet, PrimeField, RationalField, determinacy_bound,
-                      determinacy_certificate, linalg, milnor_number,
-                      mu_determinacy_bound, parse_jet, verify_milnor)
+from jetsplit import (BinaryField, Jet, MilnorReport, PrimeField, RationalField,
+                      VerificationError, determinacy_bound, determinacy_certificate, linalg,
+                      milnor_number, mu_determinacy_bound, parse_jet, verify_milnor)
 from jetsplit.cli import main
 from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon,
                                count_monomials_upto, monomials_of_degree,
@@ -84,14 +84,14 @@ def test_milnor_with_unit_is_zero():
 def test_verify_milnor_recheck():
     f = poly("x^3 + y^3", ["x", "y"])
     report = milnor_number(f)
-    assert verify_milnor(f, report)
+    verify_milnor(f, report)
 
 
 def test_determinacy_of_quadric():
     f = poly("x^2 + y^2", ["x", "y"])
     assert determinacy_certificate(f) == 1
     assert determinacy_bound(f) == 2
-    assert verify_determinacy(f, 1)
+    verify_determinacy(f, 1)
 
 
 def test_determinacy_of_cusp():
@@ -155,7 +155,7 @@ def test_nakayama_certificate_reproducible_on_random_inputs():
     for _ in range(10):
         f = rand_jet(Q, 2, POLY, rng, min_degree=2, max_degree=4, terms=4)
         report = milnor_number(f, max_degree=8)
-        assert verify_milnor(f, report)
+        verify_milnor(f, report)
 
 
 def test_milnor_over_prime_fields():
@@ -166,7 +166,7 @@ def test_milnor_over_prime_fields():
         for _ in range(10):
             f = rand_jet(field, 2, POLY, rng, min_degree=2, max_degree=4, terms=4)
             report = milnor_number(f, max_degree=9)
-            assert verify_milnor(f, report)
+            verify_milnor(f, report)
 
 
 def test_milnor_when_characteristic_divides_an_exponent():
@@ -221,26 +221,48 @@ def test_verify_milnor_rejects_forged_reports():
     for text in ("x^3 + y^4", "x^2 + y^2", "x + y^2"):
         f = poly(text, ["x", "y"])
         report = milnor_number(f)
-        assert verify_milnor(f, report)
-        for forged in (dataclasses.replace(report, mu=report.mu + 1),
-                       dataclasses.replace(report, mu=report.mu - 1),
-                       dataclasses.replace(report, determinacy_bound=report.determinacy_bound + 1),
-                       dataclasses.replace(report, order=report.order + 1),
-                       dataclasses.replace(report, stabilization_degree=0)):
-            assert not verify_milnor(f, forged), (text, forged)
+        verify_milnor(f, report)
+        for change, reason in (({"mu": report.mu + 1}, "mu .* is not the recounted"),
+                               ({"mu": report.mu - 1}, "mu .* is not the recounted"),
+                               ({"determinacy_bound": report.determinacy_bound + 1},
+                                "bound .* is not 2\\*mu - order \\+ 2"),
+                               ({"order": report.order + 1}, "order .* is not the series' order"),
+                               ({"stabilization_degree": 0}, "stabilization degree 0 is not >= 1"),
+                               ({"stabilization_degree": None},
+                                "stabilization degree None is not >= 1")):
+            forged = dataclasses.replace(report, **change)
+            with pytest.raises(VerificationError, match=f"^milnor: {reason}"):
+                verify_milnor(f, forged)
     # a degree below the true stabilization degree has no certificate
     f = poly("x^3 + y^4", ["x", "y"])
     report = milnor_number(f)
-    early = dataclasses.replace(report, stabilization_degree=report.stabilization_degree - 1)
-    assert not verify_milnor(f, early)
+    s = report.stabilization_degree - 1
+    early = dataclasses.replace(report, stabilization_degree=s)
+    with pytest.raises(VerificationError, match=rf"^milnor: no cover at degree {s}: "
+                                                rf"m\^{s} is not in J \+ m\^{s + 1}$"):
+        verify_milnor(f, early)
+    # a report without mu may claim neither a degree nor a bound
+    for forged in (MilnorReport(None, 3, 99, 7, 12), MilnorReport(None, 3, None, 3, 12),
+                   MilnorReport(None, None, 99, 3, 12)):
+        with pytest.raises(VerificationError,
+                           match="^milnor: a report without mu claims a degree or a bound"):
+            verify_milnor(f, forged)
+    verify_milnor(f, MilnorReport(None, None, None, 3, 12))
+    with pytest.raises(VerificationError, match="^milnor: order 7 is not the series' order 3"):
+        verify_milnor(f, MilnorReport(None, None, None, 7, 12))
 
 
 def test_verify_determinacy_rejects_a_lower_degree():
     f = poly("x^3 + y^4", ["x", "y"])
     k = determinacy_certificate(f)
-    assert verify_determinacy(f, k)
-    assert not verify_determinacy(f, k - 1)
-    assert not verify_determinacy(f, -1)
+    verify_determinacy(f, k)
+    verify_determinacy(f, None)
+    with pytest.raises(VerificationError,
+                       match=rf"^determinacy: no cover at degree {k + 1}: "
+                             rf"m\^{k + 1} is not in m\^2 J \+ m\^{k + 2}$"):
+        verify_determinacy(f, k - 1)
+    with pytest.raises(VerificationError, match="^determinacy: degree -1 is not >= 0"):
+        verify_determinacy(f, -1)
 
 
 @pytest.mark.parametrize("command", ["milnor", "determinacy"])

@@ -189,5 +189,5 @@ def test_split_json_shape():
     assert data["rank"] == 1
     assert data["field"] == "q"
     assert data["residual"] == "-1/4*y^4 + O(deg 4)"
-    assert data["verified"] is True
+    assert "verified" not in data
     assert len(data["change"]) == 2
