@@ -26,7 +26,8 @@ sys.path.insert(0, os.path.dirname(HERE))
 
 from gen import (rand_automorphism, rand_implicit_system, rand_jet,  # noqa: E402
                  rand_split_form, transport_roundtrip)
-from jetsplit import parse_field_spec, serialize_jet  # noqa: E402
+from jetsplit import (CoordinateChange, iterate_diagonal, linalg,  # noqa: E402
+                      parse_field_spec, parse_jet, serialize_jet)
 from jetsplit.cli import main  # noqa: E402
 
 FILE_PREFIX = "file:"
@@ -229,6 +230,64 @@ def milnor_cases():
          for cmd, opts in zip(("milnor", "determinacy"), per_command)]
 
 
+# split over q with large coprime denominators: fractions that a substitution
+# kernel must carry exactly through every pass
+LARGE_DENOMINATORS = ("1000003/999983*x^2 - 999979/1000037*y^2 + 3/999961*x*z^2"
+                      " - 1000039/999953*y*z^3 + 7/1000033*x*y*z + 5/999931*x^2*y*z"
+                      " - 11/1000081*z^3 + 13/999917*x*z^4 + 2/3*z^4")
+
+
+def large_coefficient_cases():
+    """Fractional and large-residue coefficients through split, ift and transport.
+
+    Drawn from their own seed, so the cases above keep their inputs.
+    """
+    rng = random.Random(1000000007)
+    spec, n, N = "fp:1000000007", 3, 6
+    names = ",".join(names_of(n))
+    expr = serialize_jet(split_input(parse_field_spec(spec), n, N, n, rng), names_of(n))
+    as_json = ["split", "--field", spec, "--vars", names, "--precision", str(N),
+               "--format", "json", expr]
+    _, result, _ = run_case(as_json, {})
+    return [
+        ("split-q-large-denominators", ["split", "--field", "q", "--vars", "x,y,z",
+                                        "--precision", "5", LARGE_DENOMINATORS], {}),
+        ("split-json-q-large-denominators",
+         ["split", "--field", "q", "--vars", "x,y,z", "--precision", "5", "--format",
+          "json", LARGE_DENOMINATORS], {}),
+        (f"split-json-fp1000000007-n{n}-N{N}", as_json, {}),
+        (f"verify-fp1000000007-n{n}-N{N}",
+         ["verify", "--field", spec, "--vars", names, "--format", "json", expr,
+          "file:result.json"], {"result.json": result}),
+        ("ift-q-fractional",
+         ["ift", "--field", "q", "--vars", "x1,x2,y1,y2", "--split-vars", "y1,y2",
+          "--precision", "4", "--format", "json",
+          "3/7*y1 - 2/5*y2 + 11/13*x1 - 1000003/999983*x2*y1 + 5/1000033*y2^2"
+          " - 1/999979*x1^3",
+          "1/4*y1 + 9/11*y2 - 7/1000037*x1*x2 + 2/3*y1*y2^2 + 999961/17*x2^4"], {}),
+        fractional_transport_case(),
+    ]
+
+
+def fractional_transport_case():
+    """transport over q with fractions in f0, f1 and phi (built as transport_roundtrip)."""
+    field = parse_field_spec("q")
+    names, N = ["x", "y", "z"], 5
+    f0 = parse_jet("x^2 - 3*y^2 + 7/1000003*z^3 - 999983/11*z^4 + 5/13*z^5", field, names, N)
+    rho = CoordinateChange([parse_jet(e, field, names, N) for e in (
+        "x + 2/3*y - 1/1000033*z^2", "y + 5/7*x*z - 3/8*y^2", "z - 11/999979*x^2 + 3/4*z^2")])
+    lin_inv = CoordinateChange.from_linear(
+        field, linalg.invert(field, rho.linear_matrix()), N)
+    sigma, _ = iterate_diagonal(lin_inv.apply(rho.apply(f0)), N)
+    phi = rho.compose(lin_inv).compose(sigma)
+    files = {"f0.txt": serialize_jet(f0, names) + "\n",
+             "f1.txt": serialize_jet(phi.apply(f0), names) + "\n",
+             "phi.txt": "".join(serialize_jet(c, names) + "\n" for c in phi.components)}
+    return ("transport-q-fractional",
+            ["transport", "--field", "q", "--vars", ",".join(names), "--precision", str(N),
+             "--format", "json", "file:f0.txt", "file:f1.txt", "file:phi.txt"], files)
+
+
 # transport inputs in split shape or not, as (tag, field, variables, f0, f1)
 TRANSPORT_EDGE_INPUTS = [
     ("not-diagonal", "q", "x,y", "x*y + y^3", "x*y + y^3"),
@@ -314,7 +373,7 @@ def parser_case(prefix, tag, spec, names, N, expr):
 def build():
     rng = random.Random(20260)
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
-             + quadform_cases() + norm_cases() + milnor_cases())
+             + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases())
     parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
     parsed += [
         ("parse-zero-powers-norm",
