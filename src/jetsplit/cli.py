@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -302,7 +303,9 @@ def _cmd_verify(args):
     return 0 if verified else 1
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="jetsplit",
         description="Exact splitting-lemma toolkit for truncated power series.")

@@ -35,6 +35,22 @@ def test_split_command_json(capsys):
     assert data["verified"] is True
 
 
+def test_usage_errors_exit_2_alike_on_the_shared_parser(capsys):
+    from jetsplit.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--vars", "x", "--precision", "2", "x^2"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+        assert run(capsys, "split", "--field", "q", "--vars", "x", "--precision", "2",
+                   "x^2")[0] == 0
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: jetsplit split")
+    assert "the following arguments are required: --field" in errors[0]
+
+
 def test_split_command_text(capsys):
     code, out, _ = run(capsys, "split", "--field", "q", "--vars", "x,y",
                        "--precision", "4", "x^2 + x*y^2")
