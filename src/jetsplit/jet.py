@@ -18,14 +18,26 @@ cached in packed form, each distinct exponent prefix costs one truncated
 product, and the sum is accumulated in one dict that becomes a tuple-keyed
 jet once, at the end.  Horner takes one Python frame per source variable,
 so substitution accepts at most ``MAX_SUBSTITUTION_VARIABLES`` of them.
+
+Substitution runs the kernel on native values, chosen per field in one
+place (``_route``).  Over Q it is fraction-free: the source and the parts
+are scaled to integers (``_RationalRoute``), the kernel adds and multiplies
+Python ints, and each output coefficient is divided once by the common
+scale, one ``Fraction`` normalisation per coefficient.  Over GF(p) residues
+are multiplied and added as ints and reduced mod p once per coefficient,
+when a product or a Horner sum becomes a multiplicand and at the end.  Over
+GF(2^k) masks are added by xor and multiplied by the field.  ``Jet.coeffs``
+holds field elements throughout.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 
 from . import linalg
-from .field import Field, Valuation
+from .field import Field, PrimeField, RationalField, Valuation
 
 # order() of the zero jet: larger than any precision, safe in comparisons
 ABOVE_PRECISION = math.inf
@@ -288,7 +300,6 @@ class Jet:
             if e <= 0:
                 raise ValueError("radii must be positive")
         from .field import ArchimedeanValuation
-        from fractions import Fraction
 
         total = Fraction(0)
         archimedean = isinstance(valuation, ArchimedeanValuation)
@@ -343,29 +354,24 @@ class _Packing:
 
 def _packed_substitute(field, coeffs, parts, m, prec):
     """Coefficients of sum c_alpha * prod parts[i]^alpha_i, truncated at prec,
-    computed on packed monomials (``_Packing``) in the m target variables."""
+    computed on packed monomials (``_Packing``) in the m target variables and
+    on the field's native values (``_route``)."""
     n = len(parts)
     packing = _Packing(prec, m)
     shift = packing.shift
-    zero = field.zero
-    add = field.add
-    mul = field.mul
-
-    def sorted_terms(packed):
-        return sorted((k, c) for k, c in packed.items() if c != zero)
-
+    route = _route(field)
+    add, mul, multiplicand = route.add, route.mul, route.terms
+    source, bases = route.encode(coeffs, [packing.terms(p.coeffs) for p in parts])
     full_limit = packing.limit
-    powers = []
-    orders = []
-    for p in parts:
-        base = packing.terms(p.coeffs)
-        powers.append([None, base])
-        orders.append(base[0][0] >> shift if base else None)
+    powers = [[None, base] for base in bases]
+    orders = [base[0][0] >> shift if base else None for base in bases]
 
     def power(i, e):
         cache = powers[i]
         while len(cache) <= e:
-            cache.append(_packed_product(cache[-1], cache[1], full_limit, add, mul, zero))
+            out = {}
+            _product_into(out, cache[-1], cache[1], full_limit, add, mul)
+            cache.append(multiplicand(out))
         return cache[e]
 
     def horner(terms, k, budget):
@@ -388,11 +394,91 @@ def _packed_substitute(field, coeffs, parts, m, prec):
                     out[key] = c if v is None else add(v, c)
             elif order is not None and e * order <= budget:
                 inner = horner(group, k + 1, budget - e * order)
-                _product_into(out, power(k, e), sorted_terms(inner), (budget + 1) << shift,
+                _product_into(out, power(k, e), multiplicand(inner), (budget + 1) << shift,
                               add, mul)
         return out
 
-    return packing.unpack(horner(list(coeffs.items()), 0, prec), zero)
+    return packing.unpack(route.decode(horner(source, 0, prec)), field.zero)
+
+
+def _route(field):
+    if isinstance(field, RationalField):
+        return _RationalRoute()
+    if isinstance(field, PrimeField):
+        return _PrimeRoute(field.p)
+    return _Route(operator.xor, field.mul)
+
+
+class _Route:
+    """The values substitution computes on, and how it adds and multiplies them.
+
+    ``encode`` turns the source coefficients (a tuple-keyed dict) and the
+    parts' packed term lists into kernel values, ``terms`` makes a packed
+    dict of kernel values into a sorted term list without zeros, ready to be
+    a multiplicand, and ``decode`` turns the packed result into field
+    elements.  This class carries field elements as they are, with the
+    field's operations (GF(2^k): xor and the field's multiplication); the
+    subclasses compute on native ints for Q and GF(p).
+    """
+
+    def __init__(self, add=operator.add, mul=operator.mul):
+        self.add = add
+        self.mul = mul
+
+    def encode(self, coeffs, bases):
+        return list(coeffs.items()), bases
+
+    def terms(self, packed):
+        return sorted((k, c) for k, c in packed.items() if c)
+
+    def decode(self, packed):
+        return packed
+
+
+class _RationalRoute(_Route):
+    """Fraction-free: integers scaled so that one division per coefficient ends it.
+
+    With D the lcm of the parts' denominators, each part is P_i / D with P_i
+    integral.  With B the lcm of the source denominators and top the largest
+    source degree, c_alpha * B * D^(top - |alpha|) * prod P_i^alpha_i is an
+    integer, and is B * D^top times the term it stands for.  The scale uses
+    the source's top degree, not the precision, which may be as large as
+    10^9.
+    """
+
+    def encode(self, coeffs, bases):
+        d = math.lcm(*(c.denominator for base in bases for _, c in base))
+        bases = [[(k, c.numerator * (d // c.denominator)) for k, c in base] for base in bases]
+        b = math.lcm(*(c.denominator for c in coeffs.values()))
+        degrees = {alpha: sum(alpha) for alpha in coeffs}
+        top = max(degrees.values(), default=0)
+        d_powers = [1]
+        for _ in range(top):
+            d_powers.append(d_powers[-1] * d)
+        source = [(alpha, c.numerator * (b // c.denominator) * d_powers[top - degrees[alpha]])
+                  for alpha, c in coeffs.items()]
+        self.scale = b * d_powers[top]
+        return source, bases
+
+    def decode(self, packed):
+        scale = self.scale
+        return {k: Fraction(c, scale) for k, c in packed.items() if c}
+
+
+class _PrimeRoute(_Route):
+    """Residues multiplied and added as ints, reduced mod p once per coefficient:
+    when a product or a Horner sum becomes a multiplicand, and at the end."""
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def terms(self, packed):
+        p = self.p
+        return sorted((k, r) for k, r in ((k, c % p) for k, c in packed.items()) if r)
+
+    def decode(self, packed):
+        return dict(self.terms(packed))
 
 
 def _packed_product(a, b, limit, add, mul, zero):
