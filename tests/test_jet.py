@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -243,7 +244,10 @@ def test_power_matches_repeated_product():
 
 # -- substitution against a naive tuple-exponent expansion --------------------
 
-ORACLE_FIELDS = [parse_field_spec(s) for s in ("q", "fp:7", "fp:2", "f2k:4")]
+# fp:1000000007 has residues whose products exceed a machine word, and f2k:13
+# is above BinaryField._TABLE_LIMIT, so it multiplies without log tables
+ORACLE_FIELDS = [parse_field_spec(s)
+                 for s in ("q", "fp:7", "fp:2", "f2k:4", "fp:1000000007", "f2k:13")]
 
 
 def naive_times(field, a, b, prec):
@@ -288,6 +292,47 @@ def test_substitute_matches_naive_expansion():
                 assert got == naive_substitute(f, parts, m)
             else:
                 assert got == f
+
+
+def rand_large_fraction_jet(nvars, prec, rng, min_degree=0, terms=4):
+    """A jet over Q with numerators and denominators up to 10^6."""
+    coeffs = {}
+    for _ in range(terms if nvars else 0):
+        d = rng.randint(min_degree, prec)
+        alpha = [0] * nvars
+        for _ in range(d):
+            alpha[rng.randrange(nvars)] += 1
+        coeffs[tuple(alpha)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                                        rng.randint(1, 10 ** 6))
+    return Jet(Q, nvars, prec, coeffs)
+
+
+def test_substitute_with_large_denominators_matches_naive_expansion():
+    rng = random.Random(13)
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 3)
+        prec = rng.choice((1, 2, 3, 4, 7, 8))
+        f = rand_large_fraction_jet(n, prec, rng, terms=rng.randint(0, 6))
+        parts = [rand_large_fraction_jet(m, prec + rng.choice((0, 0, 2)), rng, min_degree=1,
+                                         terms=rng.randint(0, 4)) for _ in range(n)]
+        got = f.substitute(parts)
+        assert got == naive_substitute(f, parts, m)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+def test_fractional_substitute_at_polynomial_precision_is_fast():
+    # the scale of the integer route grows with the source's degree, not the precision
+    prec = 10 ** 9
+    names, targets = ["x", "y"], ["u", "v"]
+    f = jq("2/3*x^3*y - 5/999983*x*y^5 + 7/11*y^7 + 1/1000003*x^40", names, prec)
+    parts = [jq("3/7*u + 1/999979*v^2", targets, prec),
+             jq("-5/13*u*v + 2/1000033*v^3", targets, prec)]
+    start = time.perf_counter()
+    got = f.substitute(parts)
+    assert time.perf_counter() - start < 2.0
+    assert got.prec == prec
+    assert got == naive_substitute(f, parts, 2)
 
 
 def test_product_matches_naive_product():
