@@ -25,7 +25,8 @@ certified degree by full reduction rather than by counting leads;
 Like every check in the library, a verifier returns nothing on success and
 raises ``VerificationError`` naming the condition that failed: a degree
 below the least one that can certify, no cover at the certified degree, the
-mu recount, the order or the bound.  Each search runs its verifier on the
+mu recount, the order (a mu claimed for the zero series included) or the
+bound.  Each search runs its verifier on the
 certificate it found before returning it.
 
 A search refuses (``ValueError``) a negative max degree, and a search or
@@ -319,7 +320,8 @@ def verify_milnor(f: Jet, report: MilnorReport):
 
     Every degree-s monomial must reduce to zero modulo J + m^(s+1), and mu
     must equal the codimension of J modulo m^s, with the bound and order
-    that follow from it.  A report without mu claims only the order.
+    that follow from it.  A report without mu claims only the order, and
+    the zero series, which has no order, has no finite mu.
     Raises VerificationError naming the first condition that fails.
     """
     s = report.stabilization_degree
@@ -330,6 +332,9 @@ def verify_milnor(f: Jet, report: MilnorReport):
         raise VerificationError("milnor", f"order {report.order} is not the series' order {order}")
     if report.mu is None:
         return
+    if order is None:
+        raise VerificationError("milnor", f"mu {report.mu} is claimed for a series with no order "
+                                "(the zero series)")
     if s is None or s < 1:
         raise VerificationError("milnor", f"stabilization degree {s} is not >= 1")
     gens = jacobian_generators(f)

@@ -252,6 +252,15 @@ def test_verify_milnor_rejects_forged_reports():
         verify_milnor(f, MilnorReport(None, None, None, 7, 12))
 
 
+def test_verify_milnor_rejects_mu_for_the_zero_series():
+    # in 0 variables the cover check passes vacuously; the bound needs an order
+    for f in (Jet(Q, 0, POLY, {}), Jet(Q, 2, POLY, {})):
+        assert milnor_number(f).mu is None
+        with pytest.raises(VerificationError, match="^milnor: mu 1 is claimed for a series "
+                                                    r"with no order \(the zero series\)$"):
+            verify_milnor(f, MilnorReport(1, 1, 4, None, 12))
+
+
 def test_verify_determinacy_rejects_a_lower_degree():
     f = poly("x^3 + y^4", ["x", "y"])
     k = determinacy_certificate(f)
