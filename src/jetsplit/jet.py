@@ -450,14 +450,10 @@ class _RationalRoute(_Route):
         d = math.lcm(*(c.denominator for base in bases for _, c in base))
         bases = [[(k, c.numerator * (d // c.denominator)) for k, c in base] for base in bases]
         b = math.lcm(*(c.denominator for c in coeffs.values()))
-        degrees = {alpha: sum(alpha) for alpha in coeffs}
-        top = max(degrees.values(), default=0)
-        d_powers = [1]
-        for _ in range(top):
-            d_powers.append(d_powers[-1] * d)
-        source = [(alpha, c.numerator * (b // c.denominator) * d_powers[top - degrees[alpha]])
+        top = max(map(sum, coeffs), default=0)
+        source = [(alpha, c.numerator * (b // c.denominator) * d ** (top - sum(alpha)))
                   for alpha, c in coeffs.items()]
-        self.scale = b * d_powers[top]
+        self.scale = b * d ** top
         return source, bases
 
     def decode(self, packed):
