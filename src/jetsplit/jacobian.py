@@ -26,8 +26,8 @@ Like every check in the library, a verifier returns nothing on success and
 raises ``VerificationError`` naming the condition that failed: a degree
 below the least one that can certify, no cover at the certified degree, the
 mu recount, the order (a mu claimed for the zero series included) or the
-bound.  Each search runs its verifier on the
-certificate it found before returning it.
+bound.  Each search runs its verifier on the certificate it found before
+returning it.
 
 A search refuses (``ValueError``) a negative max degree, and a search or
 check refuses more than ``MAX_MONOMIALS`` monomials of degree <= its

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import FIELDS, rand_automorphism, rand_jet, rand_m2_jet
+from gen import FIELDS, rand_automorphism, rand_jet, rand_m2_jet, rand_monomial
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Jet, PAdicValuation, PrecisionError,
                       PrimeField, RationalField, parse_field_spec, parse_jet)
@@ -297,13 +297,10 @@ def test_substitute_matches_naive_expansion():
 def rand_large_fraction_jet(nvars, prec, rng, min_degree=0, terms=4):
     """A jet over Q with numerators and denominators up to 10^6."""
     coeffs = {}
-    for _ in range(terms if nvars else 0):
-        d = rng.randint(min_degree, prec)
-        alpha = [0] * nvars
-        for _ in range(d):
-            alpha[rng.randrange(nvars)] += 1
-        coeffs[tuple(alpha)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
-                                        rng.randint(1, 10 ** 6))
+    for _ in range(terms):
+        alpha = rand_monomial(nvars, rng.randint(min_degree, prec), rng)
+        coeffs[alpha] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                                 rng.randint(1, 10 ** 6))
     return Jet(Q, nvars, prec, coeffs)
 
 
