@@ -156,11 +156,11 @@ class _Evaluator:
         while True:
             if e & 1:
                 result = terms if result is None else _packed_product(
-                    result, terms, limit, field.add, field.mul, field.zero)
+                    result, terms, limit, field.add, field.mul)
             e >>= 1
             if not e:
                 return result
-            terms = _packed_product(terms, terms, limit, field.add, field.mul, field.zero)
+            terms = _packed_product(terms, terms, limit, field.add, field.mul)
 
     def run(self, text):
         tokens = _tokenize(text)
@@ -216,7 +216,7 @@ class _Evaluator:
                         e = 1
                     if len(atom) > 1:
                         poly = atom if poly is None else _packed_product(
-                            poly, atom, limit, add, mul, zero)
+                            poly, atom, limit, add, mul)
                     elif not atom:
                         c = None
                     else:
@@ -271,7 +271,7 @@ class _Evaluator:
             raise FieldError("variable name 't' is reserved over binary fields")
         if error is not None:
             raise error
-        coeffs = self.packing.unpack(acc, self.field.zero)
+        coeffs = self.packing.unpack(acc)
         return Jet(self.field, self.nvars, self.prec, coeffs)
 
 

@@ -37,7 +37,7 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .field import Field, PrimeField, RationalField, Valuation
+from .field import BinaryField, Field, PrimeField, RationalField, Valuation
 
 # order() of the zero jet: larger than any precision, safe in comparisons
 ABOVE_PRECISION = math.inf
@@ -176,7 +176,7 @@ class Jet:
         out = {}
         _product_into(out, packing.terms(self.coeffs), packing.terms(other.coeffs),
                       packing.limit, field.add, field.mul)
-        return Jet(field, self.nvars, prec, packing.unpack(out, field.zero))
+        return Jet(field, self.nvars, prec, packing.unpack(out))
 
     def scale(self, c) -> "Jet":
         field = self.field
@@ -344,12 +344,11 @@ class _Packing:
         pack, prec = self.pack, self.prec
         return sorted((pack(beta), c) for beta, c in coeffs.items() if sum(beta) <= prec)
 
-    def unpack(self, packed, zero):
-        """The tuple-keyed coefficient dict of a packed one, without zeros."""
+    def unpack(self, packed):
+        """The tuple-keyed coefficient dict of a packed one (``Jet`` drops its zeros)."""
         mask = (1 << self.width) - 1
         shifts = [self.width * j for j in range(self.m)]
-        return {tuple(key >> s & mask for s in shifts): c
-                for key, c in packed.items() if c != zero}
+        return {tuple(key >> s & mask for s in shifts): c for key, c in packed.items()}
 
 
 def _packed_substitute(field, coeffs, parts, m, prec):
@@ -369,9 +368,7 @@ def _packed_substitute(field, coeffs, parts, m, prec):
     def power(i, e):
         cache = powers[i]
         while len(cache) <= e:
-            out = {}
-            _product_into(out, cache[-1], cache[1], full_limit, add, mul)
-            cache.append(multiplicand(out))
+            cache.append(_packed_product(cache[-1], cache[1], full_limit, add, mul, multiplicand))
         return cache[e]
 
     def horner(terms, k, budget):
@@ -398,15 +395,23 @@ def _packed_substitute(field, coeffs, parts, m, prec):
                               add, mul)
         return out
 
-    return packing.unpack(route.decode(horner(source, 0, prec)), field.zero)
+    return packing.unpack(route.decode(horner(source, 0, prec)))
+
+
+def _sorted_terms(packed):
+    """A packed dict as a term list sorted by key, without zeros."""
+    return sorted((k, c) for k, c in packed.items() if c)
 
 
 def _route(field):
+    """Substitution's values and operations for the field; each field type has its own."""
     if isinstance(field, RationalField):
         return _RationalRoute()
     if isinstance(field, PrimeField):
         return _PrimeRoute(field.p)
-    return _Route(operator.xor, field.mul)
+    if isinstance(field, BinaryField):
+        return _Route(operator.xor, field.mul)
+    raise TypeError(f"substitution has no route for {type(field).__name__}")
 
 
 class _Route:
@@ -416,9 +421,9 @@ class _Route:
     parts' packed term lists into kernel values, ``terms`` makes a packed
     dict of kernel values into a sorted term list without zeros, ready to be
     a multiplicand, and ``decode`` turns the packed result into field
-    elements.  This class carries field elements as they are, with the
-    field's operations (GF(2^k): xor and the field's multiplication); the
-    subclasses compute on native ints for Q and GF(p).
+    elements.  This class carries GF(2^k) masks as they are, added by xor
+    and multiplied by the field; the subclasses compute on native ints for
+    Q and GF(p).
     """
 
     def __init__(self, add=operator.add, mul=operator.mul):
@@ -428,8 +433,7 @@ class _Route:
     def encode(self, coeffs, bases):
         return list(coeffs.items()), bases
 
-    def terms(self, packed):
-        return sorted((k, c) for k, c in packed.items() if c)
+    terms = staticmethod(_sorted_terms)
 
     def decode(self, packed):
         return packed
@@ -470,18 +474,19 @@ class _PrimeRoute(_Route):
         self.p = p
 
     def terms(self, packed):
-        p = self.p
-        return sorted((k, r) for k, r in ((k, c % p) for k, c in packed.items()) if r)
+        return sorted(self.decode(packed).items())
 
     def decode(self, packed):
-        return dict(self.terms(packed))
+        p = self.p
+        return {k: r for k, c in packed.items() if (r := c % p)}
 
 
-def _packed_product(a, b, limit, add, mul, zero):
-    """a * b as a packed term list sorted by key, dropping keys at or above limit."""
+def _packed_product(a, b, limit, add, mul, terms=_sorted_terms):
+    """a * b as a packed term list sorted by key, dropping keys at or above limit;
+    ``terms`` makes the list from the packed dict of the product."""
     out = {}
     _product_into(out, a, b, limit, add, mul)
-    return sorted((k, c) for k, c in out.items() if c != zero)
+    return terms(out)
 
 
 def _product_into(out, a, b, limit, add, mul):

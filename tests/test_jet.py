@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from gen import FIELDS, rand_automorphism, rand_jet, rand_m2_jet, rand_monomial
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
-                      CoordinateChange, Jet, PAdicValuation, PrecisionError,
+                      CoordinateChange, Field, Jet, PAdicValuation, PrecisionError,
                       PrimeField, RationalField, parse_field_spec, parse_jet)
 from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES
 
@@ -378,6 +379,26 @@ def test_substitute_cancels_to_zero_over_gf2():
     g = parse_jet("x^2 + y^2", Q, names, 4)
     sq = jq("x + y", names, 4)
     assert g.substitute([sq, sq]) == jq("2*x^2 + 4*x*y + 2*y^2", names, 4)
+
+
+def test_substitute_refuses_a_field_without_a_route():
+    class OtherRationals(Field):
+        """Q's arithmetic under a field type that substitution has no route for."""
+        char = 0
+        add = staticmethod(operator.add)
+        mul = staticmethod(operator.mul)
+
+        def from_int(self, n):
+            return Fraction(n)
+
+        def _key(self):
+            return ("other-rationals",)
+
+    field = OtherRationals()
+    x = Jet(field, 1, 3, {(1,): Fraction(1, 2)})
+    assert (x * x).coeffs == {(2,): Fraction(1, 4)}
+    with pytest.raises(TypeError, match="no route for OtherRationals"):
+        (x * x).substitute([x])
 
 
 def test_substitute_at_polynomial_precision():
