@@ -305,7 +305,11 @@ def _cmd_verify(args):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it unchanged.
+
+    A ``jetsplit`` run calls ``main`` once either way; callers that run
+    ``main`` many times in one process reuse the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="jetsplit",
         description="Exact splitting-lemma toolkit for truncated power series.")
