@@ -157,15 +157,19 @@ def transport_cases(rng):
         p = transport_roundtrip(field, n, N, rng)
         while p.rank == 0:
             p = transport_roundtrip(field, n, N, rng)
-        files = {"f0.txt": serialize_jet(p.f0_jet(), names) + "\n",
-                 "f1.txt": serialize_jet(p.f1_jet(), names) + "\n",
-                 "phi.txt": "".join(serialize_jet(c, names) + "\n"
-                                    for c in p.phi.components)}
-        cases.append((f"transport-{spec.replace(':', '')}-n{n}-N{N}",
-                      ["transport", "--field", spec, "--vars", ",".join(names),
-                       "--precision", str(N), "--format", "json",
-                       "file:f0.txt", "file:f1.txt", "file:phi.txt"], files))
+        cases.append(transport_case(spec, names, p))
     return cases
+
+
+def transport_case(spec, names, p):
+    """A json `transport` call on the files of a TransportProblem."""
+    files = {"f0.txt": serialize_jet(p.f0_jet(), names) + "\n",
+             "f1.txt": serialize_jet(p.f1_jet(), names) + "\n",
+             "phi.txt": "".join(serialize_jet(c, names) + "\n" for c in p.phi.components)}
+    return (f"transport-{spec.replace(':', '')}-n{len(names)}-N{p.precision}",
+            ["transport", "--field", spec, "--vars", ",".join(names),
+             "--precision", str(p.precision), "--format", "json",
+             "file:f0.txt", "file:f1.txt", "file:phi.txt"], files)
 
 
 def quadform_cases():
@@ -288,6 +292,45 @@ def fractional_transport_case():
              "--format", "json", "file:f0.txt", "file:f1.txt", "file:phi.txt"], files)
 
 
+def deep_ift_cases():
+    """ift and transport at precisions whose solve takes several precision steps.
+
+    Univariate fp:7 at 40 and fractional q at 20; two unknowns over fp:2 and
+    f2k:4 at 12, where 2I vanishes; no parameters at all; transport at 10.
+    Drawn from their own seed, so the cases above keep their inputs.
+    """
+    rng = random.Random(4096)
+    cases = []
+    field = parse_field_spec("f2k:4")
+    system = rand_implicit_system(field, 2, 2, 12, rng)
+    eqs = [serialize_jet(eq, names_of(4), with_precision=False) for eq in system.equations]
+    cases.append(("ift-f2k4-2x2-N12",
+                  ["ift", "--field", "f2k:4", "--vars", "x1,x2,x3,x4", "--split-vars",
+                   "x3,x4", "--precision", "12", "--format", "json"] + eqs, {}))
+    cases.append(("ift-fp7-1x1-N40",
+                  ["ift", "--field", "fp:7", "--vars", "x,y", "--split-vars", "y",
+                   "--precision", "40", "3*y - x + 2*y^2 + x*y^3 + 5*x^3*y + 6*x^7"], {}))
+    cases.append(("ift-fp2-1x2-N12",
+                  ["ift", "--field", "fp:2", "--vars", "x,y1,y2", "--split-vars", "y1,y2",
+                   "--precision", "12", "--format", "json",
+                   "y1 + y2 + x + y1^2*y2 + x*y2^2", "y2 + x^2 + y1*y2 + y1^3"], {}))
+    cases.append(("ift-q-fractional-N20",
+                  ["ift", "--field", "q", "--vars", "x,y", "--split-vars", "y",
+                   "--precision", "20",
+                   "3/7*y - 2/5*x + 1/3*y^2 - 5/11*x*y^3 + 7/2*x^2*y - 1/13*x^5"], {}))
+    cases.append(("ift-q-no-parameters",
+                  ["ift", "--field", "q", "--vars", "y1,y2", "--split-vars", "y1,y2",
+                   "--precision", "20", "--format", "json",
+                   "y1 + 2/3*y2^2 - y1*y2", "y2 - 3*y1^3 + y1*y2^4"], {}))
+    for spec in ("q", "fp:2"):
+        field = parse_field_spec(spec)
+        p = transport_roundtrip(field, 3, 10, rng)
+        while p.rank == 0 or p.g0 == p.g1:
+            p = transport_roundtrip(field, 3, 10, rng)
+        cases.append(transport_case(spec, names_of(3), p))
+    return cases
+
+
 # transport inputs in split shape or not, as (tag, field, variables, f0, f1)
 TRANSPORT_EDGE_INPUTS = [
     ("not-diagonal", "q", "x,y", "x*y + y^3", "x*y + y^3"),
@@ -373,7 +416,8 @@ def parser_case(prefix, tag, spec, names, N, expr):
 def build():
     rng = random.Random(20260)
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
-             + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases())
+             + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases()
+             + deep_ift_cases())
     parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
     parsed += [
         ("parse-zero-powers-norm",
