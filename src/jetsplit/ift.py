@@ -1,16 +1,45 @@
-"""Formal implicit function theorem, solved degree by degree.
+"""Formal implicit function theorem, solved by Newton iteration with doubling precision.
 
 Given equations F_1..F_m in variables split into parameters x and unknowns y,
-with F(0,0) = 0 and the y-Jacobian at the origin invertible, there is a
-unique tuple y(x) of series with zero constant term and F(x, y(x)) = 0.  The
-degree-d part of y is one linear solve against the constant Jacobian, using
-the residual left by the lower degrees.
+with F(0,0) = 0 and the y-Jacobian J0 at the origin invertible, there is a
+unique tuple y(x) of series with zero constant term and F(x, y(x)) = 0.
+
+``ift_solve`` finds it by Newton's method on power series (Lipson,
+"Newton's method: a great algebraic algorithm", SYMSAC 1976; Brent & Kung,
+"Fast algorithms for manipulating formal power series", J. ACM 1978).
+
+- **Step.** Let y be exact through degree k, so e = y - y(x) has order at
+  least k + 1, and let J(y) be the y-Jacobian of F, made of the formal
+  partials ``Jet.partial``.  Taylor's formula gives F(x, y) = J(y) e + (terms
+  of order >= 2k + 2), so y - u F(x, y) has error (I - u J(y)) e plus terms
+  of order >= 2k + 2.  It is exact through degree p <= 2k + 1 as soon as
+  I - u J(y) has order >= p - k, that is, as soon as u inverts J(y) through
+  degree p - k - 1 <= k.  Each step substitutes every equation once, at
+  precision p.
+- **Schedule.** The precisions are N, floor(N/2), ..., 1, run upward from
+  y = 0: each is at most twice the one before plus one.  That is about
+  log2 N steps, against the N + 1 substitution rounds of solving one degree
+  at a time.
+- **Inverse.** u starts as J0^-1, which inverts J(y) through degree 0.  A
+  step that needs more evaluates J(y) through degree p - k - 1 only, from
+  partials taken once through degree N - floor(N/2) - 1, the largest any
+  step needs, and applies u <- u(2I - J u) until u is exact that far.  Each
+  update squares the error, I - J u(2I - J u) = (I - J u)^2, so it doubles
+  the order of I - J u.  The step then changes y, and J(y) with it, only
+  from degree k + 1 on, so u stays exact through degree p - k - 1 <= k.
+- **Any characteristic.** The step uses only formal partials and J0^-1,
+  and the squaring identity is one of polynomials, true over every
+  commutative ring.  Where 2 = 0 (GF(2), GF(2^k)) the update is u <- -u J u
+  and still squares the error.
+
+The final residual check at precision N does not rest on this argument: a
+solution that leaves F(x, y) nonzero raises ``VerificationError``.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .jet import Jet, PrecisionError, VerificationError
+from .jet import Jet, PrecisionError, VerificationError, _Packing, _product_into
 
 
 class ImplicitSystem:
@@ -84,22 +113,62 @@ def ift_solve(sys: ImplicitSystem, N: int):
         if eq.prec < N:
             raise PrecisionError("equation precision below the requested precision")
     nx = len(sys.x_indices)
-    ny = len(sys.y_indices)
-    sol = [dict() for _ in range(ny)]
-    for d in range(1, N + 1):
-        ys = [Jet(field, nx, d, s) for s in sol]
-        res = sys.residuals(ys, d)
-        by_monomial = {}
-        for i, r in enumerate(res):
-            for alpha, c in r.coeffs.items():
-                if sum(alpha) == d:
-                    by_monomial.setdefault(alpha, [field.zero] * ny)[i] = c
-        for alpha, vec in by_monomial.items():
-            corr = linalg.matvec(field, sys.j0_inv, vec)
-            for j in range(ny):
-                if corr[j] != field.zero:
-                    sol[j][alpha] = field.neg(corr[j])
-    ys = [Jet(field, nx, N, s) for s in sol]
+    schedule = [N]
+    while schedule[-1] > 1:
+        schedule.append(schedule[-1] // 2)
+    # no step needs J(y) beyond degree N - floor(N/2) - 1
+    partials = [[eq.truncate(N - N // 2).partial(v) for v in sys.y_indices]
+                for eq in sys.equations]
+    u = [[Jet.constant(field, nx, 0, c) for c in row] for row in sys.j0_inv]
+    exact = 1  # I - J u has order >= exact
+    ys = [Jet.zero(field, nx, 0) for _ in sys.y_indices]
+    k = 0
+    for p in reversed(schedule):
+        if exact < p - k:
+            parts = sys._parts(ys, p - k - 1)
+            jac = [[d.truncate(p - k - 1).substitute(parts) for d in row] for row in partials]
+            while exact < p - k:
+                exact = min(2 * exact, p - k)
+                u = _inverse_update(u, jac, exact - 1)
+        ys = [y.with_precision(p) for y in ys]
+        ys = [y - c for y, c in zip(ys, _correction(u, sys.residuals(ys, p), p))]
+        k = p
     if not all(r.is_zero() for r in sys.residuals(ys, N)):
         raise VerificationError("ift", "the solution leaves a nonzero residual")
     return ys
+
+
+def _inverse_update(u, jac, prec):
+    """u(2I - J u) at precision prec: the Newton update of an approximate inverse of J."""
+    field = jac[0][0].field
+    two = field.from_int(2)
+    ju = _product(jac, u, prec)
+    return _product(u, [[Jet.constant(field, e.nvars, prec, two if i == j else field.zero) - e
+                         for j, e in enumerate(row)] for i, row in enumerate(ju)], prec)
+
+
+def _correction(u, res, prec):
+    """The Newton correction u F(x, y), subtracted from y, at the step's precision."""
+    return [entry for entry, in _product(u, [[r] for r in res], prec)]
+
+
+def _product(a, b, prec):
+    """The product of two matrices of jets, truncated at prec.
+
+    Each entry's sum of products accumulates in one packed dict through the
+    product kernel; the factors may carry any precision.
+    """
+    field, nvars = a[0][0].field, a[0][0].nvars
+    packing = _Packing(prec, nvars)
+    a = [[packing.terms(x.coeffs) for x in row] for row in a]
+    b = [[packing.terms(x.coeffs) for x in row] for row in b]
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = {}
+            for t, terms in enumerate(row):
+                _product_into(acc, terms, b[t][j], packing.limit, field.add, field.mul)
+            out_row.append(Jet(field, nvars, prec, packing.unpack(acc)))
+        out.append(out_row)
+    return out

@@ -151,6 +151,21 @@ def test_ift_command(capsys):
     assert data["verified"] is True
 
 
+@pytest.mark.parametrize("variables, equation, solution", [
+    (["--field", "fp:7", "--vars", "x,z,y"], "y - x^2 - x*z", "x^2 + x*z"),
+    (["--field", "fp:7", "--vars", "x,z,y"], "y - x", "x"),
+    (["--field", "q", "--vars", "y"], "y+y^2", "0"),
+])
+def test_ift_at_precision_10_9_is_fast(capsys, variables, equation, solution):
+    # about 30 Newton steps; solving one degree at a time would take 10^9
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ift", *variables, "--split-vars", "y",
+                         "--precision", "1000000000", equation)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    assert out == f"y: {solution} + O(deg 1000000000)\nverified: true\n"
+
+
 def test_transport_command(tmp_path, capsys):
     f0 = tmp_path / "f0.txt"
     f1 = tmp_path / "f1.txt"
@@ -377,8 +392,9 @@ def test_failed_split_check_exits_1_without_traceback(monkeypatch, capsys):
 
 
 def test_failed_ift_check_exits_1_without_traceback(monkeypatch, capsys):
-    # dropping every correction leaves the residual of y - x - y^2 nonzero
-    monkeypatch.setattr(ift_module.linalg, "matvec", lambda field, m, v: [field.zero] * len(v))
+    # dropping every Newton correction leaves the residual of y - x - y^2 nonzero
+    monkeypatch.setattr(ift_module, "_correction",
+                        lambda u, res, prec: [Jet.zero(r.field, r.nvars, prec) for r in res])
     code, out, err = run(capsys, "ift", "--field", "q", "--vars", "x,y",
                          "--split-vars", "y", "--precision", "5", "y - x - y^2")
     assert code == 1

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from gen import FIELDS, rand_implicit_system, rand_invertible
+from degree_oracle import ift_solve_by_degree
+from gen import FIELDS, rand_implicit_system, rand_invertible, rand_jet, random_element
 from jetsplit import (ImplicitSystem, Jet, PrimeField, RationalField,
                       ift_solve, parse_jet)
-from newton import ift_solve_newton
 
 Q = RationalField()
 
@@ -71,7 +71,7 @@ def test_random_systems_residual_zero():
     assert count >= 100
 
 
-def test_newton_oracle_produces_identical_jets():
+def test_degree_oracle_produces_identical_jets():
     rng = random.Random(32)
     for field in FIELDS:
         for _ in range(25):
@@ -79,7 +79,40 @@ def test_newton_oracle_produces_identical_jets():
             ny = rng.randint(1, 2)
             prec = rng.randint(2, 6)
             system = rand_implicit_system(field, nx, ny, prec, rng)
-            assert ift_solve(system, prec) == ift_solve_newton(system, prec)
+            assert ift_solve(system, prec) == ift_solve_by_degree(system, prec)
+
+
+def dense_implicit_system(field, nx, ny, prec, rng):
+    """A solvable system whose solution has order 1: an invertible block in the
+    unknowns, one parameter term of degree 1, six terms of degree 2 and 3 and
+    two of higher degree in every equation."""
+    n = nx + ny
+    block = rand_invertible(field, ny, rng)
+    eqs = []
+    for row in block:
+        eq = Jet.variable(field, n, rng.randrange(nx), prec).scale(
+            random_element(field, rng, nonzero=True))
+        for j, c in enumerate(row):
+            eq = eq + Jet.variable(field, n, nx + j, prec).scale(c)
+        eq = eq + rand_jet(field, n, prec, rng, min_degree=2, max_degree=3, terms=6)
+        eqs.append(eq + rand_jet(field, n, prec, rng, min_degree=4, terms=2))
+    return ImplicitSystem(eqs, list(range(nx, n)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec())
+def test_degree_oracle_agrees_at_depth(field):
+    # univariate through precision 24 (schedules of up to five steps), and
+    # three unknowns, where u is a 3x3 matrix of series
+    rng = random.Random(34)
+    for prec in (7, 12, 16, 21, 24):
+        system = dense_implicit_system(field, 1, 1, prec, rng)
+        solution = ift_solve(system, prec)
+        assert solution == ift_solve_by_degree(system, prec)
+        # order 1, and terms above prec/2 for the last step to find
+        assert solution[0].order() == 1 and max(map(sum, solution[0].coeffs)) > prec // 2
+    for nx, prec in ((1, 9), (2, 7)):
+        system = dense_implicit_system(field, nx, 3, prec, rng)
+        assert ift_solve(system, prec) == ift_solve_by_degree(system, prec)
 
 
 def test_premultiplying_by_constant_invertible_matrix_keeps_solution():
