@@ -28,16 +28,6 @@ def matmul(field: Field, a, b):
     return out
 
 
-def matvec(field: Field, a, v):
-    out = []
-    for row in a:
-        s = field.zero
-        for x, y in zip(row, v):
-            s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
-
-
 def rref(field: Field, m):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     m = copy_matrix(m)

@@ -29,10 +29,9 @@ def ift_solve_by_degree(sys: ImplicitSystem, N: int):
                 if sum(alpha) == d:
                     by_monomial.setdefault(alpha, [field.zero] * ny)[i] = c
         for alpha, vec in by_monomial.items():
-            corr = linalg.matvec(field, sys.j0_inv, vec)
-            for j in range(ny):
-                if corr[j] != field.zero:
-                    sol[j][alpha] = field.neg(corr[j])
+            for j, (corr,) in enumerate(linalg.matmul(field, sys.j0_inv, [[c] for c in vec])):
+                if corr != field.zero:
+                    sol[j][alpha] = field.neg(corr)
     ys = [Jet(field, nx, N, s) for s in sol]
     if not all(r.is_zero() for r in sys.residuals(ys, N)):
         raise VerificationError("ift by degree", "the solution leaves a nonzero residual")

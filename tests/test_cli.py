@@ -157,7 +157,7 @@ def test_ift_command(capsys):
     (["--field", "q", "--vars", "y"], "y+y^2", "0"),
 ])
 def test_ift_at_precision_10_9_is_fast(capsys, variables, equation, solution):
-    # about 30 Newton steps; solving one degree at a time would take 10^9
+    # about 30 Newton steps, where solving one degree at a time takes 10^9 rounds
     start = time.perf_counter()
     code, out, err = run(capsys, "ift", *variables, "--split-vars", "y",
                          "--precision", "1000000000", equation)
