@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 
 class FieldError(ValueError):
@@ -223,11 +224,12 @@ class Field:
     def from_int(self, n: int):
         raise NotImplementedError
 
-    @property
+    # computed once per field object: elements are immutable values
+    @cached_property
     def zero(self):
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.from_int(1)
 
@@ -459,7 +461,8 @@ class BinaryField(Field):
                 log = [0] * self.order
                 for i, v in enumerate(exp):
                     log[v] = i
-                self._exp = exp
+                # doubled, so a product of nonzero masks needs no % n
+                self._exp = exp + exp
                 self._log = log
                 return
             g += 1
@@ -479,8 +482,7 @@ class BinaryField(Field):
         if self.k <= self._TABLE_LIMIT:
             if self._log is None:
                 self._build_tables()
-            n = self.order - 1
-            return self._exp[(self._log[a] + self._log[b]) % n]
+            return self._exp[self._log[a] + self._log[b]]
         return self._raw_mul(a, b)
 
     def inv(self, a):

@@ -39,7 +39,8 @@ solution that leaves F(x, y) nonzero raises ``VerificationError``.
 from __future__ import annotations
 
 from . import linalg
-from .jet import Jet, PrecisionError, VerificationError, _Packing, _product_into
+from .jet import (Jet, PrecisionError, VerificationError, _Packing, _product_into, _route,
+                  _substitute_batch)
 
 
 class ImplicitSystem:
@@ -100,8 +101,8 @@ class ImplicitSystem:
 
     def residuals(self, ys, prec):
         """F(x, y(x)) for a candidate solution, at the given precision."""
-        parts = self._parts(ys, prec)
-        return [eq.truncate(prec).substitute(parts) for eq in self.equations]
+        return _substitute_batch([eq.truncate(prec) for eq in self.equations],
+                                 self._parts(ys, prec))
 
 
 def ift_solve(sys: ImplicitSystem, N: int):
@@ -125,8 +126,9 @@ def ift_solve(sys: ImplicitSystem, N: int):
     k = 0
     for p in reversed(schedule):
         if exact < p - k:
-            parts = sys._parts(ys, p - k - 1)
-            jac = [[d.truncate(p - k - 1).substitute(parts) for d in row] for row in partials]
+            flat = _substitute_batch([d.truncate(p - k - 1) for row in partials for d in row],
+                                     sys._parts(ys, p - k - 1))
+            jac = [flat[i:i + len(partials)] for i in range(0, len(flat), len(partials))]
             while exact < p - k:
                 exact = min(2 * exact, p - k)
                 u = _inverse_update(u, jac, exact - 1)
@@ -156,10 +158,13 @@ def _product(a, b, prec):
     """The product of two matrices of jets, truncated at prec.
 
     Each entry's sum of products accumulates in one packed dict through the
-    product kernel; the factors may carry any precision.
+    product kernel, on the field's native values (``jet._route``): GF(p)
+    residues are reduced once per entry coefficient.  The factors may carry
+    any precision.
     """
     field, nvars = a[0][0].field, a[0][0].nvars
     packing = _Packing(prec, nvars)
+    route = _route(field, fraction_free=False)
     a = [[packing.terms(x.coeffs) for x in row] for row in a]
     b = [[packing.terms(x.coeffs) for x in row] for row in b]
     out = []
@@ -168,7 +173,7 @@ def _product(a, b, prec):
         for j in range(len(b[0])):
             acc = {}
             for t, terms in enumerate(row):
-                _product_into(acc, terms, b[t][j], packing.limit, field.add, field.mul)
-            out_row.append(Jet(field, nvars, prec, packing.unpack(acc)))
+                _product_into(acc, terms, b[t][j], packing.limit, route.add, route.mul)
+            out_row.append(Jet._valid(field, nvars, prec, packing.unpack(route.decode(acc))))
         out.append(out_row)
     return out

@@ -12,12 +12,15 @@ int per monomial, with a bit field of ``N.bit_length()`` bits per variable
 and the total degree above them, so a monomial product is one integer
 addition and the degree guard is one comparison.  Terms are kept in lists
 sorted by key, hence by degree, and all three share one truncated product,
-``_product_into``.  Substitution evaluates the series in Horner form:
-monomials are grouped by their leading exponent, each part's powers are
-cached in packed form, each distinct exponent prefix costs one truncated
-product, and the sum is accumulated in one dict that becomes a tuple-keyed
-jet once, at the end.  Horner takes one Python frame per source variable,
-so substitution accepts at most ``MAX_SUBSTITUTION_VARIABLES`` of them.
+``_product_into``, which adds and multiplies inline when it is given
+Python's own + and *.  Substitution evaluates the series in Horner form:
+monomials are grouped by their leading exponent, each distinct exponent
+prefix costs one truncated product, and the sum is accumulated in one
+packed dict.  ``_substitute_batch`` (``Jet.substitute`` is its one-source
+case) evaluates many sources at one tuple of parts, which it packs and
+encodes once, with one shared table of their powers.  Horner takes one
+Python frame per source variable, so substitution accepts at most
+``MAX_SUBSTITUTION_VARIABLES`` of them.
 
 Substitution runs the kernel on native values, chosen per field in one
 place (``_route``).  Over Q it is fraction-free: the source and the parts
@@ -26,8 +29,10 @@ Python ints, and each output coefficient is divided once by the common
 scale, one ``Fraction`` normalisation per coefficient.  Over GF(p) residues
 are multiplied and added as ints and reduced mod p once per coefficient,
 when a product or a Horner sum becomes a multiplicand and at the end.  Over
-GF(2^k) masks are added by xor and multiplied by the field.  ``Jet.coeffs``
-holds field elements throughout.
+GF(2^k) masks are added by xor and multiplied by one lookup in the field's
+log and doubled exp tables (by ``field.mul`` above its table limit).  Each
+route's decode drops zeros, so a result skips ``Jet.__init__``'s checks.
+``Jet.coeffs`` holds field elements throughout.
 """
 
 from __future__ import annotations
@@ -91,6 +96,14 @@ class Jet:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _valid(cls, field, nvars, prec, coeffs):
+        """A jet without ``__init__``'s checks: coeffs has keys of nvars
+        entries and degree <= prec, and no zero value."""
+        jet = object.__new__(cls)
+        jet.field, jet.nvars, jet.prec, jet.coeffs = field, nvars, prec, coeffs
+        return jet
+
+    @classmethod
     def zero(cls, field, nvars, prec):
         return cls(field, nvars, prec, {})
 
@@ -147,14 +160,15 @@ class Jet:
         prec = min(self.prec, other.prec)
         out = dict()
         field = self.field
+        zero = field.zero
         for a, c in self.coeffs.items():
             if sum(a) <= prec:
                 out[a] = c
         for a, c in other.coeffs.items():
             if sum(a) > prec:
                 continue
-            s = field.add(out.get(a, field.zero), c)
-            if s == field.zero:
+            s = field.add(out.get(a, zero), c)
+            if s == zero:
                 out.pop(a, None)
             else:
                 out[a] = s
@@ -240,27 +254,7 @@ class Jet:
         least this jet's precision; the result is exact at that precision.
         At most ``MAX_SUBSTITUTION_VARIABLES`` source variables are accepted.
         """
-        parts = list(parts)
-        if len(parts) != self.nvars:
-            raise ValueError(f"need {self.nvars} substitution components, got {len(parts)}")
-        if self.nvars > MAX_SUBSTITUTION_VARIABLES:
-            raise ValueError(f"substitution in {self.nvars} variables exceeds the limit of "
-                             f"{MAX_SUBSTITUTION_VARIABLES}")
-        field = self.field
-        prec = self.prec
-        if self.nvars == 0:
-            return Jet(field, 0, prec, dict(self.coeffs))
-        m = parts[0].nvars
-        for p in parts:
-            if p.field != field:
-                raise ValueError("substitution components over a different field")
-            if p.nvars != m:
-                raise ValueError("substitution components in different variable sets")
-            if p.prec < prec:
-                raise PrecisionError("substitution component precision below target")
-            if p.constant_term() != field.zero:
-                raise ValueError("substitution component has a nonzero constant term")
-        return Jet(field, m, prec, _packed_substitute(field, self.coeffs, parts, m, prec))
+        return _substitute_batch([self], parts)[0]
 
     # -- second-order data ---------------------------------------------------
 
@@ -345,22 +339,49 @@ class _Packing:
         return sorted((pack(beta), c) for beta, c in coeffs.items() if sum(beta) <= prec)
 
     def unpack(self, packed):
-        """The tuple-keyed coefficient dict of a packed one (``Jet`` drops its zeros)."""
+        """The tuple-keyed coefficient dict of a packed one: keys of m entries."""
         mask = (1 << self.width) - 1
         shifts = [self.width * j for j in range(self.m)]
-        return {tuple(key >> s & mask for s in shifts): c for key, c in packed.items()}
+        return {tuple([key >> s & mask for s in shifts]): c for key, c in packed.items()}
 
 
-def _packed_substitute(field, coeffs, parts, m, prec):
-    """Coefficients of sum c_alpha * prod parts[i]^alpha_i, truncated at prec,
-    computed on packed monomials (``_Packing``) in the m target variables and
-    on the field's native values (``_route``)."""
+def _substitute_batch(sources, parts):
+    """``[f.substitute(parts) for f in sources]``, with the parts checked, packed
+    and encoded once and one cache of their powers shared by every source.
+
+    The sum c_alpha * prod parts[i]^alpha_i is computed on packed monomials
+    (``_Packing``) in the m target variables and on the field's native
+    values (``_route``), truncated at each source's own precision.
+    """
+    parts = list(parts)
     n = len(parts)
+    for f in sources:
+        if f.nvars != n:
+            raise ValueError(f"need {f.nvars} substitution components, got {n}")
+        if f.field != sources[0].field:
+            raise ValueError("substitution components over a different field")
+    if n > MAX_SUBSTITUTION_VARIABLES:
+        raise ValueError(f"substitution in {n} variables exceeds the limit of "
+                         f"{MAX_SUBSTITUTION_VARIABLES}")
+    if not n or not sources:
+        return [Jet(f.field, 0, f.prec, dict(f.coeffs)) for f in sources]
+    field = sources[0].field
+    prec = max(f.prec for f in sources)
+    m = parts[0].nvars
+    for p in parts:
+        if p.field != field:
+            raise ValueError("substitution components over a different field")
+        if p.nvars != m:
+            raise ValueError("substitution components in different variable sets")
+        if p.prec < prec:
+            raise PrecisionError("substitution component precision below target")
+        if p.constant_term() != field.zero:
+            raise ValueError("substitution component has a nonzero constant term")
     packing = _Packing(prec, m)
     shift = packing.shift
     route = _route(field)
     add, mul, multiplicand = route.add, route.mul, route.terms
-    source, bases = route.encode(coeffs, [packing.terms(p.coeffs) for p in parts])
+    bases = route.encode_parts([packing.terms(p.coeffs) for p in parts])
     full_limit = packing.limit
     powers = [[None, base] for base in bases]
     orders = [base[0][0] >> shift if base else None for base in bases]
@@ -371,31 +392,40 @@ def _packed_substitute(field, coeffs, parts, m, prec):
             cache.append(_packed_product(cache[-1], cache[1], full_limit, add, mul, multiplicand))
         return cache[e]
 
-    def horner(terms, k, budget):
-        """Sum of c * prod_{i >= k} parts[i]^alpha_i to degree budget.
+    def horner(terms, k, budget, out):
+        """out += sum of c * prod_{i >= k} parts[i]^alpha_i, to degree budget.
 
         f = sum_e x_k^e f_e(x_{k+1}, ...): each inner sum is evaluated to the
         budget left after part k's order, then multiplied once by parts[k]^e.
         """
-        if k == n:
-            return {0: terms[0][1]}
+        order = orders[k]
+        if k == n - 1:  # the terms differ in alpha_k alone
+            for alpha, c in terms:
+                e = alpha[k]
+                if e == 0:
+                    v = out.get(0)
+                    out[0] = c if v is None else add(v, c)
+                elif order is not None and e * order <= budget:
+                    _product_into(out, [(0, c)], power(k, e), (budget + 1) << shift, add, mul)
+            return
         groups = {}
         for alpha, c in terms:
             groups.setdefault(alpha[k], []).append((alpha, c))
-        out = {}
-        order = orders[k]
         for e, group in groups.items():
             if e == 0:
-                for key, c in horner(group, k + 1, budget).items():
-                    v = out.get(key)
-                    out[key] = c if v is None else add(v, c)
+                horner(group, k + 1, budget, out)
             elif order is not None and e * order <= budget:
-                inner = horner(group, k + 1, budget - e * order)
+                inner = {}
+                horner(group, k + 1, budget - e * order, inner)
                 _product_into(out, power(k, e), multiplicand(inner), (budget + 1) << shift,
                               add, mul)
-        return out
 
-    return packing.unpack(route.decode(horner(source, 0, prec)))
+    results = []
+    for f in sources:
+        out = {}
+        horner(route.encode(f.coeffs), 0, f.prec, out)
+        results.append(Jet._valid(field, m, f.prec, packing.unpack(route.decode(out))))
+    return results
 
 
 def _sorted_terms(packed):
@@ -403,62 +433,85 @@ def _sorted_terms(packed):
     return sorted((k, c) for k, c in packed.items() if c)
 
 
-def _route(field):
-    """Substitution's values and operations for the field; each field type has its own."""
+def _route(field, fraction_free=True):
+    """The native values and operations for the field; each field type has its own.
+
+    Over Q, substitution computes fraction-free on scaled integers; a product
+    of field elements (``fraction_free=False``) adds and multiplies the
+    ``Fraction`` values themselves.
+    """
     if isinstance(field, RationalField):
-        return _RationalRoute()
+        return _RationalRoute() if fraction_free else _Route()
     if isinstance(field, PrimeField):
         return _PrimeRoute(field.p)
     if isinstance(field, BinaryField):
-        return _Route(operator.xor, field.mul)
+        return _Route(operator.xor, _mask_mul(field))
     raise TypeError(f"substitution has no route for {type(field).__name__}")
+
+
+def _mask_mul(field):
+    """GF(2^k) multiplication of nonzero masks, as the kernel's operands are:
+    one lookup in the field's log and doubled exp tables, or ``field.mul``
+    above ``_TABLE_LIMIT``."""
+    if field.k > field._TABLE_LIMIT:
+        return field.mul
+    if field._log is None:
+        field._build_tables()
+    log, exp = field._log, field._exp
+    return lambda a, b: exp[log[a] + log[b]]
 
 
 class _Route:
     """The values substitution computes on, and how it adds and multiplies them.
 
-    ``encode`` turns the source coefficients (a tuple-keyed dict) and the
-    parts' packed term lists into kernel values, ``terms`` makes a packed
-    dict of kernel values into a sorted term list without zeros, ready to be
-    a multiplicand, and ``decode`` turns the packed result into field
-    elements.  This class carries GF(2^k) masks as they are, added by xor
-    and multiplied by the field; the subclasses compute on native ints for
-    Q and GF(p).
+    ``encode_parts`` turns the parts' packed term lists into kernel values,
+    once per batch, and ``encode`` one source's coefficients (a tuple-keyed
+    dict).  ``terms`` makes a packed dict of kernel values into a sorted
+    term list without zeros, ready to be a multiplicand, and ``decode`` turns
+    a packed result into field elements without zeros.  This class computes
+    on field elements as they are: GF(2^k) masks added by xor, or Fractions
+    and ints by Python's + and *, which the kernel runs inline; the
+    subclasses compute on native ints for Q and GF(p).
     """
 
     def __init__(self, add=operator.add, mul=operator.mul):
         self.add = add
         self.mul = mul
 
-    def encode(self, coeffs, bases):
-        return list(coeffs.items()), bases
+    def encode_parts(self, bases):
+        return bases
+
+    def encode(self, coeffs):
+        return list(coeffs.items())
 
     terms = staticmethod(_sorted_terms)
 
     def decode(self, packed):
-        return packed
+        return {k: c for k, c in packed.items() if c}
 
 
 class _RationalRoute(_Route):
     """Fraction-free: integers scaled so that one division per coefficient ends it.
 
     With D the lcm of the parts' denominators, each part is P_i / D with P_i
-    integral.  With B the lcm of the source denominators and top the largest
-    source degree, c_alpha * B * D^(top - |alpha|) * prod P_i^alpha_i is an
-    integer, and is B * D^top times the term it stands for.  The scale uses
-    the source's top degree, not the precision, which may be as large as
-    10^9.
+    integral; D is shared by the batch.  With B the lcm of one source's
+    denominators and top its largest degree, c_alpha * B * D^(top - |alpha|)
+    * prod P_i^alpha_i is an integer, and is B * D^top times the term it
+    stands for.  The scale uses the source's top degree, not the precision,
+    which may be as large as 10^9.
     """
 
-    def encode(self, coeffs, bases):
-        d = math.lcm(*(c.denominator for base in bases for _, c in base))
-        bases = [[(k, c.numerator * (d // c.denominator)) for k, c in base] for base in bases]
+    def encode_parts(self, bases):
+        d = self.d = math.lcm(*(c.denominator for base in bases for _, c in base))
+        return [[(k, c.numerator * (d // c.denominator)) for k, c in base] for base in bases]
+
+    def encode(self, coeffs):
+        d = self.d
         b = math.lcm(*(c.denominator for c in coeffs.values()))
         top = max(map(sum, coeffs), default=0)
-        source = [(alpha, c.numerator * (b // c.denominator) * d ** (top - sum(alpha)))
-                  for alpha, c in coeffs.items()]
         self.scale = b * d ** top
-        return source, bases
+        return [(alpha, c.numerator * (b // c.denominator) * d ** (top - sum(alpha)))
+                for alpha, c in coeffs.items()]
 
     def decode(self, packed):
         scale = self.scale
@@ -490,10 +543,26 @@ def _packed_product(a, b, limit, add, mul, terms=_sorted_terms):
 
 
 def _product_into(out, a, b, limit, add, mul):
-    """out += a * b for packed term lists sorted by key, dropping keys at or above limit."""
+    """out += a * b for packed term lists sorted by key, dropping keys at or above limit.
+
+    With Python's own + and * (``operator.add`` and ``operator.mul``, as the
+    int routes pass them) the loop adds and multiplies inline, without a call.
+    """
     if not b:
         return
     b0 = b[0][0]
+    get = out.get
+    if add is operator.add and mul is operator.mul:
+        for ka, ca in a:
+            if ka + b0 >= limit:
+                break
+            for kb, cb in b:
+                k = ka + kb
+                if k >= limit:
+                    break
+                v = get(k)
+                out[k] = ca * cb if v is None else v + ca * cb
+        return
     for ka, ca in a:
         if ka + b0 >= limit:
             break
@@ -501,7 +570,7 @@ def _product_into(out, a, b, limit, add, mul):
             k = ka + kb
             if k >= limit:
                 break
-            v = out.get(k)
+            v = get(k)
             out[k] = mul(ca, cb) if v is None else add(v, mul(ca, cb))
 
 
@@ -566,7 +635,7 @@ class CoordinateChange:
     def compose(self, inner: "CoordinateChange") -> "CoordinateChange":
         """The change x -> self(inner(x)), so f.substitute matches chaining:
         compose(compose(f, self), inner) == compose(f, self.compose(inner))."""
-        return CoordinateChange([c.substitute(inner.components) for c in self.components])
+        return CoordinateChange(_substitute_batch(self.components, inner.components))
 
     def __eq__(self, other):
         return isinstance(other, CoordinateChange) and self.components == other.components

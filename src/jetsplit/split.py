@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
-                  VerificationError)
+                  VerificationError, _substitute_batch)
 from .quadform import (QuadNormalForm, QuadraticForm, SplitShapeError, arf_normal_form,
                        diagonalize)
 
@@ -116,8 +116,9 @@ def _iterate(f: Jet, head_quad: Jet, head: int, make_components, N: int):
         if passes > N + 1:
             raise VerificationError("split iteration", "no progress after N + 1 passes")
         change = CoordinateChange(make_components(gs))
-        f = change.apply(f)
-        total = total.compose(change)
+        # f(change) and total.compose(change) share their parts: one batch
+        f, *components = _substitute_batch([f, *total.components], change.components)
+        total = CoordinateChange(components)
         gs = _cofactors(f, head_quad, head)
         new_order = _mixed_order(gs)
         if new_order <= mixed_order:

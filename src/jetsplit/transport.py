@@ -29,7 +29,7 @@ from __future__ import annotations
 from . import linalg
 from .field import CharacteristicError
 from .ift import ImplicitSystem, ift_solve
-from .jet import CoordinateChange, Jet, VerificationError
+from .jet import CoordinateChange, Jet, VerificationError, _substitute_batch
 from .quadform import QuadNormalForm
 from .split import embed_from_tail, project_to_tail
 
@@ -139,7 +139,7 @@ def normalize_tail_linear(p: TransportProblem) -> TransportProblem:
 def transport(p: TransportProblem) -> CoordinateChange:
     """The tail automorphism phi' with g0(phi') = g1, verified exactly."""
     field = p.field
-    n, rank, m = p.nvars, p.rank, p.tail_count
+    rank, m = p.rank, p.tail_count
     N = p.precision
     if m == 0:
         raise TransportError("no tail variables; nothing to transport")
@@ -160,8 +160,7 @@ def transport(p: TransportProblem) -> CoordinateChange:
             raise TransportError(f"implicit system rejected: {exc}") from None
         psi = ift_solve(sys, N)
     parts = list(psi) + [Jet.variable(field, m, j, N) for j in range(m)]
-    phi_prime = CoordinateChange(
-        [p.phi.components[i].substitute(parts) for i in range(rank, n)])
+    phi_prime = CoordinateChange(_substitute_batch(p.phi.components[rank:], parts))
     if not phi_prime.is_automorphism():
         raise VerificationError("transport", "the transported change is not an automorphism")
     if phi_prime.apply(p.g0) != p.g1:

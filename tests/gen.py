@@ -1,7 +1,10 @@
-"""Random instance generators shared by the test modules."""
+"""Random instance generators and checks shared by the test modules."""
 
 import random
+import re
 from fractions import Fraction
+
+import pytest
 
 from jetsplit import (BinaryField, CoordinateChange, ImplicitSystem, Jet,
                       PrimeField, QuadNormalForm, RationalField,
@@ -136,3 +139,11 @@ def rand_implicit_system(field, nx, ny, prec, rng):
                              terms=rng.randint(0, 4))
         eqs.append(jet)
     return ImplicitSystem(eqs, list(range(nx, n)))
+
+
+def same_error(batched, per_source):
+    """Both calls raise, with the same exception type and message."""
+    with pytest.raises(ValueError) as want:
+        per_source()
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        batched()

@@ -297,3 +297,30 @@ def test_prime_above_certified_range_is_input_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_zero_and_one_are_computed_once_per_field():
+    for field in FIELDS:
+        assert field.zero == field.from_int(0) and field.one == field.from_int(1)
+        assert field.zero is field.zero and field.one is field.one
+
+    class CountingRationals(RationalField):
+        made = 0
+
+        def from_int(self, n):
+            CountingRationals.made += 1
+            return super().from_int(n)
+
+    field = CountingRationals()
+    for _ in range(3):
+        assert (field.zero, field.one) == (0, 1)
+    assert CountingRationals.made == 2
+
+
+def test_table_multiplication_matches_carry_less_product():
+    # the exp table is doubled, so a product is one lookup with no reduction mod 2^k - 1
+    for k in range(1, 7):
+        field = BinaryField(k)
+        for a in range(field.order):
+            for b in range(field.order):
+                assert field.mul(a, b) == field._raw_mul(a, b)

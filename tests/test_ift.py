@@ -3,9 +3,12 @@ import random
 import pytest
 
 from degree_oracle import ift_solve_by_degree
-from gen import FIELDS, rand_implicit_system, rand_invertible, rand_jet, random_element
+from gen import (FIELDS, rand_implicit_system, rand_invertible, rand_jet, random_element,
+                 same_error)
 from jetsplit import (ImplicitSystem, Jet, PrimeField, RationalField,
-                      ift_solve, parse_jet)
+                      ift_solve, parse_field_spec, parse_jet)
+from jetsplit.ift import _product
+from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES
 
 Q = RationalField()
 
@@ -143,3 +146,49 @@ def test_solution_matches_fixed_point_oracle():
     for _ in range(6):
         y = parse_jet("x", Q, ["x"], 5) + y * y
     assert ys[0] == y
+
+
+def test_matrix_product_matches_jet_arithmetic():
+    # _product runs on the native routes; Jet.__mul__ and __add__ on field methods
+    rng = random.Random(31)
+    for field in FIELDS + [parse_field_spec("f2k:4"), parse_field_spec("f2k:13")]:
+        for _ in range(15):
+            nvars, rows, inner, cols = (rng.randint(0, 2), rng.randint(1, 3),
+                                        rng.randint(1, 3), rng.randint(1, 2))
+            prec = rng.randint(0, 6)
+            top = prec + rng.choice((0, 2))
+            a = [[rand_jet(field, nvars, top, rng, terms=rng.randint(0, 5))
+                  for _ in range(inner)] for _ in range(rows)]
+            b = [[rand_jet(field, nvars, top, rng, terms=rng.randint(0, 5))
+                  for _ in range(cols)] for _ in range(inner)]
+            want = []
+            for row in a:
+                want.append([])
+                for j in range(cols):
+                    acc = Jet.zero(field, nvars, top)
+                    for t, x in enumerate(row):
+                        acc = acc + x * b[t][j]
+                    want[-1].append(acc.truncate(prec))
+            assert _product(a, b, prec) == want
+
+
+def test_residuals_raise_the_per_source_messages():
+    names = ["x", "y1", "y2"]
+    eqs = [parse_jet("y1 - x^2 + y1*y2", Q, names, 4), parse_jet("y2 + x*y1", Q, names, 4)]
+    sys = ImplicitSystem(eqs, [1, 2])
+    y = parse_jet("x^2", Q, ["x"], 4)
+    bad = [
+        [y, parse_jet("x^3", PrimeField(7), ["x"], 4)],  # another field
+        [y, parse_jet("u^3", Q, ["u", "v"], 4)],  # another variable set
+        [y, parse_jet("1 + x^3", Q, ["x"], 4)],  # constant term
+        [y, parse_jet("x^3", Q, ["x"], 3)],  # precision below the request
+    ]
+    for ys in bad:
+        same_error(lambda: sys.residuals(ys, 4),
+                   lambda: [eq.truncate(4).substitute(sys._parts(ys, 4)) for eq in eqs])
+    n = MAX_SUBSTITUTION_VARIABLES + 1
+    wide = ImplicitSystem([Jet.variable(Q, n, 0, 2)], [0])
+    ys = [Jet.zero(Q, n - 1, 2)]
+    same_error(lambda: wide.residuals(ys, 2),
+               lambda: [eq.truncate(2).substitute(wide._parts(ys, 2))
+                        for eq in wide.equations])

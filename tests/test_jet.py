@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from gen import FIELDS, rand_automorphism, rand_jet, rand_m2_jet, rand_monomial
+from gen import (FIELDS, rand_automorphism, rand_jet, rand_m2_jet, rand_monomial,
+                 same_error)
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Field, Jet, PAdicValuation, PrecisionError,
                       PrimeField, RationalField, parse_field_spec, parse_jet)
-from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES
+from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES, _product_into, _substitute_batch
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -411,3 +412,111 @@ def test_substitute_at_polynomial_precision():
         got = f.substitute(parts)
         assert got.prec == prec
         assert got == naive_substitute(f, parts, 2)
+
+
+# -- batched substitution: one power table per tuple of parts -------------------
+
+BATCH_FIELDS = [parse_field_spec(s) for s in ("q", "fp:7", "fp:2", "f2k:4")]
+
+
+def rand_batch(field, rng, large_fractions=False):
+    """Sources at mixed precisions, a zero source among them, and their parts."""
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 3)
+    prec = rng.choice((1, 2, 3, 4, 7, 8))
+
+    def jet(nvars, p, min_degree, terms):
+        if large_fractions:
+            return rand_large_fraction_jet(nvars, p, rng, min_degree, terms)
+        return rand_jet(field, nvars, p, rng, min_degree=min_degree, terms=terms)
+
+    sources = [jet(n, rng.randint(0, prec), 0, rng.randint(0, 6)) for _ in range(3)]
+    sources.insert(rng.randint(0, 3), Jet.zero(field, n, rng.randint(0, prec)))
+    parts = [jet(m, prec + rng.choice((0, 0, 2)), 1, rng.randint(0, 4)) for _ in range(n)]
+    return sources, parts, m
+
+
+def test_batch_matches_naive_expansion():
+    rng = random.Random(21)
+    cases = [(field, False) for field in BATCH_FIELDS for _ in range(60)]
+    cases += [(Q, True)] * 40
+    for field, large in cases:
+        sources, parts, m = rand_batch(field, rng, large)
+        got = _substitute_batch(sources, parts)
+        assert got == [naive_substitute(f, parts, m) for f in sources]
+        assert got == [f.substitute(parts) for f in sources]
+
+
+def test_batch_cancels_to_zero_over_gf2():
+    names = ["x", "y"]
+    s = parse_jet("x + y", F2, names, 4)
+    sources = [parse_jet(t, F2, names, 4) for t in ("x^2 + y^2", "x*y + y*x", "x^3 + y^3")]
+    got = _substitute_batch(sources, [s, s])
+    assert got[0].is_zero() and got[1].is_zero()
+    assert got == [naive_substitute(f, [s, s], 2) for f in sources]
+
+
+def test_batch_results_are_valid_jets():
+    # results are built without Jet.__init__, so check what it would have checked
+    rng = random.Random(22)
+    for field in BATCH_FIELDS:
+        for _ in range(40):
+            sources, parts, m = rand_batch(field, rng)
+            for f, got in zip(sources, _substitute_batch(sources, parts)):
+                assert (got.field, got.nvars, got.prec) == (field, m, f.prec)
+                for alpha, c in got.coeffs.items():
+                    assert len(alpha) == m and sum(alpha) <= f.prec
+                    assert c != field.zero
+                assert Jet(field, m, f.prec, got.coeffs) == got
+
+
+def test_inline_kernel_matches_generic_kernel():
+    rng = random.Random(23)
+    generic = (lambda x, y: x + y, lambda x, y: x * y)
+    for values in (lambda: rng.randint(-10 ** 12, 10 ** 12),
+                   lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 99))):
+        for _ in range(200):
+            a = sorted({rng.randrange(64): values() for _ in range(rng.randint(0, 12))}.items())
+            b = sorted({rng.randrange(64): values() for _ in range(rng.randint(0, 12))}.items())
+            start = {rng.randrange(128): values() for _ in range(rng.randint(0, 3))}
+            limit = rng.randint(0, 130)
+            inline, called = dict(start), dict(start)
+            _product_into(inline, a, b, limit, operator.add, operator.mul)
+            _product_into(called, a, b, limit, *generic)
+            assert inline == called
+
+
+def test_batch_raises_the_per_source_messages():
+    f7 = parse_field_spec("fp:7")
+    sources = [jq("x^2 + y", ["x", "y"], 4), jq("x*y^3", ["x", "y"], 3)]
+    good = [Jet.variable(Q, 3, 0, 4), Jet.variable(Q, 3, 2, 4)]
+    bad_parts = [
+        good[:1],  # wrong count
+        [good[0], Jet.variable(f7, 3, 2, 4)],  # another field
+        [good[0], Jet.variable(Q, 2, 1, 4)],  # another variable set
+        [good[0], Jet.variable(Q, 3, 2, 3)],  # precision below the sources'
+        [good[0], good[1] + Jet.constant(Q, 3, 4, Fraction(1))],  # constant term
+    ]
+    for parts in bad_parts:
+        same_error(lambda: _substitute_batch(sources, parts),
+                   lambda: [f.substitute(parts) for f in sources])
+    mixed = sources + [parse_jet("x*y", f7, ["x", "y"], 4)]  # a source over another field
+    same_error(lambda: _substitute_batch(mixed, good),
+               lambda: [f.substitute(good) for f in mixed])
+    wide = [Jet.zero(Q, MAX_SUBSTITUTION_VARIABLES + 1, 3)] * 2
+    parts = [Jet.variable(Q, 1, 0, 3)] * (MAX_SUBSTITUTION_VARIABLES + 1)
+    same_error(lambda: _substitute_batch(wide, parts), lambda: [f.substitute(parts) for f in wide])
+
+
+def test_compose_raises_the_per_source_messages():
+    outer = CoordinateChange.identity(Q, 2, 4)
+    inners = [CoordinateChange.identity(Q, 3, 4),
+              CoordinateChange.identity(parse_field_spec("fp:7"), 2, 4),
+              CoordinateChange.identity(Q, 2, 3)]
+    for inner in inners:
+        same_error(lambda: outer.compose(inner),
+                   lambda: [c.substitute(inner.components) for c in outer.components])
+    n = MAX_SUBSTITUTION_VARIABLES + 1
+    wide = CoordinateChange.identity(Q, n, 2)
+    same_error(lambda: wide.compose(wide),
+               lambda: [c.substitute(wide.components) for c in wide.components])
