@@ -11,9 +11,9 @@ from .field import (ArchimedeanValuation, BinaryField, CharacteristicError,
                     RationalField, TrivialValuation, Valuation,
                     parse_field_spec, parse_valuation_spec)
 from .ift import ImplicitSystem, ift_solve
-from .jacobian import (DEFAULT_MAX_DEGREE, MilnorReport, determinacy_bound,
+from .jacobian import (DEFAULT_MAX_DEGREE, DeterminacyReport, MilnorReport,
                        determinacy_certificate, milnor_number,
-                       mu_determinacy_bound, verify_milnor)
+                       verify_determinacy, verify_milnor)
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
                   VerificationError)
 from .quadform import (ArfDecomposition, QuadNormalForm, QuadraticForm,
@@ -31,17 +31,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ABOVE_PRECISION", "ArchimedeanValuation", "ArfDecomposition",
     "BinaryField", "CharacteristicError", "CoordinateChange",
-    "DEFAULT_MAX_DEGREE", "Field", "FieldError", "ImplicitSystem", "Jet",
-    "MilnorReport", "PAdicValuation", "ParseError", "PrecisionError",
-    "PrimeField", "QuadNormalForm", "QuadraticForm", "RationalField",
-    "SplitResult", "SplitShapeError", "TransportError",
-    "TransportHypothesisError", "TransportProblem", "TrivialValuation",
-    "Valuation", "VerificationError", "arf_decompose", "arf_normal_form",
-    "arf_reduce_solvable", "determinacy_bound", "determinacy_certificate",
+    "DEFAULT_MAX_DEGREE", "DeterminacyReport", "Field", "FieldError",
+    "ImplicitSystem", "Jet", "MilnorReport", "PAdicValuation",
+    "ParseError", "PrecisionError", "PrimeField", "QuadNormalForm",
+    "QuadraticForm", "RationalField", "SplitResult", "SplitShapeError",
+    "TransportError", "TransportHypothesisError", "TransportProblem",
+    "TrivialValuation", "Valuation", "VerificationError", "arf_decompose",
+    "arf_normal_form", "arf_reduce_solvable", "determinacy_certificate",
     "diagonal_signs", "diagonalize", "embed_from_tail", "ift_solve",
-    "iterate_arf", "iterate_diagonal", "milnor_number",
-    "mu_determinacy_bound", "normal_form", "normalize_squares",
-    "normalize_tail_linear", "parse_field_spec", "parse_jet",
-    "parse_valuation_spec", "project_to_tail", "serialize_jet", "split",
-    "split_shape", "transport", "verify_milnor", "verify_split",
+    "iterate_arf", "iterate_diagonal", "milnor_number", "normal_form",
+    "normalize_squares", "normalize_tail_linear", "parse_field_spec",
+    "parse_jet", "parse_valuation_spec", "project_to_tail",
+    "serialize_jet", "split", "split_shape", "transport",
+    "verify_determinacy", "verify_milnor", "verify_split",
 ]

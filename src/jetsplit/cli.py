@@ -113,30 +113,26 @@ def _cmd_quadform(args):
     return _emit_checked(args, payload, lines)
 
 
-def _milnor_input(args, field, names):
-    if args.precision is not None:
-        return parse_jet(args.expr, field, names, args.precision)
-    return parse_jet(args.expr, field, names, POLYNOMIAL_PRECISION)
+def _polynomial_input(args, field, names):
+    """The expression as a jet at --precision, or as a polynomial without it."""
+    prec = POLYNOMIAL_PRECISION if args.precision is None else args.precision
+    return parse_jet(args.expr, field, names, prec)
 
 
 def _cmd_milnor(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
-    f = _milnor_input(args, field, names)
+    f = _polynomial_input(args, field, names)
     payload = {"schema": 1, "command": "milnor", "field": field.spec(),
                "max_degree_searched": args.max_degree}
-    note = None
     if args.precision is not None:
         # a jet is only meaningful once a determinacy bound fits inside it
-        k = determinacy_certificate(f, args.max_degree)
-        bound = None if k is None else 2 * k - int(f.order()) + 2
-        if bound is None or bound > args.precision:
+        det = determinacy_certificate(f, args.max_degree)
+        if det.bound is None or det.bound > args.precision:
             note = ("no determinacy bound within the jet precision; "
                     "mu of the truncation is not certified")
-            payload.update({"mu": None, "stabilization_degree": None,
-                            "bound": None,
-                            "order": None if f.is_zero() else int(f.order()),
-                            "note": note})
+            payload.update({"mu": None, "stabilization_degree": None, "bound": None,
+                            "order": det.order, "note": note})
             return _emit_checked(args, payload, ["mu: unknown", f"note: {note}"])
     report = milnor_number(f, args.max_degree)
     payload.update({
@@ -159,18 +155,16 @@ def _cmd_milnor(args):
 def _cmd_determinacy(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
-    f = _milnor_input(args, field, names)
-    k = determinacy_certificate(f, args.max_degree)
-    order = None if f.is_zero() else int(f.order())
-    bound = None if k is None else 2 * k - order + 2
+    f = _polynomial_input(args, field, names)
+    report = determinacy_certificate(f, args.max_degree)
     payload = {"schema": 1, "command": "determinacy", "field": field.spec(),
-               "stabilization_degree": k, "bound": bound, "order": order,
-               "max_degree_searched": args.max_degree}
+               "stabilization_degree": report.stabilization_degree, "bound": report.bound,
+               "order": report.order, "max_degree_searched": report.max_degree}
     lines = [
-        f"stabilization_degree: {k}",
-        f"bound: {'absent' if bound is None else bound}",
-        f"order: {order}",
-        f"max_degree_searched: {args.max_degree}",
+        f"stabilization_degree: {report.stabilization_degree}",
+        f"bound: {'absent' if report.bound is None else report.bound}",
+        f"order: {report.order}",
+        f"max_degree_searched: {report.max_degree}",
     ]
     return _emit_checked(args, payload, lines)
 
@@ -178,8 +172,7 @@ def _cmd_determinacy(args):
 def _cmd_norm(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
-    prec = args.precision if args.precision is not None else POLYNOMIAL_PRECISION
-    f = parse_jet(args.expr, field, names, prec)
+    f = _polynomial_input(args, field, names)
     valuation = parse_valuation_spec(args.valuation)
     if args.epsilon:
         eps = [Fraction(e.strip()) for e in args.epsilon.split(",")]
@@ -384,7 +377,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,8 @@ import re
 import string
 
 from .field import BinaryField, Field, FieldError, RationalField, gf2_poly_mod
-from .jet import Jet, PrecisionError, _packed_product, _Packing, grlex_key
+from .jet import (Jet, PrecisionError, _packed_product, _Packing, _product_into,
+                  _sorted_terms, grlex_key)
 
 
 class ParseError(ValueError):
@@ -165,7 +166,7 @@ class _Evaluator:
     def run(self, text):
         tokens = _tokenize(text)
         field = self.field
-        zero, one, add, mul = field.zero, self.one, field.add, field.mul
+        one, add, mul = self.one, field.add, field.mul
         shift, limit, prec, leaves = self.shift, self.limit, self.prec, self.leaves
         error = None        # the first semantic error, raised once the syntax is checked
         stack = []          # enclosing (acc, sign, c, key, poly) at each open '('
@@ -245,18 +246,13 @@ class _Evaluator:
                         old = acc.get(key)
                         acc[key] = c if old is None else add(old, c)
                     else:
-                        for k, v in poly:
-                            k += key
-                            if k >= limit:
-                                break
-                            old = acc.get(k)
-                            acc[k] = mul(c, v) if old is None else add(old, mul(c, v))
+                        _product_into(acc, [(key, c)], poly, limit, add, mul)
                 if op == "+" or op == "-":
                     sign = op
                     c, key, poly = (one if error is None else None), 0, None
                     break
                 if op == ")" and stack:
-                    atom = sorted((k, v) for k, v in acc.items() if v != zero)
+                    atom = _sorted_terms(acc)
                     acc, sign, c, key, poly = stack.pop()
                     if error is not None:
                         c = None

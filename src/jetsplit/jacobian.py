@@ -17,17 +17,24 @@ degree.  Once the batch of lowest degree s is in, the pivots of lead degree
 <= s are final: degree s is covered exactly when its pivot count equals the
 number of degree-s monomials, and mu is read off the same echelon.
 
+A ``MilnorReport`` holds mu, its degree s, the bound 2*mu - order + 2 and
+the order; a ``DeterminacyReport`` the least k with m^(k+2) <= m^2 J +
+m^(k+3), the bound 2*k - order + 2 and the order.  When no Nakayama
+certificate appears up to max_degree, a report holds only the order and
+max_degree: mu or k is "infinite or unknown", never a claim of
+non-isolation.
+
 The verifiers (``verify_milnor``, ``verify_determinacy``) share the row
 kernel but not the search.  Each builds a fresh echelon at the certified
 cutoff, inserting generator by generator, and checks every monomial of the
 certified degree by full reduction rather than by counting leads;
 ``verify_milnor`` also recounts mu on a second echelon at cutoff s - 1.
 Like every check in the library, a verifier returns nothing on success and
-raises ``VerificationError`` naming the condition that failed: a degree
-below the least one that can certify, no cover at the certified degree, the
-mu recount, the order (a mu claimed for the zero series included) or the
-bound.  Each search runs its verifier on the certificate it found before
-returning it.
+raises ``VerificationError`` naming the condition that failed: a degree or
+bound claimed without a certificate, the order (a certificate claimed for
+the zero series included), a degree below the least one that can certify,
+no cover at the certified degree, the mu recount or the bound.  Each search
+runs its verifier on the report it found before returning it.
 
 A search refuses (``ValueError``) a negative max degree, and a search or
 check refuses more than ``MAX_MONOMIALS`` monomials of degree <= its
@@ -43,7 +50,7 @@ from .field import Field, PrimeField, RationalField
 from .jet import ABOVE_PRECISION, Jet, VerificationError, _Packing
 
 DEFAULT_MAX_DEGREE = 12
-# 4 variables admit max_degree 20, 3 variables 37, 2 variables 198
+# admits max_degree 198 in 2 variables, 47 in 3, 23 in 4, 15 in 5, 12 in 6, 10 in 7
 MAX_MONOMIALS = 20_000
 
 
@@ -270,13 +277,7 @@ def jacobian_generators(f: Jet):
 
 @dataclass
 class MilnorReport:
-    """Outcome of the bounded Milnor-number search.
-
-    ``mu`` is None when no Nakayama certificate m^s <= J + m^(s+1) appears
-    up to ``max_degree`` -- that is "infinite or unknown", never a claim of
-    non-isolation.  ``determinacy_bound`` is 2*mu - order + 2 when mu is
-    certified.
-    """
+    """Outcome of the bounded Milnor-number search; s is ``stabilization_degree``."""
 
     mu: int | None
     stabilization_degree: int | None
@@ -285,9 +286,42 @@ class MilnorReport:
     max_degree: int
 
 
+@dataclass
+class DeterminacyReport:
+    """Outcome of the bounded determinacy search; k is ``stabilization_degree``."""
+
+    stabilization_degree: int | None
+    bound: int | None
+    order: int | None
+    max_degree: int
+
+
 def _order(f: Jet):
     order = f.order()
     return None if order == ABOVE_PRECISION else int(order)
+
+
+def _bound(degree: int, order: int) -> int:
+    """The right-determinacy bound 2*degree - order + 2, for degree mu or k."""
+    return 2 * degree - order + 2
+
+
+def _check_order(stage: str, f: Jet, claimed_order, name: str, value):
+    """The series' order, once it is the claimed one; a claimed value needs one."""
+    order = _order(f)
+    if claimed_order != order:
+        raise VerificationError(stage, f"order {claimed_order} is not the series' order {order}")
+    if value is not None and order is None:
+        raise VerificationError(stage, f"{name} {value} is claimed for a series with no order "
+                                "(the zero series)")
+    return order
+
+
+def _check_bound(stage: str, claimed_bound, name: str, value: int, order: int):
+    bound = _bound(value, order)
+    if claimed_bound != bound:
+        raise VerificationError(
+            stage, f"bound {claimed_bound} is not 2*{name} - order + 2 = {bound}")
 
 
 def _first_cover(f: Jet, max_degree: int, min_multiplier_degree: int = 0):
@@ -310,7 +344,7 @@ def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
         return MilnorReport(None, None, None, order, max_degree)
     s, ech = found
     mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
-    report = MilnorReport(mu, s, 2 * mu - order + 2, order, max_degree)
+    report = MilnorReport(mu, s, _bound(mu, order), order, max_degree)
     verify_milnor(f, report)
     return report
 
@@ -327,14 +361,9 @@ def verify_milnor(f: Jet, report: MilnorReport):
     s = report.stabilization_degree
     if report.mu is None and (s is not None or report.determinacy_bound is not None):
         raise VerificationError("milnor", "a report without mu claims a degree or a bound")
-    order = _order(f)
-    if report.order != order:
-        raise VerificationError("milnor", f"order {report.order} is not the series' order {order}")
+    order = _check_order("milnor", f, report.order, "mu", report.mu)
     if report.mu is None:
         return
-    if order is None:
-        raise VerificationError("milnor", f"mu {report.mu} is claimed for a series with no order "
-                                "(the zero series)")
     if s is None or s < 1:
         raise VerificationError("milnor", f"stabilization degree {s} is not >= 1")
     gens = jacobian_generators(f)
@@ -343,43 +372,31 @@ def verify_milnor(f: Jet, report: MilnorReport):
     mu = count_monomials_upto(f.nvars, s - 1) - quotient.rank_upto(s - 1)
     if report.mu != mu:
         raise VerificationError("milnor", f"mu {report.mu} is not the recounted {mu}")
-    bound = 2 * mu - order + 2
-    if report.determinacy_bound != bound:
-        raise VerificationError(
-            "milnor", f"bound {report.determinacy_bound} is not 2*mu - order + 2 = {bound}")
+    _check_bound("milnor", report.determinacy_bound, "mu", mu, order)
 
 
-def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):
-    """Smallest k with m^(k+2) <= m^2 J + m^(k+3), verified, or None up to max_degree."""
+def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> DeterminacyReport:
+    """The bounded search for k; a found certificate is verified before it is returned."""
+    order = _order(f)
     found = _first_cover(f, max_degree, min_multiplier_degree=2)
     if found is None:
-        return None
+        return DeterminacyReport(None, None, order, max_degree)
     k = found[0] - 2
-    verify_determinacy(f, k)
-    return k
+    report = DeterminacyReport(k, _bound(k, order), order, max_degree)
+    verify_determinacy(f, report)
+    return report
 
 
-def verify_determinacy(f: Jet, k):
-    """Re-check the certificate m^(k+2) <= m^2 J + m^(k+3); k None claims nothing."""
+def verify_determinacy(f: Jet, report: DeterminacyReport):
+    """Re-check the certificate m^(k+2) <= m^2 J + m^(k+3), the order and the bound."""
+    k = report.stabilization_degree
+    if k is None and report.bound is not None:
+        raise VerificationError("determinacy", "a report without k claims a bound")
+    order = _check_order("determinacy", f, report.order, "k", k)
     if k is None:
         return
     if k < 0:
         raise VerificationError("determinacy", f"degree {k} is not >= 0")
     _check_cover("determinacy", "m^2 J", f, jacobian_generators(f), k + 2,
                  min_multiplier_degree=2)
-
-
-def determinacy_bound(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):
-    """Right-determinacy bound 2k - order + 2 from the m^2 J inclusion."""
-    k = determinacy_certificate(f, max_degree)
-    if k is None:
-        return None
-    return 2 * k - int(f.order()) + 2
-
-
-def mu_determinacy_bound(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE):
-    """Right-determinacy bound 2*mu - order + 2; None when mu is unknown."""
-    report = milnor_number(f, max_degree)
-    if report.mu is None:
-        return None
-    return 2 * report.mu - report.order + 2
+    _check_bound("determinacy", report.bound, "k", k, order)

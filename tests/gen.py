@@ -116,7 +116,8 @@ def transport_roundtrip(field, nvars, prec, rng):
     total = rho.compose(lin_inv).compose(sigma)
     f1 = total.apply(f0)
     quad1, g1 = split_shape(f1)
-    assert quad1 == quad
+    if quad1 != quad:
+        raise AssertionError(f"split shape {quad1} is not the source's {quad}")
     return TransportProblem(quad, g0, g1, total, prec)
 
 

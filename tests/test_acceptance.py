@@ -14,9 +14,8 @@ from gen import (FIELDS, rand_automorphism, rand_implicit_system, rand_jet,
 from jetsplit import (BinaryField, CoordinateChange, ImplicitSystem,
                       PrimeField, QuadraticForm, RationalField,
                       arf_normal_form, arf_reduce_solvable, ift_solve,
-                      milnor_number, mu_determinacy_bound,
-                      normalize_tail_linear, parse_jet, serialize_jet, split,
-                      transport, verify_split)
+                      milnor_number, normalize_tail_linear, parse_jet,
+                      serialize_jet, split, transport, verify_split)
 from jetsplit import linalg
 from jetsplit.cli import main
 from degree_oracle import ift_solve_by_degree
@@ -192,7 +191,7 @@ def test_criterion_09_milnor_and_determinacy():
     f = parse_jet("x^2 + y^2", Q, ["x", "y"], 10 ** 9)
     report = milnor_number(f)
     assert report.mu == 1
-    assert mu_determinacy_bound(f) == 2
+    assert report.determinacy_bound == 2
     for k in range(1, 7):
         assert milnor_number(parse_jet(f"x^{k + 1}", Q, ["x"], 10 ** 9)).mu == k
     assert milnor_number(parse_jet("x^3 + y^3", Q, ["x", "y"], 10 ** 9)).mu == 4

@@ -141,6 +141,16 @@ def test_norm_archimedean(capsys):
     assert "value: 2.0" in out
 
 
+@pytest.mark.parametrize("options, expr", [([], "10^400*x"), (["--epsilon", "1e400"], "x")],
+                         ids=["coefficient", "radius"])
+def test_norm_too_large_for_a_float_exits_2(capsys, options, expr):
+    code, out, err = run(capsys, "norm", "--field", "q", "--vars", "x",
+                         "--valuation", "abs", *options, expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_ift_command(capsys):
     code, out, _ = run(capsys, "ift", "--field", "q", "--vars", "x,y",
                        "--split-vars", "y", "--precision", "5",

@@ -5,13 +5,12 @@ import time
 import pytest
 
 from gen import rand_invertible, rand_jet
-from jetsplit import (BinaryField, Jet, MilnorReport, PrimeField, RationalField,
-                      VerificationError, determinacy_bound, determinacy_certificate, linalg,
-                      milnor_number, mu_determinacy_bound, parse_jet, verify_milnor)
+from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeField,
+                      RationalField, VerificationError, determinacy_certificate, linalg,
+                      milnor_number, parse_jet, verify_determinacy, verify_milnor)
 from jetsplit.cli import main
 from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon,
-                               count_monomials_upto, monomials_of_degree,
-                               verify_determinacy)
+                               count_monomials_upto, monomials_of_degree)
 
 Q = RationalField()
 POLY = 10 ** 9
@@ -89,32 +88,32 @@ def test_verify_milnor_recheck():
 
 def test_determinacy_of_quadric():
     f = poly("x^2 + y^2", ["x", "y"])
-    assert determinacy_certificate(f) == 1
-    assert determinacy_bound(f) == 2
-    verify_determinacy(f, 1)
+    report = determinacy_certificate(f)
+    assert report == DeterminacyReport(1, 2, 2, 12)
+    verify_determinacy(f, report)
 
 
 def test_determinacy_of_cusp():
-    f = poly("x^3", ["x"])
-    assert determinacy_certificate(f) == 2
-    assert determinacy_bound(f) == 3
+    report = determinacy_certificate(poly("x^3", ["x"]))
+    assert report.stabilization_degree == 2
+    assert report.bound == 3
 
 
 def test_determinacy_hyperbolic_prime_field():
     f7 = PrimeField(7)
     f = parse_jet("x*y", f7, ["x", "y"], POLY)
-    assert determinacy_bound(f) == 2
+    assert determinacy_certificate(f).bound == 2
 
 
 def test_determinacy_absent_for_non_isolated():
-    assert determinacy_bound(poly("x^2", ["x", "y"])) is None
-    assert determinacy_bound(Jet.zero(Q, 1, POLY)) is None
+    assert determinacy_certificate(poly("x^2", ["x", "y"])).bound is None
+    assert determinacy_certificate(Jet.zero(Q, 1, POLY)).bound is None
 
 
 def test_mu_determinacy_bound_examples():
-    assert mu_determinacy_bound(poly("x^2 + y^2", ["x", "y"])) == 2
-    assert mu_determinacy_bound(poly("x^3 + y^3", ["x", "y"])) == 7
-    assert mu_determinacy_bound(poly("x^2", ["x", "y"])) is None
+    assert milnor_number(poly("x^2 + y^2", ["x", "y"])).determinacy_bound == 2
+    assert milnor_number(poly("x^3 + y^3", ["x", "y"])).determinacy_bound == 7
+    assert milnor_number(poly("x^2", ["x", "y"])).determinacy_bound is None
 
 
 def test_milnor_invariant_under_polynomial_automorphisms():
@@ -142,7 +141,7 @@ def test_milnor_invariant_under_polynomial_automorphisms():
 def test_perturbations_above_the_bound_keep_mu():
     rng = random.Random(52)
     f = poly("x^2 + y^2", ["x", "y"])
-    bound = mu_determinacy_bound(f)
+    bound = milnor_number(f).determinacy_bound
     assert bound == 2
     for _ in range(20):
         p = rand_jet(Q, 2, POLY, rng, min_degree=bound + 1, max_degree=bound + 3,
@@ -262,16 +261,32 @@ def test_verify_milnor_rejects_mu_for_the_zero_series():
 
 
 def test_verify_determinacy_rejects_a_lower_degree():
+    for text in ("x^3 + y^4", "x^2 + y^2", "x*y + y^5"):
+        f = poly(text, ["x", "y"])
+        report = determinacy_certificate(f)
+        verify_determinacy(f, report)
+        k = report.stabilization_degree
+        for change, reason in (({"bound": report.bound + 1},
+                                "bound .* is not 2\\*k - order \\+ 2"),
+                               ({"order": report.order + 1}, "order .* is not the series' order"),
+                               ({"stabilization_degree": k - 1},
+                                rf"no cover at degree {k + 1}: "
+                                rf"m\^{k + 1} is not in m\^2 J \+ m\^{k + 2}$"),
+                               ({"stabilization_degree": -1}, "degree -1 is not >= 0")):
+            forged = dataclasses.replace(report, **change)
+            with pytest.raises(VerificationError, match=f"^determinacy: {reason}"):
+                verify_determinacy(f, forged)
+    # a report without k may claim only the order
     f = poly("x^3 + y^4", ["x", "y"])
-    k = determinacy_certificate(f)
-    verify_determinacy(f, k)
-    verify_determinacy(f, None)
-    with pytest.raises(VerificationError,
-                       match=rf"^determinacy: no cover at degree {k + 1}: "
-                             rf"m\^{k + 1} is not in m\^2 J \+ m\^{k + 2}$"):
-        verify_determinacy(f, k - 1)
-    with pytest.raises(VerificationError, match="^determinacy: degree -1 is not >= 0"):
-        verify_determinacy(f, -1)
+    verify_determinacy(f, DeterminacyReport(None, None, 3, 12))
+    with pytest.raises(VerificationError, match="^determinacy: a report without k claims a bound"):
+        verify_determinacy(f, DeterminacyReport(None, 5, 3, 12))
+    with pytest.raises(VerificationError, match="^determinacy: order 7 is not the series' order 3"):
+        verify_determinacy(f, DeterminacyReport(None, None, 7, 12))
+    # the zero series has no order, so no bound can follow from a claimed k
+    with pytest.raises(VerificationError, match="^determinacy: k 1 is claimed for a series "
+                                                r"with no order \(the zero series\)$"):
+        verify_determinacy(Jet(Q, 0, POLY, {}), DeterminacyReport(1, 3, None, 12))
 
 
 @pytest.mark.parametrize("command", ["milnor", "determinacy"])
@@ -298,6 +313,10 @@ def test_search_size_limit():
             search(big, max_degree=12)
     # the largest benchmark search, 4 variables to degree 16, is admitted
     assert count_monomials_upto(4, 16) == 4845 <= MAX_MONOMIALS
+    # README's table: the largest admitted max degree in 2 to 7 variables
+    for nvars, degree in zip(range(2, 8), (198, 47, 23, 15, 12, 10)):
+        assert count_monomials_upto(nvars, degree) <= MAX_MONOMIALS, nvars
+        assert count_monomials_upto(nvars, degree + 1) > MAX_MONOMIALS, nvars
 
 
 @pytest.mark.parametrize("argv", [
