@@ -331,6 +331,34 @@ def deep_ift_cases():
     return cases
 
 
+def char2_pair_cases():
+    """transport and split over two Arf pairs with both squares in some pair.
+
+    The earlier char-2 transport cases have an identity phi or at most one
+    nonzero square per pair; these move x_i^2 and x_{i+1}^2 of one pair at
+    once, over f2k:4 and fp:2, with g0 != g1.  Drawn from their own seed, so
+    the cases above keep their inputs.
+    """
+    rng = random.Random(2222)
+    cases = []
+    for spec, N in [("f2k:4", 4), ("fp:2", 5)]:
+        field = parse_field_spec(spec)
+        while True:
+            p = transport_roundtrip(field, 5, N, rng)
+            both = any(a != field.zero and b != field.zero for a, b in p.quad.pairs)
+            if (p.rank == 4 and both and p.g0 != p.g1
+                    and p.phi != CoordinateChange.identity(field, 5, N)):
+                break
+        cases.append(transport_case(spec, names_of(5), p))
+    field = parse_field_spec("f2k:4")
+    names = names_of(5)
+    expr = serialize_jet(split_input(field, 5, 5, 4, rng), names)
+    cases.append(("split-json-f2k4-n5-N5-rank4",
+                  ["split", "--field", "f2k:4", "--vars", ",".join(names), "--precision",
+                   "5", "--format", "json", expr], {}))
+    return cases
+
+
 # transport inputs in split shape or not, as (tag, field, variables, f0, f1)
 TRANSPORT_EDGE_INPUTS = [
     ("not-diagonal", "q", "x,y", "x*y + y^3", "x*y + y^3"),
@@ -417,7 +445,7 @@ def build():
     rng = random.Random(20260)
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
              + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases()
-             + deep_ift_cases())
+             + deep_ift_cases() + char2_pair_cases())
     parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
     parsed += [
         ("parse-zero-powers-norm",
