@@ -242,9 +242,6 @@ class Field:
         """Solve ``a*u^2 + u + c = 0`` (characteristic 2 only)."""
         raise CharacteristicError(f"affine quadratic solver needs char 2, not {self.char}")
 
-    def elements(self):
-        raise FieldError(f"{self} is not finite")
-
     def format_scalar(self, a) -> str:
         raise NotImplementedError
 
@@ -394,9 +391,6 @@ class PrimeField(Field):
             if (a * u * u + u + c) % 2 == 0:
                 return u
         return None
-
-    def elements(self):
-        return range(self.p)
 
     def format_scalar(self, a):
         return str(a)
@@ -558,9 +552,6 @@ class BinaryField(Field):
         ai = self.inv(a)
         u = self.mul(self._artin_schreier_root(d), ai)
         return min(u, u ^ ai)
-
-    def elements(self):
-        return range(self.order)
 
     def format_scalar(self, a):
         return format_t_poly(a)

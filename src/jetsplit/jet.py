@@ -196,8 +196,9 @@ class Jet:
         field = self.field
         if c == field.zero:
             return Jet.zero(field, self.nvars, self.prec)
-        return Jet(field, self.nvars, self.prec,
-                   {a: field.mul(c, v) for a, v in self.coeffs.items()})
+        # a field has no zero divisors: c times a nonzero coefficient is nonzero
+        return Jet._valid(field, self.nvars, self.prec,
+                          {a: field.mul(c, v) for a, v in self.coeffs.items()})
 
     def power(self, e: int) -> "Jet":
         if e < 0:
@@ -285,7 +286,11 @@ class Jet:
     # -- norms -----------------------------------------------------------------
 
     def norm(self, valuation: Valuation, eps):
-        """The weighted coefficient norm  sum |c_alpha| * eps^alpha."""
+        """The weighted coefficient norm  sum |c_alpha| * eps^alpha.
+
+        A float for the archimedean valuation (ValueError beyond the float
+        range), an exact Fraction otherwise.
+        """
         valuation.check(self.field)
         eps = list(eps)
         if len(eps) != self.nvars:
@@ -306,7 +311,12 @@ class Jet:
                 total += valuation.exact_value(self.field, c) * weight
             else:
                 total += valuation.value(self.field, c) * weight
-        return float(total) if archimedean else total
+        if not archimedean:
+            return total
+        try:
+            return float(total)
+        except OverflowError:
+            raise ValueError("the archimedean norm exceeds the float range") from None
 
 
 class _Packing:

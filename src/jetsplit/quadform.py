@@ -177,7 +177,9 @@ class QuadNormalForm:
     ``matrix`` is the substitution matrix S: applying the change
     phi_i = sum_j S[i][j] x_j to the original form reproduces ``normal_jet``.
     ``normal_jet`` writes the split shape and ``read_split_shape`` reads it
-    back; no other code knows where its coefficients sit.
+    back; no other module of the library knows where its coefficients sit.
+    The splitting loop and transport read it only through ``rank``,
+    ``head_jet`` and ``normal_jet``.
     """
 
     variant: str  # diagonal | unit_diagonal | arf | char2_solvable_a | char2_solvable_b

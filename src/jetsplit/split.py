@@ -1,26 +1,29 @@
 """The splitting algorithm.
 
 A series f in m^2 is transformed, by an explicit automorphism computed to a
-requested jet precision N, into (nondegenerate quadratic normal form in head
+requested jet precision N, into (nondegenerate quadratic normal form H in head
 variables) + (residual series in the tail variables).  ``split`` classifies
 the 2-jet and moves it to its normal form by a linear change; the iteration
 then reads the head back from the moved series' 2-jet with
-``QuadNormalForm.read_split_shape``.  Away from characteristic 2 the head is
-diagonal and the iteration substitutes x_i -> x_i - g_i/(2 a_i); in
-characteristic 2 the head consists of Arf pairs with middle coefficient 1
-and the iteration substitutes, per pair, x_i -> x_i + g_{i+1} and
-x_{i+1} -> x_{i+1} + g_i.  Each pass strictly raises the order of the mixed
-part, so the loop ends once it vanishes at precision N.
+``QuadNormalForm.read_split_shape``.  Write f = H(x_h) + x_h . g + r with
+cofactors g of the mixed part and P = U + U^T the polar matrix of H's
+upper-triangular Gram matrix U.  Over every field
+
+  H(x + d) = H(x) + x^T P d + H(d),
+
+so the pass x_h -> x_h - P^{-1} g cancels the mixed part to its order and
+leaves only terms of strictly higher order.  The loop ends once the mixed
+part vanishes at precision N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
                   VerificationError, _substitute_batch)
-from .quadform import (QuadNormalForm, QuadraticForm, SplitShapeError, arf_normal_form,
-                       diagonalize)
+from .quadform import QuadNormalForm, QuadraticForm, SplitShapeError, normal_form
 
 
 @dataclass
@@ -105,9 +108,19 @@ def _mixed_order(gs):
     return min(orders) if orders else ABOVE_PRECISION
 
 
-def _iterate(f: Jet, head_quad: Jet, head: int, make_components, N: int):
-    """Shared splitting loop; make_components turns cofactors into one pass."""
-    total = CoordinateChange.identity(f.field, f.nvars, N)
+def _iterate(f: Jet, N: int):
+    """The splitting loop under the head of f's 2-jet; returns (change, residual)."""
+    if f.prec < N:
+        raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
+    f = f.truncate(N)
+    field = f.field
+    quad = QuadNormalForm.read_split_shape(f)
+    head_quad = quad.head_jet(N)
+    head = quad.rank
+    polar = [row[:head] for row in head_quad.hessian()[:head]]
+    step = [[field.neg(c) for c in row] for row in linalg.invert(field, polar)]
+    variables = CoordinateChange.identity(field, f.nvars, N).components
+    total = CoordinateChange(variables)
     gs = _cofactors(f, head_quad, head)
     mixed_order = _mixed_order(gs)
     passes = 0
@@ -115,9 +128,13 @@ def _iterate(f: Jet, head_quad: Jet, head: int, make_components, N: int):
         passes += 1
         if passes > N + 1:
             raise VerificationError("split iteration", "no progress after N + 1 passes")
-        change = CoordinateChange(make_components(gs))
-        # f(change) and total.compose(change) share their parts: one batch
-        f, *components = _substitute_batch([f, *total.components], change.components)
+        parts = list(variables)
+        for i, row in enumerate(step):  # x_h -> x_h - P^{-1} g
+            for c, g in zip(row, gs):
+                if c != field.zero and not g.is_zero():
+                    parts[i] = parts[i] + g.scale(c)
+        # f(parts) and total.compose(parts) share their parts: one batch
+        f, *components = _substitute_batch([f, *total.components], parts)
         total = CoordinateChange(components)
         gs = _cofactors(f, head_quad, head)
         new_order = _mixed_order(gs)
@@ -134,28 +151,9 @@ def iterate_diagonal(f: Jet, N: int):
 
     Returns (change, residual); characteristic != 2.
     """
-    field = f.field
-    if field.char == 2:
+    if f.field.char == 2:
         raise SplitShapeError("diagonal splitting iteration needs characteristic != 2")
-    if f.prec < N:
-        raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
-    f = f.truncate(N)
-    quad = QuadNormalForm.read_split_shape(f)
-    head = quad.rank
-    two = field.from_int(2)
-
-    def components(gs):
-        out = []
-        for i in range(f.nvars):
-            x = Jet.variable(field, f.nvars, i, N)
-            if i < head and not gs[i].is_zero():
-                scale = field.neg(field.inv(field.mul(two, quad.diagonal[i])))
-                out.append(x + gs[i].scale(scale))  # x_i -> x_i - g_i/(2 a_i)
-            else:
-                out.append(x)
-        return out
-
-    return _iterate(f, quad.head_jet(N), head, components, N)
+    return _iterate(f, N)
 
 
 def iterate_arf(f: Jet, N: int):
@@ -164,26 +162,9 @@ def iterate_arf(f: Jet, N: int):
     Returns (change, residual); characteristic 2.  The residual keeps the
     diagonal square tail of the 2-jet.
     """
-    field = f.field
-    if field.char != 2:
+    if f.field.char != 2:
         raise SplitShapeError("Arf splitting iteration needs characteristic 2")
-    if f.prec < N:
-        raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
-    f = f.truncate(N)
-    quad = QuadNormalForm.read_split_shape(f)
-    n = f.nvars
-
-    def components(gs):
-        out = [Jet.variable(field, n, i, N) for i in range(n)]
-        for t in range(quad.half_rank):
-            e = 2 * t
-            if not gs[e + 1].is_zero():
-                out[e] = out[e] + gs[e + 1]  # x_i -> x_i + g_{i+1}
-            if not gs[e].is_zero():
-                out[e + 1] = out[e + 1] + gs[e]  # x_{i+1} -> x_{i+1} + g_i
-        return out
-
-    return _iterate(f, quad.head_jet(N), quad.rank, components, N)
+    return _iterate(f, N)
 
 
 def split(f: Jet, N: int) -> SplitResult:
@@ -195,18 +176,11 @@ def split(f: Jet, N: int) -> SplitResult:
     f = f.truncate(N)
     if any(sum(alpha) < 2 for alpha in f.coeffs):
         raise SplitShapeError("series must have no terms of degree < 2")
-    field = f.field
-    q = QuadraticForm.from_jet(f)
-    nf = arf_normal_form(q) if field.char == 2 else diagonalize(q)
-    rank = nf.rank
+    nf = normal_form(QuadraticForm.from_jet(f))
     linear = nf.change(N)
-    f1 = linear.apply(f)
-    if field.char == 2:
-        change_it, residual = iterate_arf(f1, N)
-    else:
-        change_it, residual = iterate_diagonal(f1, N)
-    total = linear.compose(change_it)
-    result = SplitResult(nf, rank, residual, total, N)
+    iterate = iterate_arf if f.field.char == 2 else iterate_diagonal
+    change_it, residual = iterate(linear.apply(f), N)
+    result = SplitResult(nf, nf.rank, residual, linear.compose(change_it), N)
     if not verify_split(f, result).is_zero():
         raise VerificationError("split", "f(change) differs from head + residual")
     return result

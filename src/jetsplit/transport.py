@@ -1,27 +1,29 @@
 """Transport of the residual part along an equivalence of split forms.
 
-Given f0 = q + g0 and f1 = q + g1 sharing the quadratic normal form q, and
-an automorphism phi with phi(f0) = f1, this builds the tail-variable
-automorphism phi' with g0(phi') = g1.  Writing the head components of phi
-as linear part plus higher terms, phi_i = l_i + k_i, the head variables are
-re-expressed as series psi in the tail variables by solving, via the
-implicit function theorem,
+Given f0 = H + g0 and f1 = H + g1 sharing the quadratic head H, and an
+automorphism phi with phi(f0) = f1, this builds the tail-variable
+automorphism phi' with g0(phi') = g1.  Write the head components of phi as
+linear part plus higher terms, phi_h = l + k, and let U be H's
+upper-triangular Gram matrix and P = U + U^T its polar matrix.  Over every
+field
 
-  characteristic != 2:  F_i = 2 l_i + k_i = 0
-  characteristic 2:     F_i = l_i + a_{i+1} k_{i+1} = 0          (pair head)
-                        F_{i+1} = l_{i+1} + k_{i+1} + a_i k_i = 0 (pair tail)
+  H(l + k) = H(l) + k^T (P l + U k),
 
-and then phi'_j = phi_j(psi, x_tail) for the tail components j.  In
+so on the zero set of F = P l + U k the head components act on H as their
+linear part does.  The head variables are re-expressed as series psi in the
+tail variables by solving F = 0 with the implicit function theorem, and
+then phi'_j = phi_j(psi, x_tail) for the tail components j.  In
 characteristic 2 the tail-variable linear part of phi must first be the
-identity (see normalize_tail_linear); the square-tail bookkeeping
-Sum d_i phi_i^2 = Sum d_i x_i^2 + Sum d_i k_i^2 then matches the d_i k_i^2
-terms against the transform of g0's own square tail, so the F-system above
-already yields g0(phi') = g1 exactly.  The result is verified by
-substitution before it is returned.
+identity (see normalize_tail_linear), so that the tail components are
+phi_j = x_j + k_j; the square-tail bookkeeping Sum d_j phi_j^2 =
+Sum d_j x_j^2 + Sum d_j k_j^2 then matches the d_j k_j^2 terms against the
+transform of g0's own square tail, so F = 0 already yields g0(phi') = g1
+exactly.  The result is verified by substitution before it is returned.
 
 f0 and f1 are read by ``split_shape``: ``QuadNormalForm.read_split_shape``
-gives q, and the rest is projected to the tail variables.  The square tail
-Sum d_i x_i^2 is the part of q's ``normal_jet`` outside its ``head_jet``.
+gives the head, and the rest is projected to the tail variables.  The
+square tail is the part of the normal form's ``normal_jet`` outside its
+``head_jet``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import linalg
 from .field import CharacteristicError
 from .ift import ImplicitSystem, ift_solve
 from .jet import CoordinateChange, Jet, VerificationError, _substitute_batch
-from .quadform import QuadNormalForm
+from .quadform import QuadNormalForm, QuadraticForm
 from .split import embed_from_tail, project_to_tail
 
 
@@ -146,14 +148,18 @@ def transport(p: TransportProblem) -> CoordinateChange:
     if rank == 0:
         psi = []
     else:
-        heads = [p.phi.components[i] for i in range(rank)]
+        if field.char == 2:
+            _check_char2_tail_linear(p)
+        heads = p.phi.components[:rank]
         linears = [h.degree_part(1) for h in heads]
         highers = [h - lin for h, lin in zip(heads, linears)]
-        if field.char != 2:
-            two = field.from_int(2)
-            eqs = [lin.scale(two) + k for lin, k in zip(linears, highers)]
-        else:
-            eqs = _char2_system(p, linears, highers)
+        head = p.quad.head_jet(N)
+        gram = QuadraticForm.from_jet(head).gram
+        eqs = []
+        for i, row in enumerate(head.hessian()[:rank]):  # F = P l + U k; P is invertible
+            terms = [lin.scale(c) for c, lin in zip(row, linears) if c != field.zero]
+            terms += [highers[j].scale(c) for (r, j), c in gram.items() if r == i]
+            eqs.append(sum(terms[1:], terms[0]))
         try:
             sys = ImplicitSystem(eqs, list(range(rank)))
         except ValueError as exc:
@@ -179,28 +185,24 @@ def split_shape(f: Jet):
     return quad, project_to_tail(f - quad.head_jet(f.prec), quad.rank)
 
 
-def _char2_system(p: TransportProblem, linears, highers):
-    """The paired implicit equations for characteristic 2."""
+def _check_char2_tail_linear(p: TransportProblem):
+    """Raise unless phi's tail rows are linearly the identity (characteristic 2).
+
+    Head variables may enter them linearly only when the square tail is zero.
+    """
     field = p.field
     n, rank = p.nvars, p.rank
     lin = p.phi.linear_matrix()
+    square_tail = p.quad.normal_jet(2) != p.quad.head_jet(2)
     for i in range(rank, n):
         for j in range(rank):
-            if lin[i][j] != field.zero:
-                if any(d != field.zero for d in p.quad.tail):
-                    raise TransportError(
-                        "tail components of phi mix in head variables linearly; "
-                        "with a nonzero square tail the construction needs the "
-                        "tail linear part to be exactly the identity")
+            if lin[i][j] != field.zero and square_tail:
+                raise TransportError(
+                    "tail components of phi mix in head variables linearly; "
+                    "with a nonzero square tail the construction needs the "
+                    "tail linear part to be exactly the identity")
         for j in range(rank, n):
             expected = field.one if i == j else field.zero
             if lin[i][j] != expected:
                 raise TransportError(
                     "tail linear block is not the identity; run normalize_tail_linear")
-    eqs = []
-    for t in range(rank // 2):
-        e = 2 * t
-        a_first, a_second = p.quad.pairs[t]
-        eqs.append(linears[e] + highers[e + 1].scale(a_second))
-        eqs.append(linears[e + 1] + highers[e + 1] + highers[e].scale(a_first))
-    return eqs

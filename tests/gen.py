@@ -16,6 +16,15 @@ from jetsplit.split import embed_from_tail
 FIELDS = [RationalField(), PrimeField(7), PrimeField(2), BinaryField(2)]
 
 
+def elements(field):
+    """Every element of GF(p) or GF(2^k), as the integer codes 0, 1, ..."""
+    if isinstance(field, PrimeField):
+        return range(field.p)
+    if isinstance(field, BinaryField):
+        return range(field.order)
+    raise ValueError(f"{field} is not finite")
+
+
 def random_element(field, rng, nonzero=False):
     """A small fraction over Q; a uniform element of a finite field."""
     if isinstance(field, RationalField):
@@ -23,7 +32,7 @@ def random_element(field, rng, nonzero=False):
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             if a != 0 or not nonzero:
                 return a
-    return rng.randint(1 if nonzero else 0, field.elements()[-1])
+    return rng.randint(1 if nonzero else 0, elements(field)[-1])
 
 
 def rand_monomial(nvars, degree, rng):

@@ -1,0 +1,39 @@
+"""The library imports only the standard library (README, "Install")."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetsplit"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def absolute_imports(tree):
+    """Top-level module names of every absolute import, at any depth in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_the_package_has_sources():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "jet.py", "split.py", "transport.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    foreign = [(line, name) for line, name in absolute_imports(tree)
+               if name not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+def test_a_third_party_import_is_caught():
+    tree = ast.parse("import os\nfrom .jet import Jet\ndef f():\n    import numpy.linalg\n")
+    names = [name for _, name in absolute_imports(tree)]
+    assert names == ["os", "numpy"]
+    assert [n for n in names if n not in sys.stdlib_module_names] == ["numpy"]
