@@ -4,6 +4,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_corpus.py
 
+With ``--check`` it writes nothing: it rebuilds the corpus in memory and
+exits 1 on the first case that differs from ``corpus.json``.
+
 Each case is a CLI argument list, the input files it reads and the exit code,
 stdout and stderr the program produced.  ``tests/test_golden.py`` replays
 every case and requires byte-identical output, so regenerate only when an output
@@ -25,8 +28,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
 from gen import (rand_automorphism, rand_implicit_system, rand_jet,  # noqa: E402
-                 rand_split_form, transport_roundtrip)
-from jetsplit import (CoordinateChange, iterate_diagonal, linalg,  # noqa: E402
+                 rand_split_form, random_element, transport_roundtrip)
+from jetsplit import (CoordinateChange, Jet, iterate_diagonal, linalg,  # noqa: E402
                       parse_field_spec, parse_jet, serialize_jet)
 from jetsplit.cli import main  # noqa: E402
 
@@ -359,6 +362,62 @@ def char2_pair_cases():
     return cases
 
 
+# quadform inputs, as (tag, field, variables, expression): a zero diagonal
+# with a mixed entry, a pivot swap, squarefree rescaling, a permuted and
+# collapsed square tail, an Arf pair without a solvable reduction and t
+# coefficients over GF(16)
+QUADFORM_BRANCH_INPUTS = [
+    ("zero-diagonal-q", "q", "x,y,z", "x*y + y*z"),
+    ("zero-diagonal-fp7", "fp:7", "x,y,z", "x*y + y*z"),
+    ("pivot-swap-q", "q", "x,y", "y^2 + x*y"),
+    ("squarefree-q", "q", "x,y", "12*x^2 + 18*y^2"),
+    ("square-tail-fp2", "fp:2", "x1,x2,x3,x4,x5", "x1*x2 + x4^2 + x5^2"),
+    ("unsolvable-pair-fp2", "fp:2", "x1,x2", "x1^2 + x1*x2 + x2^2"),
+    ("t-coefficients-f2k4", "f2k:4", "x1,x2,x3,x4,x5",
+     "t*x1^2 + x1*x2 + (t+1)*x2^2 + t^2*x3^2 + x3*x4 + x4^2 + (t^3+t)*x5^2 + x2*x5"),
+]
+
+
+def dense_quadratic(field, n, rng):
+    """Every monomial x_i x_j with a nonzero coefficient (small integers over q)."""
+    coeffs = {}
+    for i in range(n):
+        for j in range(i, n):
+            alpha = [0] * n
+            alpha[i] += 1
+            alpha[j] += 1
+            coeffs[tuple(alpha)] = (field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                                    if field.char == 0
+                                    else random_element(field, rng, nonzero=True))
+    return Jet(field, n, 2, coeffs)
+
+
+def quadform_branch_cases():
+    """quadform and split through every branch of the congruence steps.
+
+    Each input of QUADFORM_BRANCH_INPUTS in text and json, then dense forms in
+    8 variables over q, fp:7, fp:2 and f2k:4 as quadform and as json split at
+    precision 3, which print the transition matrix.  The dense forms are drawn
+    from their own seed, so the cases above keep their inputs.
+    """
+    cases = []
+    for tag, spec, names, expr in QUADFORM_BRANCH_INPUTS:
+        argv = ["quadform", "--field", spec, "--vars", names]
+        cases.append((f"quadform-{tag}", argv + [expr], {}))
+        cases.append((f"quadform-json-{tag}", argv + ["--format", "json", expr], {}))
+    rng = random.Random(1313)
+    names = names_of(8)
+    for spec in ("q", "fp:7", "fp:2", "f2k:4"):
+        expr = serialize_jet(dense_quadratic(parse_field_spec(spec), 8, rng), names,
+                             with_precision=False)
+        common = ["--field", spec, "--vars", ",".join(names)]
+        tag = f"{spec.replace(':', '')}-dense-n8"
+        cases.append((f"quadform-{tag}", ["quadform"] + common + [expr], {}))
+        cases.append((f"split-json-{tag}-N3", ["split"] + common + [
+            "--precision", "3", "--format", "json", expr], {}))
+    return cases
+
+
 # transport inputs in split shape or not, as (tag, field, variables, f0, f1)
 TRANSPORT_EDGE_INPUTS = [
     ("not-diagonal", "q", "x,y", "x*y + y^3", "x*y + y^3"),
@@ -445,7 +504,7 @@ def build():
     rng = random.Random(20260)
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
              + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases()
-             + deep_ift_cases() + char2_pair_cases())
+             + deep_ift_cases() + char2_pair_cases() + quadform_branch_cases())
     parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
     parsed += [
         ("parse-zero-powers-norm",
@@ -474,9 +533,29 @@ def build():
     return corpus
 
 
+def check(corpus, path):
+    """0 when corpus equals the stored one case for case, else 1 naming the first difference."""
+    with open(path, encoding="utf-8") as handle:
+        stored = json.load(handle)
+    for new, old in zip(corpus, stored):
+        if new != old:
+            print(f"golden case {old['name']} differs from the rebuilt case {new['name']}",
+                  file=sys.stderr)
+            return 1
+    if len(corpus) != len(stored):
+        print(f"the corpus holds {len(stored)} cases, the rebuild {len(corpus)}",
+              file=sys.stderr)
+        return 1
+    print(f"all {len(corpus)} cases match")
+    return 0
+
+
 if __name__ == "__main__":
     corpus = build()
-    with open(os.path.join(HERE, "corpus.json"), "w", encoding="utf-8") as handle:
+    path = os.path.join(HERE, "corpus.json")
+    if sys.argv[1:] == ["--check"]:
+        raise SystemExit(check(corpus, path))
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(corpus, handle, indent=1, ensure_ascii=False)
         handle.write("\n")
     print(f"wrote {len(corpus)} cases")
