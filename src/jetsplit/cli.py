@@ -91,25 +91,16 @@ def _cmd_quadform(args):
              f"normal_form: {nf_text}",
              f"descriptor: {json.dumps(nf.to_json())}"]
     if field.char == 2:
-        reduced = arf_reduce_solvable(nf)
-        if reduced is not None:
-            payload["solvable_reduction"] = reduced.to_json()
-            lines.append(f"solvable_reduction: {json.dumps(reduced.to_json())}")
-        else:
-            payload["solvable_reduction"] = None
-            lines.append("solvable_reduction: absent")
+        key, reduction = "solvable_reduction", arf_reduce_solvable(nf)
     else:
-        unit = normalize_squares(nf)
-        if unit is not None:
-            payload["unit_diagonal"] = unit.to_json()
-            lines.append(f"unit_diagonal: {json.dumps(unit.to_json())}")
-        else:
-            payload["unit_diagonal"] = None
-            lines.append("unit_diagonal: absent")
-            if field.spec() == "q":
-                signs = "".join(diagonal_signs(nf))
-                payload["signs"] = signs
-                lines.append(f"signs: {signs}")
+        key, reduction = "unit_diagonal", normalize_squares(nf)
+    data = None if reduction is None else reduction.to_json()
+    payload[key] = data
+    lines.append(f"{key}: {'absent' if data is None else json.dumps(data)}")
+    if data is None and field.spec() == "q":
+        signs = "".join(diagonal_signs(nf))
+        payload["signs"] = signs
+        lines.append(f"signs: {signs}")
     return _emit_checked(args, payload, lines)
 
 

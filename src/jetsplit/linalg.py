@@ -13,21 +13,6 @@ def copy_matrix(m):
     return [row[:] for row in m]
 
 
-def matmul(field: Field, a, b):
-    n, k = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[field.zero] * cols for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            ait = a[i][t]
-            if ait == field.zero:
-                continue
-            row = b[t]
-            for j in range(cols):
-                out[i][j] = field.add(out[i][j], field.mul(ait, row[j]))
-    return out
-
-
 def rref(field: Field, m):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     m = copy_matrix(m)

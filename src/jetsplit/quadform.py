@@ -4,8 +4,11 @@ Away from characteristic 2 a form is congruence-diagonalized; in
 characteristic 2 it is brought to Arf normal form (hyperbolic-style pairs
 ``a x_i^2 + x_i x_{i+1} + b x_{i+1}^2`` plus a diagonal square tail), with a
 further reduction to the solvable-field normal forms when the needed square
-roots and affine quadratics have solutions.  Every producer verifies its
-transition by exact substitution before returning.
+roots and affine quadratics have solutions.  Every producer changes
+coordinates in place, one elementary congruence at a time on the columns of
+its transition matrix (and on the rows and columns of the Gram matrix it
+reduces), and then checks its transition by exact substitution before
+returning.
 """
 
 from __future__ import annotations
@@ -125,27 +128,23 @@ class QuadraticForm:
             s = field.add(s, field.mul(c, field.mul(v[i], v[j])))
         return s
 
+    def polar(self):
+        """The polar matrix P = A + A^T, as the Hessian of the 2-jet."""
+        return self.as_jet(2).hessian()
+
     def symmetric_matrix(self):
-        """(A + A^T)/2 as a full matrix; characteristic != 2 only."""
+        """P/2 = (A + A^T)/2 as a full matrix; characteristic != 2 only."""
         field = self.field
         if field.char == 2:
             raise CharacteristicError("no symmetric matrix in characteristic 2")
         half = field.inv(field.from_int(2))
-        n = self.nvars
-        b = [[field.zero] * n for _ in range(n)]
-        for (i, j), c in self.gram.items():
-            if i == j:
-                b[i][i] = c
-            else:
-                b[i][j] = b[j][i] = field.mul(half, c)
-        return b
+        return [[field.mul(half, c) for c in row] for row in self.polar()]
 
     def bilinear(self, v, w):
+        """The polar form b(v, w) = q(v + w) - q(v) - q(w) = v^T P w."""
         field = self.field
         s = field.zero
         for (i, j), c in self.gram.items():
-            if i == j:
-                continue
             s = field.add(s, field.mul(c, field.add(field.mul(v[i], w[j]),
                                                     field.mul(v[j], w[i]))))
         return s
@@ -208,34 +207,20 @@ class QuadNormalForm:
         return CoordinateChange.from_linear(self.field, self.matrix, prec)
 
     def normal_jet(self, prec: int = 2) -> Jet:
-        field = self.field
-        n = self.nvars
-        coeffs = {}
-
-        def put(i, j, c):
-            if c == field.zero:
-                return
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            coeffs[tuple(alpha)] = c
-
+        one = self.field.one
         if self.variant in ("diagonal", "unit_diagonal"):
-            for i, a in enumerate(self.diagonal):
-                put(i, i, a)
+            gram = {(i, i): a for i, a in enumerate(self.diagonal)}
         elif self.variant == "arf":
+            r = self.rank
+            gram = {(r + j, r + j): d for j, d in enumerate(self.tail)}
             for t, (a, b) in enumerate(self.pairs):
-                put(2 * t, 2 * t, a)
-                put(2 * t, 2 * t + 1, field.one)
-                put(2 * t + 1, 2 * t + 1, b)
-            for j, d in enumerate(self.tail):
-                put(self.rank + j, self.rank + j, d)
+                gram.update({(2 * t, 2 * t): a, (2 * t, 2 * t + 1): one,
+                             (2 * t + 1, 2 * t + 1): b})
         else:
-            for t in range(self.half_rank):
-                put(2 * t, 2 * t + 1, field.one)
+            gram = {(2 * t, 2 * t + 1): one for t in range(self.half_rank)}
             if self.variant == "char2_solvable_a":
-                put(self.rank, self.rank, field.one)
-        return Jet(field, n, prec, coeffs)
+                gram[(self.rank, self.rank)] = one
+        return QuadraticForm(self.field, self.nvars, gram).as_jet(prec)
 
     def head_jet(self, prec: int = 2) -> Jet:
         """Only the nondegenerate head: the diagonal, or the Arf pairs."""
@@ -256,13 +241,10 @@ class QuadNormalForm:
         n = f.nvars
         if any(sum(alpha) < 2 for alpha in f.coeffs):
             raise SplitShapeError("series has terms of degree < 2")
-        squares, cross = {}, {}
-        for alpha, c in f.degree_part(2).coeffs.items():
-            support = tuple(i for i, e in enumerate(alpha) if e)
-            if len(support) == 1:
-                squares[support[0]] = c
-            else:
-                cross[support] = c
+        # below precision 2 the check above leaves only the zero jet
+        gram = QuadraticForm.from_jet(f).gram if f.prec >= 2 else {}
+        squares = {i: c for (i, j), c in gram.items() if i == j}
+        cross = {ij: c for ij, c in gram.items() if ij[0] != ij[1]}
         identity = linalg.identity(field, n)
         if field.char != 2:
             if cross:
@@ -325,6 +307,37 @@ def _verify_transition(what: str, source: Jet, matrix, nf: QuadNormalForm):
         raise VerificationError("quadform", f"the {what} is singular")
 
 
+# Elementary congruences, in place.  Each is one linear substitution with
+# matrix M: every transition matrix S in ``mats`` becomes S M (a column
+# operation) and the symmetric matrix b, when given, becomes M^T b M.
+
+
+def _add(field: Field, mats, i, j, c, b=None):
+    """x_i -> x_i + c x_j: column j gains c times column i (and so does row j of b)."""
+    for m in mats if b is None else mats + [b]:
+        for row in m:
+            row[j] = field.add(row[j], field.mul(c, row[i]))
+    if b is not None:
+        b[j] = [field.add(y, field.mul(c, x)) for x, y in zip(b[i], b[j])]
+
+
+def _scale(field: Field, mats, i, c, b=None):
+    """x_i -> c x_i: column i (and row i of b) times c."""
+    for m in mats if b is None else mats + [b]:
+        for row in m:
+            row[i] = field.mul(c, row[i])
+    if b is not None:
+        b[i] = [field.mul(c, x) for x in b[i]]
+
+
+def _permute(mats, order, b=None):
+    """Renumber the coordinates: the new x_k is the old x_{order[k]}."""
+    for m in mats:
+        m[:] = [[row[k] for k in order] for row in m]
+    if b is not None:
+        b[:] = [[b[k][t] for t in order] for k in order]
+
+
 def diagonalize(q: QuadraticForm) -> QuadNormalForm:
     """Congruence-diagonalize q over a field of characteristic != 2.
 
@@ -339,52 +352,31 @@ def diagonalize(q: QuadraticForm) -> QuadNormalForm:
     n = q.nvars
     b = q.symmetric_matrix()
     s = linalg.identity(field, n)
-
-    def step(m):
-        nonlocal b, s
-        s = linalg.matmul(field, s, m)
-        mt = [[m[j][i] for j in range(n)] for i in range(n)]
-        b = linalg.matmul(field, mt, linalg.matmul(field, b, m))
-
     p = 0
     while p < n:
         piv = next((j for j in range(p, n) if b[j][j] != field.zero), None)
         if piv is None:
-            pair = None
-            for i in range(p, n):
-                for j in range(i + 1, n):
-                    if b[i][j] != field.zero:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in range(p, n) for j in range(i + 1, n)
+                         if b[i][j] != field.zero), None)
             if pair is None:
                 break
             i, j = pair
-            m = linalg.identity(field, n)
-            m[j][i] = field.one  # x_j -> x_j + x_i, makes b[i][i] = 2 a_ij != 0
-            step(m)
+            _add(field, [s], j, i, field.one, b)  # x_j -> x_j + x_i makes b[i][i] = 2 b[i][j]
             continue
         if piv != p:
-            m = linalg.identity(field, n)
-            m[p][p] = m[piv][piv] = field.zero
-            m[p][piv] = m[piv][p] = field.one
-            step(m)
+            order = list(range(n))
+            order[p], order[piv] = piv, p
+            _permute([s], order, b)
         for j in range(p + 1, n):
             if b[p][j] != field.zero:
-                lam = field.div(b[p][j], b[p][p])
-                m = linalg.identity(field, n)
-                m[p][j] = field.neg(lam)  # x_p -> x_p - lam x_j
-                step(m)
+                _add(field, [s], p, j, field.neg(field.div(b[p][j], b[p][p])), b)
         p += 1
     k = p
     if isinstance(field, RationalField):
         for i in range(k):
             _, t = _square_free_split(b[i][i])
             if t != 1:
-                m = linalg.identity(field, n)
-                m[i][i] = field.inv(t)  # x_i -> x_i / t strips the square factor
-                step(m)
+                _scale(field, [s], i, field.inv(t), b)  # strips the square factor
     nf = QuadNormalForm("diagonal", field, n, s,
                         diagonal=tuple(b[i][i] for i in range(k)))
     _verify_transition("transition", q.as_jet(2), nf.matrix, nf)
@@ -412,10 +404,10 @@ def normalize_squares(nf: QuadNormalForm):
         return None
     n = nf.nvars
     m = linalg.identity(field, n)
+    matrix = linalg.copy_matrix(nf.matrix)
     for i, r in enumerate(roots):
-        m[i][i] = field.inv(r)
-    out = QuadNormalForm("unit_diagonal", field, n,
-                         linalg.matmul(field, nf.matrix, m),
+        _scale(field, [m, matrix], i, field.inv(r))
+    out = QuadNormalForm("unit_diagonal", field, n, matrix,
                          diagonal=tuple(field.one for _ in roots))
     _verify_transition("unit-diagonal rescaling", nf.normal_jet(2), m, out)
     return out
@@ -493,51 +485,28 @@ def arf_reduce_solvable(nf: QuadNormalForm):
     n = nf.nvars
     l = nf.half_rank
     extra = linalg.identity(field, n)
-
-    def step(m):
-        nonlocal extra
-        extra = linalg.matmul(field, extra, m)
-
+    matrix = linalg.copy_matrix(nf.matrix)
+    mats = [extra, matrix]
     for t, (a, c) in enumerate(nf.pairs):
         u = field.solve_affine_quadratic(a, c)
         if u is None:
             return None
-        e = 2 * t
-        if u != field.zero:
-            m = linalg.identity(field, n)
-            m[e][e + 1] = u  # x_i -> x_i + u x_{i+1}
-            step(m)
-        if a != field.zero:
-            m = linalg.identity(field, n)
-            m[e + 1][e] = a  # x_{i+1} -> x_{i+1} + a_i x_i
-            step(m)
+        _add(field, mats, 2 * t, 2 * t + 1, u)
+        _add(field, mats, 2 * t + 1, 2 * t, a)
     nonzero = [i for i, d in enumerate(nf.tail) if d != field.zero]
     order = nonzero + [i for i, d in enumerate(nf.tail) if d == field.zero]
-    if order != list(range(len(nf.tail))):
-        # renumber so the nonzero squares sit right after the pairs
-        m = linalg.identity(field, n)
-        for idx in range(len(nf.tail)):
-            m[2 * l + idx][2 * l + idx] = field.zero
-        for new_pos, old_pos in enumerate(order):
-            m[2 * l + old_pos][2 * l + new_pos] = field.one
-        step(m)
+    # renumber so the nonzero squares sit right after the pairs
+    _permute(mats, list(range(2 * l)) + [2 * l + i for i in order])
     for pos, old in enumerate(nonzero):
         r = field.sqrt(nf.tail[old])
         if r is None:
             return None
-        if r != field.one:
-            m = linalg.identity(field, n)
-            m[2 * l + pos][2 * l + pos] = field.inv(r)
-            step(m)
+        _scale(field, mats, 2 * l + pos, field.inv(r))
     k_sq = len(nonzero)
-    if k_sq >= 2:
-        m = linalg.identity(field, n)
-        for j in range(1, k_sq):
-            m[2 * l][2 * l + j] = field.one  # collapse x^2 + ... + x^2 onto one square
-        step(m)
+    for j in range(1, k_sq):
+        _add(field, mats, 2 * l, 2 * l + j, field.one)  # collapse x^2 + ... onto one square
     variant = "char2_solvable_a" if k_sq >= 1 else "char2_solvable_b"
-    out = QuadNormalForm(variant, field, n,
-                         linalg.matmul(field, nf.matrix, extra),
+    out = QuadNormalForm(variant, field, n, matrix,
                          pairs=tuple((field.zero, field.zero) for _ in range(l)))
     _verify_transition("solvable reduction", nf.normal_jet(2), extra, out)
     return out

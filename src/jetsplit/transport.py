@@ -153,12 +153,11 @@ def transport(p: TransportProblem) -> CoordinateChange:
         heads = p.phi.components[:rank]
         linears = [h.degree_part(1) for h in heads]
         highers = [h - lin for h, lin in zip(heads, linears)]
-        head = p.quad.head_jet(N)
-        gram = QuadraticForm.from_jet(head).gram
+        head = QuadraticForm.from_jet(p.quad.head_jet(2))
         eqs = []
-        for i, row in enumerate(head.hessian()[:rank]):  # F = P l + U k; P is invertible
+        for i, row in enumerate(head.polar()[:rank]):  # F = P l + U k; P is invertible
             terms = [lin.scale(c) for c, lin in zip(row, linears) if c != field.zero]
-            terms += [highers[j].scale(c) for (r, j), c in gram.items() if r == i]
+            terms += [highers[j].scale(c) for (r, j), c in head.gram.items() if r == i]
             eqs.append(sum(terms[1:], terms[0]))
         try:
             sys = ImplicitSystem(eqs, list(range(rank)))

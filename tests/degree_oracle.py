@@ -6,7 +6,23 @@ at every precision 1..N.  It reaches the same unique solution as the Newton
 iteration by another route, so the two must produce identical jets.
 """
 
-from jetsplit import ImplicitSystem, Jet, PrecisionError, VerificationError, linalg
+from jetsplit import ImplicitSystem, Jet, PrecisionError, VerificationError
+
+
+def matmul(field, a, b):
+    """The matrix product a b over field."""
+    n, k = len(a), len(b)
+    cols = len(b[0]) if b else 0
+    out = [[field.zero] * cols for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            ait = a[i][t]
+            if ait == field.zero:
+                continue
+            row = b[t]
+            for j in range(cols):
+                out[i][j] = field.add(out[i][j], field.mul(ait, row[j]))
+    return out
 
 
 def ift_solve_by_degree(sys: ImplicitSystem, N: int):
@@ -29,7 +45,7 @@ def ift_solve_by_degree(sys: ImplicitSystem, N: int):
                 if sum(alpha) == d:
                     by_monomial.setdefault(alpha, [field.zero] * ny)[i] = c
         for alpha, vec in by_monomial.items():
-            for j, (corr,) in enumerate(linalg.matmul(field, sys.j0_inv, [[c] for c in vec])):
+            for j, (corr,) in enumerate(matmul(field, sys.j0_inv, [[c] for c in vec])):
                 if corr != field.zero:
                     sol[j][alpha] = field.neg(corr)
     ys = [Jet(field, nx, N, s) for s in sol]

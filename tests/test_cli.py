@@ -3,7 +3,6 @@ import itertools
 import json
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -238,6 +237,23 @@ def test_large_squarefree_coefficient_is_fast(capsys, command):
     assert str(P * Q2) in out
 
 
+# every monomial x_i x_j of 40 variables, with a coefficient in 1..6 over fp:7
+DENSE_40 = ["--field", "fp:7", "--vars", ",".join(f"x{i}" for i in range(1, 41)),
+            " + ".join(f"{1 + (3 * i + 5 * j + i * j) % 6}*x{i}*x{j}"
+                       for i in range(1, 41) for j in range(i, 41))]
+
+
+@pytest.mark.parametrize("command", [["quadform"], ["split", "--precision", "3"]])
+def test_dense_quadratic_form_in_40_variables_is_fast(capsys, command):
+    # each elementary congruence touches O(n) entries; one n x n matrix
+    # product per congruence took over 4 s here
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, *DENSE_40)
+    assert time.perf_counter() - start < 1.5
+    assert code == 0 and err == ""
+    assert out.endswith("verified: true\n")
+
+
 BIG_PRIME = 9223372036854775837  # above 2^63
 
 
@@ -414,11 +430,13 @@ def test_failed_ift_check_exits_1_without_traceback(monkeypatch, capsys):
 
 def test_failed_transport_check_exits_1_without_traceback(monkeypatch, tmp_path, capsys):
     # tail coordinates y -> y + y^2 while phi' is built: g0(phi') is no longer g1
-    def shifted_variable(field, nvars, i, prec):
-        x = Jet.variable(field, nvars, i, prec)
-        return x + x * x
+    class ShiftedJet(Jet):
+        @classmethod
+        def variable(cls, field, nvars, i, prec):
+            x = Jet.variable(field, nvars, i, prec)
+            return x + x * x
 
-    monkeypatch.setattr(transport_module, "Jet", SimpleNamespace(variable=shifted_variable))
+    monkeypatch.setattr(transport_module, "Jet", ShiftedJet)
     files = {"f0.txt": "x^2 + y^4", "f1.txt": "x^2 + y^4 + 4*y^5 + 6*y^6 + 4*y^7 + y^8",
              "phi.txt": "x\ny + y^2"}
     for name, text in files.items():

@@ -4,9 +4,10 @@ The corpus holds README examples and seeded split/verify, ift, transport,
 quadform, norm, milnor and determinacy calls over every field, split, ift
 and transport with large denominators over q and large residues over
 fp:1000000007, rejected transport and split inputs, `verify` on tampered
-split results (exit 1), and parser inputs (nesting, powers, signs,
-truncation, literals, and syntax and semantic errors), with the exit code,
-stdout and stderr recorded by ``tests/golden/make_corpus.py``.  A refactor
+split results (exit 1), quadform through every congruence branch and dense
+8-variable forms, and parser inputs (nesting, powers, signs, truncation,
+literals, and syntax and semantic errors), with the exit code, stdout and
+stderr recorded by ``tests/golden/make_corpus.py``.  A refactor
 or kernel change that alters any byte of any output fails here.
 """
 

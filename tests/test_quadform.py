@@ -1,16 +1,18 @@
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 import pytest
 
-from gen import FIELDS, rand_invertible, rand_m2_jet, rand_split_form
+from gen import FIELDS, rand_invertible, rand_m2_jet, rand_split_form, random_element
 from jetsplit import (BinaryField, CharacteristicError, CoordinateChange,
                       PrimeField, QuadNormalForm, QuadraticForm,
                       RationalField, SplitShapeError, arf_decompose,
                       arf_normal_form, arf_reduce_solvable, diagonal_signs,
-                      diagonalize, normal_form, normalize_squares, parse_jet)
+                      diagonalize, normal_form, normalize_squares, parse_field_spec,
+                      parse_jet)
 from jetsplit import linalg, quadform
 from jetsplit.quadform import QuadraticShapeError, _square_free_split
 
@@ -226,6 +228,30 @@ def test_arf_decompose_pair_and_radical():
     assert dec.radical_basis[0] == [0, 0, 1]
     u, w = dec.symplectic_pairs[0]
     assert q.bilinear(u, w) == 1
+
+
+def test_bilinear_is_the_polar_form_of_x2_plus_3xy():
+    q = qf("x^2 + 3*x*y", Q, ["x", "y"])
+    assert q.bilinear([1, 0], [1, 0]) == 2
+    assert q.bilinear([1, 0], [1, 1]) == 5
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_bilinear_is_q_of_sum_minus_q_of_parts(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(13)
+    for n in range(1, 6):
+        for _ in range(10):
+            q = QuadraticForm(field, n, {(i, j): random_element(field, rng)
+                                         for i in range(n) for j in range(i, n)})
+            v = [random_element(field, rng) for _ in range(n)]
+            w = [random_element(field, rng) for _ in range(n)]
+            vw = [field.add(a, b) for a, b in zip(v, w)]
+            polar = field.sub(q.evaluate(vw), field.add(q.evaluate(v), q.evaluate(w)))
+            assert q.bilinear(v, w) == polar
+            p = q.polar()
+            assert polar == reduce(field.add, [field.mul(v[i], field.mul(p[i][j], w[j]))
+                                               for i in range(n) for j in range(n)])
 
 
 def test_arf_decompose_pure_square():
