@@ -206,7 +206,10 @@ def norm_cases():
 # Brieskorn-Pham sums with higher terms (mu up to 100) over every field, a
 # non-isolated input, an order-1 input (mu = 0), a constant term, the zero
 # jet, a search cut below the stabilization degree and both --precision
-# branches of milnor; text and json alternate.
+# branches of milnor; then searches that meet rows reducing to zero: three
+# non-isolated inputs whose partials share a factor (over q, fp:101 and
+# fp:2, where the partials do not vanish) and an isolated one with zero
+# rows two batches before its cover; text and json alternate.
 TEXT, JSON = [], ["--format", "json"]
 JACOBIAN_INPUTS = [
     ("q-bp-a566", "q", "x,y,z", "x^5 + y^6 + z^6 + x^2*y^3*z", [TEXT, JSON]),
@@ -223,6 +226,14 @@ JACOBIAN_INPUTS = [
      [["--max-degree", "4"], ["--max-degree", "4"] + JSON]),
     ("q-precision-fits", "q", "x,y", "x^2 + y^3 + x*y^4", [["--precision", "6"], TEXT]),
     ("q-precision-short", "q", "x,y", "x^2 + y^7", [["--precision", "4"] + JSON, TEXT]),
+    ("q-shared-factor", "q", "x,y,z", "(x+y-z)^2*((x-y+2*z)^2 + x*y*z)",
+     [["--max-degree", "12"], ["--max-degree", "12"] + JSON]),
+    ("fp101-shared-factor", "fp:101", "x,y,z", "(x+y-z)^2*((x-y+2*z)^2 + x*y*z)",
+     [["--max-degree", "12"] + JSON, ["--max-degree", "12"]]),
+    ("q-shared-factor-4vars", "q", "x,y,z,w", "(x+y+z+w)^2*(x-y+2*z)^2 + x^3*z^3",
+     [["--max-degree", "10"], ["--max-degree", "10"] + JSON]),
+    ("fp2-shared-factor", "fp:2", "x,y,z", "(x+y)^2*(x*y + z^3)", [JSON, TEXT]),
+    ("q-isolated-zero-rows", "q", "x,y,z", "x^2*y + y^6 + x^3*z + z^5", [TEXT, JSON]),
 ]
 
 
