@@ -414,38 +414,51 @@ def normalize_squares(nf: QuadNormalForm):
 
 
 def arf_decompose(q: QuadraticForm) -> ArfDecomposition:
-    """Split K^n into symplectic pairs plus the radical of the polarization."""
+    """Split K^n into symplectic pairs plus the radical of the polarization.
+
+    Each remaining vector z is kept beside P z, with P the polar matrix, and
+    updated by the same combination, so b(v, z) = v . P z is one dot product.
+    """
     field = q.field
     if field.char != 2:
         raise CharacteristicError("Arf decomposition requires characteristic 2")
-    n = q.nvars
-    remaining = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+    zero, add, mul = field.zero, field.add, field.mul
+
+    def dot(v, w):
+        s = zero
+        for a, b in zip(v, w):
+            if a != zero and b != zero:
+                s = add(s, mul(a, b))
+        return s
+
+    def combine(z, bv, v, bw, w):
+        return [add(zc, add(mul(bv, vc), mul(bw, wc))) for zc, vc, wc in zip(z, v, w)]
+
+    polar = q.polar()
+    remaining = [(e, [row[i] for row in polar])
+                 for i, e in enumerate(linalg.identity(field, q.nvars))]
     pairs = []
     while True:
         found = None
-        for i, v in enumerate(remaining):
-            partner = next(
-                (j for j, w in enumerate(remaining) if j != i and q.bilinear(v, w) != field.zero),
-                None,
-            )
+        for i, (v, _) in enumerate(remaining):
+            partner = next((j for j, (_, pw) in enumerate(remaining)
+                            if j != i and dot(v, pw) != zero), None)
             if partner is not None:
                 found = (i, partner)
                 break
         if found is None:
             break
         i, j = found
-        v, w = remaining[i], remaining[j]
-        c = q.bilinear(v, w)
-        cinv = field.inv(c)
-        rest = [z for t, z in enumerate(remaining) if t not in (i, j)]
+        (v, pv), (w, pw) = remaining[i], remaining[j]
+        cinv = field.inv(dot(v, pw))
         fixed = []
-        for z in rest:
-            bv = field.mul(q.bilinear(z, w), cinv)
-            bw = field.mul(q.bilinear(z, v), cinv)
-            fixed.append([field.add(zc, field.add(field.mul(bv, vc), field.mul(bw, wc)))
-                          for zc, vc, wc in zip(z, v, w)])
-        pairs.append(([field.mul(cinv, vc) for vc in v], w))
+        for t, (z, pz) in enumerate(remaining):
+            if t not in (i, j):
+                bv, bw = mul(dot(z, pw), cinv), mul(dot(z, pv), cinv)
+                fixed.append((combine(z, bv, v, bw, w), combine(pz, bv, pv, bw, pw)))
+        pairs.append(([mul(cinv, vc) for vc in v], w))
         remaining = fixed
+    remaining = [z for z, _ in remaining]
     pair_vectors = [u for p in pairs for u in p]
     for z in remaining:
         if any(q.bilinear(z, w) != field.zero for w in pair_vectors + remaining):
