@@ -42,6 +42,20 @@ def rand_monomial(nvars, degree, rng):
     return tuple(alpha)
 
 
+def monomials_of_degree(nvars, degree):
+    """Exponent tuples of the degree-d monomials in lex order, x_1's exponent descending."""
+    if nvars == 0:
+        if degree == 0:
+            yield ()
+        return
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, degree - first):
+            yield (first,) + rest
+
+
 def rand_jet(field, nvars, prec, rng, min_degree=0, max_degree=None, terms=4):
     if max_degree is None:
         max_degree = prec

@@ -4,13 +4,13 @@ import time
 
 import pytest
 
-from gen import rand_invertible, rand_jet
+from gen import monomials_of_degree, rand_invertible, rand_jet
 from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeField,
                       RationalField, VerificationError, determinacy_certificate, linalg,
                       milnor_number, parse_jet, verify_determinacy, verify_milnor)
 from jetsplit.cli import main
 from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon,
-                               count_monomials_upto, monomials_of_degree)
+                               count_monomials_upto, jacobian_generators)
 
 Q = RationalField()
 POLY = 10 ** 9
@@ -214,6 +214,75 @@ def test_echelon_ranks_match_dense_macaulay_matrix(field, min_multiplier_degree)
         for s in range(cutoff + 1):
             fresh = _ideal_echelon(field, gens, nvars, s, min_multiplier_degree)
             assert len(fresh.pivots) == oracle[s], (trial, s)
+
+
+def skip_prone_generators(field, nvars, rng):
+    """Generator sets whose rows reduce to zero beyond the Koszul syzygies:
+    three with a common factor, and one generator beside a multiple of it."""
+    def rand(min_degree, max_degree):
+        while True:
+            g = rand_jet(field, nvars, POLY, rng, min_degree=min_degree,
+                         max_degree=max_degree, terms=rng.randint(1, 3))
+            if not g.is_zero():
+                return g
+    factor = rand(1, 2)
+    common = [factor * rand(0, 2) for _ in range(3)]
+    g = rand(1, 3)
+    multiple = [g * rand(0, 2), rand(1, 3), g]
+    return [[h for h in gens if not h.is_zero()] for gens in (common, multiple)]
+
+
+@pytest.mark.parametrize("min_multiplier_degree", [0, 2])
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec())
+def test_search_ranks_under_skipped_rows_match_dense_macaulay_matrix(field,
+                                                                     min_multiplier_degree):
+    rng = random.Random(56 + min_multiplier_degree)
+    cutoff = 6
+    skipped = 0
+    for trial in range(4):
+        nvars = 2 + trial % 2
+        for gens in skip_prone_generators(field, nvars, rng):
+            oracle = [macaulay_rank(field, gens, nvars, s, min_multiplier_degree)
+                      for s in range(cutoff + 1)]
+            per_degree = [b - a for a, b in zip([0] + oracle, oracle)]
+            for s, ech in _growing_echelon(field, gens, nvars, cutoff, min_multiplier_degree):
+                fresh = _ideal_echelon(field, gens, nvars, s, min_multiplier_degree)
+                assert fresh.skipped == 0
+                assert ech.rank_by_degree[:s + 1] == fresh.rank_by_degree == per_degree[:s + 1], \
+                    (trial, s)
+            skipped += ech.skipped
+    assert skipped > 0
+
+
+def test_search_skips_multiples_of_zero_rows_and_counts_repeat():
+    f = poly("(x+y-z)^2*((x-y+2*z)^2 + x*y*z)", ["x", "y", "z"])
+    gens = jacobian_generators(f)
+    runs = []
+    for _ in range(2):
+        for _, ech in _growing_echelon(Q, gens, 3, 20):
+            pass
+        runs.append((ech.offered, ech.skipped, ech.zero, ech.steps, ech.rank_by_degree))
+    assert runs[0] == runs[1]
+    offered, skipped, zero, _, _ = runs[0]
+    # every row is still offered; inserting them all gave 1925 zero rows
+    assert offered == 3420
+    assert skipped > 0 and zero < 1925
+    assert offered - skipped == len(ech.pivots) + zero
+    # the verifiers' echelon inserts every row, to the same ranks with more work
+    for _, ech in _growing_echelon(Q, gens, 3, 12):
+        pass
+    full = _ideal_echelon(Q, gens, 3, 12)
+    assert full.skipped == 0 and full.offered == ech.offered
+    assert full.rank_by_degree == ech.rank_by_degree
+    assert full.zero > ech.zero and full.steps > ech.steps
+
+
+@pytest.mark.parametrize("nvars, cutoff", [(0, 3), (1, 4), (2, 5), (3, 6), (4, 4)])
+def test_packed_monomials_are_lex_ordered(nvars, cutoff):
+    ech = _ideal_echelon(Q, [], nvars, cutoff)
+    for degree in range(cutoff, -1, -1):
+        assert ech.monomials(degree) == [ech.packing.pack(beta)
+                                         for beta in monomials_of_degree(nvars, degree)]
 
 
 def test_verify_milnor_rejects_forged_reports():
