@@ -143,10 +143,11 @@ class QuadraticForm:
     def bilinear(self, v, w):
         """The polar form b(v, w) = q(v + w) - q(v) - q(w) = v^T P w."""
         field = self.field
-        s = field.zero
+        zero, add, mul = field.zero, field.add, field.mul
+        s = zero
         for (i, j), c in self.gram.items():
-            s = field.add(s, field.mul(c, field.add(field.mul(v[i], w[j]),
-                                                    field.mul(v[j], w[i]))))
+            if v[i] != zero or v[j] != zero:
+                s = add(s, mul(c, add(mul(v[i], w[j]), mul(v[j], w[i]))))
         return s
 
     def __eq__(self, other):
