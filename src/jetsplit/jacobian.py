@@ -17,31 +17,41 @@ degree.  Once the batch of lowest degree s is in, the pivots of lead degree
 <= s are final: degree s is covered exactly when its pivot count equals the
 number of degree-s monomials, and mu is read off the same echelon.
 
-The search skips rows it can show to be redundant (the syzygy criterion of
-signature-based algorithms; Gao, Volny & Wang, Math. Comp. 2016).  Rows go
-in the order (batch s, generator i, beta), with the betas of one degree in
-lex order: x_1's exponent descending, then x_2's, and so on.  When the row
-beta*g_i reduces to zero, or is skipped, every x_j*beta joins generator i's
-dead set, and a row whose beta is in that set is skipped.  No skip changes
-the span of the rows inserted so far:
+The search spans what inserting every row would span, with less work.
+Rows R = beta*g_i go in the order (batch s, generator i, beta), with the
+betas of one degree in lex order: x_1's exponent descending, then x_2's,
+and so on.  Two rules, modulo m^(D+1) with D the max degree:
 
-- Lex is a monomial order, so if the row (s', i', beta') comes before
+- Skip (the syzygy criterion of signature-based algorithms; Gao, Volny &
+  Wang, Math. Comp. 2016): when beta*g_i reduces to zero or is skipped,
+  every x_j*beta joins generator i's dead set, and a row whose beta is in
+  that set is skipped.
+- Lift (the Simplify step of Faugere's F4, JPAA 1999): a row that is not
+  skipped, where beta/x_j left the pivot p for the first variable x_j
+  dividing beta, is inserted as x_j*p.  Such rows arrive nearly reduced.
+
+Why the span after every row is the one without the rules:
+
+- Lex is a monomial order, so if row (s', i', beta') comes before
   (s, i, beta), then (s' + |gamma|, i', gamma*beta') comes before
-  (s + |gamma|, i, gamma*beta).
-- If beta*g_i lies in the span of the rows before it modulo m^(D+1), with D
-  the max degree, then gamma*beta*g_i lies in the span of the rows
-  gamma*beta'*g_i' modulo m^(D+1): multiplying by a monomial commutes with
-  the cut.  Each of those rows comes before gamma*beta*g_i, and is offered
-  whenever gamma*beta*g_i is, since its batch is no later.
-- By induction on the position, every skipped row lies in the span of the
-  rows inserted before it.
+  (s + |gamma|, i, gamma*beta), and it is offered whenever the latter is:
+  its batch is no later and its multiplier no smaller.  Multiplying by a
+  monomial commutes with the cut.
+- Suppose the echelon spans the rows before each row so far.  A row that
+  reduced to zero, or was skipped, lies in the span of the rows R' before
+  it; gamma times it lies in the span of the rows gamma*R', which come
+  before it, so skipping it loses nothing.
+- p is a nonzero multiple of (beta/x_j)*g_i minus a combination of the rows
+  R' before that row, so x_j*p is a nonzero multiple of beta*g_i minus a
+  combination of the rows x_j*R', which come before beta*g_i: inserting
+  x_j*p adds what inserting beta*g_i adds.
 
-So after every batch the span is the one without skips, hence so are the
-set of pivot leads, the per-degree pivot counts, the degree s and mu.  The
-order matters for speed only: any monomial order keeps the proof, but with
-the betas sorted by packed key instead, the search on the non-isolated
-(x+y-z)^2*((x-y+2*z)^2 + x*y*z) to max degree 30 took 37% longer.  The
-verifiers insert every row, so they stay an independent recount.
+Hence the set of pivot leads, the per-degree pivot counts, the degree s and
+mu are the ones every row would give.  The order matters for speed only:
+any monomial order keeps the proof, but with the betas sorted by packed
+key instead, the search on the non-isolated (x+y-z)^2*((x-y+2*z)^2 + x*y*z)
+to max degree 30 makes 50% more elimination steps.  The verifiers insert
+every row, so they stay an independent recount.
 
 A ``MilnorReport`` holds mu, its degree s, the bound 2*mu - order + 2 and
 the order; a ``DeterminacyReport`` the least k with m^(k+2) <= m^2 J +
@@ -153,23 +163,23 @@ class _Echelon:
         return terms
 
     def multiple(self, terms, kb: int) -> dict:
-        """The row beta*g for packed beta, cut at the cutoff."""
+        """The row beta*g for packed beta and g's packed terms, cut at the cutoff."""
         limit = self.limit
         return {kb + ka: c for ka, c in terms if kb + ka < limit}
 
-    def insert(self, row: dict) -> bool:
+    def insert(self, row: dict):
         """Reduce the row (consumed) and keep what is left as a new pivot.
 
-        True when it gave a pivot, False when it reduced to zero.
+        Returns the new pivot, or None when the row reduced to zero.
         """
         self.offered += 1
         lead = self._reduce(row)
         if lead is None:
             self.zero += 1
-            return False
-        self.pivots[lead] = self._normalize(row, lead)
+            return None
+        pivot = self.pivots[lead] = self._normalize(row, lead)
         self.rank_by_degree[lead >> self.shift] += 1
-        return True
+        return pivot
 
     def contains_monomial(self, key: int) -> bool:
         return self._reduce(dict(self._native([(key, self.field.one)]))) is None
@@ -275,23 +285,35 @@ def _growing_echelon(field: Field, gens, nvars: int, max_degree: int,
     |beta| >= min_multiplier_degree, in increasing order of |beta| + ord g,
     starting at s = 0 so that constant generators count.  When s is yielded,
     the pivots of lead degree <= s are final.  Rows in a generator's dead
-    set are skipped (see the module docstring); the sets hold packed keys,
-    so x_j*beta is beta's key plus the unit key of x_j.
+    set are skipped, and a row whose beta/x_j left a pivot p is inserted as
+    x_j*p (see the module docstring).  Multipliers are packed keys, so
+    x_j*beta is beta's key plus the unit key of x_j.
     """
     ech = _new_echelon(field, nvars, max_degree)
     width, shift = ech.packing.width, ech.shift
-    units = [(1 << shift) + (1 << width * j) for j in range(nvars)]
-    batches = [(int(g.order()), ech.terms(g), set()) for g in gens]
+    mask = (1 << width) - 1
+    units = [(width * j, (1 << shift) + (1 << width * j)) for j in range(nvars)]
+    # per generator: order, terms, dead multipliers, the pivot each multiplier left
+    batches = [(int(g.order()), ech.terms(g), set(), {}) for g in gens]
     for s in range(max_degree + 1):
-        for order, terms, dead in batches:
+        for order, terms, dead, pivot_of in batches:
             if s - order >= min_multiplier_degree:
                 for kb in ech.monomials(s - order):
                     if kb in dead:
                         ech.offered += 1
                         ech.skipped += 1
-                    elif ech.insert(ech.multiple(terms, kb)):
-                        continue
-                    dead.update([kb + unit for unit in units])
+                        pivot = None
+                    else:
+                        # x_j for the first variable dividing beta, if any
+                        unit = next((unit for low, unit in units if kb >> low & mask), None)
+                        lower = None if unit is None else pivot_of.get(kb - unit)
+                        row = (ech.multiple(terms, kb) if lower is None
+                               else ech.multiple(lower.items(), unit))
+                        pivot = ech.insert(row)
+                    if pivot is None:
+                        dead.update([kb + unit for _, unit in units])
+                    else:
+                        pivot_of[kb] = pivot
         yield s, ech
 
 
