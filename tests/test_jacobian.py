@@ -9,7 +9,7 @@ from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeFi
                       RationalField, VerificationError, determinacy_certificate, linalg,
                       milnor_number, parse_jet, verify_determinacy, verify_milnor)
 from jetsplit.cli import main
-from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon,
+from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon, _new_echelon,
                                count_monomials_upto, jacobian_generators)
 
 Q = RationalField()
@@ -281,7 +281,7 @@ def test_search_skips_multiples_of_zero_rows_and_counts_repeat():
 
 @pytest.mark.parametrize("nvars, cutoff", [(0, 3), (1, 4), (2, 5), (3, 6), (4, 4)])
 def test_packed_monomials_are_lex_ordered(nvars, cutoff):
-    ech = _ideal_echelon(Q, [], nvars, cutoff)
+    ech = _new_echelon(Q, nvars, cutoff)
     for degree in range(cutoff, -1, -1):
         assert ech.monomials(degree) == [ech.packing.pack(beta)
                                          for beta in monomials_of_degree(nvars, degree)]
