@@ -63,8 +63,11 @@ non-isolation.
 The verifiers (``verify_milnor``, ``verify_determinacy``) share the row
 kernel but not the search.  Each builds a fresh echelon at the certified
 cutoff, inserting generator by generator, and checks every monomial of the
-certified degree by full reduction rather than by counting leads;
-``verify_milnor`` also recounts mu on a second echelon at cutoff s - 1.
+certified degree by full reduction rather than by counting leads.
+``verify_milnor`` recounts mu on that same echelon cut at s: since reduction
+never lowers a lead, its pivots of lead degree <= s - 1 give the rank at
+cutoff s - 1, and the rows it adds, those with |beta| + ord g = s, have no
+term below degree s.
 Like every check in the library, a verifier returns nothing on success and
 raises ``VerificationError`` naming the condition that failed: a degree or
 bound claimed without a certificate, the order (a certificate claimed for
@@ -120,7 +123,11 @@ class _Echelon:
     ``steps``, one per pivot subtracted.
 
     This class reduces with the field's methods and stores monic pivots; the
-    subclasses below work on native ints for Q and GF(p).
+    subclasses below work on native ints for Q and GF(p).  Rows arrive
+    normal: ``_native`` makes each generator's terms monic (primitive over
+    Q) once, and beta*g and x_j*p keep that lead, the lowest key, which the
+    cut never drops.  So ``insert`` keeps a row that took no elimination step
+    as it is and calls ``_normalize`` only after a step.
     """
 
     def __init__(self, field: Field, nvars: int, cutoff: int):
@@ -160,7 +167,12 @@ class _Echelon:
         return self._native(self.packing.terms(g.coeffs))
 
     def _native(self, terms):
-        return terms
+        """g's packed terms, monic at the lead (the lowest key) once per generator."""
+        if not terms:
+            return terms
+        field = self.field
+        inv = field.inv(terms[0][1])
+        return [(k, field.mul(inv, c)) for k, c in terms]
 
     def multiple(self, terms, kb: int) -> dict:
         """The row beta*g for packed beta and g's packed terms, cut at the cutoff."""
@@ -173,11 +185,12 @@ class _Echelon:
         Returns the new pivot, or None when the row reduced to zero.
         """
         self.offered += 1
+        steps = self.steps
         lead = self._reduce(row)
         if lead is None:
             self.zero += 1
             return None
-        pivot = self.pivots[lead] = self._normalize(row, lead)
+        pivot = self.pivots[lead] = row if self.steps == steps else self._normalize(row, lead)
         self.rank_by_degree[lead >> self.shift] += 1
         return pivot
 
@@ -223,7 +236,11 @@ class _Echelon:
 
 
 class _RationalEchelon(_Echelon):
-    """Integer rows, fraction-free: row <- a*row - b*pivot, pivots primitive."""
+    """Integer rows, fraction-free: row <- a*row - b*pivot.
+
+    Pivots are primitive after a step; a row cut at the cutoff that took no
+    step may keep a content above 1, which affects coefficient size only.
+    """
 
     def _native(self, terms):
         scale = math.lcm(*(c.denominator for _, c in terms))
@@ -330,13 +347,15 @@ def _ideal_echelon(field: Field, gens, nvars: int, cutoff: int,
 
 
 def _check_cover(stage: str, ideal: str, f: Jet, gens, degree: int,
-                 min_multiplier_degree: int = 0):
-    """Raise unless m^degree <= ideal + m^(degree+1), by full reduction on a fresh echelon."""
+                 min_multiplier_degree: int = 0) -> _Echelon:
+    """Raise unless m^degree <= ideal + m^(degree+1), by full reduction on a fresh
+    echelon; return that echelon."""
     _check_search_size(f.nvars, degree)
     ech = _ideal_echelon(f.field, gens, f.nvars, degree, min_multiplier_degree)
     if not all(ech.contains_monomial(key) for key in ech.monomials(degree)):
         raise VerificationError(
             stage, f"no cover at degree {degree}: m^{degree} is not in {ideal} + m^{degree + 1}")
+    return ech
 
 
 def jacobian_generators(f: Jet):
@@ -419,7 +438,7 @@ def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
 
 
 def verify_milnor(f: Jet, report: MilnorReport):
-    """Re-check the certificate and mu on fresh echelons, apart from the search.
+    """Re-check the certificate and mu on a fresh echelon, apart from the search.
 
     Every degree-s monomial must reduce to zero modulo J + m^(s+1), and mu
     must equal the codimension of J modulo m^s, with the bound and order
@@ -436,9 +455,8 @@ def verify_milnor(f: Jet, report: MilnorReport):
     if s is None or s < 1:
         raise VerificationError("milnor", f"stabilization degree {s} is not >= 1")
     gens = jacobian_generators(f)
-    _check_cover("milnor", "J", f, gens, s)
-    quotient = _ideal_echelon(f.field, gens, f.nvars, s - 1)
-    mu = count_monomials_upto(f.nvars, s - 1) - quotient.rank_upto(s - 1)
+    ech = _check_cover("milnor", "J", f, gens, s)
+    mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
     if report.mu != mu:
         raise VerificationError("milnor", f"mu {report.mu} is not the recounted {mu}")
     _check_bound("milnor", report.determinacy_bound, "mu", mu, order)

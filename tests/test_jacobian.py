@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import random
+import signal
 import time
 
 import pytest
@@ -9,6 +11,7 @@ from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeFi
                       RationalField, VerificationError, determinacy_certificate, linalg,
                       milnor_number, parse_jet, verify_determinacy, verify_milnor)
 from jetsplit.cli import main
+from jetsplit.field import parse_field_spec
 from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon, _new_echelon,
                                count_monomials_upto, jacobian_generators)
 
@@ -277,6 +280,90 @@ def test_search_skips_multiples_of_zero_rows_and_counts_repeat():
     assert full.skipped == 0 and full.offered == ech.offered
     assert full.rank_by_degree == ech.rank_by_degree
     assert full.zero > ech.zero and full.steps > ech.steps
+
+
+SEARCH_COUNTERS = [
+    # (field, variables, input, max degree, stop at the first cover):
+    # offered, skipped, zero, steps and rank_by_degree of the search's echelon
+    ("q", "x,y,z", "(x+y-z)^2*((x-y+2*z)^2 + x*y*z)", 20, False,
+     (3420, 1717, 208, 3506, [0, 0, 0, 2, 6, 12, 19, 26, 34, 43, 53, 64, 76, 89, 103, 118,
+                              134, 151, 169, 188, 208])),
+    ("fp:7", "x,y,z", "2*x^3 + y^4 + 3*z^5 + x^2*y^2 + y*z^4", 12, True,
+     (111, 3, 2, 26, [0, 0, 1, 4, 10, 18, 27, 36, 10, 0, 0, 0, 0])),
+    ("f2k:4", "x1,x2,x3,x4", "t*x1^3 + x2^3 + (t^2+1)*x3^5 + x4^3 + t^3*x1^2*x2^2 + x3*x4^3",
+     12, True, (448, 73, 8, 53, [0, 0, 3, 12, 28, 52, 83, 120, 69, 0, 0, 0, 0])),
+]
+
+
+@pytest.mark.parametrize("spec, names, text, max_degree, first, counters", SEARCH_COUNTERS,
+                         ids=[case[0] for case in SEARCH_COUNTERS])
+def test_search_counters_are_pinned(spec, names, text, max_degree, first, counters):
+    # how rows are scaled may change the cost of a row, never which rows are
+    # offered, skipped, reduced to zero or eliminated against
+    f = poly(text, names.split(","), parse_field_spec(spec))
+    for s, ech in _growing_echelon(f.field, jacobian_generators(f), f.nvars, max_degree):
+        if first and ech.covers(s):
+            break
+    assert (ech.offered, ech.skipped, ech.zero, ech.steps, ech.rank_by_degree) == counters
+
+
+def rand_generators(field, nvars, rng, constant):
+    """One to three random polynomials with random, mostly non-unit, lead
+    coefficients; with ``constant``, a nonzero constant is among them."""
+    gens = [rand_jet(field, nvars, POLY, rng, min_degree=0, max_degree=4,
+                     terms=rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    if constant:
+        gens.insert(rng.randrange(len(gens) + 1),
+                    rand_jet(field, nvars, POLY, rng, min_degree=0, max_degree=0, terms=1))
+    return [g for g in gens if not g.is_zero()]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec())
+def test_rank_below_the_cutoff_is_the_rank_at_the_lower_cutoff(field):
+    # verify_milnor recounts mu on its cover echelon cut at s: the rows of
+    # lowest degree s add no pivot of lead degree <= s - 1
+    rng = random.Random(57)
+    for trial in range(8):
+        nvars = 2 + trial % 2
+        gens = rand_generators(field, nvars, rng, constant=trial % 4 == 3)
+        for s in range(1, 7):
+            cut_at_s = _ideal_echelon(field, gens, nvars, s)
+            # the oracle: a second echelon cut at s - 1
+            cut_below = _ideal_echelon(field, gens, nvars, s - 1)
+            assert cut_at_s.rank_upto(s - 1) == cut_below.rank_upto(s - 1), (trial, s)
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError from the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("spec, text", [("fp:7", "3*x^3 + 5*y^4"), ("f2k:4", "t*x^3 + y^5"),
+                                        ("fp:7", "2*x^2*y + 3*y^4 + 4*x^5")])
+def test_pivots_stay_monic_when_leads_are_not_units(spec, text):
+    # the GF(p) and GF(2^k) routes cancel a lead only against a monic pivot:
+    # a non-monic one leaves the lead in place and the reduction never ends
+    field = parse_field_spec(spec)
+    f = poly(text, ["x", "y"], field)
+    gens = [f] + jacobian_generators(f)
+    cutoff = 8
+    oracle = [macaulay_rank(field, gens, 2, s, 0) for s in range(cutoff + 1)]
+    with time_bound(1.0):
+        for s, ech in _growing_echelon(field, gens, 2, cutoff):
+            assert ech.rank_upto(s) == oracle[s], s
+        fresh = [_ideal_echelon(field, gens, 2, s) for s in range(cutoff + 1)]
+    for e in [ech] + fresh:
+        assert all(pivot[lead] == field.one for lead, pivot in e.pivots.items())
+    assert [len(e.pivots) for e in fresh] == oracle
 
 
 @pytest.mark.parametrize("nvars, cutoff", [(0, 3), (1, 4), (2, 5), (3, 6), (4, 4)])
