@@ -73,7 +73,8 @@ raises ``VerificationError`` naming the condition that failed: a degree or
 bound claimed without a certificate, the order (a certificate claimed for
 the zero series included), a degree below the least one that can certify,
 no cover at the certified degree, the mu recount or the bound.  Each search
-runs its verifier on the report it found before returning it.
+runs its verifier on the report it found before returning it.  A step that
+leaves its lead in the row (a pivot not monic) raises it with stage ``echelon``.
 
 A search refuses (``ValueError``) a negative max degree, and a search or
 check refuses more than ``MAX_MONOMIALS`` monomials of degree <= its
@@ -213,6 +214,8 @@ class _Echelon:
             if pivot is None:
                 return lead
             self._eliminate(row, pivot, lead)
+            if lead in row:
+                raise VerificationError("echelon", f"a step left the lead {lead} in the row")
             self.steps += 1
         return None
 

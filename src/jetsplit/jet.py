@@ -18,8 +18,12 @@ monomials are grouped by their leading exponent, each distinct exponent
 prefix costs one truncated product, and the sum is accumulated in one
 packed dict.  ``_substitute_batch`` (``Jet.substitute`` is its one-source
 case) evaluates many sources at one tuple of parts, which it packs and
-encodes once, with one shared table of their powers.  Horner takes one
-Python frame per source variable, so substitution accepts at most
+encodes once, with one shared table of their powers.  Parts with more
+terms lead (ties keep index order), so a dense part's powers multiply once
+per exponent, not once per prefix.  One-term and zero parts, such as
+``ift``'s parameters, make no product: a term adds their cached powers'
+keys and takes their one coefficients.  Horner takes at most one Python
+frame per source variable, so substitution accepts at most
 ``MAX_SUBSTITUTION_VARIABLES`` of them.
 
 Substitution runs the kernel on native values, chosen per field in one
@@ -46,7 +50,7 @@ from .field import BinaryField, Field, PrimeField, RationalField, Valuation
 
 # order() of the zero jet: larger than any precision, safe in comparisons
 ABOVE_PRECISION = math.inf
-# Horner substitution takes one Python frame per source variable
+# Horner substitution takes at most one Python frame per source variable
 MAX_SUBSTITUTION_VARIABLES = 512
 
 
@@ -361,7 +365,9 @@ def _substitute_batch(sources, parts):
 
     The sum c_alpha * prod parts[i]^alpha_i is computed on packed monomials
     (``_Packing``) in the m target variables and on the field's native
-    values (``_route``), truncated at each source's own precision.
+    values (``_route``), truncated at each source's own precision.  The
+    Horner levels are the parts of two or more terms, most terms outermost;
+    the others are folded into the last level, where they make no product.
     """
     parts = list(parts)
     n = len(parts)
@@ -395,6 +401,8 @@ def _substitute_batch(sources, parts):
     full_limit = packing.limit
     powers = [[None, base] for base in bases]
     orders = [base[0][0] >> shift if base else None for base in bases]
+    levels = sorted((i for i in range(n) if len(bases[i]) > 1), key=lambda i: -len(bases[i]))
+    folded = [i for i in range(n) if len(bases[i]) <= 1]
 
     def power(i, e):
         cache = powers[i]
@@ -403,32 +411,49 @@ def _substitute_batch(sources, parts):
         return cache[e]
 
     def horner(terms, k, budget, out):
-        """out += sum of c * prod_{i >= k} parts[i]^alpha_i, to degree budget.
+        """out += sum of c * prod parts[i]^alpha_i over levels[k:] and the folded
+        parts, to degree budget.
 
-        f = sum_e x_k^e f_e(x_{k+1}, ...): each inner sum is evaluated to the
-        budget left after part k's order, then multiplied once by parts[k]^e.
+        f = sum_e x_i^e f_e for i = levels[k]: each inner sum is evaluated to
+        the budget left after part i's order, then multiplied once by
+        parts[i]^e.  On the last level a term's folded parts make no product
+        (their power keys add, c takes their one coefficients), and the term
+        makes one product with the last dense part's power, if any.
         """
-        order = orders[k]
-        if k == n - 1:  # the terms differ in alpha_k alone
+        limit = (budget + 1) << shift
+        if k + 1 >= len(levels):
+            i = levels[k] if levels else None
             for alpha, c in terms:
-                e = alpha[k]
-                if e == 0:
-                    v = out.get(0)
-                    out[0] = c if v is None else add(v, c)
-                elif order is not None and e * order <= budget:
-                    _product_into(out, [(0, c)], power(k, e), (budget + 1) << shift, add, mul)
+                key = 0
+                for j in folded:
+                    e = alpha[j]
+                    if e:
+                        if orders[j] is None or e * orders[j] > budget:
+                            break
+                        (kj, cj), = power(j, e)
+                        key += kj
+                        c = mul(c, cj)
+                else:
+                    e = 0 if i is None else alpha[i]
+                    if e == 0:
+                        if key < limit:
+                            v = out.get(key)
+                            out[key] = c if v is None else add(v, c)
+                    elif e * orders[i] <= budget:
+                        _product_into(out, [(key, c)], power(i, e), limit, add, mul)
             return
+        i = levels[k]
+        order = orders[i]
         groups = {}
         for alpha, c in terms:
-            groups.setdefault(alpha[k], []).append((alpha, c))
+            groups.setdefault(alpha[i], []).append((alpha, c))
         for e, group in groups.items():
             if e == 0:
                 horner(group, k + 1, budget, out)
-            elif order is not None and e * order <= budget:
+            elif e * order <= budget:
                 inner = {}
                 horner(group, k + 1, budget - e * order, inner)
-                _product_into(out, power(k, e), multiplicand(inner), (budget + 1) << shift,
-                              add, mul)
+                _product_into(out, power(i, e), multiplicand(inner), limit, add, mul)
 
     results = []
     for f in sources:

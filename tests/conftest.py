@@ -1,0 +1,55 @@
+import bisect
+import signal
+
+import pytest
+
+import jetsplit.jet
+
+# a test that runs this long fails instead of hanging the suite
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Raise TimeoutError in a test once it has run ``TEST_TIME_LIMIT_S``;
+    nothing where the platform has no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test not done within {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """A function that starts counting, for the rest of the test, the calls of
+    ``jet._product_into`` made through the ``jet`` module (substitution and
+    every ``_packed_product``, the parser's powers included, and
+    ``Jet.__mul__``) and the term pairs they multiply, those whose key sum is
+    below the limit; it returns the live counts."""
+    def start():
+        counts = {"calls": 0, "pairs": 0}
+        kernel = jetsplit.jet._product_into
+
+        def counted(out, a, b, limit, add, mul):
+            counts["calls"] += 1
+            keys = [kb for kb, _ in b]
+            for ka, _ in a:
+                within = bisect.bisect_left(keys, limit - ka)
+                if not within:
+                    break
+                counts["pairs"] += within
+            kernel(out, a, b, limit, add, mul)
+
+        monkeypatch.setattr(jetsplit.jet, "_product_into", counted)
+        return counts
+    return start

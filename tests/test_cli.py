@@ -165,12 +165,15 @@ def test_ift_command(capsys):
     (["--field", "fp:7", "--vars", "x,z,y"], "y - x", "x"),
     (["--field", "q", "--vars", "y"], "y+y^2", "0"),
 ])
-def test_ift_at_precision_10_9_is_fast(capsys, variables, equation, solution):
+def test_ift_at_precision_10_9_is_fast(capsys, kernel_work, variables, equation, solution):
     # about 30 Newton steps, where solving one degree at a time takes 10^9 rounds
+    work = kernel_work()
     start = time.perf_counter()
     code, out, err = run(capsys, "ift", *variables, "--split-vars", "y",
                          "--precision", "1000000000", equation)
     assert time.perf_counter() - start < 2.0
+    # parsing and substitution: a few products per Newton step
+    assert work["calls"] <= 80 and work["pairs"] <= 120, work
     assert code == 0 and err == ""
     assert out == f"y: {solution} + O(deg 1000000000)\nverified: true\n"
 

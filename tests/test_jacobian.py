@@ -12,8 +12,8 @@ from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeFi
                       milnor_number, parse_jet, verify_determinacy, verify_milnor)
 from jetsplit.cli import main
 from jetsplit.field import parse_field_spec
-from jetsplit.jacobian import (MAX_MONOMIALS, _growing_echelon, _ideal_echelon, _new_echelon,
-                               count_monomials_upto, jacobian_generators)
+from jetsplit.jacobian import (MAX_MONOMIALS, _Echelon, _growing_echelon, _ideal_echelon,
+                               _new_echelon, count_monomials_upto, jacobian_generators)
 
 Q = RationalField()
 POLY = 10 ** 9
@@ -335,16 +335,20 @@ def test_rank_below_the_cutoff_is_the_rank_at_the_lower_cutoff(field):
 
 @contextlib.contextmanager
 def time_bound(seconds):
-    """Raise TimeoutError from the block once it has run ``seconds``."""
+    """Raise TimeoutError from the block once it has run ``seconds``; the
+    suite's per-test time limit (``conftest.py``) runs on after the block."""
     def expire(signum, frame):
         raise TimeoutError(f"not done within {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))
 
 
 @pytest.mark.parametrize("spec, text", [("fp:7", "3*x^3 + 5*y^4"), ("f2k:4", "t*x^3 + y^5"),
@@ -364,6 +368,17 @@ def test_pivots_stay_monic_when_leads_are_not_units(spec, text):
     for e in [ech] + fresh:
         assert all(pivot[lead] == field.one for lead, pivot in e.pivots.items())
     assert [len(e.pivots) for e in fresh] == oracle
+
+
+@pytest.mark.parametrize("spec, text", [("fp:7", "3*x^3 + 5*y^4"), ("f2k:4", "t*x^3 + y^5")])
+def test_a_pivot_that_is_not_monic_fails_instead_of_looping(monkeypatch, spec, text):
+    # generators left as they are give pivots with non-unit leads; a step
+    # against one cannot cancel the lead, and without a check _reduce spins
+    monkeypatch.setattr(_Echelon, "_native", lambda self, terms: terms)
+    f = poly(text, ["x", "y"], parse_field_spec(spec))
+    with time_bound(5.0), pytest.raises(VerificationError,
+                                        match=r"^echelon: a step left the lead \d+ in the row$"):
+        milnor_number(f)
 
 
 @pytest.mark.parametrize("nvars, cutoff", [(0, 3), (1, 4), (2, 5), (3, 6), (4, 4)])

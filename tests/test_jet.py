@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import time
@@ -5,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from gen import (FIELDS, rand_automorphism, rand_jet, rand_m2_jet, rand_monomial,
-                 same_error)
+from gen import (FIELDS, monomials_of_degree, rand_automorphism, rand_jet, rand_m2_jet,
+                 rand_monomial, random_element, same_error)
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
-                      CoordinateChange, Field, Jet, PAdicValuation, PrecisionError,
-                      PrimeField, RationalField, parse_field_spec, parse_jet)
+                      CoordinateChange, Field, ImplicitSystem, Jet, PAdicValuation,
+                      PrecisionError, PrimeField, RationalField, ift_solve, parse_field_spec,
+                      parse_jet, split)
 from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES, _product_into, _substitute_batch
 
 Q = RationalField()
@@ -320,16 +322,19 @@ def test_substitute_with_large_denominators_matches_naive_expansion():
         assert all(type(c) is Fraction for c in got.coeffs.values())
 
 
-def test_fractional_substitute_at_polynomial_precision_is_fast():
+def test_fractional_substitute_at_polynomial_precision_is_fast(kernel_work):
     # the scale of the integer route grows with the source's degree, not the precision
     prec = 10 ** 9
     names, targets = ["x", "y"], ["u", "v"]
     f = jq("2/3*x^3*y - 5/999983*x*y^5 + 7/11*y^7 + 1/1000003*x^40", names, prec)
     parts = [jq("3/7*u + 1/999979*v^2", targets, prec),
              jq("-5/13*u*v + 2/1000033*v^3", targets, prec)]
+    work = kernel_work()
     start = time.perf_counter()
     got = f.substitute(parts)
     assert time.perf_counter() - start < 2.0
+    # the work is set by the source's terms, never by the precision
+    assert work["calls"] <= 60 and work["pairs"] <= 2000, work
     assert got.prec == prec
     assert got == naive_substitute(f, parts, 2)
 
@@ -520,3 +525,105 @@ def test_compose_raises_the_per_source_messages():
     wide = CoordinateChange.identity(Q, n, 2)
     same_error(lambda: wide.compose(wide),
                lambda: [c.substitute(wide.components) for c in wide.components])
+
+
+# -- every part shape on every Horner level -------------------------------------
+
+SHAPES = ("zero", "variable", "monomial", "dense")
+SHAPE_PREC = 7
+
+
+def shaped_part(shape, field, rng, coeff):
+    """A part in u, v at precision 7: zero, the variable v, one term c*u^2*v with
+    c != 1 where the field has such a c, or two to five terms."""
+    if shape == "zero":
+        return Jet.zero(field, 2, SHAPE_PREC)
+    if shape == "variable":
+        return Jet.variable(field, 2, 1, SHAPE_PREC)
+    if shape == "monomial":
+        c = coeff()
+        while c == field.one and field != F2:
+            c = coeff()
+        return Jet(field, 2, SHAPE_PREC, {(2, 1): c})
+    support = [beta for d in range(1, SHAPE_PREC + 1) for beta in monomials_of_degree(2, d)]
+    return Jet(field, 2, SHAPE_PREC,
+               {beta: coeff() for beta in rng.sample(support, rng.randint(2, 5))})
+
+
+def test_batch_matches_naive_expansion_for_every_part_shape_in_every_order():
+    # dense parts take the Horner levels, most terms outermost; one-term and
+    # zero parts are folded into the last level, where they make no product
+    rng = random.Random(24)
+    monomials = [beta for d in range(SHAPE_PREC + 1) for beta in monomials_of_degree(3, d)
+                 if max(beta) <= 3]
+    for field, large in [(field, False) for field in BATCH_FIELDS] + [(Q, True)]:
+        def coeff():
+            if large:
+                return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                                rng.randint(1, 10 ** 6))
+            return random_element(field, rng, nonzero=True)
+
+        for shapes in itertools.product(SHAPES, repeat=3):
+            parts = [shaped_part(shape, field, rng, coeff) for shape in shapes]
+            f = Jet(field, 3, SHAPE_PREC, {beta: coeff() for beta in rng.sample(monomials, 10)})
+            # terms on the one-term and zero parts only, up to their cubes,
+            # whose degree 9 passes the budget for c*u^2*v
+            folded = [beta for beta in monomials
+                      if all(shapes[i] != "dense" for i, e in enumerate(beta) if e)]
+            cubes = [beta for beta in folded if max(beta) == 3]
+            g = Jet(field, 3, SHAPE_PREC,
+                    {beta: coeff() for beta in cubes + rng.sample(folded, min(6, len(folded)))})
+            sources = [f, g, f.truncate(3), Jet.zero(field, 3, 5)]
+            got = _substitute_batch(sources, parts)
+            assert got == [naive_substitute(h, parts, 2) for h in sources], shapes
+
+
+# -- pinned substitution work ------------------------------------------------------
+
+def ift_work():
+    """ift over fp:101 in the parameters x1, x2, x3 and the unknowns y1, y2 at
+    N = 8: an invertible linear block in the unknowns, a linear parameter term
+    and every monomial of degree 2 and 3."""
+    def equation(i):
+        y1, y2 = (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)
+        coeffs = {y1 if i == 0 else y2: 1, y2 if i == 0 else y1: 3 + i,
+                  (1, 0, 0, 0, 0) if i == 0 else (0, 0, 1, 0, 0): 2}
+        betas = [beta for d in (2, 3) for beta in monomials_of_degree(5, d)]
+        coeffs.update((beta, (37 * k + 11 * i) % 100 + 1) for k, beta in enumerate(betas, 1))
+        return Jet(parse_field_spec("fp:101"), 5, 8, coeffs)
+
+    system = ImplicitSystem([equation(0), equation(1)], [3, 4])
+    return lambda: ift_solve(system, 8)
+
+
+def split_work():
+    """One fp:7 split in four variables, rank 3, at N = 6."""
+    f = parse_jet("x1^2 + 2*x2^2 + 3*x3^2 + x1*x2*x4 + 3*x2^2*x3 + 4*x3*x4^2 + x4^3"
+                  " + 5*x1^2*x4^2 + x2*x3*x4^2 + 6*x4^4 + x1*x4^4 + 2*x3^3*x4 + 3*x4^5"
+                  " + x2*x4^5 + 4*x1*x2*x3*x4", parse_field_spec("fp:7"),
+                  ["x1", "x2", "x3", "x4"], 6)
+    return lambda: split(f, 6)
+
+
+def dense_work():
+    """f(change) over Q as verify_split computes it: every part is dense."""
+    names = ["x", "y", "z"]
+    f = jq("x^2 + 2*y^2 - z^2 + x*y*z + 3*x^3 - 1/2*y^2*z^2 + x^4*z + 5/3*y^5 - z^6"
+           " + x*y^3*z", names, 6)
+    parts = [jq(t, names, 6) for t in ("x + y^2 - 2*x*z + z^3 - 1/3*x^2*y^2",
+                                       "y + 3*x^2 + x*y*z - z^4 + 2/5*y^5",
+                                       "z - x*y + 2*y^3 + x^2*z^2 - 7*x^4*y")]
+    return lambda: f.substitute(parts)
+
+
+@pytest.mark.parametrize("case, calls, pairs", [(ift_work, 240, 38388),
+                                                (split_work, 118, 817),
+                                                (dense_work, 26, 256)],
+                         ids=["ift-fp101", "split-fp7", "dense-q"])
+def test_substitution_work_is_pinned(kernel_work, case, calls, pairs):
+    # the Horner level order and the fold set these counts; a change to either
+    # shows here as more or less work, while the results stay exact
+    run = case()
+    work = kernel_work()
+    run()
+    assert work == {"calls": calls, "pairs": pairs}
