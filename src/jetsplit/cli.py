@@ -71,10 +71,10 @@ def _cmd_split(args):
         f"precision: {args.precision}",
         f"rank: {result.rank}",
         f"quad: {json.dumps(result.quad.to_json())}",
-        f"residual: {serialize_jet(result.residual, names)}",
+        f"residual: {payload['residual']}",
     ]
-    for name, comp in zip(names, result.change.components):
-        lines.append(f"change[{name}]: {serialize_jet(comp, names)}")
+    for name, text in zip(names, payload["change"]):
+        lines.append(f"change[{name}]: {text}")
     return _emit_checked(args, payload, lines)
 
 
@@ -191,10 +191,10 @@ def _cmd_ift(args):
     system = ImplicitSystem(eqs, y_idx)
     ys = ift_solve(system, args.precision)
     x_names = [names[i] for i in system.x_indices]
+    solution = {u: serialize_jet(y, x_names) for u, y in zip(unknowns, ys)}
     payload = {"schema": 1, "command": "ift", "field": field.spec(),
-               "precision": args.precision,
-               "solution": {u: serialize_jet(y, x_names) for u, y in zip(unknowns, ys)}}
-    lines = [f"{u}: {serialize_jet(y, x_names)}" for u, y in zip(unknowns, ys)]
+               "precision": args.precision, "solution": solution}
+    lines = [f"{u}: {text}" for u, text in solution.items()]
     return _emit_checked(args, payload, lines)
 
 
@@ -220,14 +220,16 @@ def _cmd_transport(args):
         problem = normalize_tail_linear(problem)
     phi_prime = transport(problem)
     tail_names = names[problem.rank:]
+    change = [serialize_jet(c, tail_names) for c in phi_prime.components]
     payload = {"schema": 1, "command": "transport", "field": field.spec(),
-               "precision": N, "rank": problem.rank,
-               "g0": serialize_jet(problem.g0, tail_names),
-               "g1": serialize_jet(problem.g1, tail_names),
-               "change": [serialize_jet(c, tail_names) for c in phi_prime.components]}
+               "precision": N, "rank": problem.rank}
+    if args.format == "json":   # the text form prints the change alone
+        payload["g0"] = serialize_jet(problem.g0, tail_names)
+        payload["g1"] = serialize_jet(problem.g1, tail_names)
+    payload["change"] = change
     lines = [f"rank: {problem.rank}"]
-    for name, comp in zip(tail_names, phi_prime.components):
-        lines.append(f"change[{name}]: {serialize_jet(comp, tail_names)}")
+    for name, text in zip(tail_names, change):
+        lines.append(f"change[{name}]: {text}")
     return _emit_checked(args, payload, lines)
 
 
@@ -279,9 +281,10 @@ def _cmd_verify(args):
         _emit(args, payload, [f"reason: {exc}", "verified: false"])
         return 1
     verified = check.is_zero()
+    difference = serialize_jet(check, names)
     payload = {"schema": 1, "command": "verify", "verified": verified,
-               "difference": serialize_jet(check, names)}
-    lines = [f"difference: {serialize_jet(check, names)}",
+               "difference": difference}
+    lines = [f"difference: {difference}",
              f"verified: {'true' if verified else 'false'}"]
     _emit(args, payload, lines)
     return 0 if verified else 1

@@ -267,8 +267,11 @@ class _Evaluator:
             raise FieldError("variable name 't' is reserved over binary fields")
         if error is not None:
             raise error
-        coeffs = self.packing.unpack(acc)
-        return Jet(self.field, self.nvars, self.prec, coeffs)
+        zero = self.field.zero
+        # every key is below the limit (degree <= prec), and prec >= 0: a
+        # leaf at a negative precision has raised
+        return Jet._valid(self.field, self.nvars, self.prec,
+                          self.packing.unpack({k: c for k, c in acc.items() if c != zero}))
 
 
 def _scalar_power(field, v, e):

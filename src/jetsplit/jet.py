@@ -37,6 +37,11 @@ GF(2^k) masks are added by xor and multiplied by one lookup in the field's
 log and doubled exp tables (by ``field.mul`` above its table limit).  Each
 route's decode drops zeros, so a result skips ``Jet.__init__``'s checks.
 ``Jet.coeffs`` holds field elements throughout.
+
+``Jet(...)`` validates outside input: key lengths, degrees and zeros.
+Internal results whose invariants hold by construction (sums, negations,
+truncations, derivatives, products, substitutions, parses) are built with
+``Jet._valid``, which checks nothing; each such site states why it may.
 """
 
 from __future__ import annotations
@@ -102,7 +107,10 @@ class Jet:
     @classmethod
     def _valid(cls, field, nvars, prec, coeffs):
         """A jet without ``__init__``'s checks: coeffs has keys of nvars
-        entries and degree <= prec, and no zero value."""
+        entries and degree <= prec, and no zero value.
+
+        For results whose invariants hold by construction; ``Jet(...)``
+        is for outside input."""
         jet = object.__new__(cls)
         jet.field, jet.nvars, jet.prec, jet.coeffs = field, nvars, prec, coeffs
         return jet
@@ -139,8 +147,9 @@ class Jet:
         return self.coeffs.get((0,) * self.nvars, self.field.zero)
 
     def degree_part(self, d: int) -> "Jet":
-        return Jet(self.field, self.nvars, self.prec,
-                   {a: c for a, c in self.coeffs.items() if sum(a) == d})
+        # a subset of this jet's terms
+        return Jet._valid(self.field, self.nvars, self.prec,
+                          {a: c for a, c in self.coeffs.items() if sum(a) == d})
 
     def __eq__(self, other):
         return (isinstance(other, Jet) and self.field == other.field
@@ -162,26 +171,24 @@ class Jet:
     def __add__(self, other):
         self._check_compatible(other)
         prec = min(self.prec, other.prec)
-        out = dict()
         field = self.field
         zero = field.zero
-        for a, c in self.coeffs.items():
-            if sum(a) <= prec:
-                out[a] = c
-        for a, c in other.coeffs.items():
-            if sum(a) > prec:
-                continue
+        out = self._terms_to(prec)
+        theirs = other.coeffs if other.prec == prec else other._terms_to(prec)
+        for a, c in theirs.items():
             s = field.add(out.get(a, zero), c)
             if s == zero:
                 out.pop(a, None)
             else:
                 out[a] = s
-        return Jet(field, self.nvars, prec, out)
+        # both operands' terms of degree <= prec, zero sums dropped
+        return Jet._valid(field, self.nvars, prec, out)
 
     def __neg__(self):
         field = self.field
-        return Jet(field, self.nvars, self.prec,
-                   {a: field.neg(c) for a, c in self.coeffs.items()})
+        # the negative of a nonzero element is nonzero
+        return Jet._valid(field, self.nvars, self.prec,
+                          {a: field.neg(c) for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -194,7 +201,10 @@ class Jet:
         out = {}
         _product_into(out, packing.terms(self.coeffs), packing.terms(other.coeffs),
                       packing.limit, field.add, field.mul)
-        return Jet(field, self.nvars, prec, packing.unpack(out))
+        zero = field.zero
+        # the kernel keeps keys below the limit: degree <= prec
+        return Jet._valid(field, self.nvars, prec,
+                          packing.unpack({k: c for k, c in out.items() if c != zero}))
 
     def scale(self, c) -> "Jet":
         field = self.field
@@ -219,15 +229,25 @@ class Jet:
 
     # -- truncation, order, differentiation ------------------------------------
 
+    def _terms_to(self, k):
+        """A copy of the terms of degree <= k: a plain copy when k >= prec."""
+        if k >= self.prec:
+            return dict(self.coeffs)
+        return {a: c for a, c in self.coeffs.items() if sum(a) <= k}
+
     def truncate(self, k: int) -> "Jet":
         if k > self.prec:
             raise PrecisionError(f"cannot truncate precision-{self.prec} jet at {k}")
-        return Jet(self.field, self.nvars, k,
-                   {a: c for a, c in self.coeffs.items() if sum(a) <= k})
+        if k < 0:
+            raise PrecisionError("precision must be >= 0")
+        # this jet's terms of degree <= k
+        return Jet._valid(self.field, self.nvars, k, self._terms_to(k))
 
     def with_precision(self, prec: int) -> "Jet":
         """Same terms at another precision; existing terms must fit."""
-        return Jet(self.field, self.nvars, prec, dict(self.coeffs))
+        # at the same or a higher precision every term fits; a lower one validates
+        make = Jet._valid if prec >= self.prec else Jet
+        return make(self.field, self.nvars, prec, dict(self.coeffs))
 
     def partial(self, i: int) -> "Jet":
         """Formal partial derivative; the exponent multiplies in the field."""
@@ -248,7 +268,8 @@ class Jet:
             out[b] = field.add(out.get(b, field.zero), coeff)
             if out[b] == field.zero:
                 del out[b]
-        return Jet(field, self.nvars, self.prec - 1, out)
+        # one exponent lowered: degree <= prec - 1, zero sums dropped
+        return Jet._valid(field, self.nvars, self.prec - 1, out)
 
     # -- substitution -----------------------------------------------------------
 
@@ -336,21 +357,23 @@ class _Packing:
 
     def __init__(self, prec, m):
         self.m = m
-        self.prec = prec
         self.width = max(prec, 0).bit_length()
         self.shift = self.width * m
         self.limit = (prec + 1) << self.shift
+        # exponent j's weight: its bit field plus one unit of the degree field
+        self.weights = [(1 << self.width * j) + (1 << self.shift) for j in range(m)]
 
     def pack(self, beta):
-        key = sum(beta) << self.shift
-        for j, e in enumerate(beta):
-            key |= e << (self.width * j)
-        return key
+        return sum(map(operator.mul, beta, self.weights))
 
     def terms(self, coeffs):
-        """The terms of degree <= prec of a tuple-keyed dict, packed and sorted by key."""
-        pack, prec = self.pack, self.prec
-        return sorted((pack(beta), c) for beta, c in coeffs.items() if sum(beta) <= prec)
+        """The terms of degree <= prec of a tuple-keyed dict, packed and sorted by key.
+
+        A key is at or above the limit exactly when its degree exceeds prec,
+        whether or not its exponent fields carried."""
+        weights, limit, mul = self.weights, self.limit, operator.mul
+        return sorted((k, c) for beta, c in coeffs.items()
+                      if (k := sum(map(mul, beta, weights))) < limit)
 
     def unpack(self, packed):
         """The tuple-keyed coefficient dict of a packed one: keys of m entries."""

@@ -82,21 +82,29 @@ def embed_from_tail(g: Jet, rank: int) -> Jet:
 
 
 def _cofactors(f: Jet, head_quad: Jet, head: int):
-    """Per-head-variable cofactors g_i of f - head_quad.
+    """Per-head-variable cofactors g_i of f - head_quad, both at one precision.
 
     Every monomial containing a head variable is assigned to the cofactor of
     its smallest head index (divided by that variable); monomials in tail
     variables alone are left for the residual.
     """
-    h = f - head_quad
+    field = f.field
+    h = dict(f.coeffs)
+    for alpha, c in head_quad.coeffs.items():
+        s = field.sub(h.get(alpha, field.zero), c)
+        if s == field.zero:
+            h.pop(alpha, None)
+        else:
+            h[alpha] = s
     gs = [dict() for _ in range(head)]
-    for alpha, c in h.coeffs.items():
+    for alpha, c in h.items():
         i = next((j for j in range(head) if alpha[j]), None)
         if i is None:
             continue
         beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
         gs[i][beta] = c
-    out = [Jet(f.field, f.nvars, f.prec, g) for g in gs]
+    # the nonzero terms of f - head_quad, one exponent lowered
+    out = [Jet._valid(field, f.nvars, f.prec, g) for g in gs]
     for g in out:
         if not g.is_zero() and g.order() < 2:
             raise SplitShapeError("2-jet does not match the declared quadratic head")

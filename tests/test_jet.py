@@ -12,7 +12,9 @@ from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Field, ImplicitSystem, Jet, PAdicValuation,
                       PrecisionError, PrimeField, RationalField, ift_solve, parse_field_spec,
                       parse_jet, split)
+from jetsplit.expr import serialize_jet
 from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES, _product_into, _substitute_batch
+from jetsplit.split import _cofactors
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -473,6 +475,102 @@ def test_batch_results_are_valid_jets():
                     assert len(alpha) == m and sum(alpha) <= f.prec
                     assert c != field.zero
                 assert Jet(field, m, f.prec, got.coeffs) == got
+
+
+# -- results built without Jet.__init__ -----------------------------------------
+
+def assert_valid(jet):
+    """What ``Jet.__init__`` would check of a result that skipped it."""
+    assert Jet(jet.field, jet.nvars, jet.prec, dict(jet.coeffs)) == jet
+    assert all(c != jet.field.zero for c in jet.coeffs.values())
+
+
+def rand_pair(field, rng, large_fractions):
+    """f and g in one variable set at mixed precisions, g cancelling some of f's terms."""
+    n = rng.randint(1, 3)
+    p, q = rng.randint(0, 6), rng.randint(0, 6)
+    if large_fractions:
+        f = rand_large_fraction_jet(n, p, rng, terms=rng.randint(0, 6))
+        g = rand_large_fraction_jet(n, q, rng, terms=rng.randint(0, 4))
+    else:
+        f = rand_jet(field, n, p, rng, terms=rng.randint(0, 6))
+        g = rand_jet(field, n, q, rng, terms=rng.randint(0, 4))
+    cancel = {a: field.neg(c) for a, c in f.coeffs.items() if sum(a) <= q and rng.random() < 0.5}
+    return f, Jet(field, n, q, {**g.coeffs, **cancel})
+
+
+def cofactor_case(field, rng, coeff):
+    """f with the head c1*x1^2 or c*x1*x2 in n = 3 at precision 5, and that head."""
+    head = rng.choice((1, 2))
+    head_quad = Jet(field, 3, 5, {(2, 0, 0) if head == 1 else (1, 1, 0): coeff()})
+    tail = [beta for d in range(2, 6) for beta in monomials_of_degree(3, d)
+            if d > 2 or not any(beta[:head])]
+    return Jet(field, 3, 5, {**{beta: coeff() for beta in rng.sample(tail, 8)},
+                             **head_quad.coeffs}), head_quad, head
+
+
+def test_internal_results_are_valid_jets():
+    # sums, negations, truncations, derivatives, degree parts, products, parses
+    # and cofactors skip Jet.__init__; rebuilding each through it changes nothing
+    rng = random.Random(25)
+    cases = [(field, False) for field in BATCH_FIELDS for _ in range(50)] + [(Q, True)] * 50
+    for field, large in cases:
+        f, g = rand_pair(field, rng, large)
+        results = [f + g, g + f, f - g, g - f, f - f, -f, f * g, f * f]
+        results += [f.truncate(k) for k in range(f.prec + 1)]
+        top = max(map(sum, f.coeffs), default=0)
+        results += [f.with_precision(p) for p in range(top, f.prec + 3)]
+        results += [f.degree_part(d) for d in range(-1, f.prec + 2)]
+        if f.prec >= 1:
+            results += [f.partial(i) for i in range(f.nvars)]
+        names = [f"x{i + 1}" for i in range(f.nvars)]
+        # the literals cancel in every field
+        results.append(parse_jet(f"{serialize_jet(f, names, False)} + 1 - 1", field, names,
+                                 f.prec))
+        for result in results:
+            assert_valid(result)
+        assert results[-1] == f
+
+    for field in BATCH_FIELDS:
+        x, y = Jet.variable(field, 2, 0, 3), Jet.variable(field, 2, 1, 3)
+        # the cross terms cancel in every characteristic
+        assert_valid((x + y) * (x - y))
+        assert (x + y) * (x - y) == x * x - y * y
+
+    for field, large in [(field, False) for field in BATCH_FIELDS] + [(Q, True)]:
+        def coeff():
+            if large:
+                return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                                rng.randint(1, 10 ** 6))
+            return random_element(field, rng, nonzero=True)
+
+        for _ in range(20):
+            f, head_quad, head = cofactor_case(field, rng, coeff)
+            gs = _cofactors(f, head_quad, head)
+            for g in gs:
+                assert_valid(g)
+            # x1*g1 + ... + x_head*g_head is the part of f - head_quad in the head variables
+            moved = sum((Jet.variable(field, 3, i, 5) * g for i, g in enumerate(gs)),
+                        Jet.zero(field, 3, 5))
+            rest = f - head_quad
+            assert moved == Jet(field, 3, 5, {a: c for a, c in rest.coeffs.items()
+                                              if any(a[:head])})
+
+
+def test_public_constructor_messages_are_kept():
+    f = jq("x^2 + x*y^3", ["x", "y"], 5)
+    with pytest.raises(PrecisionError, match=r"^precision must be >= 0$"):
+        f.truncate(-1)
+    with pytest.raises(PrecisionError, match=r"^cannot truncate precision-5 jet at 6$"):
+        f.truncate(6)
+    with pytest.raises(PrecisionError, match=r"^term \(1, 3\) exceeds precision 3$"):
+        f.with_precision(3)
+    with pytest.raises(PrecisionError, match=r"^precision must be >= 0$"):
+        parse_jet("2", Q, ["x"], -1)
+    with pytest.raises(PrecisionError, match=r"^a coordinate jet needs precision >= 1$"):
+        parse_jet("x", Q, ["x"], -1)
+    with pytest.raises(ValueError, match=r"^exponent \(1,\) does not have 2 entries$"):
+        Jet(Q, 2, 3, {(1,): Fraction(1)})
 
 
 def test_inline_kernel_matches_generic_kernel():
