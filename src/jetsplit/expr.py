@@ -23,8 +23,7 @@ import re
 import string
 
 from .field import BinaryField, Field, FieldError, RationalField, gf2_poly_mod
-from .jet import (Jet, PrecisionError, _packed_product, _Packing, _product_into,
-                  _sorted_terms, grlex_key)
+from .jet import Jet, PrecisionError, _packed_product, _Packing, _product_into, _route, grlex_key
 
 
 class ParseError(ValueError):
@@ -104,11 +103,15 @@ class _Evaluator:
 
     A monomial is one int (``jet._Packing``), so a monomial product is one
     addition and a key is at or above ``limit`` exactly when its degree
-    exceeds the precision.  A factor's value is a list of (key, coefficient) pairs sorted by key, with
-    no zero coefficient.  A term is ``c * x^key * prod(poly)``: literals,
-    variables, powers of them and parenthesised sums with one term cost one
-    key addition and one coefficient product; only a parenthesised sum with
-    several terms goes through a truncated product.  Nesting is an explicit
+    exceeds the precision.  A factor's value is a list of (key, coefficient)
+    pairs sorted by key, with no zero coefficient.  A term is
+    ``c * x^key * prod(poly)``: literals, variables, powers of them and
+    parenthesised sums with one term cost one key addition and one
+    coefficient product; only a parenthesised sum with several terms goes
+    through a truncated product.  The scalar c is a field element; sums and
+    products of terms run on the field's native values (``jet._route``),
+    which ``route.terms`` makes a multiplicand when a sum closes and
+    ``route.decode`` field elements at the end.  Nesting is an explicit
     stack, so no Python frame is spent per term, factor or parenthesis.
     """
 
@@ -119,6 +122,7 @@ class _Evaluator:
         self.prec = prec
         self.packing = _Packing(prec, nvars)
         self.shift, self.limit = self.packing.shift, self.packing.limit
+        self.route = _route(field, fraction_free=False)
         self.one = field.one    # a variable's coefficient, skipped in products
         self.leaves = {}        # token -> value of the literals and variables seen
 
@@ -152,21 +156,20 @@ class _Evaluator:
         """terms^e, truncated at the precision (e >= 1)."""
         if e * (terms[0][0] >> self.shift) > self.prec:
             return []
-        field, limit = self.field, self.limit
+        limit, route = self.limit, self.route
         result = None
         while True:
             if e & 1:
-                result = terms if result is None else _packed_product(
-                    result, terms, limit, field.add, field.mul)
+                result = terms if result is None else _packed_product(result, terms, limit, route)
             e >>= 1
             if not e:
                 return result
-            terms = _packed_product(terms, terms, limit, field.add, field.mul)
+            terms = _packed_product(terms, terms, limit, route)
 
     def run(self, text):
         tokens = _tokenize(text)
-        field = self.field
-        one, add, mul = self.one, field.add, field.mul
+        field, route = self.field, self.route
+        one, add, mul = self.one, route.add, route.mul
         shift, limit, prec, leaves = self.shift, self.limit, self.prec, self.leaves
         error = None        # the first semantic error, raised once the syntax is checked
         stack = []          # enclosing (acc, sign, c, key, poly) at each open '('
@@ -217,7 +220,7 @@ class _Evaluator:
                         e = 1
                     if len(atom) > 1:
                         poly = atom if poly is None else _packed_product(
-                            poly, atom, limit, add, mul)
+                            poly, atom, limit, route)
                     elif not atom:
                         c = None
                     else:
@@ -233,7 +236,7 @@ class _Evaluator:
                         if key >= limit:
                             c = None
                         elif v is not one:
-                            c = v if c is one else mul(c, v)
+                            c = v if c is one else field.mul(c, v)
                 op = tokens[i]
                 i += 1
                 if op == "*":
@@ -252,7 +255,7 @@ class _Evaluator:
                     c, key, poly = (one if error is None else None), 0, None
                     break
                 if op == ")" and stack:
-                    atom = _sorted_terms(acc)
+                    atom = route.terms(acc)
                     acc, sign, c, key, poly = stack.pop()
                     if error is not None:
                         c = None
@@ -267,11 +270,10 @@ class _Evaluator:
             raise FieldError("variable name 't' is reserved over binary fields")
         if error is not None:
             raise error
-        zero = self.field.zero
         # every key is below the limit (degree <= prec), and prec >= 0: a
         # leaf at a negative precision has raised
         return Jet._valid(self.field, self.nvars, self.prec,
-                          self.packing.unpack({k: c for k, c in acc.items() if c != zero}))
+                          self.packing.unpack(self.route.decode(acc)))
 
 
 def _scalar_power(field, v, e):

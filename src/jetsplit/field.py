@@ -431,14 +431,14 @@ class BinaryField(Field):
         self.k = k
         self.modulus = modulus
         self.order = 1 << k
-        self._log = None
-        self._exp = None
+        self._product = None
 
     def _raw_mul(self, a, b):
         return gf2_poly_mod(gf2_poly_mul(a, b), self.modulus)
 
     def _build_tables(self):
-        # find a generator of the multiplicative group, smallest first
+        """The log table and the doubled exp table of a generator of the
+        multiplicative group, the smallest one."""
         n = self.order - 1
         g = 1 if self.k == 1 else 2
         while True:
@@ -456,10 +456,20 @@ class BinaryField(Field):
                 for i, v in enumerate(exp):
                     log[v] = i
                 # doubled, so a product of nonzero masks needs no % n
-                self._exp = exp + exp
-                self._log = log
-                return
+                return log, exp + exp
             g += 1
+
+    def nonzero_product(self):
+        """The product of two nonzero masks, as a function: one lookup in the
+        log and doubled exp tables (built on first use) for k up to
+        ``_TABLE_LIMIT``, carry-less multiplication above."""
+        if self._product is None:
+            if self.k > self._TABLE_LIMIT:
+                self._product = self._raw_mul
+            else:
+                log, exp = self._build_tables()
+                self._product = lambda a, b: exp[log[a] + log[b]]
+        return self._product
 
     def add(self, a, b):
         return a ^ b
@@ -473,28 +483,18 @@ class BinaryField(Field):
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self.k <= self._TABLE_LIMIT:
-            if self._log is None:
-                self._build_tables()
-            return self._exp[self._log[a] + self._log[b]]
-        return self._raw_mul(a, b)
+        return self.nonzero_product()(a, b)
 
     def inv(self, a):
+        """a^(2^k - 2) = a^2 * a^4 * ... * a^(2^(k-1)), the inverse in a group of
+        order 2^k - 1."""
         if a == 0:
             raise ZeroDivisionError(f"division by zero in GF(2^{self.k})")
-        if self.k <= self._TABLE_LIMIT:
-            if self._log is None:
-                self._build_tables()
-            n = self.order - 1
-            return self._exp[(n - self._log[a]) % n]
-        r = a
+        mul = self.nonzero_product()
         out = 1
-        e = self.order - 2
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, r)
-            r = self._raw_mul(r, r)
-            e >>= 1
+        for _ in range(self.k - 1):
+            a = mul(a, a)
+            out = mul(out, a)
         return out
 
     def from_int(self, n):

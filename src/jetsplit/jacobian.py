@@ -86,8 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .field import Field, PrimeField, RationalField
-from .jet import ABOVE_PRECISION, Jet, VerificationError, _Packing
+from .jet import ABOVE_PRECISION, Jet, VerificationError, _Packing, _route
 
 DEFAULT_MAX_DEGREE = 12
 # admits max_degree 198 in 2 variables, 47 in 3, 23 in 4, 15 in 5, 12 in 6, 10 in 7
@@ -123,16 +122,17 @@ class _Echelon:
     reduction (by the search), rows reduced to ``zero`` and elimination
     ``steps``, one per pivot subtracted.
 
-    This class reduces with the field's methods and stores monic pivots; the
-    subclasses below work on native ints for Q and GF(p).  Rows arrive
-    normal: ``_native`` makes each generator's terms monic (primitive over
-    Q) once, and beta*g and x_j*p keep that lead, the lowest key, which the
-    cut never drops.  So ``insert`` keeps a row that took no elimination step
-    as it is and calls ``_normalize`` only after a step.
+    Coefficients are the field's native values and the row operations are
+    its route's (``jet._route``): primitive integers over Q, residues over
+    GF(p) and masks over GF(2^k), with normal pivots.  Rows arrive normal:
+    ``terms`` makes each generator's terms normal once (``monic``), and
+    beta*g and x_j*p keep that lead, the lowest key, which the cut never
+    drops.  So ``insert`` keeps a row that took no elimination step as it is
+    and normalizes only after a step.
     """
 
-    def __init__(self, field: Field, nvars: int, cutoff: int):
-        self.field = field
+    def __init__(self, field, nvars: int, cutoff: int):
+        self.route = _route(field)
         self.nvars = nvars
         self.packing = _Packing(cutoff, nvars)
         self.shift = self.packing.shift
@@ -164,16 +164,9 @@ class _Echelon:
         return keys
 
     def terms(self, g: Jet):
-        """Packed terms of g up to the cutoff, with native coefficients."""
-        return self._native(self.packing.terms(g.coeffs))
-
-    def _native(self, terms):
-        """g's packed terms, monic at the lead (the lowest key) once per generator."""
-        if not terms:
-            return terms
-        field = self.field
-        inv = field.inv(terms[0][1])
-        return [(k, field.mul(inv, c)) for k, c in terms]
+        """Packed terms of g up to the cutoff, native and normal."""
+        terms = self.packing.terms(g.coeffs)
+        return self.route.monic(terms) if terms else terms
 
     def multiple(self, terms, kb: int) -> dict:
         """The row beta*g for packed beta and g's packed terms, cut at the cutoff."""
@@ -191,12 +184,12 @@ class _Echelon:
         if lead is None:
             self.zero += 1
             return None
-        pivot = self.pivots[lead] = row if self.steps == steps else self._normalize(row, lead)
+        pivot = self.pivots[lead] = row if self.steps == steps else self.route.normalize(row, lead)
         self.rank_by_degree[lead >> self.shift] += 1
         return pivot
 
     def contains_monomial(self, key: int) -> bool:
-        return self._reduce(dict(self._native([(key, self.field.one)]))) is None
+        return self._reduce({key: 1}) is None
 
     def covers(self, degree: int) -> bool:
         """Every degree-d monomial is a pivot lead (pivots of degree d are final)."""
@@ -207,97 +200,20 @@ class _Echelon:
 
     def _reduce(self, row):
         """Reduce in place until the lead is no pivot lead; that lead, or None at zero."""
-        pivots = self.pivots
+        pivots, eliminate = self.pivots, self.route.eliminate
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 return lead
-            self._eliminate(row, pivot, lead)
+            eliminate(row, pivot, lead)
             if lead in row:
                 raise VerificationError("echelon", f"a step left the lead {lead} in the row")
             self.steps += 1
         return None
 
-    def _eliminate(self, row, pivot, lead):
-        """row <- row - c*pivot, which cancels the lead (pivots are monic)."""
-        field = self.field
-        zero = field.zero
-        sub, mul = field.sub, field.mul
-        c = row[lead]
-        for m, v in pivot.items():
-            new = sub(row.get(m, zero), mul(c, v))
-            if new == zero:
-                del row[m]
-            else:
-                row[m] = new
 
-    def _normalize(self, row, lead):
-        field = self.field
-        inv = field.inv(row[lead])
-        return {m: field.mul(inv, c) for m, c in row.items()}
-
-
-class _RationalEchelon(_Echelon):
-    """Integer rows, fraction-free: row <- a*row - b*pivot.
-
-    Pivots are primitive after a step; a row cut at the cutoff that took no
-    step may keep a content above 1, which affects coefficient size only.
-    """
-
-    def _native(self, terms):
-        scale = math.lcm(*(c.denominator for _, c in terms))
-        ints = [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
-        content = math.gcd(*(c for _, c in ints)) or 1
-        return [(k, c // content) for k, c in ints]
-
-    def _eliminate(self, row, pivot, lead):
-        a, b = pivot[lead], row[lead]
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
-        if a != 1:
-            for m in row:
-                row[m] *= a
-        for m, v in pivot.items():
-            new = row.get(m, 0) - b * v
-            if new:
-                row[m] = new
-            else:
-                del row[m]
-
-    def _normalize(self, row, lead):
-        content = math.gcd(*row.values())
-        return {m: c // content for m, c in row.items()}
-
-
-class _PrimeEchelon(_Echelon):
-    """Residues in [0, p) with monic pivots, reduced inline mod p."""
-
-    def _eliminate(self, row, pivot, lead):
-        p = self.field.p
-        c = row[lead]
-        for m, v in pivot.items():
-            new = (row.get(m, 0) - c * v) % p
-            if new:
-                row[m] = new
-            else:
-                del row[m]
-
-    def _normalize(self, row, lead):
-        p = self.field.p
-        inv = pow(row[lead], -1, p)
-        return {m: c * inv % p for m, c in row.items()}
-
-
-def _new_echelon(field: Field, nvars: int, cutoff: int) -> _Echelon:
-    if isinstance(field, RationalField):
-        return _RationalEchelon(field, nvars, cutoff)
-    if isinstance(field, PrimeField):
-        return _PrimeEchelon(field, nvars, cutoff)
-    return _Echelon(field, nvars, cutoff)
-
-
-def _growing_echelon(field: Field, gens, nvars: int, max_degree: int,
+def _growing_echelon(field, gens, nvars: int, max_degree: int,
                      min_multiplier_degree: int = 0):
     """Yield (s, echelon) after each batch of multiples of lowest degree s.
 
@@ -309,7 +225,7 @@ def _growing_echelon(field: Field, gens, nvars: int, max_degree: int,
     x_j*p (see the module docstring).  Multipliers are packed keys, so
     x_j*beta is beta's key plus the unit key of x_j.
     """
-    ech = _new_echelon(field, nvars, max_degree)
+    ech = _Echelon(field, nvars, max_degree)
     width, shift = ech.packing.width, ech.shift
     mask = (1 << width) - 1
     units = [(width * j, (1 << shift) + (1 << width * j)) for j in range(nvars)]
@@ -337,10 +253,10 @@ def _growing_echelon(field: Field, gens, nvars: int, max_degree: int,
         yield s, ech
 
 
-def _ideal_echelon(field: Field, gens, nvars: int, cutoff: int,
+def _ideal_echelon(field, gens, nvars: int, cutoff: int,
                    min_multiplier_degree: int = 0) -> _Echelon:
     """Fresh echelon of all beta*g mod m^(cutoff+1), generator by generator."""
-    ech = _new_echelon(field, nvars, cutoff)
+    ech = _Echelon(field, nvars, cutoff)
     for g in gens:
         terms = ech.terms(g)
         for bdeg in range(min_multiplier_degree, cutoff - int(g.order()) + 1):

@@ -26,17 +26,20 @@ keys and takes their one coefficients.  Horner takes at most one Python
 frame per source variable, so substitution accepts at most
 ``MAX_SUBSTITUTION_VARIABLES`` of them.
 
-Substitution runs the kernel on native values, chosen per field in one
-place (``_route``).  Over Q it is fraction-free: the source and the parts
-are scaled to integers (``_RationalRoute``), the kernel adds and multiplies
-Python ints, and each output coefficient is divided once by the common
-scale, one ``Fraction`` normalisation per coefficient.  Over GF(p) residues
-are multiplied and added as ints and reduced mod p once per coefficient,
-when a product or a Horner sum becomes a multiplicand and at the end.  Over
-GF(2^k) masks are added by xor and multiplied by one lookup in the field's
-log and doubled exp tables (by ``field.mul`` above its table limit).  Each
-route's decode drops zeros, so a result skips ``Jet.__init__``'s checks.
-``Jet.coeffs`` holds field elements throughout.
+Every coefficient loop (substitution, ``Jet.__mul__``, the parser's
+products and sums, ``ift``'s matrix products and the Jacobian echelon)
+computes on native values, chosen per field in one place (``_route``); a
+field type without a route is refused with ``TypeError``.  Over Q
+substitution is fraction-free: the source and the parts are scaled to
+integers (``_RationalRoute``), the kernel adds and multiplies Python ints,
+and each output coefficient is divided once by the common scale, one
+``Fraction`` normalisation per coefficient; products of field elements add
+and multiply the Fractions inline.  Over GF(p) residues are multiplied and
+added as ints and reduced mod p once per coefficient, when a product or a
+sum becomes a multiplicand and at the end.  Over GF(2^k) masks are added by
+xor and multiplied by the field's ``nonzero_product``, one log/exp table
+lookup.  Each route's decode drops zeros, so a result skips
+``Jet.__init__``'s checks.  ``Jet.coeffs`` holds field elements throughout.
 
 ``Jet(...)`` validates outside input: key lengths, degrees and zeros.
 Internal results whose invariants hold by construction (sums, negations,
@@ -198,13 +201,12 @@ class Jet:
         field = self.field
         prec = min(self.prec, other.prec)
         packing = _Packing(prec, self.nvars)
+        route = _route(field, fraction_free=False)
         out = {}
         _product_into(out, packing.terms(self.coeffs), packing.terms(other.coeffs),
-                      packing.limit, field.add, field.mul)
-        zero = field.zero
+                      packing.limit, route.add, route.mul)
         # the kernel keeps keys below the limit: degree <= prec
-        return Jet._valid(field, self.nvars, prec,
-                          packing.unpack({k: c for k, c in out.items() if c != zero}))
+        return Jet._valid(field, self.nvars, prec, packing.unpack(route.decode(out)))
 
     def scale(self, c) -> "Jet":
         field = self.field
@@ -430,7 +432,7 @@ def _substitute_batch(sources, parts):
     def power(i, e):
         cache = powers[i]
         while len(cache) <= e:
-            cache.append(_packed_product(cache[-1], cache[1], full_limit, add, mul, multiplicand))
+            cache.append(_packed_product(cache[-1], cache[1], full_limit, route))
         return cache[e]
 
     def horner(terms, k, budget, out):
@@ -486,55 +488,44 @@ def _substitute_batch(sources, parts):
     return results
 
 
-def _sorted_terms(packed):
-    """A packed dict as a term list sorted by key, without zeros."""
-    return sorted((k, c) for k, c in packed.items() if c)
-
-
 def _route(field, fraction_free=True):
     """The native values and operations for the field; each field type has its own.
 
-    Over Q, substitution computes fraction-free on scaled integers; a product
-    of field elements (``fraction_free=False``) adds and multiplies the
-    ``Fraction`` values themselves.
+    Over Q, substitution and the echelon compute fraction-free on scaled
+    integers; a product of field elements (``fraction_free=False``) adds and
+    multiplies the ``Fraction`` values themselves.  Every coefficient loop
+    takes its route here, so a field type without one is refused.
     """
     if isinstance(field, RationalField):
         return _RationalRoute() if fraction_free else _Route()
     if isinstance(field, PrimeField):
         return _PrimeRoute(field.p)
     if isinstance(field, BinaryField):
-        return _Route(operator.xor, _mask_mul(field))
-    raise TypeError(f"substitution has no route for {type(field).__name__}")
-
-
-def _mask_mul(field):
-    """GF(2^k) multiplication of nonzero masks, as the kernel's operands are:
-    one lookup in the field's log and doubled exp tables, or ``field.mul``
-    above ``_TABLE_LIMIT``."""
-    if field.k > field._TABLE_LIMIT:
-        return field.mul
-    if field._log is None:
-        field._build_tables()
-    log, exp = field._log, field._exp
-    return lambda a, b: exp[log[a] + log[b]]
+        return _BinaryRoute(field)
+    raise TypeError(f"no route for {type(field).__name__}: "
+                    "coefficients lie in Q, GF(p) or GF(2^k)")
 
 
 class _Route:
-    """The values substitution computes on, and how it adds and multiplies them.
+    """The native values a coefficient loop computes on, and how it adds and
+    multiplies them.
 
-    ``encode_parts`` turns the parts' packed term lists into kernel values,
-    once per batch, and ``encode`` one source's coefficients (a tuple-keyed
-    dict).  ``terms`` makes a packed dict of kernel values into a sorted
-    term list without zeros, ready to be a multiplicand, and ``decode`` turns
-    a packed result into field elements without zeros.  This class computes
-    on field elements as they are: GF(2^k) masks added by xor, or Fractions
-    and ints by Python's + and *, which the kernel runs inline; the
-    subclasses compute on native ints for Q and GF(p).
+    ``encode_parts`` turns substitution's parts' packed term lists into
+    native values, once per batch, and ``encode`` one source's coefficients
+    (a tuple-keyed dict).  ``terms`` makes a packed dict of native values
+    into a sorted term list without zeros, ready to be a multiplicand, and
+    ``decode`` turns a packed result into field elements without zeros.
+    This class computes on Fractions with Python's + and *, which the kernel
+    runs inline; it serves products only.  The subclasses compute on native
+    ints for Q and GF(p) and on masks for GF(2^k), and add the echelon's row
+    operations on packed dicts: ``monic`` makes a generator's terms normal,
+    ``eliminate`` cancels a row's lead against a normal pivot in place, and
+    ``normalize`` makes a reduced row normal.  Normal is monic at the lead
+    (the lowest key) over GF(p) and GF(2^k), primitive integers over Q.
     """
 
-    def __init__(self, add=operator.add, mul=operator.mul):
-        self.add = add
-        self.mul = mul
+    add = operator.add
+    mul = operator.mul
 
     def encode_parts(self, bases):
         return bases
@@ -542,10 +533,14 @@ class _Route:
     def encode(self, coeffs):
         return list(coeffs.items())
 
-    terms = staticmethod(_sorted_terms)
+    def terms(self, packed):
+        return sorted((k, c) for k, c in packed.items() if c)
 
     def decode(self, packed):
         return {k: c for k, c in packed.items() if c}
+
+    def monic(self, terms):
+        return list(self.normalize(dict(terms), terms[0][0]).items())
 
 
 class _RationalRoute(_Route):
@@ -557,6 +552,10 @@ class _RationalRoute(_Route):
     * prod P_i^alpha_i is an integer, and is B * D^top times the term it
     stands for.  The scale uses the source's top degree, not the precision,
     which may be as large as 10^9.
+
+    Echelon rows are integers, reduced as row <- a*row - b*pivot.  Pivots
+    are primitive after a step; a row cut at the cutoff that took no step
+    may keep a content above 1, which affects coefficient size only.
     """
 
     def encode_parts(self, bases):
@@ -575,13 +574,37 @@ class _RationalRoute(_Route):
         scale = self.scale
         return {k: Fraction(c, scale) for k, c in packed.items() if c}
 
+    def monic(self, terms):
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        ints = [(k, c.numerator * (scale // c.denominator)) for k, c in terms]
+        content = math.gcd(*(c for _, c in ints))
+        return [(k, c // content) for k, c in ints]
+
+    def eliminate(self, row, pivot, lead):
+        a, b = pivot[lead], row[lead]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for m in row:
+                row[m] *= a
+        for m, v in pivot.items():
+            new = row.get(m, 0) - b * v
+            if new:
+                row[m] = new
+            else:
+                del row[m]
+
+    def normalize(self, row, lead):
+        content = math.gcd(*row.values())
+        return {m: c // content for m, c in row.items()}
+
 
 class _PrimeRoute(_Route):
     """Residues multiplied and added as ints, reduced mod p once per coefficient:
-    when a product or a Horner sum becomes a multiplicand, and at the end."""
+    when a product or a sum becomes a multiplicand, and at the end.  An
+    echelon step reduces each coefficient it changes."""
 
     def __init__(self, p):
-        super().__init__()
         self.p = p
 
     def terms(self, packed):
@@ -591,13 +614,55 @@ class _PrimeRoute(_Route):
         p = self.p
         return {k: r for k, c in packed.items() if (r := c % p)}
 
+    def eliminate(self, row, pivot, lead):
+        p = self.p
+        c = row[lead]
+        for m, v in pivot.items():
+            new = (row.get(m, 0) - c * v) % p
+            if new:
+                row[m] = new
+            else:
+                del row[m]
 
-def _packed_product(a, b, limit, add, mul, terms=_sorted_terms):
-    """a * b as a packed term list sorted by key, dropping keys at or above limit;
-    ``terms`` makes the list from the packed dict of the product."""
+    def normalize(self, row, lead):
+        p = self.p
+        inv = pow(row[lead], -1, p)
+        return {m: c * inv % p for m, c in row.items()}
+
+
+class _BinaryRoute(_Route):
+    """GF(2^k) masks, added by xor and multiplied by the field's
+    ``nonzero_product``: one log/exp table lookup up to its table limit.
+    The kernel and the echelon multiply only nonzero masks."""
+
+    add = operator.xor
+
+    def __init__(self, field):
+        self.field = field
+        self.mul = field.nonzero_product()
+
+    def eliminate(self, row, pivot, lead):
+        mul = self.mul
+        c = row[lead]
+        for m, v in pivot.items():
+            new = row.get(m, 0) ^ mul(c, v)
+            if new:
+                row[m] = new
+            else:
+                del row[m]
+
+    def normalize(self, row, lead):
+        mul = self.mul
+        inv = self.field.inv(row[lead])
+        return {m: mul(inv, c) for m, c in row.items()}
+
+
+def _packed_product(a, b, limit, route):
+    """a * b as a packed term list sorted by key, dropping keys at or above limit,
+    on the route's native values; ``route.terms`` makes the list."""
     out = {}
-    _product_into(out, a, b, limit, add, mul)
-    return terms(out)
+    _product_into(out, a, b, limit, route.add, route.mul)
+    return route.terms(out)
 
 
 def _product_into(out, a, b, limit, add, mul):
