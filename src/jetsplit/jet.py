@@ -216,19 +216,6 @@ class Jet:
         return Jet._valid(field, self.nvars, self.prec,
                           {a: field.mul(c, v) for a, v in self.coeffs.items()})
 
-    def power(self, e: int) -> "Jet":
-        if e < 0:
-            raise ValueError("negative jet power")
-        result = Jet.constant(self.field, self.nvars, self.prec, self.field.one)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     # -- truncation, order, differentiation ------------------------------------
 
     def _terms_to(self, k):

@@ -16,6 +16,20 @@ from jetsplit.split import embed_from_tail
 FIELDS = [RationalField(), PrimeField(7), PrimeField(2), BinaryField(2)]
 
 
+def jet_power(f, e):
+    """f^e by repeated squaring with ``Jet.__mul__`` (e >= 0)."""
+    if e < 0:
+        raise ValueError("negative jet power")
+    result = Jet.constant(f.field, f.nvars, f.prec, f.field.one)
+    while e:
+        if e & 1:
+            result = result * f
+        e >>= 1
+        if e:
+            f = f * f
+    return result
+
+
 def elements(field):
     """Every element of GF(p) or GF(2^k), as the integer codes 0, 1, ..."""
     if isinstance(field, PrimeField):

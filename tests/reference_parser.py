@@ -1,7 +1,7 @@
 """Recursive-descent parser with ``Jet`` arithmetic: a test oracle for ``parse_jet``.
 
 It builds an AST and evaluates it node by node through ``Jet.__add__``,
-``Jet.__mul__`` and ``Jet.power``, so every intermediate is a validated jet.
+``Jet.__mul__`` and ``gen.jet_power``, so every intermediate is a validated jet.
 ``jetsplit.parse_jet`` accumulates terms into one coefficient dict instead;
 the two must agree on every jet and on every error (type, message, position).
 Both recursion and the per-term jets make this version slow and limit it to
@@ -11,6 +11,7 @@ expressions of a few hundred terms or nesting levels.
 import re
 from dataclasses import dataclass
 
+from gen import jet_power
 from jetsplit import BinaryField, FieldError, Jet, ParseError, RationalField
 from jetsplit.field import gf2_poly_mod
 
@@ -182,5 +183,5 @@ def _eval(node, field, index, nvars, prec) -> Jet:
     if isinstance(node, Mul):
         return _eval(node.left, field, index, nvars, prec) * _eval(node.right, field, index, nvars, prec)
     if isinstance(node, Pow):
-        return _eval(node.base, field, index, nvars, prec).power(node.exponent)
+        return jet_power(_eval(node.base, field, index, nvars, prec), node.exponent)
     raise TypeError(f"unexpected AST node {node!r}")

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from gen import (FIELDS, monomials_of_degree, rand_automorphism, rand_jet, rand_m2_jet,
-                 rand_monomial, random_element, same_error)
+from gen import (FIELDS, jet_power, monomials_of_degree, rand_automorphism, rand_jet,
+                 rand_m2_jet, rand_monomial, random_element, same_error)
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Field, ImplicitSystem, Jet, PAdicValuation,
                       PrecisionError, PrimeField, RationalField, ift_solve, milnor_number,
@@ -244,7 +244,7 @@ def test_power_matches_repeated_product():
     f = rand_jet(Q, 2, 6, rng, terms=4)
     acc = Jet.constant(Q, 2, 6, Fraction(1))
     for e in range(5):
-        assert f.power(e) == acc
+        assert jet_power(f, e) == acc
         acc = acc * f
 
 
