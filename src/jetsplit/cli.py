@@ -24,8 +24,8 @@ from .field import FieldError, parse_field_spec, parse_valuation_spec
 from .ift import ImplicitSystem, ift_solve
 from .jacobian import DEFAULT_MAX_DEGREE, determinacy_certificate, milnor_number
 from .jet import CoordinateChange, VerificationError
-from .quadform import (QuadNormalForm, QuadraticForm, arf_reduce_solvable,
-                       diagonal_signs, normal_form, normalize_squares)
+from .quadform import (QuadraticForm, arf_reduce_solvable, diagonal_signs, normal_form,
+                       normalize_squares)
 from .split import SplitResult, split, verify_split
 from .transport import TransportProblem, normalize_tail_linear, split_shape, transport
 
@@ -233,39 +233,9 @@ def _cmd_transport(args):
     return _emit_checked(args, payload, lines)
 
 
-def _result_entry(data, key, kind):
-    """data[key] from a split result file, checked to be of the given type."""
-    if key not in data:
-        raise FieldError(f"result file has no {key!r} key")
-    value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise FieldError(f"result file key {key!r} is not a {kind.__name__}")
-    return value
-
-
-def _read_split_result(path, names):
-    data = json.loads(_read_text(path))
-    if not isinstance(data, dict):
-        raise FieldError("result file is not a JSON object")
-    field = parse_field_spec(_result_entry(data, "field", str))
-    N = _result_entry(data, "precision", int)
-    texts = _result_entry(data, "change", list)
-    if not all(isinstance(t, str) for t in texts):
-        raise FieldError("result file key 'change' is not a list of strings")
-    change = CoordinateChange([parse_jet(t, field, names, N) for t in texts])
-    residual = parse_jet(_result_entry(data, "residual", str), field, names, N)
-    try:
-        quad = QuadNormalForm.from_json(field, _result_entry(data, "quad", dict))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise FieldError(f"result file key 'quad' is malformed: {exc!r}") from None
-    if quad.nvars != len(names) or quad.rank > quad.nvars:
-        raise FieldError("result file key 'quad' does not fit the variables")
-    return SplitResult(quad, _result_entry(data, "rank", int), residual, change, N)
-
-
 def _cmd_verify(args):
     names = _parse_vars(args.vars)
-    result = _read_split_result(args.result, names)
+    result = SplitResult.from_json(json.loads(_read_text(args.result)), names)
     field = parse_field_spec(args.field)
     if field != result.field:
         raise FieldError(f"--field {field.spec()} is not the result file's field "

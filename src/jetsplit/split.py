@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .field import FieldError, parse_field_spec
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
                   VerificationError, _substitute_batch)
 from .quadform import QuadNormalForm, QuadraticForm, SplitShapeError, normal_form
@@ -64,6 +65,41 @@ class SplitResult:
             "residual": serialize_jet(self.residual, varnames),
             "change": [serialize_jet(c, varnames) for c in self.change.components],
         }
+
+    @classmethod
+    def from_json(cls, data, varnames) -> "SplitResult":
+        """The result that ``to_json`` wrote, read back in the given variables.
+
+        Raises FieldError (an input error) naming a missing or malformed key;
+        the result is not checked, which is ``verify_split``'s task.
+        """
+        from .expr import parse_jet
+
+        if not isinstance(data, dict):
+            raise FieldError("result file is not a JSON object")
+
+        def entry(key, kind):
+            if key not in data:
+                raise FieldError(f"result file has no {key!r} key")
+            value = data[key]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise FieldError(f"result file key {key!r} is not a {kind.__name__}")
+            return value
+
+        field = parse_field_spec(entry("field", str))
+        N = entry("precision", int)
+        texts = entry("change", list)
+        if not all(isinstance(t, str) for t in texts):
+            raise FieldError("result file key 'change' is not a list of strings")
+        change = CoordinateChange([parse_jet(t, field, varnames, N) for t in texts])
+        residual = parse_jet(entry("residual", str), field, varnames, N)
+        try:
+            quad = QuadNormalForm.from_json(field, entry("quad", dict))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise FieldError(f"result file key 'quad' is malformed: {exc!r}") from None
+        if quad.nvars != len(varnames) or quad.rank > quad.nvars:
+            raise FieldError("result file key 'quad' does not fit the variables")
+        return cls(quad, entry("rank", int), residual, change, N)
 
 
 def project_to_tail(f: Jet, rank: int) -> Jet:

@@ -1,11 +1,13 @@
+import json
 import random
 
 import pytest
 
 from gen import FIELDS, rand_automorphism, rand_m2_jet
 from jetsplit import (BinaryField, Jet, PrecisionError, PrimeField,
-                      RationalField, SplitShapeError, iterate_arf,
+                      RationalField, SplitResult, SplitShapeError, iterate_arf,
                       iterate_diagonal, parse_jet, split, verify_split)
+from jetsplit.field import parse_field_spec
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -191,3 +193,14 @@ def test_split_json_shape():
     assert data["residual"] == "-1/4*y^4 + O(deg 4)"
     assert "verified" not in data
     assert len(data["change"]) == 2
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_split_result_json_round_trip(spec):
+    field = parse_field_spec(spec)
+    names = ["x", "y", "z"]
+    f = parse_jet("x*y + y^2 + x*z^2 + z^3 + y*z^3", field, names, 6)
+    result = split(f, 6)
+    assert result.rank == 2 and not result.residual.is_zero()
+    data = json.loads(json.dumps(result.to_json(names)))
+    assert SplitResult.from_json(data, names) == result
