@@ -3,6 +3,7 @@ import signal
 
 import pytest
 
+import jetsplit.jacobian
 import jetsplit.jet
 
 # a test that runs this long fails instead of hanging the suite
@@ -52,4 +53,23 @@ def kernel_work(monkeypatch):
 
         monkeypatch.setattr(jetsplit.jet, "_product_into", counted)
         return counts
+    return start
+
+
+@pytest.fixture
+def echelon_work(monkeypatch):
+    """A function that starts recording, for the rest of the test, every
+    ``jacobian._Echelon`` built (the searches' and the verifiers'); it returns
+    a function that sums their ``offered`` rows and elimination ``steps``."""
+    def start():
+        built = []
+        init = jetsplit.jacobian._Echelon.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(jetsplit.jacobian._Echelon, "__init__", recorded)
+        return lambda: {name: sum(getattr(ech, name) for ech in built)
+                        for name in ("offered", "steps")}
     return start

@@ -3,10 +3,11 @@ import dataclasses
 import random
 import signal
 import time
+from fractions import Fraction
 
 import pytest
 
-from gen import monomials_of_degree, rand_invertible, rand_jet
+from gen import monomials_of_degree, rand_invertible, rand_jet, random_element
 from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeField,
                       RationalField, VerificationError, determinacy_certificate, linalg,
                       milnor_number, parse_jet, verify_determinacy, verify_milnor)
@@ -383,6 +384,83 @@ def test_a_pivot_that_is_not_monic_fails_instead_of_looping(monkeypatch, spec, t
         milnor_number(f)
 
 
+# -- the routes' row operations against elimination by field methods ----------
+
+
+def field_monic(field, terms):
+    """A generator's terms made monic at the lead by the field's methods."""
+    inv = field.inv(terms[0][1])
+    return [(k, field.mul(inv, c)) for k, c in terms]
+
+
+def field_eliminate(field, row, pivot, lead):
+    """row <- row - c*pivot in place for a monic pivot, by the field's methods."""
+    zero = field.zero
+    c = row[lead]
+    for m, v in pivot.items():
+        new = field.sub(row.get(m, zero), field.mul(c, v))
+        if new == zero:
+            del row[m]
+        else:
+            row[m] = new
+
+
+def field_normalize(field, row, lead):
+    inv = field.inv(row[lead])
+    return {m: field.mul(inv, c) for m, c in row.items()}
+
+
+def same_row(field, native, reference):
+    """Equal over GF(p) and GF(2^k); over Q, the integers are a nonzero
+    multiple of the Fractions."""
+    if not isinstance(field, RationalField):
+        return native == reference
+    if native.keys() != reference.keys():
+        return False
+    if not native:
+        return True
+    ratio = Fraction(native[min(native)]) / reference[min(native)]
+    return all(Fraction(c) == ratio * reference[m] for m, c in native.items())
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_route_row_operations_match_field_methods(spec):
+    field = parse_field_spec(spec)
+    route = _route(field)
+    rng = random.Random(11)
+
+    def row_at(lead):
+        keys = [lead] + rng.sample(range(lead + 1, lead + 30), rng.randint(0, 8))
+        return {k: random_element(field, rng, nonzero=True) for k in keys}
+
+    for _ in range(300):
+        lead = rng.randrange(20)
+        terms = sorted(row_at(lead).items())
+        pivot = dict(route.monic(terms))
+        reference_pivot = dict(field_monic(field, terms))
+        assert same_row(field, pivot, reference_pivot)
+        # a row in native values: integers over Q, elements of a finite field
+        reference_row = row_at(lead)
+        row = dict(reference_row)
+        if isinstance(field, RationalField):
+            row = {k: c.numerator for k, c in row.items()}
+            reference_row = {k: Fraction(c) for k, c in row.items()}
+        route.eliminate(row, pivot, lead)
+        field_eliminate(field, reference_row, reference_pivot, lead)
+        assert lead not in row and same_row(field, row, reference_row)
+        if row:
+            lead = min(row)
+            assert same_row(field, route.normalize(row, lead),
+                            field_normalize(field, reference_row, lead))
+
+
+def test_rational_rows_are_primitive_integers():
+    route = _route(Q)
+    terms = [(3, Fraction(-4, 3)), (5, Fraction(2, 9)), (8, Fraction(8))]
+    assert route.monic(terms) == [(3, -6), (5, 1), (8, 36)]
+    assert route.normalize({3: -6, 5: 4, 8: 36}, 3) == {3: -3, 5: 2, 8: 18}
+
+
 @pytest.mark.parametrize("nvars, cutoff", [(0, 3), (1, 4), (2, 5), (3, 6), (4, 4)])
 def test_packed_monomials_are_lex_ordered(nvars, cutoff):
     ech = _Echelon(Q, nvars, cutoff)
@@ -464,8 +542,14 @@ def test_verify_determinacy_rejects_a_lower_degree():
         verify_determinacy(Jet(Q, 0, POLY, {}), DeterminacyReport(1, 3, None, 12))
 
 
+# rows offered and elimination steps per search, measured (milnor 1320 and
+# 860, determinacy 1300 and 997) with about 15% to spare
+NON_ISOLATED_WORK = {"milnor": (1520, 990), "determinacy": (1500, 1150)}
+
+
 @pytest.mark.parametrize("command", ["milnor", "determinacy"])
-def test_non_isolated_four_variables_is_fast(command, capsys):
+def test_non_isolated_four_variables_is_fast(command, capsys, echelon_work):
+    work = echelon_work()
     start = time.perf_counter()
     code = main([command, "--field", "q", "--vars", "x,y,z,w", "--max-degree", "10",
                  "(x+y+z+w)^2*(x-y+2*z)^2 + x^3*z^3"])
@@ -474,6 +558,9 @@ def test_non_isolated_four_variables_is_fast(command, capsys):
     assert code == 0
     assert "verified: true" in out
     assert elapsed < 2.0, elapsed
+    offered, steps = NON_ISOLATED_WORK[command]
+    counts = work()
+    assert counts["offered"] <= offered and counts["steps"] <= steps, counts
 
 
 def test_search_size_limit():
