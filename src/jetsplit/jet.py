@@ -26,13 +26,13 @@ keys and takes their one coefficients.  Horner takes at most one Python
 frame per source variable, so substitution accepts at most
 ``MAX_SUBSTITUTION_VARIABLES`` of them.
 
-Every coefficient loop (substitution, ``Jet.__mul__``, the parser's
-products and sums, ``ift``'s matrix products and the Jacobian echelon)
-computes on native values, chosen per field in one place (``_route``); a
-field type without a route is refused with ``TypeError``.  Over Q
-substitution is fraction-free: the source and the parts are scaled to
-integers (``_RationalRoute``), the kernel adds and multiplies Python ints,
-and each output coefficient is divided once by the common scale, one
+Every product and elimination loop (substitution, ``Jet.__mul__``, the
+parser's products and sums, ``ift``'s matrix products and the Jacobian
+echelon) computes on native values, chosen per field in one place
+(``_route``); a field type without a route is refused with ``TypeError``.
+Over Q substitution is fraction-free: the source and the parts are scaled
+to integers (``_RationalRoute``), the kernel adds and multiplies Python
+ints, and each output coefficient is divided once by the common scale, one
 ``Fraction`` normalisation per coefficient; products of field elements add
 and multiply the Fractions inline.  Over GF(p) residues are multiplied and
 added as ints and reduced mod p once per coefficient, when a product or a
@@ -480,8 +480,9 @@ def _route(field, fraction_free=True):
 
     Over Q, substitution and the echelon compute fraction-free on scaled
     integers; a product of field elements (``fraction_free=False``) adds and
-    multiplies the ``Fraction`` values themselves.  Every coefficient loop
-    takes its route here, so a field type without one is refused.
+    multiplies the ``Fraction`` values themselves.  Every product and
+    elimination loop takes its route here, so a field type without one is
+    refused.
     """
     if isinstance(field, RationalField):
         return _RationalRoute() if fraction_free else _Route()

@@ -404,10 +404,11 @@ def test_substitute_refuses_a_field_without_a_route():
 
     field = OtherRationals()
     x = Jet(field, 1, 3, {(1,): Fraction(1, 2)})
-    # every coefficient loop takes its arithmetic from jet._route: products,
-    # the parser, substitution and the echelon
+    cube = Jet(field, 1, 3, {(3,): Fraction(1)})
+    # every product and elimination loop takes its arithmetic from
+    # jet._route: products, the parser, substitution and the echelon
     for loop in (lambda: x * x, lambda: parse_jet("x^2", field, ["x"], 3),
-                 lambda: x.substitute([x]), lambda: milnor_number(Jet(field, 1, 3, {(3,): Fraction(1)}))):
+                 lambda: x.substitute([x]), lambda: milnor_number(cube)):
         with pytest.raises(TypeError, match="no route for OtherRationals"):
             loop()
 
