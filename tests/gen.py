@@ -131,18 +131,13 @@ def rand_split_form(field, nvars, prec, rng, rank=None):
     return quad, g, f
 
 
-def transport_roundtrip(field, nvars, prec, rng):
-    """A verified TransportProblem built from a random automorphism.
+def rand_split_equivalence(field, f0, prec, rng):
+    """A random automorphism carrying f0, in split shape, to a split form with its head.
 
-    The random change is applied to a random split form, its linear part is
-    undone, and the splitting iteration produces the second split form; the
-    composition then carries f0 to f1 with the same quadratic head.
+    A random change is applied to f0, its linear part is undone, and the
+    splitting iteration brings the result back to split shape.
     """
-    while True:
-        quad, g0, f0 = rand_split_form(field, nvars, prec, rng)
-        if quad.rank < nvars:
-            break
-    rho = rand_automorphism(field, nvars, prec, rng)
+    rho = rand_automorphism(field, f0.nvars, prec, rng)
     lin_inv = CoordinateChange.from_linear(
         field, linalg.invert(field, rho.linear_matrix()), prec)
     f_mid = lin_inv.apply(rho.apply(f0))
@@ -150,7 +145,27 @@ def transport_roundtrip(field, nvars, prec, rng):
         sigma, _ = iterate_arf(f_mid, prec)
     else:
         sigma, _ = iterate_diagonal(f_mid, prec)
-    total = rho.compose(lin_inv).compose(sigma)
+    return rho.compose(lin_inv).compose(sigma)
+
+
+def tail_block_change(field, nvars, block, prec):
+    """The linear change that is the identity on the head variables and applies
+    the square matrix ``block`` to the last len(block) variables."""
+    rank = nvars - len(block)
+    big = linalg.identity(field, nvars)
+    for i, row in enumerate(block):
+        big[rank + i][rank:] = row
+    return CoordinateChange.from_linear(field, big, prec)
+
+
+def transport_roundtrip(field, nvars, prec, rng):
+    """A verified TransportProblem: a random split form f0 and its image f1
+    under ``rand_split_equivalence``, which has the same quadratic head."""
+    while True:
+        quad, g0, f0 = rand_split_form(field, nvars, prec, rng)
+        if quad.rank < nvars:
+            break
+    total = rand_split_equivalence(field, f0, prec, rng)
     f1 = total.apply(f0)
     quad1, g1 = split_shape(f1)
     if quad1 != quad:

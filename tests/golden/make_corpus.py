@@ -27,8 +27,9 @@ from contextlib import redirect_stderr, redirect_stdout
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
-from gen import (rand_automorphism, rand_implicit_system, rand_jet,  # noqa: E402
-                 rand_split_form, random_element, transport_roundtrip)
+from gen import (rand_automorphism, rand_implicit_system, rand_invertible,  # noqa: E402
+                 rand_jet, rand_split_equivalence, rand_split_form, random_element,
+                 tail_block_change, transport_roundtrip)
 from jetsplit import (CoordinateChange, Jet, iterate_diagonal, linalg,  # noqa: E402
                       parse_field_spec, parse_jet, serialize_jet)
 from jetsplit.cli import main  # noqa: E402
@@ -373,6 +374,40 @@ def char2_pair_cases():
     return cases
 
 
+def tail_block_cases():
+    """transport in characteristic 2 where phi's tail-to-tail linear block is
+    invertible but not the identity, which the construction first recoordinates.
+
+    A zero square tail keeps f1 in split shape under any tail block.  The files
+    hold f0, phi = (split equivalence) composed with the block change, and
+    f1 = phi(f0); one call prints text, which shows the change alone.  Drawn
+    from their own seed, so the cases above keep their inputs.
+    """
+    rng = random.Random(4444)
+    cases = []
+    for spec, n, fmt in [("fp:2", 4, "json"), ("f2k:4", 4, "json"), ("fp:2", 5, "json"),
+                         ("f2k:4", 3, "text")]:
+        field = parse_field_spec(spec)
+        names, N, m = names_of(n), 5, n - 2
+        while True:
+            quad, _, f0 = rand_split_form(field, n, N, rng, rank=2)
+            if all(d == field.zero for d in quad.tail):
+                break
+        phi = rand_split_equivalence(field, f0, N, rng)
+        block = linalg.identity(field, m)
+        while block == linalg.identity(field, m):
+            block = rand_invertible(field, m, rng)
+        phi = phi.compose(tail_block_change(field, n, block, N))
+        files = {"f0.txt": serialize_jet(f0, names) + "\n",
+                 "f1.txt": serialize_jet(phi.apply(f0), names) + "\n",
+                 "phi.txt": "".join(serialize_jet(c, names) + "\n" for c in phi.components)}
+        cases.append((f"transport-tail-block-{spec.replace(':', '')}-n{n}-{fmt}",
+                      ["transport", "--field", spec, "--vars", ",".join(names),
+                       "--precision", str(N), "--format", fmt,
+                       "file:f0.txt", "file:f1.txt", "file:phi.txt"], files))
+    return cases
+
+
 # quadform inputs, as (tag, field, variables, expression): a zero diagonal
 # with a mixed entry, a pivot swap, squarefree rescaling, a permuted and
 # collapsed square tail, an Arf pair without a solvable reduction and t
@@ -515,7 +550,8 @@ def build():
     rng = random.Random(20260)
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
              + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases()
-             + deep_ift_cases() + char2_pair_cases() + quadform_branch_cases())
+             + deep_ift_cases() + char2_pair_cases() + quadform_branch_cases()
+             + tail_block_cases())
     parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
     parsed += [
         ("parse-zero-powers-norm",
