@@ -23,8 +23,7 @@ from .quadform import (ArfDecomposition, QuadNormalForm, QuadraticForm,
 from .split import (SplitResult, embed_from_tail, iterate_arf,
                     iterate_diagonal, project_to_tail, split, verify_split)
 from .transport import (TransportError, TransportHypothesisError,
-                        TransportProblem, normalize_tail_linear, split_shape,
-                        transport)
+                        TransportProblem, split_shape, transport)
 
 __version__ = "0.1.0"
 
@@ -40,8 +39,8 @@ __all__ = [
     "arf_normal_form", "arf_reduce_solvable", "determinacy_certificate",
     "diagonal_signs", "diagonalize", "embed_from_tail", "ift_solve",
     "iterate_arf", "iterate_diagonal", "milnor_number", "normal_form",
-    "normalize_squares", "normalize_tail_linear", "parse_field_spec",
-    "parse_jet", "parse_valuation_spec", "project_to_tail",
-    "serialize_jet", "split", "split_shape", "transport",
-    "verify_determinacy", "verify_milnor", "verify_split",
+    "normalize_squares", "parse_field_spec", "parse_jet",
+    "parse_valuation_spec", "project_to_tail", "serialize_jet", "split",
+    "split_shape", "transport", "verify_determinacy", "verify_milnor",
+    "verify_split",
 ]

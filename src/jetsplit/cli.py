@@ -27,7 +27,7 @@ from .jet import CoordinateChange, VerificationError
 from .quadform import (QuadraticForm, arf_reduce_solvable, diagonal_signs, normal_form,
                        normalize_squares)
 from .split import SplitResult, split, verify_split
-from .transport import TransportProblem, normalize_tail_linear, split_shape, transport
+from .transport import TransportProblem, split_shape, transport
 
 # polynomial mode: a precision no term will ever reach
 POLYNOMIAL_PRECISION = 10 ** 9
@@ -216,8 +216,6 @@ def _cmd_transport(args):
     if quad0 != quad1:
         raise FieldError("f0 and f1 do not share one quadratic normal form")
     problem = TransportProblem(quad0, g0, g1, phi, N)
-    if field.char == 2:
-        problem = normalize_tail_linear(problem)
     phi_prime = transport(problem)
     tail_names = names[problem.rank:]
     change = [serialize_jet(c, tail_names) for c in phi_prime.components]
@@ -235,7 +233,11 @@ def _cmd_transport(args):
 
 def _cmd_verify(args):
     names = _parse_vars(args.vars)
-    result = SplitResult.from_json(json.loads(_read_text(args.result)), names)
+    try:
+        data = json.loads(_read_text(args.result))
+    except json.JSONDecodeError as exc:
+        raise FieldError(f"result file is not JSON: {exc}") from None
+    result = SplitResult.from_json(data, names)
     field = parse_field_spec(args.field)
     if field != result.field:
         raise FieldError(f"--field {field.spec()} is not the result file's field "

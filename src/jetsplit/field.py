@@ -613,7 +613,8 @@ class Valuation:
         if not self.applies_to(field):
             raise FieldError(f"{self.kind} valuation does not apply to {field}")
 
-    def value(self, field: Field, a):
+    def value(self, field: Field, a) -> Fraction:
+        """|a|, exactly."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -633,7 +634,7 @@ class TrivialValuation(Valuation):
 
 
 class ArchimedeanValuation(Valuation):
-    """Usual absolute value on the rationals; reported as a float."""
+    """Usual absolute value on the rationals; ``Jet.norm`` reports it as a float."""
 
     kind = "archimedean"
 
@@ -641,10 +642,6 @@ class ArchimedeanValuation(Valuation):
         return isinstance(field, RationalField)
 
     def value(self, field, a):
-        self.check(field)
-        return float(abs(a))
-
-    def exact_value(self, field, a) -> Fraction:
         self.check(field)
         return abs(a)
 

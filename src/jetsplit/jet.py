@@ -54,7 +54,8 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .field import BinaryField, Field, PrimeField, RationalField, Valuation
+from .field import (ArchimedeanValuation, BinaryField, Field, PrimeField, RationalField,
+                    Valuation)
 
 # order() of the zero jet: larger than any precision, safe in comparisons
 ABOVE_PRECISION = math.inf
@@ -312,20 +313,14 @@ class Jet:
         for e in eps:
             if e <= 0:
                 raise ValueError("radii must be positive")
-        from .field import ArchimedeanValuation
-
         total = Fraction(0)
-        archimedean = isinstance(valuation, ArchimedeanValuation)
         for a, c in self.coeffs.items():
             weight = Fraction(1)
             for e, r in zip(a, eps):
                 if e:
                     weight *= Fraction(r) ** e
-            if archimedean:
-                total += valuation.exact_value(self.field, c) * weight
-            else:
-                total += valuation.value(self.field, c) * weight
-        if not archimedean:
+            total += valuation.value(self.field, c) * weight
+        if not isinstance(valuation, ArchimedeanValuation):
             return total
         try:
             return float(total)

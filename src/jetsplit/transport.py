@@ -13,12 +13,15 @@ so on the zero set of F = P l + U k the head components act on H as their
 linear part does.  The head variables are re-expressed as series psi in the
 tail variables by solving F = 0 with the implicit function theorem, and
 then phi'_j = phi_j(psi, x_tail) for the tail components j.  In
-characteristic 2 the tail-variable linear part of phi must first be the
-identity (see normalize_tail_linear), so that the tail components are
-phi_j = x_j + k_j; the square-tail bookkeeping Sum d_j phi_j^2 =
-Sum d_j x_j^2 + Sum d_j k_j^2 then matches the d_j k_j^2 terms against the
-transform of g0's own square tail, so F = 0 already yields g0(phi') = g1
-exactly.  The result is verified by substitution before it is returned.
+characteristic 2 the tail-variable linear part of phi must be the
+identity, so that the tail components are phi_j = x_j + k_j; the
+square-tail bookkeeping Sum d_j phi_j^2 = Sum d_j x_j^2 + Sum d_j k_j^2
+then matches the d_j k_j^2 terms against the transform of g0's own square
+tail, so F = 0 already yields g0(phi') = g1 exactly.  ``TransportProblem``
+makes that block D the identity by recoordinating the tail, which replaces
+g1 by g1(D^-1 x_tail); the change then carries g0 to that jet, the
+problem's ``g1`` and the JSON ``g1`` of the CLI, not to the supplied g1.
+The result is verified by substitution before it is returned.
 
 f0 and f1 are read by ``split_shape``: ``QuadNormalForm.read_split_shape``
 gives the head, and the rest is projected to the tail variables.  The
@@ -29,7 +32,6 @@ square tail is the part of the normal form's ``normal_jet`` outside its
 from __future__ import annotations
 
 from . import linalg
-from .field import CharacteristicError
 from .ift import ImplicitSystem, ift_solve
 from .jet import CoordinateChange, Jet, VerificationError, _substitute_batch
 from .quadform import QuadNormalForm, QuadraticForm
@@ -48,8 +50,20 @@ class TransportProblem:
     """A verified instance: shared quad q, tail residuals g0, g1, and phi.
 
     g0 and g1 are jets in the tail variables (n - rank of them); phi acts on
-    all n variables.  The hypothesis phi(f0) = f1 is checked exactly at the
-    working precision on construction.
+    all n variables.  The constructor checks the data as given: fields and
+    shapes, that each residual minus the square tail has order >= 3, that phi
+    is an automorphism, and then the hypothesis phi(f0) = f1 exactly at the
+    working precision N.
+
+    In characteristic 2 it then makes phi's tail-to-tail linear block D the
+    identity, which ``transport`` needs.  Let rho be the linear change that is
+    the identity on the head variables and D^-1 on the tail.  It stores
+    phi o rho for phi and g1(D^-1 x_tail) for g1, raising
+    TransportHypothesisError when D is singular.  No second substitution is
+    needed: rho preserves degree and H involves only head variables, so
+    (phi o rho)(f0) = f1 o rho = H + g1(D^-1 x_tail) exactly at precision N,
+    and phi o rho is an automorphism whose tail block is D D^-1 = I.  Only the
+    order check is re-run on the new g1.
     """
 
     def __init__(self, quad: QuadNormalForm, g0: Jet, g1: Jet,
@@ -71,11 +85,8 @@ class TransportProblem:
         phi = CoordinateChange([c.truncate(precision) for c in phi.components])
         square_tail = project_to_tail(
             quad.normal_jet(precision) - quad.head_jet(precision), rank)
-        for g in (g0, g1):
-            h = g - square_tail
-            if not h.is_zero() and h.order() < 3:
-                raise TransportHypothesisError(
-                    "residual minus the square tail must have order >= 3")
+        _check_square_tail(g0, square_tail)
+        _check_square_tail(g1, square_tail)
         if not phi.is_automorphism():
             raise TransportHypothesisError("phi is not an automorphism")
         self.quad = quad
@@ -85,6 +96,22 @@ class TransportProblem:
         self.precision = precision
         if phi.apply(self.f0_jet()) != self.f1_jet():
             raise TransportHypothesisError("phi(f0) = f1 fails at the working precision")
+        if field.char != 2:
+            return
+        d_block = [row[rank:] for row in phi.linear_matrix()[rank:]]
+        if d_block == linalg.identity(field, m):
+            return
+        try:
+            d_inv = linalg.invert(field, d_block)
+        except ValueError:
+            raise TransportHypothesisError(
+                "tail linear block is singular; phi does not preserve the splitting") from None
+        rho = linalg.identity(field, n)
+        for i in range(m):
+            rho[rank + i][rank:] = d_inv[i]
+        self.phi = phi.compose(CoordinateChange.from_linear(field, rho, precision))
+        self.g1 = CoordinateChange.from_linear(field, d_inv, precision).apply(g1)
+        _check_square_tail(self.g1, square_tail)
 
     @property
     def field(self):
@@ -107,35 +134,6 @@ class TransportProblem:
 
     def f1_jet(self) -> Jet:
         return self.quad.head_jet(self.precision) + embed_from_tail(self.g1, self.rank)
-
-
-def normalize_tail_linear(p: TransportProblem) -> TransportProblem:
-    """Recoordinate the tail so phi's tail-to-tail linear block is the identity.
-
-    Characteristic 2 only.  Both phi and g1 are rewritten; the hypothesis is
-    re-verified by the TransportProblem constructor.
-    """
-    field = p.field
-    if field.char != 2:
-        raise CharacteristicError("tail normalization is a characteristic-2 step")
-    n, rank, m = p.nvars, p.rank, p.tail_count
-    lin = p.phi.linear_matrix()
-    d_block = [[lin[rank + i][rank + j] for j in range(m)] for i in range(m)]
-    if d_block == linalg.identity(field, m):
-        return p
-    try:
-        d_inv = linalg.invert(field, d_block)
-    except ValueError:
-        raise TransportHypothesisError(
-            "tail linear block is singular; phi does not preserve the splitting") from None
-    big = linalg.identity(field, n)
-    for i in range(m):
-        for j in range(m):
-            big[rank + i][rank + j] = d_inv[i][j]
-    rho = CoordinateChange.from_linear(field, big, p.precision)
-    tail_rho = CoordinateChange.from_linear(field, d_inv, p.precision)
-    return TransportProblem(p.quad, p.g0, tail_rho.apply(p.g1),
-                            p.phi.compose(rho), p.precision)
 
 
 def transport(p: TransportProblem) -> CoordinateChange:
@@ -184,24 +182,23 @@ def split_shape(f: Jet):
     return quad, project_to_tail(f - quad.head_jet(f.prec), quad.rank)
 
 
-def _check_char2_tail_linear(p: TransportProblem):
-    """Raise unless phi's tail rows are linearly the identity (characteristic 2).
+def _check_square_tail(g: Jet, square_tail: Jet):
+    h = g - square_tail
+    if not h.is_zero() and h.order() < 3:
+        raise TransportHypothesisError("residual minus the square tail must have order >= 3")
 
-    Head variables may enter them linearly only when the square tail is zero.
+
+def _check_char2_tail_linear(p: TransportProblem):
+    """Raise if phi's tail rows take head variables linearly while the square
+    tail is nonzero (characteristic 2).
+
+    The constructor has made the tail-to-tail linear block the identity.
     """
-    field = p.field
-    n, rank = p.nvars, p.rank
+    if p.quad.normal_jet(2) == p.quad.head_jet(2):
+        return
     lin = p.phi.linear_matrix()
-    square_tail = p.quad.normal_jet(2) != p.quad.head_jet(2)
-    for i in range(rank, n):
-        for j in range(rank):
-            if lin[i][j] != field.zero and square_tail:
-                raise TransportError(
-                    "tail components of phi mix in head variables linearly; "
-                    "with a nonzero square tail the construction needs the "
-                    "tail linear part to be exactly the identity")
-        for j in range(rank, n):
-            expected = field.one if i == j else field.zero
-            if lin[i][j] != expected:
-                raise TransportError(
-                    "tail linear block is not the identity; run normalize_tail_linear")
+    if any(c != p.field.zero for row in lin[p.rank:] for c in row[:p.rank]):
+        raise TransportError(
+            "tail components of phi mix in head variables linearly; "
+            "with a nonzero square tail the construction needs the "
+            "tail linear part to be exactly the identity")

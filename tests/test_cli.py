@@ -535,6 +535,16 @@ def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_non_json_result_is_input_error(tmp_path, capsys):
+    result = tmp_path / "result.json"
+    result.write_text("x^2 + x*y^2\n")
+    code, out, err = run(capsys, "verify", "--field", "q", "--vars", "x,y", "x^2 + x*y^2",
+                         str(result))
+    assert code == 2
+    assert out == ""
+    assert err == "error: result file is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
 def test_failed_split_check_exits_1_without_traceback(monkeypatch, capsys):
     # a mixed part whose order never rises trips the iteration's progress check
     monkeypatch.setattr(split_module, "_mixed_order", lambda gs: 3)

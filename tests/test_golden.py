@@ -25,13 +25,18 @@ with open(CORPUS, encoding="utf-8") as _handle:
     CASES = json.load(_handle)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_output(case, tmp_path, capsys):
+def replay(case, tmp_path):
+    """The case's exit code, with its input files written to tmp_path."""
     for name, text in case["files"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / a[len(FILE_PREFIX):]) if a.startswith(FILE_PREFIX) else a
             for a in case["argv"]]
-    code = main(argv)
+    return main(argv)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_output(case, tmp_path, capsys):
+    code = replay(case, tmp_path)
     captured = capsys.readouterr()
     assert code == case["exit"]
     assert captured.out.encode("utf-8") == case["stdout"].encode("utf-8")
@@ -44,3 +49,14 @@ def test_corpus_covers_every_field_and_command():
     commands = {c["argv"][0] for c in CASES}
     assert commands == {"split", "verify", "quadform", "milnor", "determinacy",
                         "norm", "ift", "transport"}
+
+
+def test_recoordinated_transport_work_is_pinned(tmp_path, capsys, kernel_work):
+    # phi's tail block is not the identity, so the problem recoordinates the
+    # tail; the hypothesis phi(f0) = f1 is substituted once, before that, and
+    # a second check on the recoordinated problem would raise both counts
+    case, = [c for c in CASES if c["name"] == "transport-tail-block-fp2-n4-json"]
+    work = kernel_work()
+    assert replay(case, tmp_path) == 0
+    assert capsys.readouterr().out == case["stdout"]
+    assert work == {"calls": 119, "pairs": 258}

@@ -1,10 +1,14 @@
-"""The library imports only the standard library (README, "Install")."""
+"""The package surface: the library imports only the standard library
+(README, "Install"), and ``__all__`` names exactly its public attributes."""
 
 import ast
 import pathlib
 import sys
+import types
 
 import pytest
+
+import jetsplit
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetsplit"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -37,3 +41,10 @@ def test_a_third_party_import_is_caught():
     names = [name for _, name in absolute_imports(tree)]
     assert names == ["os", "numpy"]
     assert [n for n in names if n not in sys.stdlib_module_names] == ["numpy"]
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {name for name, value in vars(jetsplit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(jetsplit.__all__)
+    assert len(jetsplit.__all__) == len(public)

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from gen import rand_invertible, rand_split_form, transport_roundtrip
+from gen import rand_invertible, rand_split_form, tail_block_change, transport_roundtrip
 from jetsplit import (BinaryField, CoordinateChange, Jet, PrimeField,
                       RationalField, TransportHypothesisError,
-                      TransportProblem, normalize_tail_linear, parse_jet,
-                      split_shape, transport)
+                      TransportProblem, parse_jet, split_shape, transport)
 from jetsplit import linalg
 
 Q = RationalField()
@@ -54,7 +53,6 @@ def test_char2_roundtrip_example():
     quad0, g0 = split_shape(f0)
     quad1, g1 = split_shape(total.apply(f0))
     p = TransportProblem(quad0, g0, g1, total, prec)
-    p = normalize_tail_linear(p)
     pp = transport(p)
     assert pp.apply(p.g0) == p.g1
     assert pp.is_automorphism()
@@ -76,40 +74,47 @@ def test_hypothesis_check_rejects_wrong_tail_order():
         TransportProblem(quad, bad, bad, CoordinateChange.identity(Q, 2, 5), 5)
 
 
-def test_normalize_tail_linear_noop_when_identity():
+def tail_block(p):
+    """phi's tail-to-tail linear block."""
+    lin = p.phi.linear_matrix()
+    return [row[p.rank:] for row in lin[p.rank:]]
+
+
+def scrambled(p, block):
+    """p's data with the tail recoordinated by ``block``: g1(block x_tail) and
+    phi o (identity on the head, block on the tail)."""
+    tail_rho = CoordinateChange.from_linear(p.field, block, p.precision)
+    rho = tail_block_change(p.field, p.nvars, block, p.precision)
+    return TransportProblem(p.quad, p.g0, tail_rho.apply(p.g1), p.phi.compose(rho),
+                            p.precision)
+
+
+def test_identity_tail_block_is_kept():
     rng = random.Random(44)
     p = transport_roundtrip(F2, 3, 5, rng)
-    assert normalize_tail_linear(p) is p
+    assert tail_block(p) == linalg.identity(F2, p.tail_count)
+    again = TransportProblem(p.quad, p.g0, p.g1, p.phi, p.precision)
+    assert again.phi == p.phi
+    assert again.g1 == p.g1
 
 
-def test_normalize_tail_linear_permutation():
+def test_tail_block_permutation_is_undone():
     # the permuted square tail must stay the same form, so require d1 = d2
     rng = random.Random(45)
     while True:
         p = transport_roundtrip(F2, 4, 5, rng)
         if p.rank == 2 and p.quad.tail[0] == p.quad.tail[1]:
             break
-    field = p.field
-    swap = [[field.zero, field.one], [field.one, field.zero]]
-    big = linalg.identity(field, 4)
-    for i in range(2):
-        for j in range(2):
-            big[2 + i][2 + j] = swap[i][j]
-    rho = CoordinateChange.from_linear(field, big, p.precision)
-    tail_rho = CoordinateChange.from_linear(field, swap, p.precision)
-    scrambled = TransportProblem(p.quad, p.g0, tail_rho.apply(p.g1),
-                                 p.phi.compose(rho), p.precision)
-    fixed = normalize_tail_linear(scrambled)
-    lin = fixed.phi.linear_matrix()
-    for i in range(2):
-        for j in range(2):
-            want = field.one if i == j else field.zero
-            assert lin[2 + i][2 + j] == want
+    swap = [[F2.zero, F2.one], [F2.one, F2.zero]]
+    fixed = scrambled(p, swap)
+    assert tail_block(fixed) == linalg.identity(F2, 2)
+    assert fixed.phi == p.phi
+    assert fixed.g1 == p.g1
     pp = transport(fixed)
     assert pp.apply(fixed.g0) == fixed.g1
 
 
-def test_normalize_tail_linear_random_invertible_block():
+def test_tail_block_random_invertible_is_undone():
     # with a zero square tail every invertible tail block keeps the shape
     rng = random.Random(46)
     done = 0
@@ -117,17 +122,10 @@ def test_normalize_tail_linear_random_invertible_block():
         p = transport_roundtrip(F2, 4, 5, rng)
         if p.rank != 2 or any(d != 0 for d in p.quad.tail):
             continue
-        field = p.field
-        block = rand_invertible(field, 2, rng)
-        big = linalg.identity(field, 4)
-        for i in range(2):
-            for j in range(2):
-                big[2 + i][2 + j] = block[i][j]
-        rho = CoordinateChange.from_linear(field, big, p.precision)
-        tail_rho = CoordinateChange.from_linear(field, block, p.precision)
-        scrambled = TransportProblem(p.quad, p.g0, tail_rho.apply(p.g1),
-                                     p.phi.compose(rho), p.precision)
-        fixed = normalize_tail_linear(scrambled)
+        block = rand_invertible(F2, 2, rng)
+        fixed = scrambled(p, block)
+        assert tail_block(fixed) == linalg.identity(F2, 2)
+        assert fixed.phi == p.phi
         pp = transport(fixed)
         assert pp.apply(fixed.g0) == fixed.g1
         done += 1
@@ -140,8 +138,6 @@ def test_roundtrip_transport_all_fields():
             n = rng.randint(2, 4)
             prec = rng.randint(4, 6)
             p = transport_roundtrip(field, n, prec, rng)
-            if field.char == 2:
-                p = normalize_tail_linear(p)
             pp = transport(p)
             assert pp.apply(p.g0) == p.g1
             assert pp.is_automorphism()
