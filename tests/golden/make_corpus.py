@@ -464,6 +464,59 @@ def quadform_branch_cases():
     return cases
 
 
+
+# Arf reductions, as (tag, field, variables, expression): a radical of three
+# vectors, and an index without a partner before indices that have one
+ARF_ORDER_INPUTS = [
+    ("radical-3-fp2", "fp:2", "x1,x2,x3,x4,x5", "x1*x2 + x2*x5 + x3^2 + x4^2"),
+    ("unpaired-first-fp2", "fp:2", "x1,x2,x3,x4", "x1^2 + x2*x3 + x3*x4 + x4^2"),
+    ("unpaired-first-f2k4", "f2k:4", "x1,x2,x3,x4,x5",
+     "t*x1^2 + x2^2 + x3*x4 + x2*x5 + (t+1)*x5^2"),
+]
+
+
+def sparse_quadratic(field, n, rng):
+    """At most 2n random monomials x_i x_j with nonzero coefficients."""
+    coeffs = {}
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        alpha = [0] * n
+        alpha[i] += 1
+        alpha[j] += 1
+        coeffs[tuple(alpha)] = random_element(field, rng, nonzero=True)
+    return Jet(field, n, 2, coeffs)
+
+
+def arf_reduction_cases():
+    """quadform and split in characteristic 2 beyond 8 variables.
+
+    Each input of ARF_ORDER_INPUTS as json quadform, then sparse and dense
+    forms in 12 and 16 variables over fp:2, f2k:4 and f2k:8 as json quadform,
+    which prints the transition matrix, and one json split over fp:2 in 10
+    variables at precision 3.  Drawn from their own seed, so the cases above
+    keep their inputs.
+    """
+    cases = [(f"quadform-json-{tag}",
+              ["quadform", "--field", spec, "--vars", names, "--format", "json", expr], {})
+             for tag, spec, names, expr in ARF_ORDER_INPUTS]
+    rng = random.Random(2121)
+    for spec in ("fp:2", "f2k:4", "f2k:8"):
+        field = parse_field_spec(spec)
+        for n in (12, 16):
+            names = names_of(n)
+            for kind, draw in (("sparse", sparse_quadratic), ("dense", dense_quadratic)):
+                expr = serialize_jet(draw(field, n, rng), names, with_precision=False)
+                cases.append((f"quadform-json-{spec.replace(':', '')}-{kind}-n{n}",
+                              ["quadform", "--field", spec, "--vars", ",".join(names),
+                               "--format", "json", expr], {}))
+    names = names_of(10)
+    expr = serialize_jet(split_input(parse_field_spec("fp:2"), 10, 3, 6, rng), names)
+    cases.append(("split-json-fp2-n10-N3",
+                  ["split", "--field", "fp:2", "--vars", ",".join(names), "--precision", "3",
+                   "--format", "json", expr], {}))
+    return cases
+
+
 # transport inputs in split shape or not, as (tag, field, variables, f0, f1)
 TRANSPORT_EDGE_INPUTS = [
     ("not-diagonal", "q", "x,y", "x*y + y^3", "x*y + y^3"),
@@ -551,7 +604,7 @@ def build():
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
              + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases()
              + deep_ift_cases() + char2_pair_cases() + quadform_branch_cases()
-             + tail_block_cases())
+             + tail_block_cases() + arf_reduction_cases())
     parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
     parsed += [
         ("parse-zero-powers-norm",
