@@ -9,6 +9,12 @@ coordinates in place, one elementary congruence at a time on the columns of
 its transition matrix (and on the rows and columns of the Gram matrix it
 reduces), and then checks its transition by exact substitution before
 returning.
+
+In characteristic 2 the reduced matrix is the polar matrix b, which is
+alternating (zero diagonal).  For a pair (i, j) with b(i, j) != 0, every
+other free x_t gains b(t, j)/b(i, j) times x_i and b(t, i)/b(i, j) times
+x_j.  As b(i, i) = b(j, j) = 0, afterwards b(t, i) = b(t, j) = 0, and b
+stays alternating, since a congruence M^T b M of an alternating b is.
 """
 
 from __future__ import annotations
@@ -140,16 +146,6 @@ class QuadraticForm:
         half = field.inv(field.from_int(2))
         return [[field.mul(half, c) for c in row] for row in self.polar()]
 
-    def bilinear(self, v, w):
-        """The polar form b(v, w) = q(v + w) - q(v) - q(w) = v^T P w."""
-        field = self.field
-        zero, add, mul = field.zero, field.add, field.mul
-        s = zero
-        for (i, j), c in self.gram.items():
-            if v[i] != zero or v[j] != zero:
-                s = add(s, mul(c, add(mul(v[i], w[j]), mul(v[j], w[i]))))
-        return s
-
     def __eq__(self, other):
         return (isinstance(other, QuadraticForm) and self.field == other.field
                 and self.nvars == other.nvars and self.gram == other.gram)
@@ -157,17 +153,6 @@ class QuadraticForm:
     def __repr__(self):
         from .expr import serialize_jet
         return f"QuadraticForm({serialize_jet(self.as_jet(), with_precision=False)!r})"
-
-
-@dataclass
-class ArfDecomposition:
-    """Radical plus symplectic pairing basis of the polarization (char 2).
-
-    Pair vectors are rescaled so that b(u, w) = 1 inside every pair.
-    """
-
-    symplectic_pairs: list
-    radical_basis: list
 
 
 @dataclass
@@ -180,6 +165,16 @@ class QuadNormalForm:
     back; no other module of the library knows where its coefficients sit.
     The splitting loop and transport read it only through ``rank``,
     ``head_jet`` and ``normal_jet``.
+
+    The normal jet is the ``diagonal`` squares, then one block
+    a x_k^2 + x_k x_{k+1} + b x_{k+1}^2 per entry (a, b) of ``pairs``, then the
+    ``tail`` squares, on consecutive variables; the head leaves out the tail.
+    Each variant fills them so:
+
+    - ``diagonal`` and ``unit_diagonal``: ``diagonal`` only;
+    - ``arf``: ``pairs`` and ``tail``, the tail one square per radical vector;
+    - ``char2_solvable_a``: ``pairs`` of zeros and ``tail = (1,)``;
+    - ``char2_solvable_b``: ``pairs`` of zeros only.
     """
 
     variant: str  # diagonal | unit_diagonal | arf | char2_solvable_a | char2_solvable_b
@@ -196,9 +191,7 @@ class QuadNormalForm:
 
     @property
     def rank(self) -> int:
-        if self.variant in ("diagonal", "unit_diagonal"):
-            return len(self.diagonal)
-        return 2 * len(self.pairs)
+        return len(self.diagonal) + 2 * len(self.pairs)
 
     @property
     def has_square(self) -> bool:
@@ -209,25 +202,17 @@ class QuadNormalForm:
 
     def normal_jet(self, prec: int = 2) -> Jet:
         one = self.field.one
-        if self.variant in ("diagonal", "unit_diagonal"):
-            gram = {(i, i): a for i, a in enumerate(self.diagonal)}
-        elif self.variant == "arf":
-            r = self.rank
-            gram = {(r + j, r + j): d for j, d in enumerate(self.tail)}
-            for t, (a, b) in enumerate(self.pairs):
-                gram.update({(2 * t, 2 * t): a, (2 * t, 2 * t + 1): one,
-                             (2 * t + 1, 2 * t + 1): b})
-        else:
-            gram = {(2 * t, 2 * t + 1): one for t in range(self.half_rank)}
-            if self.variant == "char2_solvable_a":
-                gram[(self.rank, self.rank)] = one
+        gram = {(i, i): a for i, a in enumerate(self.diagonal)}
+        k = len(self.diagonal)
+        for a, b in self.pairs:
+            gram.update({(k, k): a, (k, k + 1): one, (k + 1, k + 1): b})
+            k += 2
+        gram.update({(k + j, k + j): d for j, d in enumerate(self.tail)})
         return QuadraticForm(self.field, self.nvars, gram).as_jet(prec)
 
     def head_jet(self, prec: int = 2) -> Jet:
-        """Only the nondegenerate head: the diagonal, or the Arf pairs."""
-        if self.variant == "arf":
-            return replace(self, tail=()).normal_jet(prec)
-        return self.normal_jet(prec)
+        """Only the nondegenerate head: the normal jet without its tail."""
+        return replace(self, tail=()).normal_jet(prec)
 
     @classmethod
     def read_split_shape(cls, f: Jet) -> "QuadNormalForm":
@@ -296,7 +281,8 @@ class QuadNormalForm:
                        tail=tuple(parse(d) for d in data["tail"]))
         half = data["half_rank"]
         return cls(variant, field, nvars, matrix,
-                   pairs=tuple((field.zero, field.zero) for _ in range(half)))
+                   pairs=tuple((field.zero, field.zero) for _ in range(half)),
+                   tail=(field.one,) if variant == "char2_solvable_a" else ())
 
 
 def _verify_transition(what: str, source: Jet, matrix, nf: QuadNormalForm):
@@ -414,74 +400,44 @@ def normalize_squares(nf: QuadNormalForm):
     return out
 
 
-def arf_decompose(q: QuadraticForm) -> ArfDecomposition:
-    """Split K^n into symplectic pairs plus the radical of the polarization.
+def arf_normal_form(q: QuadraticForm) -> QuadNormalForm:
+    """Arf normal form: pair blocks with middle coefficient 1 plus a square tail.
 
-    Each remaining vector z is kept beside P z, with P the polar matrix, and
-    updated by the same combination, so b(v, z) = v . P z is one dot product.
+    Reduces the polar matrix b in place, starting from the identity
+    transition with every index free.  Each step takes the first free i with
+    a free partner, and its first free partner j (b(i, j) != 0).  Every other
+    free x_t gains b(t, j)/b(i, j) times x_i and b(t, i)/b(i, j) times x_j,
+    which makes b(t, i) = b(t, j) = 0 and keeps b alternating, and x_i is
+    scaled by 1/b(i, j).  The free indices left span the radical.  The pairs
+    in the order found, then the radical in index order, are the new
+    coordinates, and the pair and tail coefficients are q at their columns.
     """
     field = q.field
     if field.char != 2:
         raise CharacteristicError("Arf decomposition requires characteristic 2")
-    zero, add, mul = field.zero, field.add, field.mul
-
-    def dot(v, w):
-        s = zero
-        for a, b in zip(v, w):
-            if a != zero and b != zero:
-                s = add(s, mul(a, b))
-        return s
-
-    def combine(z, bv, v, bw, w):
-        return [add(zc, add(mul(bv, vc), mul(bw, wc))) for zc, vc, wc in zip(z, v, w)]
-
-    polar = q.polar()
-    remaining = [(e, [row[i] for row in polar])
-                 for i, e in enumerate(linalg.identity(field, q.nvars))]
-    pairs = []
-    while True:
-        found = None
-        for i, (v, _) in enumerate(remaining):
-            partner = next((j for j, (_, pw) in enumerate(remaining)
-                            if j != i and dot(v, pw) != zero), None)
-            if partner is not None:
-                found = (i, partner)
-                break
-        if found is None:
-            break
-        i, j = found
-        (v, pv), (w, pw) = remaining[i], remaining[j]
-        cinv = field.inv(dot(v, pw))
-        fixed = []
-        for t, (z, pz) in enumerate(remaining):
-            if t not in (i, j):
-                bv, bw = mul(dot(z, pw), cinv), mul(dot(z, pv), cinv)
-                fixed.append((combine(z, bv, v, bw, w), combine(pz, bv, pv, bw, pw)))
-        pairs.append(([mul(cinv, vc) for vc in v], w))
-        remaining = fixed
-    remaining = [z for z, _ in remaining]
-    pair_vectors = [u for p in pairs for u in p]
-    for z in remaining:
-        if any(q.bilinear(z, w) != field.zero for w in pair_vectors + remaining):
-            raise VerificationError("arf decomposition", "the radical is not orthogonal")
-    return ArfDecomposition(pairs, remaining)
-
-
-def arf_normal_form(q: QuadraticForm) -> QuadNormalForm:
-    """Arf normal form: pair blocks with middle coefficient 1 plus a square tail."""
-    dec = arf_decompose(q)
-    field = q.field
+    zero = field.zero
     n = q.nvars
-    basis = []
-    pair_coeffs = []
-    for u, w in dec.symplectic_pairs:
-        basis.append(u)
-        basis.append(w)
-        pair_coeffs.append((q.evaluate(u), q.evaluate(w)))
-    tail = tuple(q.evaluate(r) for r in dec.radical_basis)
-    basis.extend(dec.radical_basis)
-    s = [[basis[j][i] for j in range(n)] for i in range(n)]  # columns are basis vectors
-    nf = QuadNormalForm("arf", field, n, s, pairs=tuple(pair_coeffs), tail=tail)
+    b = q.polar()
+    s = linalg.identity(field, n)
+    free = list(range(n))
+    order = []
+    while (pair := next(((i, j) for i in free for j in free if b[i][j] != zero), None)):
+        i, j = pair
+        free = [t for t in free if t not in pair]
+        cinv = field.inv(b[i][j])
+        for t in free:
+            bv, bw = field.mul(b[t][j], cinv), field.mul(b[t][i], cinv)
+            _add(field, [s], i, t, bv, b)
+            _add(field, [s], j, t, bw, b)
+        _scale(field, [s], i, cinv, b)
+        order += pair
+    if any(b[r][k] != zero for r in free for k in range(n)):
+        raise VerificationError("arf decomposition", "the radical is not orthogonal")
+    _permute([s], order + free)
+    value = [q.evaluate([row[k] for row in s]) for k in range(n)]
+    rank = len(order)
+    nf = QuadNormalForm("arf", field, n, s, pairs=tuple(zip(value[0:rank:2], value[1:rank:2])),
+                        tail=tuple(value[rank:]))
     _verify_transition("transition", q.as_jet(2), nf.matrix, nf)
     return nf
 
@@ -519,9 +475,9 @@ def arf_reduce_solvable(nf: QuadNormalForm):
     k_sq = len(nonzero)
     for j in range(1, k_sq):
         _add(field, mats, 2 * l, 2 * l + j, field.one)  # collapse x^2 + ... onto one square
-    variant = "char2_solvable_a" if k_sq >= 1 else "char2_solvable_b"
-    out = QuadNormalForm(variant, field, n, matrix,
-                         pairs=tuple((field.zero, field.zero) for _ in range(l)))
+    square = (field.one,) if k_sq else ()
+    out = QuadNormalForm("char2_solvable_a" if square else "char2_solvable_b", field, n, matrix,
+                         pairs=tuple((field.zero, field.zero) for _ in range(l)), tail=square)
     _verify_transition("solvable reduction", nf.normal_jet(2), extra, out)
     return out
 

@@ -131,6 +131,72 @@ def rand_split_form(field, nvars, prec, rng, rank=None):
     return quad, g, f
 
 
+def bilinear(q, v, w):
+    """The polar form b(v, w) = q(v + w) - q(v) - q(w) = v^T P w of a QuadraticForm."""
+    field = q.field
+    zero, add, mul = field.zero, field.add, field.mul
+    s = zero
+    for (i, j), c in q.gram.items():
+        if v[i] != zero or v[j] != zero:
+            s = add(s, mul(c, add(mul(v[i], w[j]), mul(v[j], w[i]))))
+    return s
+
+
+def arf_reference(q):
+    """The Arf normal form by symplectic vector pairs, as (matrix, pairs, tail).
+
+    An independent reduction to compare ``arf_normal_form`` with.  Each
+    remaining vector z is kept beside P z, with P the polar matrix, and
+    updated by the same combination, so b(v, z) = v . P z is one dot product.
+    The first remaining vector with a partner is paired with its first
+    partner; the pairs in the order found, then the radical, are the columns.
+    """
+    field = q.field
+    zero, add, mul = field.zero, field.add, field.mul
+
+    def dot(v, w):
+        s = zero
+        for a, b in zip(v, w):
+            if a != zero and b != zero:
+                s = add(s, mul(a, b))
+        return s
+
+    def combine(z, bv, v, bw, w):
+        return [add(zc, add(mul(bv, vc), mul(bw, wc))) for zc, vc, wc in zip(z, v, w)]
+
+    polar = q.polar()
+    remaining = [(e, [row[i] for row in polar])
+                 for i, e in enumerate(linalg.identity(field, q.nvars))]
+    pairs = []
+    while True:
+        found = None
+        for i, (v, _) in enumerate(remaining):
+            partner = next((j for j, (_, pw) in enumerate(remaining)
+                            if j != i and dot(v, pw) != zero), None)
+            if partner is not None:
+                found = (i, partner)
+                break
+        if found is None:
+            break
+        i, j = found
+        (v, pv), (w, pw) = remaining[i], remaining[j]
+        cinv = field.inv(dot(v, pw))
+        fixed = []
+        for t, (z, pz) in enumerate(remaining):
+            if t not in (i, j):
+                bv, bw = mul(dot(z, pw), cinv), mul(dot(z, pv), cinv)
+                fixed.append((combine(z, bv, v, bw, w), combine(pz, bv, pv, bw, pw)))
+        pairs.append(([mul(cinv, vc) for vc in v], w))
+        remaining = fixed
+    radical = [z for z, _ in remaining]
+    basis = [u for p in pairs for u in p] + radical
+    if any(bilinear(q, z, w) != zero for z in radical for w in basis):
+        raise AssertionError("the radical is not orthogonal")
+    matrix = [[u[i] for u in basis] for i in range(q.nvars)]  # columns are basis vectors
+    return (matrix, tuple((q.evaluate(u), q.evaluate(w)) for u, w in pairs),
+            tuple(q.evaluate(z) for z in radical))
+
+
 def rand_split_equivalence(field, f0, prec, rng):
     """A random automorphism carrying f0, in split shape, to a split form with its head.
 

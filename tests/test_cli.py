@@ -254,6 +254,27 @@ def test_verify_command_detects_mismatch(tmp_path, capsys):
     assert "verified: false" in out2
 
 
+def test_verify_rejects_a_char2_head_that_reads_the_tail(tmp_path, capsys):
+    # a forged solvable head of rank 2 claims the tail square z^2 as well:
+    # head x*y + z^2 plus residual z^3 is f, so a head jet that kept the
+    # tail square hid the forgery behind a zero difference
+    f = "x*y + z^2 + z^3"
+    code, out, _ = run(capsys, "split", "--field", "fp:2", "--vars", "x,y,z",
+                       "--precision", "4", "--format", "json", f)
+    assert code == 0
+    data = json.loads(out)
+    identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    data["quad"] = {"variant": "char2_solvable_a", "rank": 2, "nvars": 3, "half_rank": 1,
+                    "has_square": True, "transition_matrix": identity}
+    data["residual"] = "z^3 + O(deg 4)"
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--field", "fp:2", "--vars", "x,y,z", f,
+                         str(result))
+    assert (code, err) == (1, "")
+    assert "difference: z^2 + O(deg 4)\n" in out and out.endswith("verified: false\n")
+
+
 @pytest.fixture
 def serialized(monkeypatch):
     """The texts of every jet serialization from here on.  ``SplitResult.to_json``
@@ -347,9 +368,10 @@ def test_dense_quadratic_form_in_40_variables_is_fast(capsys, kernel_work, comma
 
 
 def test_dense_quadratic_form_in_80_variables_over_gf2_is_fast(capsys):
-    # the same pattern over fp:2 in 80 variables: the Arf decomposition takes
-    # each polar value as one dot product; with one O(n^2) bilinear pass per
-    # candidate pair this call took 6 s, against 0.8 s
+    # the same pattern over fp:2 in 80 variables: the Arf reduction reads each
+    # polar value from the polar matrix it reduces in place (0.3 s); taking it
+    # as a dot product of vectors took 0.5 s, and one O(n^2) bilinear pass per
+    # candidate pair took 6 s
     names = ",".join(f"x{i}" for i in range(1, 81))
     expr = " + ".join(f"{1 + (3 * i + 5 * j + i * j) % 6}*x{i}*x{j}"
                       for i in range(1, 81) for j in range(i, 81))

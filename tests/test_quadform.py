@@ -6,11 +6,12 @@ from math import isqrt
 
 import pytest
 
-from gen import FIELDS, rand_invertible, rand_m2_jet, rand_split_form, random_element
+from gen import (FIELDS, arf_reference, bilinear, rand_invertible, rand_m2_jet,
+                 rand_split_form, random_element)
 from jetsplit import (BinaryField, CharacteristicError, CoordinateChange,
                       PrimeField, QuadNormalForm, QuadraticForm,
-                      RationalField, SplitShapeError, arf_decompose,
-                      arf_normal_form, arf_reduce_solvable, diagonal_signs,
+                      RationalField, SplitShapeError, arf_normal_form,
+                      arf_reduce_solvable, diagonal_signs,
                       diagonalize, normal_form, normalize_squares, parse_field_spec,
                       parse_jet)
 from jetsplit import linalg, quadform
@@ -220,20 +221,24 @@ def test_normalize_squares_gf7_quadratic_residues():
     assert normalize_squares(bad) is None
 
 
+def columns(matrix):
+    return [list(col) for col in zip(*matrix)]
+
+
 def test_arf_decompose_pair_and_radical():
     q = qf("x1*x2 + x3^2", F2, ["x1", "x2", "x3"])
-    dec = arf_decompose(q)
-    assert len(dec.symplectic_pairs) == 1
-    assert len(dec.radical_basis) == 1
-    assert dec.radical_basis[0] == [0, 0, 1]
-    u, w = dec.symplectic_pairs[0]
-    assert q.bilinear(u, w) == 1
+    nf = arf_normal_form(q)
+    assert len(nf.pairs) == 1
+    assert len(nf.tail) == 1
+    u, w, radical = columns(nf.matrix)
+    assert radical == [0, 0, 1]
+    assert bilinear(q, u, w) == 1
 
 
 def test_bilinear_is_the_polar_form_of_x2_plus_3xy():
     q = qf("x^2 + 3*x*y", Q, ["x", "y"])
-    assert q.bilinear([1, 0], [1, 0]) == 2
-    assert q.bilinear([1, 0], [1, 1]) == 5
+    assert bilinear(q, [1, 0], [1, 0]) == 2
+    assert bilinear(q, [1, 0], [1, 1]) == 5
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
@@ -248,7 +253,7 @@ def test_bilinear_is_q_of_sum_minus_q_of_parts(spec):
             w = [random_element(field, rng) for _ in range(n)]
             vw = [field.add(a, b) for a, b in zip(v, w)]
             polar = field.sub(q.evaluate(vw), field.add(q.evaluate(v), q.evaluate(w)))
-            assert q.bilinear(v, w) == polar
+            assert bilinear(q, v, w) == polar
             p = q.polar()
             assert polar == reduce(field.add, [field.mul(v[i], field.mul(p[i][j], w[j]))
                                                for i in range(n) for j in range(n)])
@@ -256,15 +261,36 @@ def test_bilinear_is_q_of_sum_minus_q_of_parts(spec):
 
 def test_arf_decompose_pure_square():
     q = qf("x1^2", F2, ["x1"])
-    dec = arf_decompose(q)
-    assert dec.symplectic_pairs == []
-    assert dec.radical_basis == [[1]]
+    nf = arf_normal_form(q)
+    assert nf.pairs == ()
+    assert columns(nf.matrix) == [[1]]
 
 
 def test_arf_decompose_zero_form():
     q = QuadraticForm(F2, 2, {})
-    dec = arf_decompose(q)
-    assert len(dec.radical_basis) == 2
+    nf = arf_normal_form(q)
+    assert len(nf.tail) == 2
+
+
+def char2_quadratic(field, n, shape, rng):
+    """A random form: shape 0 is zero, 1 all squares, and 2, 3 and 4 keep each
+    coefficient with probability 1/3, 2/3 and 1."""
+    density = (0, 0, 1 / 3, 2 / 3, 1)[shape]
+    return QuadraticForm(field, n, {(i, j): random_element(field, rng, nonzero=True)
+                                    for i in range(n) for j in range(i, n)
+                                    if (shape == 1 and i == j) or rng.random() < density})
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "f2k:4", "f2k:8", "f2k:13"])
+def test_arf_normal_form_matches_the_vector_pair_reference(spec):
+    # 260 forms per field in 1-12 variables, 52 of each shape; f2k:13
+    # multiplies carry-less, the others through tables
+    field = parse_field_spec(spec)
+    rng = random.Random(2021)
+    for k in range(260):
+        q = char2_quadratic(field, k // 5 % 12 + 1, k % 5, rng)
+        nf = arf_normal_form(q)
+        assert (nf.matrix, nf.pairs, nf.tail) == arf_reference(q), (spec, q)
 
 
 def test_arf_normal_form_examples():
@@ -312,6 +338,10 @@ def test_arf_reduce_solvable_examples():
     assert red2.change(2).apply(q.as_jet(2)) == red2.normal_jet(2)
     assert red2.normal_jet(2) == parse_jet("x1*x2 + x3^2", F2,
                                            ["x1", "x2", "x3", "x4"], 2)
+    # the square is the tail: it is read back from json, and the head leaves it out
+    assert red2.tail == (1,) and QuadNormalForm.from_json(F2, red2.to_json()) == red2
+    assert red2.head_jet(2) == parse_jet("x1*x2", F2, ["x1", "x2", "x3", "x4"], 2)
+    assert QuadNormalForm.from_json(F4, red.to_json()) == red
 
 
 def test_arf_reduce_full_pipeline_over_gf4():
