@@ -116,10 +116,11 @@ def _cmd_milnor(args):
     f = _polynomial_input(args, field, names)
     payload = {"schema": 1, "command": "milnor", "field": field.spec(),
                "max_degree_searched": args.max_degree}
-    if args.precision is not None:
-        # a jet is only meaningful once a determinacy bound fits inside it
+    if args.precision is not None or f.prec != POLYNOMIAL_PRECISION:
+        # a jet, from --precision or an O(deg N) marker, is only meaningful
+        # once a determinacy bound fits inside its own precision
         det = determinacy_certificate(f, args.max_degree)
-        if det.bound is None or det.bound > args.precision:
+        if det.bound is None or det.bound > f.prec:
             note = ("no determinacy bound within the jet precision; "
                     "mu of the truncation is not certified")
             payload.update({"mu": None, "stabilization_degree": None, "bound": None,

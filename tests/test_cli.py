@@ -122,6 +122,22 @@ def test_milnor_with_sufficient_jet_precision(capsys):
     assert data["mu"] == 1
 
 
+def test_milnor_checks_the_bound_against_the_jets_own_precision(capsys):
+    # an O(deg 3) marker overrides --precision 6, so both calls read the same
+    # jet at precision 3, below the determinacy bound 4
+    marked = run(capsys, "milnor", "--field", "q", "--vars", "x,y", "--precision", "6",
+                 "x^2 + y^3 + O(deg 3)")
+    assert marked == run(capsys, "milnor", "--field", "q", "--vars", "x,y",
+                         "--precision", "3", "x^2 + y^3")
+    assert marked[0] == 0 and marked[1].startswith("mu: unknown\n")
+    # a marker alone makes a jet, and a marker above --precision lifts it
+    assert run(capsys, "milnor", "--field", "q", "--vars", "x,y",
+               "x^2 + y^3 + O(deg 3)") == marked
+    code, out, _ = run(capsys, "milnor", "--field", "q", "--vars", "x,y", "--precision", "3",
+                       "x^2 + y^3 + O(deg 4)")
+    assert code == 0 and out.startswith("mu: 2\n") and "\nbound: 4\n" in out
+
+
 def test_determinacy_command(capsys):
     code, out, _ = run(capsys, "determinacy", "--field", "q", "--vars", "x",
                        "--format", "json", "x^3")
