@@ -1,8 +1,10 @@
 """The package surface: the library imports only the standard library
-(README, "Install"), and ``__all__`` names exactly its public attributes."""
+(README, "Install"), ``__all__`` names exactly its public attributes, and
+``pyproject.toml`` names the distribution after the package and its version."""
 
 import ast
 import pathlib
+import re
 import sys
 import types
 
@@ -10,7 +12,8 @@ import pytest
 
 import jetsplit
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetsplit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "jetsplit"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -48,3 +51,11 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(jetsplit.__all__)
     assert len(jetsplit.__all__) == len(public)
+
+
+def test_the_distribution_is_named_jetsplit_at_the_package_version():
+    # a regex rather than tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^name = "([^"]*)"$', project, re.M).group(1) == "jetsplit"
+    assert re.search(r'^version = "([^"]*)"$', project, re.M).group(1) == jetsplit.__version__
