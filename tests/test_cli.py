@@ -271,9 +271,9 @@ def test_verify_command_detects_mismatch(tmp_path, capsys):
 
 
 def test_verify_rejects_a_char2_head_that_reads_the_tail(tmp_path, capsys):
-    # a forged solvable head of rank 2 claims the tail square z^2 as well:
-    # head x*y + z^2 plus residual z^3 is f, so a head jet that kept the
-    # tail square hid the forgery behind a zero difference
+    # the forged head is a char2_solvable_a form of rank 2 under the identity
+    # change; its square z^2 sits on the tail variable z, so it belongs to the
+    # residual, and a head jet that kept it made the difference 0
     f = "x*y + z^2 + z^3"
     code, out, _ = run(capsys, "split", "--field", "fp:2", "--vars", "x,y,z",
                        "--precision", "4", "--format", "json", f)
