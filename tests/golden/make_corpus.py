@@ -517,6 +517,37 @@ def arf_reduction_cases():
     return cases
 
 
+def dense_product_cases():
+    """Calls whose truncated products are dense in one or two variables.
+
+    Catalan ift over fp:7 at 120 and over fp:1000003 at 200, an ift in two
+    parameters over fp:7 at 16, parser powers at precision 10^9 ((x+1)^300
+    in norm, x*(x+1)^299 inside an ift, a power of a two-variable sum over
+    fp:7 in norm) and a deep split over fp:1000003 at 60.
+    """
+    catalan = ["--vars", "x,y", "--split-vars", "y"]
+    return [
+        ("ift-catalan-fp7-N120",
+         ["ift", "--field", "fp:7", *catalan, "--precision", "120", "y - x - y^2"], {}),
+        ("ift-catalan-fp1000003-N200",
+         ["ift", "--field", "fp:1000003", *catalan, "--precision", "200", "y - x - y^2"], {}),
+        ("ift-fp7-two-parameters-N16",
+         ["ift", "--field", "fp:7", "--vars", "x,z,y", "--split-vars", "y", "--precision",
+          "16", "y - x - 2*z - y^2 + 3*x*z*y"], {}),
+        ("ift-fp1000003-parser-power-N300",
+         ["ift", "--field", "fp:1000003", *catalan, "--precision", "300",
+          "y - x*(x + 1)^299"], {}),
+        ("norm-fp1000003-power-300",
+         ["norm", "--field", "fp:1000003", "--vars", "x", "(x+1)^300"], {}),
+        ("norm-fp7-power-of-two-variable-sum",
+         ["norm", "--field", "fp:7", "--vars", "x,y", "--epsilon", "1/2,1/3",
+          "(1 + x + 2*y + 3*x*y)^40"], {}),
+        ("split-fp1000003-deep-N60",
+         ["split", "--field", "fp:1000003", "--vars", "x,y", "--precision", "60",
+          "x^2+x^2*y+x*y^3+y^3"], {}),
+    ]
+
+
 # transport inputs in split shape or not, as (tag, field, variables, f0, f1)
 TRANSPORT_EDGE_INPUTS = [
     ("not-diagonal", "q", "x,y", "x*y + y^3", "x*y + y^3"),
@@ -604,7 +635,7 @@ def build():
     specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
              + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases()
              + deep_ift_cases() + char2_pair_cases() + quadform_branch_cases()
-             + tail_block_cases() + arf_reduction_cases())
+             + tail_block_cases() + arf_reduction_cases() + dense_product_cases())
     parsed = [parser_case("parse", *row) for row in PARSER_INPUTS]
     parsed += [
         ("parse-zero-powers-norm",

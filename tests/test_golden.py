@@ -5,7 +5,9 @@ quadform, norm, milnor and determinacy calls over every field, split, ift
 and transport with large denominators over q and large residues over
 fp:1000000007, rejected transport and split inputs, `verify` on tampered
 split results (exit 1), quadform through every congruence branch and dense
-8-variable forms, characteristic-2 quadform in up to 16 variables, and
+8-variable forms, characteristic-2 quadform in up to 16 variables, calls
+whose truncated products are dense in one or two variables (Catalan ift,
+parser powers at precision 10^9, a deep split over fp:1000003), and
 parser inputs (nesting, powers, signs, truncation, literals, and syntax and
 semantic errors), with the exit code, stdout and stderr recorded by
 ``tests/golden/make_corpus.py``.  A refactor or kernel change that alters
