@@ -156,15 +156,15 @@ class _Evaluator:
         """terms^e, truncated at the precision (e >= 1)."""
         if e * (terms[0][0] >> self.shift) > self.prec:
             return []
-        limit, route = self.limit, self.route
-        result = None
+        packing, route = self.packing, self.route
+        acc = None
         while True:
             if e & 1:
-                result = terms if result is None else _packed_product(result, terms, limit, route)
+                acc = terms if acc is None else _packed_product(acc, terms, packing, route)
             e >>= 1
             if not e:
-                return result
-            terms = _packed_product(terms, terms, limit, route)
+                return acc
+            terms = _packed_product(terms, terms, packing, route)
 
     def run(self, text):
         tokens = _tokenize(text)
@@ -220,7 +220,7 @@ class _Evaluator:
                         e = 1
                     if len(atom) > 1:
                         poly = atom if poly is None else _packed_product(
-                            poly, atom, limit, route)
+                            poly, atom, self.packing, route)
                     elif not atom:
                         c = None
                     else:

@@ -7,6 +7,7 @@ unique tuple y(x) of series with zero constant term and F(x, y(x)) = 0.
 ``ift_solve`` finds it by Newton's method on power series (Lipson,
 "Newton's method: a great algebraic algorithm", SYMSAC 1976; Brent & Kung,
 "Fast algorithms for manipulating formal power series", J. ACM 1978).
+Over GF(p) its dense products in one or two parameters take ``jet``'s Kronecker route.
 
 - **Step.** Let y be exact through degree k, so e = y - y(x) has order at
   least k + 1, and let J(y) be the y-Jacobian of F, made of the formal
@@ -173,7 +174,8 @@ def _product(a, b, prec):
         for j in range(len(b[0])):
             acc = {}
             for t, terms in enumerate(row):
-                _product_into(acc, terms, b[t][j], packing.limit, route.add, route.mul)
+                _product_into(acc, terms, b[t][j], packing.limit, route.add, route.mul,
+                              packing)
             out_row.append(Jet._valid(field, nvars, prec, packing.unpack(route.decode(acc))))
         out.append(out_row)
     return out

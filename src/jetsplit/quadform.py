@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg
-from .field import _MR_LIMIT, CharacteristicError, Field, RationalField, _is_prime
+from .field import _MR_LIMIT, CharacteristicError, Field, FieldError, RationalField, _is_prime
 from .jet import CoordinateChange, Jet, VerificationError
 
 
@@ -268,8 +268,14 @@ class QuadNormalForm:
 
     @classmethod
     def from_json(cls, field: Field, data: dict) -> "QuadNormalForm":
+        """The form ``to_json`` wrote; FieldError for a variant of another characteristic."""
         parse = field.parse_scalar
         variant = data["variant"]
+        if variant not in (("arf", "char2_solvable_a", "char2_solvable_b") if field.char == 2
+                           else ("diagonal", "unit_diagonal")):
+            raise FieldError(f"variant {variant!r} is not of characteristic {field.char}")
+        if data.get("has_square", False) is not (variant == "char2_solvable_a"):
+            raise FieldError(f"has_square does not match normal-form variant {variant!r}")
         nvars = data["nvars"]
         matrix = [[parse(c) for c in row] for row in data["transition_matrix"]]
         if variant in ("diagonal", "unit_diagonal"):

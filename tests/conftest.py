@@ -36,12 +36,15 @@ def kernel_work(monkeypatch):
     ``jet._product_into`` made through the ``jet`` module (substitution and
     every ``_packed_product``, the parser's powers included, and
     ``Jet.__mul__``) and the term pairs they multiply, those whose key sum is
-    below the limit; it returns the live counts."""
+    below the limit, and the products that took the Kronecker route
+    (``jet._kronecker_into``, ``ift``'s matrix products included); it
+    returns the live counts."""
     def start():
-        counts = {"calls": 0, "pairs": 0}
+        counts = {"calls": 0, "pairs": 0, "kronecker": 0}
         kernel = jetsplit.jet._product_into
+        route = jetsplit.jet._kronecker_into
 
-        def counted(out, a, b, limit, add, mul):
+        def counted(out, a, b, limit, add, mul, packing=None):
             counts["calls"] += 1
             keys = [kb for kb, _ in b]
             for ka, _ in a:
@@ -49,9 +52,15 @@ def kernel_work(monkeypatch):
                 if not within:
                     break
                 counts["pairs"] += within
-            kernel(out, a, b, limit, add, mul)
+            kernel(out, a, b, limit, add, mul, packing)
+
+        def routed(*args):
+            taken = route(*args)
+            counts["kronecker"] += taken
+            return taken
 
         monkeypatch.setattr(jetsplit.jet, "_product_into", counted)
+        monkeypatch.setattr(jetsplit.jet, "_kronecker_into", routed)
         return counts
     return start
 

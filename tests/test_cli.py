@@ -291,6 +291,37 @@ def test_verify_rejects_a_char2_head_that_reads_the_tail(tmp_path, capsys):
     assert "difference: z^2 + O(deg 4)\n" in out and out.endswith("verified: false\n")
 
 
+IDENTITY_3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("spec, quad, message", [
+    # x*y is an Arf pair under the identity; over q it is no split head
+    ("q", {"variant": "arf", "pairs": [["0", "0"]], "tail": ["0"]},
+     "variant 'arf' is not of characteristic 0"),
+    ("fp:2", {"variant": "diagonal", "diagonal": ["1"]},
+     "variant 'diagonal' is not of characteristic 2"),
+    ("fp:2", {"variant": "char2_solvable_b", "half_rank": 1, "has_square": True},
+     "has_square does not match normal-form variant 'char2_solvable_b'"),
+    ("fp:2", {"variant": "char2_solvable_a", "half_rank": 1, "has_square": False},
+     "has_square does not match normal-form variant 'char2_solvable_a'"),
+    ("q", {"variant": "diagonal", "diagonal": ["1"], "has_square": True},
+     "has_square does not match normal-form variant 'diagonal'"),
+    ("q", {"variant": "squares", "diagonal": ["1"]},
+     "variant 'squares' is not of characteristic 0"),
+], ids=["arf_over_q", "diagonal_over_fp2", "solvable_b_with_square",
+        "solvable_a_without_square", "diagonal_with_square", "unknown"])
+def test_verify_refuses_a_variant_outside_the_characteristic(tmp_path, capsys, spec, quad,
+                                                            message):
+    data = {"rank": 2, "field": spec, "precision": 4, "residual": "z^3",
+            "change": ["x", "y", "z"],
+            "quad": {"rank": 2, "nvars": 3, "transition_matrix": IDENTITY_3, **quad}}
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--field", spec, "--vars", "x,y,z", "x*y + z^3",
+                         str(result))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.fixture
 def serialized(monkeypatch):
     """The texts of every jet serialization from here on.  ``SplitResult.to_json``

@@ -62,4 +62,4 @@ def test_recoordinated_transport_work_is_pinned(tmp_path, capsys, kernel_work):
     work = kernel_work()
     assert replay(case, tmp_path) == 0
     assert capsys.readouterr().out == case["stdout"]
-    assert work == {"calls": 119, "pairs": 258}
+    assert work == {"calls": 119, "pairs": 258, "kronecker": 0}

@@ -13,7 +13,8 @@ from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       PrecisionError, PrimeField, RationalField, ift_solve, milnor_number,
                       parse_field_spec, parse_jet, split)
 from jetsplit.expr import serialize_jet
-from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES, _product_into, _substitute_batch
+from jetsplit.jet import (MAX_SUBSTITUTION_VARIABLES, _kronecker_into, _kronecker_pays, _Packing,
+                          _product_into, _substitute_batch)
 from jetsplit.split import _cofactors
 
 Q = RationalField()
@@ -728,4 +729,118 @@ def test_substitution_work_is_pinned(kernel_work, case, calls, pairs):
     run = case()
     work = kernel_work()
     run()
-    assert work == {"calls": calls, "pairs": pairs}
+    # products in three or more variables never take the Kronecker route
+    assert work == {"calls": calls, "pairs": pairs, "kronecker": 0}
+
+
+# -- the Kronecker route of the product kernel ------------------------------------
+
+
+def kronecker_terms(rng, packing, top, values, size):
+    """A packed term list of up to ``size`` distinct monomials of degree <= top."""
+    terms = {}
+    for _ in range(size):
+        beta = [0] * packing.m
+        for _ in range(rng.randint(0, top)):
+            beta[rng.randrange(packing.m)] += 1
+        terms[packing.pack(beta)] = values()
+    return sorted(terms.items())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_kronecker_route_matches_the_pair_loop(m):
+    # the route is called directly, so its size rule is bypassed in every
+    # number of variables; a case it refuses must leave out untouched
+    rng = random.Random(2200 + m)
+    always = lambda pairs, box_bits: True  # noqa: E731
+    value_kinds = {
+        "fp7": lambda: rng.randrange(1, 7),
+        "fp2": lambda: 1,
+        # residues of 8 bits: 16-bit slots would hold one product, not a sum
+        "fp257": lambda: rng.randrange(128, 257),
+        "fp1000003": lambda: rng.randrange(1, 1000003),
+        "fp2^61-1": lambda: rng.randrange(2 ** 60, 2 ** 61 - 1),  # slots above 64 bits
+        "q-negative": lambda: -rng.randrange(1, 10 ** 6),  # fraction-free integers
+        "q-fractions": lambda: Fraction(rng.randrange(1, 99), rng.randrange(1, 99)),
+    }
+    taken = set()
+    for _ in range(150):
+        kind = rng.choice(sorted(value_kinds))
+        values = value_kinds[kind]
+        prec = rng.randint(1, 12)
+        packing = _Packing(prec, m)
+        # budgets at the packing limit and below it; operands reach past it
+        budget = rng.choice([prec, rng.randint(1, prec)])
+        limit = (budget + 1) << packing.shift
+        sizes = rng.choice([(0, 20), (1, 20), (20, 1), (rng.randint(2, 40), rng.randint(2, 40))])
+        a, b = (kronecker_terms(rng, packing, prec + 2, values, n) for n in sizes)
+        # unreduced values already in out, on keys the product reaches or not
+        start = {packing.pack([budget] + [0] * (m - 1)): 7 ** 30,
+                 packing.pack([0] * (m - 1) + [1]): rng.randrange(10 ** 12)}
+        expected, got = dict(start), dict(start)
+        _product_into(expected, a, b, limit, operator.add, operator.mul)
+        if _kronecker_into(got, a, b, limit, packing, always):
+            assert got == expected
+            if got != start:
+                taken.add(kind)
+        else:
+            assert got == start
+    assert taken == {"fp7", "fp2", "fp257", "fp1000003"}
+
+
+def test_kronecker_route_keeps_exactly_the_terms_below_the_limit():
+    # dense operands whose top degrees sum past the budget: every kept key has
+    # degree <= budget, and the pairs at budget + 1 land above the cut
+    always = lambda pairs, box_bits: True  # noqa: E731
+    for m, prec in [(1, 30), (2, 12)]:
+        packing = _Packing(prec, m)
+        dense = sorted((packing.pack(beta), 1 + sum(beta) % 6)
+                       for d in range(prec + 1) for beta in monomials_of_degree(m, d))
+        for budget in (0, 1, prec // 2, prec - 1, prec):
+            limit = (budget + 1) << packing.shift
+            expected, got = {}, {}
+            _product_into(expected, dense, dense, limit, operator.add, operator.mul)
+            assert _kronecker_into(got, dense, dense, limit, packing, always) == (budget > 0)
+            if budget:
+                assert got == expected
+                assert max(got) < limit <= max(got) + (1 << packing.shift)
+
+
+def test_kernel_takes_the_route_by_its_rule():
+    # through _product_into: large dense products in one and two variables
+    # take the route, small ones keep the pair loop
+    rng = random.Random(2211)
+    for m, prec, route in [(1, 60, True), (2, 14, True), (1, 12, False), (2, 6, False)]:
+        packing = _Packing(prec, m)
+        dense = sorted((packing.pack(beta), rng.randrange(1, 7))
+                       for d in range(1, prec + 1) for beta in monomials_of_degree(m, d))
+        assert _kronecker_into({}, dense, dense, packing.limit, packing,
+                               _kronecker_pays) is route
+        expected, got = {}, {}
+        _product_into(expected, dense, dense, packing.limit, operator.add, operator.mul)
+        _product_into(got, dense, dense, packing.limit, operator.add, operator.mul, packing)
+        assert got == expected
+
+
+def test_catalan_ift_takes_the_route_for_its_dense_products(kernel_work):
+    f7 = parse_field_spec("fp:7")
+    system = ImplicitSystem([parse_jet("y - x - y^2", f7, ["x", "y"], 200)], [1])
+    work = kernel_work()
+    y, = ift_solve(system, 200)
+    assert y == parse_jet(serialize_jet(y, ["x"]), f7, ["x"], 200)
+    assert work["kronecker"] == 4
+
+
+def test_four_variable_split_never_takes_the_route(kernel_work):
+    # the split-dense shape: a nondegenerate head plus dense terms of degree
+    # 3..8 in four variables over fp:7; its products are large, but in four
+    # variables the kernel refuses the route before any per-term work
+    rng = random.Random(2212)
+    f7 = parse_field_spec("fp:7")
+    coeffs = {(2, 0, 0, 0): 1, (0, 2, 0, 0): 3, (0, 0, 1, 1): 1}
+    coeffs.update((beta, rng.randrange(1, 7)) for d in range(3, 9)
+                  for beta in monomials_of_degree(4, d) if rng.random() < 0.6)
+    f = Jet(f7, 4, 8, coeffs)
+    work = kernel_work()
+    split(f, 8)
+    assert work["kronecker"] == 0 and work["pairs"] > 10 ** 5
