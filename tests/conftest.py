@@ -3,6 +3,8 @@ import signal
 
 import pytest
 
+import jetsplit.expr
+import jetsplit.ift
 import jetsplit.jacobian
 import jetsplit.jet
 
@@ -33,33 +35,41 @@ def time_limit():
 @pytest.fixture
 def kernel_work(monkeypatch):
     """A function that starts counting, for the rest of the test, the calls of
-    ``jet._product_into`` made through the ``jet`` module (substitution and
-    every ``_packed_product``, the parser's powers included, and
-    ``Jet.__mul__``) and the term pairs they multiply, those whose key sum is
-    below the limit, and the products that took the Kronecker route
-    (``jet._kronecker_into``, ``ift``'s matrix products included); it
-    returns the live counts."""
+    ``jet._product_into`` and the term pairs they multiply, those whose key
+    sum is below the limit, and the products that took the Kronecker route
+    (``jet._kronecker_into``, every caller's); it returns the live counts.
+
+    ``calls`` and ``pairs`` count the calls made through the ``jet`` module
+    (substitution and every ``_packed_product``, the parser's powers
+    included, and ``Jet.__mul__``); ``ift_calls``/``ift_pairs`` and
+    ``expr_calls``/``expr_pairs`` those made through the names that ``ift``
+    (Newton's matrix products) and ``expr`` (the parser's sums) import."""
     def start():
-        counts = {"calls": 0, "pairs": 0, "kronecker": 0}
+        counts = {"calls": 0, "pairs": 0, "ift_calls": 0, "ift_pairs": 0,
+                  "expr_calls": 0, "expr_pairs": 0, "kronecker": 0}
         kernel = jetsplit.jet._product_into
         route = jetsplit.jet._kronecker_into
 
-        def counted(out, a, b, limit, add, mul, packing=None):
-            counts["calls"] += 1
-            keys = [kb for kb, _ in b]
-            for ka, _ in a:
-                within = bisect.bisect_left(keys, limit - ka)
-                if not within:
-                    break
-                counts["pairs"] += within
-            kernel(out, a, b, limit, add, mul, packing)
+        def counted(prefix):
+            def call(out, a, b, limit, add, mul, packing=None):
+                counts[prefix + "calls"] += 1
+                keys = [kb for kb, _ in b]
+                for ka, _ in a:
+                    within = bisect.bisect_left(keys, limit - ka)
+                    if not within:
+                        break
+                    counts[prefix + "pairs"] += within
+                kernel(out, a, b, limit, add, mul, packing)
+            return call
 
         def routed(*args):
             taken = route(*args)
             counts["kronecker"] += taken
             return taken
 
-        monkeypatch.setattr(jetsplit.jet, "_product_into", counted)
+        for module, prefix in ((jetsplit.jet, ""), (jetsplit.ift, "ift_"),
+                               (jetsplit.expr, "expr_")):
+            monkeypatch.setattr(module, "_product_into", counted(prefix))
         monkeypatch.setattr(jetsplit.jet, "_kronecker_into", routed)
         return counts
     return start

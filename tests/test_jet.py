@@ -719,18 +719,21 @@ def dense_work():
     return lambda: f.substitute(parts)
 
 
-@pytest.mark.parametrize("case, calls, pairs", [(ift_work, 240, 38388),
-                                                (split_work, 118, 817),
-                                                (dense_work, 26, 256)],
+@pytest.mark.parametrize("case, calls, pairs, ift_calls, ift_pairs",
+                         [(ift_work, 240, 38388, 48, 4550),
+                          (split_work, 118, 817, 0, 0),
+                          (dense_work, 26, 256, 0, 0)],
                          ids=["ift-fp101", "split-fp7", "dense-q"])
-def test_substitution_work_is_pinned(kernel_work, case, calls, pairs):
+def test_substitution_work_is_pinned(kernel_work, case, calls, pairs, ift_calls, ift_pairs):
     # the Horner level order and the fold set these counts; a change to either
-    # shows here as more or less work, while the results stay exact
+    # shows here as more or less work, while the results stay exact; ift's
+    # matrix products are counted apart
     run = case()
     work = kernel_work()
     run()
     # products in three or more variables never take the Kronecker route
-    assert work == {"calls": calls, "pairs": pairs, "kronecker": 0}
+    assert work == {"calls": calls, "pairs": pairs, "ift_calls": ift_calls,
+                    "ift_pairs": ift_pairs, "expr_calls": 0, "expr_pairs": 0, "kronecker": 0}
 
 
 # -- the Kronecker route of the product kernel ------------------------------------
