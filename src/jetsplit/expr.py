@@ -156,15 +156,15 @@ class _Evaluator:
         """terms^e, truncated at the precision (e >= 1)."""
         if e * (terms[0][0] >> self.shift) > self.prec:
             return []
-        packing, route = self.packing, self.route
+        limit, packing, route = self.limit, self.packing, self.route
         acc = None
         while True:
             if e & 1:
-                acc = terms if acc is None else _packed_product(acc, terms, packing, route)
+                acc = terms if acc is None else _packed_product(acc, terms, limit, packing, route)
             e >>= 1
             if not e:
                 return acc
-            terms = _packed_product(terms, terms, packing, route)
+            terms = _packed_product(terms, terms, limit, packing, route)
 
     def run(self, text):
         tokens = _tokenize(text)
@@ -220,7 +220,7 @@ class _Evaluator:
                         e = 1
                     if len(atom) > 1:
                         poly = atom if poly is None else _packed_product(
-                            poly, atom, self.packing, route)
+                            poly, atom, limit, self.packing, route)
                     elif not atom:
                         c = None
                     else:

@@ -33,15 +33,20 @@ Over GF(p) its dense products in one or two parameters take ``jet``'s Kronecker 
   commutative ring.  Where 2 = 0 (GF(2), GF(2^k)) the update is u <- -u J u
   and still squares the error.
 
-The final residual check at precision N does not rest on this argument: a
+The iteration runs at one packing for precision N (``jet._Packing``): y,
+u, J(y) and the residuals stay packed term lists, cut at each step's
+precision, until y is unpacked at the end.  The final check, a full
+substitution of every equation at N, does not rest on this argument: a
 solution that leaves F(x, y) nonzero raises ``VerificationError``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from . import linalg
-from .jet import (Jet, PrecisionError, VerificationError, _Packing, _product_into, _route,
-                  _substitute_batch)
+from .jet import (Jet, PrecisionError, VerificationError, _check_width, _Packing, _product_into,
+                  _route, _substitute_batch, _substitute_packed)
 
 
 class ImplicitSystem:
@@ -114,68 +119,82 @@ def ift_solve(sys: ImplicitSystem, N: int):
     for eq in sys.equations:
         if eq.prec < N:
             raise PrecisionError("equation precision below the requested precision")
-    nx = len(sys.x_indices)
+    _check_width(sys.nvars)
+    packing = _Packing(N, len(sys.x_indices))
+    shift = packing.shift
+    route, horner_route = _route(field, fraction_free=False), _route(field)
+    xs = {v: [(w, field.one)] for v, w in zip(sys.x_indices, packing.weights)}
+
+    def substitute(sources, ys, top):  # at x and the packed ys, cut at top
+        limit = (top + 1) << shift
+        parts = {**xs, **{v: y[:bisect_left(y, (limit,))] for v, y in zip(sys.y_indices, ys)}}
+        return [sorted(r.items()) for r in _substitute_packed(
+            sources, [parts[v] for v in range(sys.nvars)], packing, horner_route, top)]
+
     schedule = [N]
     while schedule[-1] > 1:
         schedule.append(schedule[-1] // 2)
     # no step needs J(y) beyond degree N - floor(N/2) - 1
-    partials = [[eq.truncate(N - N // 2).partial(v) for v in sys.y_indices]
-                for eq in sys.equations]
-    u = [[Jet.constant(field, nx, 0, c) for c in row] for row in sys.j0_inv]
+    partials = [eq.truncate(N - N // 2).partial(v) for eq in sys.equations for v in sys.y_indices]
+    u = [[[(0, c)] if c != field.zero else [] for c in row] for row in sys.j0_inv]
     exact = 1  # I - J u has order >= exact
-    ys = [Jet.zero(field, nx, 0) for _ in sys.y_indices]
+    ys = [[] for _ in sys.y_indices]
     k = 0
     for p in reversed(schedule):
         if exact < p - k:
-            flat = _substitute_batch([d.truncate(p - k - 1) for row in partials for d in row],
-                                     sys._parts(ys, p - k - 1))
-            jac = [flat[i:i + len(partials)] for i in range(0, len(flat), len(partials))]
+            flat = substitute([d.truncate(p - k - 1) for d in partials], ys, p - k - 1)
+            jac = [flat[i:i + len(ys)] for i in range(0, len(flat), len(ys))]
             while exact < p - k:
                 exact = min(2 * exact, p - k)
-                u = _inverse_update(u, jac, exact - 1)
-        ys = [y.with_precision(p) for y in ys]
-        ys = [y - c for y, c in zip(ys, _correction(u, sys.residuals(ys, p), p))]
+                u = _inverse_update(u, jac, exact << shift, packing, route, field)
+        res = substitute([eq.truncate(p) for eq in sys.equations], ys, p)
+        ys = [_difference(field, y, c)
+              for y, c in zip(ys, _correction(u, res, (p + 1) << shift, packing, route))]
         k = p
+    # every key is below (N + 1) << shift, and _difference drops zeros
+    ys = [Jet._valid(field, packing.m, N, packing.unpack(dict(y))) for y in ys]
     if not all(r.is_zero() for r in sys.residuals(ys, N)):
         raise VerificationError("ift", "the solution leaves a nonzero residual")
     return ys
 
 
-def _inverse_update(u, jac, prec):
-    """u(2I - J u) at precision prec: the Newton update of an approximate inverse of J."""
-    field = jac[0][0].field
-    two = field.from_int(2)
-    ju = _product(jac, u, prec)
-    return _product(u, [[Jet.constant(field, e.nvars, prec, two if i == j else field.zero) - e
-                         for j, e in enumerate(row)] for i, row in enumerate(ju)], prec)
+def _inverse_update(u, jac, limit, packing, route, field):
+    """u(2I - J u) below limit, J cut there: the Newton update of an approximate inverse."""
+    two = [(0, field.from_int(2))]
+    ju = _product([[e[:bisect_left(e, (limit,))] for e in row] for row in jac], u, limit,
+                  packing, route)
+    return _product(u, [[_difference(field, two if i == j else [], e) for j, e in enumerate(row)]
+                        for i, row in enumerate(ju)], limit, packing, route)
 
 
-def _correction(u, res, prec):
-    """The Newton correction u F(x, y), subtracted from y, at the step's precision."""
-    return [entry for entry, in _product(u, [[r] for r in res], prec)]
+def _correction(u, res, limit, packing, route):
+    """The Newton correction u F(x, y) below limit, subtracted from y."""
+    return [entry for entry, in _product(u, [[r] for r in res], limit, packing, route)]
 
 
-def _product(a, b, prec):
-    """The product of two matrices of jets, truncated at prec.
+def _difference(field, a, b):
+    """a - b for packed term lists of field elements: sorted by key, no zeros."""
+    out = dict(a)
+    for key, c in b:
+        out[key] = field.sub(out.get(key, field.zero), c)
+    return sorted(t for t in out.items() if t[1] != field.zero)
+
+
+def _product(a, b, limit, packing, route):
+    """The product of two matrices of packed term lists of field elements,
+    without keys at or above limit.
 
     Each entry's sum of products accumulates in one packed dict through the
     product kernel, on the field's native values (``jet._route``): GF(p)
-    residues are reduced once per entry coefficient.  The factors may carry
-    any precision.
+    residues are reduced once per entry coefficient.
     """
-    field, nvars = a[0][0].field, a[0][0].nvars
-    packing = _Packing(prec, nvars)
-    route = _route(field, fraction_free=False)
-    a = [[packing.terms(x.coeffs) for x in row] for row in a]
-    b = [[packing.terms(x.coeffs) for x in row] for row in b]
     out = []
     for row in a:
         out_row = []
         for j in range(len(b[0])):
             acc = {}
             for t, terms in enumerate(row):
-                _product_into(acc, terms, b[t][j], packing.limit, route.add, route.mul,
-                              packing)
-            out_row.append(Jet._valid(field, nvars, prec, packing.unpack(route.decode(acc))))
+                _product_into(acc, terms, b[t][j], limit, route.add, route.mul, packing)
+            out_row.append(route.terms(acc))
         out.append(out_row)
     return out

@@ -17,8 +17,10 @@ Python's own + and *.  Substitution evaluates the series in Horner form:
 monomials are grouped by their leading exponent, each distinct exponent
 prefix costs one truncated product, and the sum is accumulated in one
 packed dict.  ``_substitute_batch`` (``Jet.substitute`` is its one-source
-case) evaluates many sources at one tuple of parts, which it packs and
-encodes once, with one shared table of their powers.  Parts with more
+case) evaluates many sources at one tuple of parts: it is its checks plus
+``_substitute_packed``, which takes the parts packed, encodes them once and
+shares one table of their powers, cut at the batch's top precision;
+``ift``'s Newton steps call that core directly.  Parts with more
 terms lead (ties keep index order), so a dense part's powers multiply once
 per exponent, not once per prefix.  One-term and zero parts, such as
 ``ift``'s parameters, make no product: a term adds their cached powers'
@@ -388,15 +390,8 @@ class _Packing:
 
 
 def _substitute_batch(sources, parts):
-    """``[f.substitute(parts) for f in sources]``, with the parts checked, packed
-    and encoded once and one cache of their powers shared by every source.
-
-    The sum c_alpha * prod parts[i]^alpha_i is computed on packed monomials
-    (``_Packing``) in the m target variables and on the field's native
-    values (``_route``), truncated at each source's own precision.  The
-    Horner levels are the parts of two or more terms, most terms outermost;
-    the others are folded into the last level, where they make no product.
-    """
+    """``[f.substitute(parts) for f in sources]``: the batch's checks, then the
+    parts packed once at the sources' top precision for ``_substitute_packed``."""
     parts = list(parts)
     n = len(parts)
     for f in sources:
@@ -404,9 +399,7 @@ def _substitute_batch(sources, parts):
             raise ValueError(f"need {f.nvars} substitution components, got {n}")
         if f.field != sources[0].field:
             raise ValueError("substitution components over a different field")
-    if n > MAX_SUBSTITUTION_VARIABLES:
-        raise ValueError(f"substitution in {n} variables exceeds the limit of "
-                         f"{MAX_SUBSTITUTION_VARIABLES}")
+    _check_width(n)
     if not n or not sources:
         return [Jet(f.field, 0, f.prec, dict(f.coeffs)) for f in sources]
     field = sources[0].field
@@ -422,10 +415,36 @@ def _substitute_batch(sources, parts):
         if p.constant_term() != field.zero:
             raise ValueError("substitution component has a nonzero constant term")
     packing = _Packing(prec, m)
+    outs = _substitute_packed(sources, [packing.terms(p.coeffs) for p in parts], packing,
+                              _route(field), prec)
+    return [Jet._valid(field, m, f.prec, packing.unpack(out)) for f, out in zip(sources, outs)]
+
+
+def _check_width(n):
+    """Refuse substitution in more than ``MAX_SUBSTITUTION_VARIABLES`` source variables."""
+    if n > MAX_SUBSTITUTION_VARIABLES:
+        raise ValueError(f"substitution in {n} variables exceeds the limit of "
+                         f"{MAX_SUBSTITUTION_VARIABLES}")
+
+
+def _substitute_packed(sources, bases, packing, route, top):
+    """The values of the jets ``sources`` at the parts ``bases``, each at its
+    source's precision (at most top), as packed dicts of field elements
+    without zeros.
+
+    The parts are packed term lists of field elements with zero constant
+    term, sorted by key, at ``packing``, without terms above top.  The
+    sum c_alpha * prod parts[i]^alpha_i is computed on packed monomials in
+    the m target variables and on the route's native values (``_route``),
+    which encodes the parts once; their cached powers are cut at top.  The
+    Horner levels are the parts of two or more terms, most terms outermost;
+    the others are folded into the last level, where they make no product.
+    """
+    n = len(bases)
     shift = packing.shift
-    route = _route(field)
+    top_limit = (top + 1) << shift
     add, mul, multiplicand = route.add, route.mul, route.terms
-    bases = route.encode_parts([packing.terms(p.coeffs) for p in parts])
+    bases = route.encode_parts(bases)
     powers = [[None, base] for base in bases]
     orders = [base[0][0] >> shift if base else None for base in bases]
     levels = sorted((i for i in range(n) if len(bases[i]) > 1), key=lambda i: -len(bases[i]))
@@ -434,7 +453,7 @@ def _substitute_batch(sources, parts):
     def power(i, e):
         cache = powers[i]
         while len(cache) <= e:
-            cache.append(_packed_product(cache[-1], cache[1], packing, route))
+            cache.append(_packed_product(cache[-1], cache[1], top_limit, packing, route))
         return cache[e]
 
     def horner(terms, k, budget, out):
@@ -486,7 +505,7 @@ def _substitute_batch(sources, parts):
     for f in sources:
         out = {}
         horner(route.encode(f.coeffs), 0, f.prec, out)
-        results.append(Jet._valid(field, m, f.prec, packing.unpack(route.decode(out))))
+        results.append(route.decode(out))
     return results
 
 
@@ -660,11 +679,11 @@ class _BinaryRoute(_Route):
         return {m: mul(inv, c) for m, c in row.items()}
 
 
-def _packed_product(a, b, packing, route):
-    """a * b as a packed term list sorted by key, truncated at the packing's
-    precision, on the route's native values; ``route.terms`` makes the list."""
+def _packed_product(a, b, limit, packing, route):
+    """a * b as a packed term list sorted by key, without keys at or above
+    limit, on the route's native values; ``route.terms`` makes the list."""
     out = {}
-    _product_into(out, a, b, packing.limit, route.add, route.mul, packing)
+    _product_into(out, a, b, limit, route.add, route.mul, packing)
     return route.terms(out)
 
 

@@ -625,12 +625,31 @@ def test_failed_split_check_exits_1_without_traceback(monkeypatch, capsys):
                   "increase past 3\n"
 
 
-def test_failed_ift_check_exits_1_without_traceback(monkeypatch, capsys):
-    # dropping every Newton correction leaves the residual of y - x - y^2 nonzero
+def drop_newton_corrections(monkeypatch):
+    # every packed Newton correction is zero, so y stays 0
     monkeypatch.setattr(ift_module, "_correction",
-                        lambda u, res, prec: [Jet.zero(r.field, r.nvars, prec) for r in res])
+                        lambda u, res, limit, packing, route: [[] for _ in res])
+
+
+def test_failed_ift_check_exits_1_without_traceback(monkeypatch, capsys):
+    # y = 0 leaves the residual of y - x - y^2 nonzero
+    drop_newton_corrections(monkeypatch)
     code, out, err = run(capsys, "ift", "--field", "q", "--vars", "x,y",
                          "--split-vars", "y", "--precision", "5", "y - x - y^2")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: ift: the solution leaves a nonzero residual\n"
+
+
+def test_failed_ift_check_in_transport_exits_1_without_traceback(monkeypatch, tmp_path, capsys):
+    # phi's head component x + y^4 makes the implicit system 2*x + y^4 = 0,
+    # whose solution x = -y^4/2 the dropped corrections never reach
+    drop_newton_corrections(monkeypatch)
+    files = {"f0.txt": "x^2 + y^3", "f1.txt": "x^2 + y^3", "phi.txt": "x + y^4\ny"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    code, out, err = run(capsys, "transport", "--field", "q", "--vars", "x,y",
+                         "--precision", "4", *(str(tmp_path / name) for name in files))
     assert code == 1
     assert out == ""
     assert err == "verification failed: ift: the solution leaves a nonzero residual\n"
@@ -687,6 +706,18 @@ def test_too_many_variables_for_substitution_exits_2_at_once(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: substitution in 1200 variables exceeds the limit of 512\n"
+
+
+def test_too_many_variables_for_ift_exits_2_at_once(capsys):
+    # ift packs its own substitutions and keeps the refusal
+    names = ",".join(f"x{i}" for i in range(1, 514))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ift", "--field", "q", "--vars", names, "--split-vars", "x513",
+                         "--precision", "3", "x513 - x1 - x513^2")
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: substitution in 513 variables exceeds the limit of 512\n"
 
 
 LONG_EXPRESSIONS = {

@@ -8,7 +8,7 @@ from gen import (FIELDS, rand_implicit_system, rand_invertible, rand_jet, random
 from jetsplit import (ImplicitSystem, Jet, PrimeField, RationalField,
                       ift_solve, parse_field_spec, parse_jet)
 from jetsplit.ift import _product
-from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES
+from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES, _Packing, _route
 
 Q = RationalField()
 
@@ -118,6 +118,33 @@ def test_degree_oracle_agrees_at_depth(field):
         assert ift_solve(system, prec) == ift_solve_by_degree(system, prec)
 
 
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_degree_oracle_agrees_where_the_packing_width_changes(spec):
+    # the solve packs every step at N, in fields of N.bit_length() bits: N on
+    # both sides of each change of width, no parameters (the solution is 0)
+    # and up to three unknowns, and equations with terms above N
+    field = parse_field_spec(spec)
+    rng = random.Random(35)
+    for N in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32):
+        shapes = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)] if N <= 8 else [(1, 1), (1, 2)]
+        for nx, ny in shapes:
+            n, prec = nx + ny, N + 2
+            block = rand_invertible(field, ny, rng)
+            eqs = []
+            for row in block:
+                eq = rand_jet(field, n, prec, rng, min_degree=2, max_degree=3, terms=4)
+                eq = eq + rand_jet(field, n, prec, rng, min_degree=N + 1, terms=2)
+                for j, c in enumerate(row):
+                    eq = eq + Jet.variable(field, n, nx + j, prec).scale(c)
+                if nx:
+                    eq = eq + Jet.variable(field, n, 0, prec).scale(
+                        random_element(field, rng, nonzero=True))
+                eqs.append(eq)
+            system = ImplicitSystem(eqs, list(range(nx, n)))
+            assert max(sum(alpha) for eq in eqs for alpha in eq.coeffs) > N
+            assert ift_solve(system, N) == ift_solve_by_degree(system, N), (N, nx, ny)
+
+
 def test_premultiplying_by_constant_invertible_matrix_keeps_solution():
     rng = random.Random(33)
     for field in FIELDS:
@@ -149,7 +176,8 @@ def test_solution_matches_fixed_point_oracle():
 
 
 def test_matrix_product_matches_jet_arithmetic():
-    # _product runs on the native routes; Jet.__mul__ and __add__ on field methods
+    # _product runs on packed term lists and the native routes; Jet.__mul__ and
+    # __add__ on field methods.  The packed result is sorted and has no zeros.
     rng = random.Random(31)
     for field in FIELDS + [parse_field_spec("f2k:4"), parse_field_spec("f2k:13")]:
         for _ in range(15):
@@ -169,7 +197,11 @@ def test_matrix_product_matches_jet_arithmetic():
                     for t, x in enumerate(row):
                         acc = acc + x * b[t][j]
                     want[-1].append(acc.truncate(prec))
-            assert _product(a, b, prec) == want
+            packing = _Packing(top, nvars)
+            packed = [[[packing.terms(x.coeffs) for x in row] for row in m] for m in (a, b, want)]
+            got = _product(packed[0], packed[1], (prec + 1) << packing.shift, packing,
+                           _route(field, fraction_free=False))
+            assert got == packed[2]
 
 
 def test_residuals_raise_the_per_source_messages():
