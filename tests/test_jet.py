@@ -482,6 +482,49 @@ def test_batch_results_are_valid_jets():
                 assert Jet(field, m, f.prec, got.coeffs) == got
 
 
+def power_part(shape, field, m, prec, rng, coeff):
+    """A part in m variables at prec: zero, one term, two or three terms with one
+    at degree prec // 2 (its square lands on the limit), or dense with terms at
+    every degree 1..prec."""
+    if shape == "zero":
+        return Jet.zero(field, m, prec)
+    if shape == "one-term":
+        return Jet(field, m, prec, {rand_monomial(m, rng.randint(1, 2), rng): coeff()})
+    if shape == "sparse":
+        degrees = [max(1, prec // 2), prec] + [rng.randint(1, prec)]
+        return Jet(field, m, prec, {rand_monomial(m, d, rng): coeff() for d in degrees})
+    return Jet(field, m, prec, {beta: coeff() for d in range(1, prec + 1)
+                                for beta in monomials_of_degree(m, d)
+                                if d == prec or rng.random() < 0.35})
+
+
+def test_even_powers_match_naive_expansion():
+    # sources rich in even powers, so the power tables build their squares in
+    # every characteristic, in 1..4 target variables, up to the truncation limit
+    rng = random.Random(2400)
+    shapes = ("zero", "one-term", "sparse", "dense")
+    for field, large in [(field, False) for field in BATCH_FIELDS] + [(Q, True)]:
+        def coeff():
+            if large:
+                return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                                rng.randint(1, 10 ** 6))
+            return random_element(field, rng, nonzero=True)
+
+        for m in (1, 2, 3, 4):
+            for _ in range(4):
+                n, prec = rng.randint(1, 3), rng.choice((4, 5, 6))
+                parts = [power_part(rng.choice(shapes), field, m, prec + rng.choice((0, 1)),
+                                    rng, coeff) for _ in range(n)]
+                powers = {tuple(e if j == i else 0 for j in range(n)): coeff()
+                          for i in range(n) for e in range(2, prec + 1)}
+                sources = [Jet(field, n, prec, powers),
+                           Jet(field, n, prec - 1,
+                               {rand_monomial(n, d, rng): coeff() for d in range(prec)}),
+                           Jet.zero(field, n, prec)]
+                got = _substitute_batch(sources, parts)
+                assert got == [naive_substitute(f, parts, m) for f in sources], (field, m)
+
+
 # -- results built without Jet.__init__ -----------------------------------------
 
 def assert_valid(jet):
