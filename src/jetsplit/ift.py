@@ -35,7 +35,8 @@ Over GF(p) its dense products in one or two parameters take ``jet``'s Kronecker 
 
 The iteration runs at one packing for precision N (``jet._Packing``): y,
 u, J(y) and the residuals stay packed term lists, cut at each step's
-precision, until y is unpacked at the end.  The final check, a full
+precision, until y is unpacked at the end.  The equations and their
+partials are packed once, in all the variables, and cut per step by bisection.  The final check, a full
 substitution of every equation at N, does not rest on this argument: a
 solution that leaves F(x, y) nonzero raises ``VerificationError``.
 """
@@ -120,34 +121,37 @@ def ift_solve(sys: ImplicitSystem, N: int):
         if eq.prec < N:
             raise PrecisionError("equation precision below the requested precision")
     _check_width(sys.nvars)
-    packing = _Packing(N, len(sys.x_indices))
+    packing, source = _Packing(N, len(sys.x_indices)), _Packing(N, sys.nvars)
     shift = packing.shift
     route, horner_route = _route(field, fraction_free=False), _route(field)
     xs = {v: [(w, field.one)] for v, w in zip(sys.x_indices, packing.weights)}
 
-    def substitute(sources, ys, top):  # at x and the packed ys, cut at top
-        limit = (top + 1) << shift
-        parts = {**xs, **{v: y[:bisect_left(y, (limit,))] for v, y in zip(sys.y_indices, ys)}}
+    def substitute(sources, ys, top):  # the packed sources at x and the packed ys, cut at top
+        cut = (top + 1) << source.shift
+        parts = {**xs, **{v: _cut(y, (top + 1) << shift) for v, y in zip(sys.y_indices, ys)}}
         return [sorted(r.items()) for r in _substitute_packed(
-            sources, [parts[v] for v in range(sys.nvars)], packing, horner_route, top)]
+            [(_cut(s, cut), top) for s in sources], source,
+            [parts[v] for v in range(sys.nvars)], packing, horner_route)]
 
     schedule = [N]
     while schedule[-1] > 1:
         schedule.append(schedule[-1] // 2)
     # no step needs J(y) beyond degree N - floor(N/2) - 1
-    partials = [eq.truncate(N - N // 2).partial(v) for eq in sys.equations for v in sys.y_indices]
+    partials = [source.terms(eq.truncate(N - N // 2).partial(v).coeffs)
+                for eq in sys.equations for v in sys.y_indices]
+    equations = [source.terms(eq.coeffs) for eq in sys.equations]
     u = [[[(0, c)] if c != field.zero else [] for c in row] for row in sys.j0_inv]
     exact = 1  # I - J u has order >= exact
     ys = [[] for _ in sys.y_indices]
     k = 0
     for p in reversed(schedule):
         if exact < p - k:
-            flat = substitute([d.truncate(p - k - 1) for d in partials], ys, p - k - 1)
+            flat = substitute(partials, ys, p - k - 1)
             jac = [flat[i:i + len(ys)] for i in range(0, len(flat), len(ys))]
             while exact < p - k:
                 exact = min(2 * exact, p - k)
                 u = _inverse_update(u, jac, exact << shift, packing, route, field)
-        res = substitute([eq.truncate(p) for eq in sys.equations], ys, p)
+        res = substitute(equations, ys, p)
         ys = [_difference(field, y, c)
               for y, c in zip(ys, _correction(u, res, (p + 1) << shift, packing, route))]
         k = p
@@ -161,10 +165,14 @@ def ift_solve(sys: ImplicitSystem, N: int):
 def _inverse_update(u, jac, limit, packing, route, field):
     """u(2I - J u) below limit, J cut there: the Newton update of an approximate inverse."""
     two = [(0, field.from_int(2))]
-    ju = _product([[e[:bisect_left(e, (limit,))] for e in row] for row in jac], u, limit,
-                  packing, route)
+    ju = _product([[_cut(e, limit) for e in row] for row in jac], u, limit, packing, route)
     return _product(u, [[_difference(field, two if i == j else [], e) for j, e in enumerate(row)]
                         for i, row in enumerate(ju)], limit, packing, route)
+
+
+def _cut(terms, limit):
+    """The terms of a sorted packed term list whose keys are below limit."""
+    return terms[:bisect_left(terms, (limit,))]
 
 
 def _correction(u, res, limit, packing, route):

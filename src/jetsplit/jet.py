@@ -18,9 +18,11 @@ monomials are grouped by their leading exponent, each distinct exponent
 prefix costs one truncated product, and the sum is accumulated in one
 packed dict.  ``_substitute_batch`` (``Jet.substitute`` is its one-source
 case) evaluates many sources at one tuple of parts: it is its checks plus
-``_substitute_packed``, which takes the parts packed, encodes them once and
-shares one table of their powers, cut at the batch's top precision;
-``ift``'s Newton steps call that core directly.  Parts with more
+``_substitute_packed``, which takes the sources and the parts packed, reads
+each exponent from a source's key, encodes the parts once and shares one
+table of their powers, cut at the batch's top precision.  ``ift``'s Newton
+steps and ``split``'s passes call that core directly, on sources they pack
+once.  Parts with more
 terms lead (ties keep index order), so a dense part's powers multiply once
 per exponent, not once per prefix.  One-term and zero parts, such as
 ``ift``'s parameters, make no product: a term adds their cached powers'
@@ -391,7 +393,8 @@ class _Packing:
 
 def _substitute_batch(sources, parts):
     """``[f.substitute(parts) for f in sources]``: the batch's checks, then the
-    parts packed once at the sources' top precision for ``_substitute_packed``."""
+    sources and the parts packed once at the sources' top precision for
+    ``_substitute_packed``."""
     parts = list(parts)
     n = len(parts)
     for f in sources:
@@ -414,9 +417,9 @@ def _substitute_batch(sources, parts):
             raise PrecisionError("substitution component precision below target")
         if p.constant_term() != field.zero:
             raise ValueError("substitution component has a nonzero constant term")
-    packing = _Packing(prec, m)
-    outs = _substitute_packed(sources, [packing.terms(p.coeffs) for p in parts], packing,
-                              _route(field), prec)
+    packing, source = _Packing(prec, m), _Packing(prec, n)
+    outs = _substitute_packed([(source.terms(f.coeffs), f.prec) for f in sources], source,
+                              [packing.terms(p.coeffs) for p in parts], packing, _route(field))
     return [Jet._valid(field, m, f.prec, packing.unpack(out)) for f, out in zip(sources, outs)]
 
 
@@ -427,28 +430,31 @@ def _check_width(n):
                          f"{MAX_SUBSTITUTION_VARIABLES}")
 
 
-def _substitute_packed(sources, bases, packing, route, top):
-    """The values of the jets ``sources`` at the parts ``bases``, each at its
-    source's precision (at most top), as packed dicts of field elements
-    without zeros.
+def _substitute_packed(sources, source, bases, packing, route):
+    """The values of the sources at the parts ``bases``, each at its source's
+    precision, as packed dicts of field elements without zeros.
 
-    The parts are packed term lists of field elements with zero constant
-    term, sorted by key, at ``packing``, without terms above top.  The
-    sum c_alpha * prod parts[i]^alpha_i is computed on packed monomials in
-    the m target variables and on the route's native values (``_route``),
-    which encodes the parts once; their cached powers are cut at top.  The
-    Horner levels are the parts of two or more terms, most terms outermost;
-    the others are folded into the last level, where they make no product.
+    A source is a pair (terms, prec): a packed term list at ``source``, in
+    any order, of field elements, without terms above prec; each exponent is
+    read from the key.  The parts are packed term lists of field elements
+    with zero constant term, sorted by key, at ``packing``, without terms
+    above top, the largest source precision.  The sum c_alpha * prod
+    parts[i]^alpha_i is computed on packed monomials in the m target
+    variables and on the route's native values (``_route``), which encodes
+    the parts once; their cached powers are cut at top.  The Horner levels
+    are the parts of two or more terms, most terms outermost; the others
+    are folded into the last level, where they make no product.
     """
     n = len(bases)
     shift = packing.shift
-    top_limit = (top + 1) << shift
+    top_limit = (max(prec for _, prec in sources) + 1) << shift
+    offsets, mask = [source.width * i for i in range(n)], (1 << source.width) - 1
     add, mul, multiplicand = route.add, route.mul, route.terms
     bases = route.encode_parts(bases)
     powers = [[None, base] for base in bases]
     orders = [base[0][0] >> shift if base else None for base in bases]
     levels = sorted((i for i in range(n) if len(bases[i]) > 1), key=lambda i: -len(bases[i]))
-    folded = [i for i in range(n) if len(bases[i]) <= 1]
+    folded = [(j, offsets[j]) for j in range(n) if len(bases[j]) <= 1]
 
     def power(i, e):
         cache = powers[i]
@@ -471,8 +477,8 @@ def _substitute_packed(sources, bases, packing, route, top):
             i = levels[k] if levels else None
             for alpha, c in terms:
                 key = 0
-                for j in folded:
-                    e = alpha[j]
+                for j, offset in folded:
+                    e = alpha >> offset & mask
                     if e:
                         if orders[j] is None or e * orders[j] > budget:
                             break
@@ -480,7 +486,7 @@ def _substitute_packed(sources, bases, packing, route, top):
                         key += kj
                         c = mul(c, cj)
                 else:
-                    e = 0 if i is None else alpha[i]
+                    e = 0 if i is None else alpha >> offsets[i] & mask
                     if e == 0:
                         if key < limit:
                             v = out.get(key)
@@ -489,10 +495,10 @@ def _substitute_packed(sources, bases, packing, route, top):
                         _product_into(out, [(key, c)], power(i, e), limit, add, mul)
             return
         i = levels[k]
-        order = orders[i]
+        order, offset = orders[i], offsets[i]
         groups = {}
         for alpha, c in terms:
-            groups.setdefault(alpha[i], []).append((alpha, c))
+            groups.setdefault(alpha >> offset & mask, []).append((alpha, c))
         for e, group in groups.items():
             if e == 0:
                 horner(group, k + 1, budget, out)
@@ -502,9 +508,9 @@ def _substitute_packed(sources, bases, packing, route, top):
                 _product_into(out, power(i, e), multiplicand(inner), limit, add, mul, packing)
 
     results = []
-    for f in sources:
+    for terms, prec in sources:
         out = {}
-        horner(route.encode(f.coeffs), 0, f.prec, out)
+        horner(route.encode(terms, source.shift), 0, prec, out)
         results.append(route.decode(out))
     return results
 
@@ -533,8 +539,8 @@ class _Route:
     multiplies them.
 
     ``encode_parts`` turns substitution's parts' packed term lists into
-    native values, once per batch, and ``encode`` one source's coefficients
-    (a tuple-keyed dict).  ``terms`` makes a packed dict of native values
+    native values, once per batch, and ``encode`` one source's packed term
+    list, whose keys carry the degree above bit ``shift``.  ``terms`` makes a packed dict of native values
     into a sorted term list without zeros, ready to be a multiplicand, and
     ``decode`` turns a packed result into field elements without zeros.
     This class computes on Fractions with Python's + and *, which the kernel
@@ -552,8 +558,8 @@ class _Route:
     def encode_parts(self, bases):
         return bases
 
-    def encode(self, coeffs):
-        return list(coeffs.items())
+    def encode(self, terms, shift):
+        return terms
 
     def terms(self, packed):
         return sorted((k, c) for k, c in packed.items() if c)
@@ -584,13 +590,13 @@ class _RationalRoute(_Route):
         d = self.d = math.lcm(*(c.denominator for base in bases for _, c in base))
         return [[(k, c.numerator * (d // c.denominator)) for k, c in base] for base in bases]
 
-    def encode(self, coeffs):
+    def encode(self, terms, shift):
         d = self.d
-        b = math.lcm(*(c.denominator for c in coeffs.values()))
-        top = max(map(sum, coeffs), default=0)
+        b = math.lcm(*(c.denominator for _, c in terms))
+        top = max((k for k, _ in terms), default=0) >> shift
         self.scale = b * d ** top
-        return [(alpha, c.numerator * (b // c.denominator) * d ** (top - sum(alpha)))
-                for alpha, c in coeffs.items()]
+        return [(k, c.numerator * (b // c.denominator) * d ** (top - (k >> shift)))
+                for k, c in terms]
 
     def decode(self, packed):
         scale = self.scale

@@ -13,7 +13,11 @@ upper-triangular Gram matrix U.  Over every field
 
 so the pass x_h -> x_h - P^{-1} g cancels the mixed part to its order and
 leaves only terms of strictly higher order.  The loop ends once the mixed
-part vanishes at precision N.
+part vanishes at precision N.  It runs at one packing for precision N
+(``jet._Packing``): f, the change's components, the parts and the cofactors
+stay packed term lists from the first pass to the last, each pass is one call
+of ``jet._substitute_packed``, and the change and the residual are unpacked
+once at the end.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from . import linalg
 from .field import FieldError, parse_field_spec
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
-                  VerificationError, _substitute_batch)
+                  VerificationError, _Packing, _route, _substitute_packed)
 from .quadform import QuadNormalForm, QuadraticForm, SplitShapeError, normal_form
 
 
@@ -117,56 +121,59 @@ def embed_from_tail(g: Jet, rank: int) -> Jet:
                {(0,) * rank + alpha: c for alpha, c in g.coeffs.items()})
 
 
-def _cofactors(f: Jet, head_quad: Jet, head: int):
-    """Per-head-variable cofactors g_i of f - head_quad, both at one precision.
+def _cofactors(f, head_quad, head, packing, field):
+    """Per-head-variable cofactors g_i of f - head_quad, as packed dicts.
 
-    Every monomial containing a head variable is assigned to the cofactor of
-    its smallest head index (divided by that variable); monomials in tail
-    variables alone are left for the residual.
+    f and head_quad are packed term lists at ``packing``.  Every monomial
+    containing a head variable is assigned to the cofactor of its smallest
+    head index (divided by that variable); monomials in tail variables alone
+    are left for the residual.
     """
-    field = f.field
-    h = dict(f.coeffs)
-    for alpha, c in head_quad.coeffs.items():
-        s = field.sub(h.get(alpha, field.zero), c)
+    h = dict(f)
+    for key, c in head_quad:
+        s = field.sub(h.get(key, field.zero), c)
         if s == field.zero:
-            h.pop(alpha, None)
+            h.pop(key, None)
         else:
-            h[alpha] = s
-    gs = [dict() for _ in range(head)]
-    for alpha, c in h.items():
-        i = next((j for j in range(head) if alpha[j]), None)
-        if i is None:
-            continue
-        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        gs[i][beta] = c
-    # the nonzero terms of f - head_quad, one exponent lowered
-    out = [Jet._valid(field, f.nvars, f.prec, g) for g in gs]
-    for g in out:
-        if not g.is_zero() and g.order() < 2:
+            h[key] = s
+    width, heads = packing.width, (1 << packing.width * head) - 1
+    gs = [{} for _ in range(head)]
+    for key, c in h.items():
+        if low := key & heads:  # the lowest set bit lies in the smallest head exponent
+            i = ((low & -low).bit_length() - 1) // width
+            gs[i][key - packing.weights[i]] = c
+    for g in gs:
+        if g and min(g) >> packing.shift < 2:
             raise SplitShapeError("2-jet does not match the declared quadratic head")
-    return out
+    return gs
 
 
-def _mixed_order(gs):
-    orders = [g.order() + 1 for g in gs if not g.is_zero()]
+def _mixed_order(gs, shift):
+    """The order of the mixed part x_h . g: one above its lowest cofactor degree."""
+    orders = [(min(g) >> shift) + 1 for g in gs if g]
     return min(orders) if orders else ABOVE_PRECISION
 
 
 def _iterate(f: Jet, N: int):
-    """The splitting loop under the head of f's 2-jet; returns (change, residual)."""
+    """The splitting loop under the head of f's 2-jet; returns (change, residual).
+
+    f, the change's components, the parts and the cofactors stay packed at
+    one packing for precision N from the first pass to the last."""
     if f.prec < N:
         raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
     f = f.truncate(N)
-    field = f.field
+    field, n = f.field, f.nvars
     quad = QuadNormalForm.read_split_shape(f)
     head_quad = quad.head_jet(N)
     head = quad.rank
     polar = [row[:head] for row in head_quad.hessian()[:head]]
     step = [[field.neg(c) for c in row] for row in linalg.invert(field, polar)]
-    variables = CoordinateChange.identity(field, f.nvars, N).components
-    total = CoordinateChange(variables)
-    gs = _cofactors(f, head_quad, head)
-    mixed_order = _mixed_order(gs)
+    packing, route = _Packing(N, n), _route(field)
+    quad_terms = packing.terms(head_quad.coeffs)
+    variables = [[(w, field.one)] for w in packing.weights]
+    terms, total = packing.terms(f.coeffs), variables
+    gs = _cofactors(terms, quad_terms, head, packing, field)
+    mixed_order = _mixed_order(gs, packing.shift)
     passes = 0
     while mixed_order != ABOVE_PRECISION:
         passes += 1
@@ -174,20 +181,26 @@ def _iterate(f: Jet, N: int):
             raise VerificationError("split iteration", "no progress after N + 1 passes")
         parts = list(variables)
         for i, row in enumerate(step):  # x_h -> x_h - P^{-1} g
+            part = dict(parts[i])
             for c, g in zip(row, gs):
-                if c != field.zero and not g.is_zero():
-                    parts[i] = parts[i] + g.scale(c)
-        # f(parts) and total.compose(parts) share their parts: one batch
-        f, *components = _substitute_batch([f, *total.components], parts)
-        total = CoordinateChange(components)
-        gs = _cofactors(f, head_quad, head)
-        new_order = _mixed_order(gs)
+                if c != field.zero:
+                    for key, v in g.items():
+                        part[key] = field.add(part.get(key, field.zero), field.mul(c, v))
+            parts[i] = sorted(t for t in part.items() if t[1] != field.zero)
+        # f(parts) and total's components at parts share their parts: one batch
+        terms, *total = (list(r.items()) for r in _substitute_packed(
+            [(t, N) for t in (terms, *total)], packing, parts, packing, route))
+        gs = _cofactors(terms, quad_terms, head, packing, field)
+        new_order = _mixed_order(gs, packing.shift)
         if new_order <= mixed_order:
             raise VerificationError(
                 "split iteration", f"mixed part order did not increase past {mixed_order}")
         mixed_order = new_order
-    residual = f - head_quad
-    return total, residual
+
+    def unpacked(t):  # the substitution's keys are below the limit, its values nonzero
+        return Jet._valid(field, n, N, packing.unpack(dict(t)))
+
+    return CoordinateChange([unpacked(t) for t in total]), unpacked(terms) - head_quad
 
 
 def iterate_diagonal(f: Jet, N: int):

@@ -616,13 +616,26 @@ def test_verify_non_json_result_is_input_error(tmp_path, capsys):
 
 def test_failed_split_check_exits_1_without_traceback(monkeypatch, capsys):
     # a mixed part whose order never rises trips the iteration's progress check
-    monkeypatch.setattr(split_module, "_mixed_order", lambda gs: 3)
+    monkeypatch.setattr(split_module, "_mixed_order", lambda gs, shift: 3)
     code, out, err = run(capsys, "split", "--field", "q", "--vars", "x,y",
                          "--precision", "4", "x^2 + x*y^2")
     assert code == 1
     assert out == ""
     assert err == "verification failed: split iteration: mixed part order did not " \
                   "increase past 3\n"
+
+
+def test_failed_split_check_on_a_dropped_cofactor_exits_1_without_traceback(monkeypatch, capsys):
+    # without y's cofactor z^2 the iteration moves x*z^2 but never y*z^2,
+    # so the residual keeps the head variable y
+    cofactors = split_module._cofactors
+    monkeypatch.setattr(split_module, "_cofactors",
+                        lambda *args: [g if i != 1 else {} for i, g in enumerate(cofactors(*args))])
+    code, out, err = run(capsys, "split", "--field", "q", "--vars", "x,y,z",
+                         "--precision", "4", "x^2 + y^2 + x*z^2 + y*z^2")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: split: the residual involves head variables\n"
 
 
 def drop_newton_corrections(monkeypatch):
@@ -738,13 +751,14 @@ def test_long_and_deep_expressions_run_without_traceback(capsys, shape):
     assert out.startswith("value: ")
 
 
-def test_split_and_verify_a_1267_term_jet(tmp_path, capsys):
+def test_split_and_verify_a_1267_term_jet(tmp_path, capsys, kernel_work):
     names = [f"x{i}" for i in range(1, 7)]
     terms = ["x1^2"] + ["*".join(m) for d in range(3, 9)
                         for m in itertools.combinations_with_replacement(names[1:], d)]
     assert len(terms) == 1267
     expr = " + ".join(terms)
     common = ["--field", "fp:7", "--vars", ",".join(names)]
+    work = kernel_work()
     start = time.perf_counter()
     code, out, err = run(capsys, "split", *common, "--precision", "8", "--format", "json", expr)
     assert code == 0 and err == ""
@@ -754,3 +768,5 @@ def test_split_and_verify_a_1267_term_jet(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
     assert code == 0 and err == ""
     assert "verified: true" in out
+    # the head x1^2 has no mixed part: the work is the two checks' substitutions
+    assert work["calls"] <= 109 and work["pairs"] <= 109, work

@@ -7,7 +7,7 @@ from gen import (FIELDS, rand_implicit_system, rand_invertible, rand_jet, random
                  same_error)
 from jetsplit import (ImplicitSystem, Jet, PrimeField, RationalField,
                       ift_solve, parse_field_spec, parse_jet)
-from jetsplit.ift import _product
+from jetsplit.ift import _cut, _product
 from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES, _Packing, _route
 
 Q = RationalField()
@@ -224,3 +224,17 @@ def test_residuals_raise_the_per_source_messages():
     same_error(lambda: wide.residuals(ys, 2),
                lambda: [eq.truncate(2).substitute(wide._parts(ys, 2))
                         for eq in wide.equations])
+
+
+def test_cuts_match_truncate():
+    # ift packs its equations and partials once and cuts them per step
+    rng = random.Random(2402)
+    for field in FIELDS:
+        for _ in range(30):
+            n, prec = rng.randint(1, 4), rng.choice((1, 2, 3, 4, 7, 8, 15, 16))
+            f = rand_jet(field, n, prec, rng, terms=rng.randint(0, 8))
+            f = f + Jet(field, n, prec, {tuple([prec] + [0] * (n - 1)): field.one})
+            packing = _Packing(prec + rng.choice((0, 0, 3)), n)
+            terms = packing.terms(f.coeffs)
+            for k in range(prec + 1):
+                assert _cut(terms, (k + 1) << packing.shift) == packing.terms(f.truncate(k).coeffs)

@@ -14,7 +14,7 @@ from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       parse_field_spec, parse_jet, split)
 from jetsplit.expr import serialize_jet
 from jetsplit.jet import (MAX_SUBSTITUTION_VARIABLES, _kronecker_into, _kronecker_pays, _Packing,
-                          _product_into, _substitute_batch)
+                          _product_into, _route, _substitute_batch, _substitute_packed)
 from jetsplit.split import _cofactors
 
 Q = RationalField()
@@ -459,6 +459,27 @@ def test_batch_matches_naive_expansion():
         assert got == [f.substitute(parts) for f in sources]
 
 
+def test_packed_sources_match_naive_expansion():
+    # the core reads each exponent from a source's key: sources in n variables
+    # at mixed precisions, in any term order, at a packing of their own, and
+    # parts in m variables, n != m in most cases
+    rng = random.Random(2401)
+    cases = [(field, False) for field in BATCH_FIELDS for _ in range(40)] + [(Q, True)] * 30
+    for field, large in cases:
+        sources, parts, m = rand_batch(field, rng, large)
+        top = max(f.prec for f in sources)
+        packing, source = _Packing(top, m), _Packing(top + rng.choice((0, 0, 9)), len(parts))
+        packed = [(source.terms(f.coeffs), f.prec) for f in sources]
+        for terms, _ in packed:
+            rng.shuffle(terms)
+        got = _substitute_packed(packed, source, [packing.terms(p.coeffs) for p in parts],
+                                 packing, _route(field))
+        assert all(c != field.zero for out in got for c in out.values())
+        assert all(key < packing.limit for out in got for key in out)
+        assert [Jet(field, m, f.prec, packing.unpack(out)) for f, out in zip(sources, got)] \
+            == [naive_substitute(f, parts, m) for f in sources]
+
+
 def test_batch_cancels_to_zero_over_gf2():
     names = ["x", "y"]
     s = parse_jet("x + y", F2, names, 4)
@@ -594,7 +615,10 @@ def test_internal_results_are_valid_jets():
 
         for _ in range(20):
             f, head_quad, head = cofactor_case(field, rng, coeff)
-            gs = _cofactors(f, head_quad, head)
+            packing = _Packing(5, 3)
+            gs = [Jet._valid(field, 3, 5, packing.unpack(g))
+                  for g in _cofactors(packing.terms(f.coeffs), packing.terms(head_quad.coeffs),
+                                      head, packing, field)]
             for g in gs:
                 assert_valid(g)
             # x1*g1 + ... + x_head*g_head is the part of f - head_quad in the head variables
