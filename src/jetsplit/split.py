@@ -131,15 +131,12 @@ def _cofactors(f, head_quad, head, packing, field):
     """
     h = dict(f)
     for key, c in head_quad:
-        s = field.sub(h.get(key, field.zero), c)
-        if s == field.zero:
-            h.pop(key, None)
-        else:
-            h[key] = s
+        h[key] = field.sub(h.get(key, field.zero), c)
     width, heads = packing.width, (1 << packing.width * head) - 1
     gs = [{} for _ in range(head)]
     for key, c in h.items():
-        if low := key & heads:  # the lowest set bit lies in the smallest head exponent
+        # the lowest set bit of a head exponent lies in the smallest head index
+        if c != field.zero and (low := key & heads):
             i = ((low & -low).bit_length() - 1) // width
             gs[i][key - packing.weights[i]] = c
     for g in gs:
@@ -149,16 +146,12 @@ def _cofactors(f, head_quad, head, packing, field):
 
 
 def _mixed_order(gs, shift):
-    """The order of the mixed part x_h . g: one above its lowest cofactor degree."""
     orders = [(min(g) >> shift) + 1 for g in gs if g]
     return min(orders) if orders else ABOVE_PRECISION
 
 
 def _iterate(f: Jet, N: int):
-    """The splitting loop under the head of f's 2-jet; returns (change, residual).
-
-    f, the change's components, the parts and the cofactors stay packed at
-    one packing for precision N from the first pass to the last."""
+    """The splitting loop under the head of f's 2-jet; returns (change, residual)."""
     if f.prec < N:
         raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
     f = f.truncate(N)
@@ -196,11 +189,9 @@ def _iterate(f: Jet, N: int):
             raise VerificationError(
                 "split iteration", f"mixed part order did not increase past {mixed_order}")
         mixed_order = new_order
-
-    def unpacked(t):  # the substitution's keys are below the limit, its values nonzero
-        return Jet._valid(field, n, N, packing.unpack(dict(t)))
-
-    return CoordinateChange([unpacked(t) for t in total]), unpacked(terms) - head_quad
+    # the substitution's keys are below the limit, and its values nonzero
+    f, *total = (Jet._valid(field, n, N, packing.unpack(dict(t))) for t in (terms, *total))
+    return CoordinateChange(total), f - head_quad
 
 
 def iterate_diagonal(f: Jet, N: int):

@@ -41,7 +41,8 @@ def kernel_work(monkeypatch):
 
     ``calls`` and ``pairs`` count the calls made through the ``jet`` module
     (substitution and every ``_packed_product``, the parser's powers
-    included, and ``Jet.__mul__``); ``ift_calls``/``ift_pairs`` and
+    included, and ``Jet.__mul__``), and the power tables' squares
+    (``jet._square_into``, each unordered pair once); ``ift_calls``/``ift_pairs`` and
     ``expr_calls``/``expr_pairs`` those made through the names that ``ift``
     (Newton's matrix products) and ``expr`` (the parser's sums) import."""
     def start():
@@ -62,6 +63,17 @@ def kernel_work(monkeypatch):
                 kernel(out, a, b, limit, add, mul, packing)
             return call
 
+        square = jetsplit.jet._square_into
+
+        def squared(out, a, limit):
+            counts["calls"] += 1
+            keys = [k for k, _ in a]
+            for i, k in enumerate(keys):
+                if k + k >= limit:
+                    break
+                counts["pairs"] += bisect.bisect_left(keys, limit - k) - i
+            square(out, a, limit)
+
         def routed(*args):
             taken = route(*args)
             counts["kronecker"] += taken
@@ -70,6 +82,7 @@ def kernel_work(monkeypatch):
         for module, prefix in ((jetsplit.jet, ""), (jetsplit.ift, "ift_"),
                                (jetsplit.expr, "expr_")):
             monkeypatch.setattr(module, "_product_into", counted(prefix))
+        monkeypatch.setattr(jetsplit.jet, "_square_into", squared)
         monkeypatch.setattr(jetsplit.jet, "_kronecker_into", routed)
         return counts
     return start

@@ -630,7 +630,8 @@ def test_failed_split_check_on_a_dropped_cofactor_exits_1_without_traceback(monk
     # so the residual keeps the head variable y
     cofactors = split_module._cofactors
     monkeypatch.setattr(split_module, "_cofactors",
-                        lambda *args: [g if i != 1 else {} for i, g in enumerate(cofactors(*args))])
+                        lambda *args: [g if i != 1 else {}
+                                       for i, g in enumerate(cofactors(*args))])
     code, out, err = run(capsys, "split", "--field", "q", "--vars", "x,y,z",
                          "--precision", "4", "x^2 + y^2 + x*z^2 + y*z^2")
     assert code == 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetsplit.jet
 from gen import (FIELDS, jet_power, monomials_of_degree, rand_automorphism, rand_jet,
                  rand_m2_jet, rand_monomial, random_element, same_error)
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
@@ -13,8 +14,9 @@ from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       PrecisionError, PrimeField, RationalField, ift_solve, milnor_number,
                       parse_field_spec, parse_jet, split)
 from jetsplit.expr import serialize_jet
-from jetsplit.jet import (MAX_SUBSTITUTION_VARIABLES, _kronecker_into, _kronecker_pays, _Packing,
-                          _product_into, _route, _substitute_batch, _substitute_packed)
+from jetsplit.jet import (MAX_SUBSTITUTION_VARIABLES, _kronecker_into, _kronecker_pays,
+                          _next_power, _Packing, _packed_product, _product_into, _route,
+                          _square_into, _substitute_batch, _substitute_packed)
 from jetsplit.split import _cofactors
 
 Q = RationalField()
@@ -787,9 +789,9 @@ def dense_work():
 
 
 @pytest.mark.parametrize("case, calls, pairs, ift_calls, ift_pairs",
-                         [(ift_work, 240, 38388, 48, 4550),
-                          (split_work, 118, 817, 0, 0),
-                          (dense_work, 26, 256, 0, 0)],
+                         [(ift_work, 240, 35053, 48, 4550),
+                          (split_work, 118, 716, 0, 0),
+                          (dense_work, 26, 235, 0, 0)],
                          ids=["ift-fp101", "split-fp7", "dense-q"])
 def test_substitution_work_is_pinned(kernel_work, case, calls, pairs, ift_calls, ift_pairs):
     # the Horner level order and the fold set these counts; a change to either
@@ -801,6 +803,58 @@ def test_substitution_work_is_pinned(kernel_work, case, calls, pairs, ift_calls,
     # products in three or more variables never take the Kronecker route
     assert work == {"calls": calls, "pairs": pairs, "ift_calls": ift_calls,
                     "ift_pairs": ift_pairs, "expr_calls": 0, "expr_pairs": 0, "kronecker": 0}
+
+
+# -- the power table's squares ------------------------------------------------------
+
+def square_operands(rng, packing, top, values):
+    """Packed term lists at ``packing``: empty, one term, and up to 32 terms of
+    degree <= top, among them terms of degree floor and ceil of (top + 1) / 2,
+    whose squares land just below the limit or on it."""
+    def term(degree):
+        beta = [0] * packing.m
+        for _ in range(degree):
+            beta[rng.randrange(packing.m)] += 1
+        return packing.pack(beta), values()
+
+    many = dict(term(rng.randint(1, top)) for _ in range(rng.randint(2, 30)))
+    many.update([term(max(1, top // 2)), term((top + 1) // 2)])
+    return [[], [term(rng.randint(1, top))], sorted(many.items())]
+
+
+def test_squares_match_the_pair_loop():
+    # the one pass over unordered pairs (signed Q integers and GF(p) residues)
+    # and the Frobenius image (characteristic 2) against the plain pair loop,
+    # on budgets at the packing limit and below it
+    rng = random.Random(2403)
+    for field in BATCH_FIELDS:
+        route = _route(field)
+        if isinstance(field, RationalField):
+            values = lambda: rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)  # noqa: E731
+        else:
+            values = lambda: random_element(field, rng, nonzero=True)  # noqa: E731
+        for m in (1, 2, 3, 4):
+            for _ in range(12):
+                prec = rng.randint(1, 9)
+                packing = _Packing(prec, m)
+                for p in square_operands(rng, packing, prec, values):
+                    for budget in {prec, rng.randint(0, prec)}:
+                        limit = (budget + 1) << packing.shift
+                        plain = {}
+                        _product_into(plain, p, p, limit, route.add, route.mul)
+                        if not route.char2:
+                            start = {packing.pack([budget] + [0] * (m - 1)): 7 ** 30}
+                            got, want = dict(start), dict(start)
+                            _square_into(got, p, limit)
+                            _product_into(want, p, p, limit, operator.add, operator.mul)
+                            assert got == want
+                        assert _next_power([None, p], limit, packing, route) == route.terms(plain)
+                    # p^4 and p^6 from their halves, against repeated products
+                    cache = [None, p]
+                    while len(cache) <= 6:
+                        cache.append(_packed_product(cache[-1], p, packing.limit, packing, route))
+                    for e in (4, 6):
+                        assert _next_power(cache[:e], packing.limit, packing, route) == cache[e]
 
 
 # -- the Kronecker route of the product kernel ------------------------------------
@@ -901,7 +955,7 @@ def test_catalan_ift_takes_the_route_for_its_dense_products(kernel_work):
     assert work["kronecker"] == 4
 
 
-def test_four_variable_split_never_takes_the_route(kernel_work):
+def test_four_variable_split_never_takes_the_route(kernel_work, monkeypatch):
     # the split-dense shape: a nondegenerate head plus dense terms of degree
     # 3..8 in four variables over fp:7; its products are large, but in four
     # variables the kernel refuses the route before any per-term work
@@ -912,5 +966,14 @@ def test_four_variable_split_never_takes_the_route(kernel_work):
                   for beta in monomials_of_degree(4, d) if rng.random() < 0.6)
     f = Jet(f7, 4, 8, coeffs)
     work = kernel_work()
+    counted, offered = jetsplit.jet._product_into, []
+
+    def recorded(out, a, b, limit, add, mul, packing=None):
+        if packing is not None and len(a) * len(b) >= 4800:  # past both try thresholds
+            offered.append(packing.m)
+        counted(out, a, b, limit, add, mul, packing)
+
+    monkeypatch.setattr(jetsplit.jet, "_product_into", recorded)
     split(f, 8)
-    assert work["kronecker"] == 0 and work["pairs"] > 10 ** 5
+    # 39 such products, every one in four variables, and none took the route
+    assert work["kronecker"] == 0 and len(offered) >= 30 and set(offered) == {4}, offered
