@@ -516,6 +516,7 @@ def _substitute_packed(sources, source, bases, packing, route):
         out = {}
         horner(route.encode(terms, source.shift), 0, prec, out)
         results.append(route.decode(out))
+    del horner  # it calls itself: without this the power tables wait for the cycle collector
     return results
 
 
