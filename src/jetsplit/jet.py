@@ -398,8 +398,7 @@ class _Packing:
 
 def _substitute_batch(sources, parts):
     """``[f.substitute(parts) for f in sources]``: the batch's checks, then the
-    sources and the parts packed once at the sources' top precision for
-    ``_substitute_packed``."""
+    sources and parts packed once at their top precision for ``_substitute_packed``."""
     parts = list(parts)
     n = len(parts)
     for f in sources:
@@ -545,9 +544,10 @@ class _Route:
 
     ``encode_parts`` turns substitution's parts' packed term lists into
     native values, once per batch, and ``encode`` one source's packed term
-    list, degrees above bit ``shift``.  ``terms`` makes a packed dict of native values
-    into a sorted term list without zeros, ready to be a multiplicand, and
-    ``decode`` turns a packed result into field elements without zeros.
+    list, degrees above bit ``shift``.  ``terms`` makes a packed dict of
+    native values into a sorted term list without zeros, ready to be a
+    multiplicand, and ``decode`` turns a packed result into field elements
+    without zeros.  ``char2`` marks characteristic 2, where squaring is additive.
     This class computes on Fractions with Python's + and *, which the kernel
     runs inline; it serves products only.  The subclasses compute on native
     ints for Q and GF(p) and on masks for GF(2^k), and add the echelon's row
@@ -718,7 +718,8 @@ def _next_power(cache, limit, packing, route):
 
 def _square_into(out, a, limit):
     """out += a * a for a packed term list sorted by key, dropping keys at or
-    above limit: one pass over the unordered pairs, the cross sum doubled."""
+    above limit, with Python's + and *: one pass over the unordered pairs,
+    the cross sum doubled."""
     get = out.get
     for i, (ka, ca) in enumerate(a):
         k = ka + ka

@@ -13,11 +13,9 @@ upper-triangular Gram matrix U.  Over every field
 
 so the pass x_h -> x_h - P^{-1} g cancels the mixed part to its order and
 leaves only terms of strictly higher order.  The loop ends once the mixed
-part vanishes at precision N.  It runs at one packing for precision N
-(``jet._Packing``): f, the change's components, the parts and the cofactors
-stay packed term lists from the first pass to the last, each pass is one call
-of ``jet._substitute_packed``, and the change and the residual are unpacked
-once at the end.
+part vanishes at precision N.  f, the change, the parts and the cofactors
+stay packed term lists at one packing for precision N (``jet._Packing``) from
+the first pass to the last, one ``jet._substitute_packed`` call per pass.
 """
 
 from __future__ import annotations
