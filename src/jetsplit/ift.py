@@ -35,10 +35,11 @@ Over GF(p) its dense products in one or two parameters take ``jet``'s Kronecker 
 
 The iteration runs at one packing for precision N (``jet._Packing``): y,
 u, J(y) and the residuals stay packed term lists, cut at each step's
-precision, until y is unpacked at the end.  The equations and their
-partials are packed once, in all the variables, and cut per step by bisection.  The final check, a full
-substitution of every equation at N, does not rest on this argument: a
-solution that leaves F(x, y) nonzero raises ``VerificationError``.
+precision, until y is unpacked at the end; the equations and their
+partials are packed once, in all the variables, and cut per step by
+bisection.  The final check, a full substitution of every equation at N,
+does not rest on this argument: a solution that leaves F(x, y) nonzero
+raises ``VerificationError``.
 """
 
 from __future__ import annotations
