@@ -599,6 +599,17 @@ PARSER_INPUTS = [
      "t*x1*x2 + (t+1)*x1^2 + x3^3*(t^2 + t) + t^3*x1^2*x2 + (t*x3 + 1*x2)^4"),
     ("rational-literals", "q", "x,y", 4,
      "1/2*x^2 - 3/4*y^2 + 5/6*x*y^2 - 10/4*y^3 + 0/3*x^3 + 7*y^4"),
+    # flat sums in the bench's text style, every coefficient in parentheses;
+    # the quadratic terms cancel, so the residual echoes the parsed jet
+    ("paren-literals-q", "q", "x,y", 4,
+     "(-3)*x^2 + ( 3 ) * x ^ 2 + (-3/7)*x^3 + (2/5)*x*y^2 + (0)*y^3 - (2/5)*x*y^2"
+     " + (5/3)*x^2*y^3 + (-1)*y^4 + (-3/7)*x^2*y"),
+    ("paren-literals-fp7", "fp:7", "x,y", 5,
+     "(9)*x^3 + (0)*x*y^2 + (3)*y^3 + (4)*x*y^2 + (3)*x*y^2 + (-2)*y^4 + (6)*x^6"
+     " + (9)*x^2*y^2"),
+    ("paren-literals-f2k4", "f2k:4", "x1,x2", 5,
+     "(t^3 + t)*x1^3 + (t)*x1^2*x2 + (t^3 + t)*x2^3 + (1)*x2^4 + (t^2 + 1)*x1^3*x2^3"
+     " + (t^3 + t)*x2^3 + (t^2)*x1*x2^2"),
 ]
 
 # Rejected parser inputs (exit 2), as (tag, field, variables, precision, expression):
@@ -622,6 +633,9 @@ PARSER_ERRORS = [
     ("reserved-t", "f2k:4", "t,x", 4, "x^2 + t"),
     ("semantic-in-source-order", "fp:7", "x,y", 4, "x^2 + z*1/2 + w"),
     ("variable-at-precision-0", "q", "x", 0, "x^2"),
+    ("unknown-variable-after-zero-factor", "fp:2", "x,y", 4, "x^2 + 2*x*z"),
+    ("paren-fraction-over-fp7", "fp:7", "x", 4, "x^2 + (1/2)*x"),
+    ("paren-literal-over-f2k2", "f2k:2", "x", 4, "x^2 + (t^2 + 2)*x"),
 ]
 
 

@@ -8,9 +8,9 @@ split results (exit 1), quadform through every congruence branch and dense
 8-variable forms, characteristic-2 quadform in up to 16 variables, calls
 whose truncated products are dense in one or two variables (Catalan ift,
 parser powers at precision 10^9, a deep split over fp:1000003), and
-parser inputs (nesting, powers, signs, truncation, literals, and syntax and
-semantic errors), with the exit code, stdout and stderr recorded by
-``tests/golden/make_corpus.py``.  A refactor or kernel change that alters
+parser inputs (nesting, powers, signs, truncation, literals bare and in
+parentheses, and syntax and semantic errors), with the exit code, stdout and
+stderr recorded by ``tests/golden/make_corpus.py``.  A refactor or kernel change that alters
 any byte of any output fails here.
 """
 

@@ -57,6 +57,36 @@ def top_level(spec, names, rng):
     return text
 
 
+def flat_sum(spec, names, rng):
+    """A sum of monomials with literal coefficients, in the two text styles
+    of the program's own output: ``c*x^a`` and ``- 3/7*x*y`` as serialization
+    writes them, or every coefficient in parentheses, ``(c)*x^a``, as the
+    benchmark writes them.  Some monomials repeat, so sums cancel, and some
+    exceed the precision."""
+    bare = rng.random() < 0.5
+    terms = []
+    for _ in range(rng.randint(1, 8)):
+        mono = "*".join(rng.choice(names) + rng.choice(["", "", "^2", "^3", "^2^2", " ^ 5"])
+                        for _ in range(rng.randint(0, 3)))
+        lit = literal(spec, rng)
+        if not bare:
+            if lit.startswith("(") and lit.endswith(")"):
+                lit = lit[1:-1].replace("+", " + ")
+            lit = "(" + rng.choice(["", "", "-", " - "]) + lit + rng.choice(["", " "]) + ")"
+        if not mono:
+            terms.append(lit)
+        elif lit in ("1", "(1)") and bare:
+            terms.append(mono)
+        else:
+            terms.append(lit + rng.choice(["*", "*", " * "]) + mono)
+        if rng.random() < 0.2:
+            terms.append(terms[-1])
+    text = rng.choice(["", "-", "- "]) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-"]) + term
+    return text
+
+
 def damage(text, rng):
     """The text with one character inserted, deleted or replaced."""
     i = rng.randrange(len(text) + 1)
@@ -98,12 +128,34 @@ def test_parse_jet_matches_reference(spec):
     assert errors > checked // 10 and checked - errors > checked // 3
 
 
+@pytest.mark.parametrize("spec", SPECS)
+def test_parse_jet_matches_reference_on_flat_sums(spec):
+    rng = random.Random(5151 + SPECS.index(spec))
+    field = parse_field_spec(spec)
+    checked = errors = 0
+    for prec in range(7):
+        for _ in range(40):
+            names = [f"x{i + 1}" for i in range(rng.randint(1, 3))]
+            text = flat_sum(spec, names, rng)
+            for candidate in [text, damage(text, rng), damage(damage(text, rng), rng)]:
+                expected = outcome(parse_jet_reference, candidate, field, names, prec)
+                got = outcome(parse_jet, candidate, field, names, prec)
+                assert got == expected, candidate
+                checked += 1
+                errors += expected[0] == "error"
+    assert errors > checked // 10 and checked - errors > checked // 3
+
+
 EDGE_INPUTS = [
     "", "   ", "x #", "# x + * y", "x + * y # z", "(x", "x)", "((x)", "x y", "x^y", "x^",
     "x^1/2", "x^-1", "--x", "+-x", "x**y", "x + ", "()", "(+)", "z + * y", "z + w",
     "x + z*1/2", "1/0*x", "1/2*z", "x^2^3", "(x + y)^0", "(x - x)^0", "0^0", "0^2",
     "x^0*z", "- x - -y", "x + O(deg 3", "x + O(deg 3)", " + O(deg 2)", "x\u00b2",
     "\u0663*x", "x^\u0662", "x\t+\ny",
+    "(-3/7)*x", "(0)*x^2 + (9)*y", "(9)*x^2 - (2)*x^2", "( 3 ) * x ^ 2", "(t^3 + t)*x",
+    "(t^2 + 2)*x", "(1/2)*x", "2*x*z", "0*z", "(0)*x*z", "x^9 + (2)*x*z", "x*y - y*x",
+    "x^2^3*y + 3^2*x", "- 3/7*x*y + x^2", "(-t)*x + (t + 1)*y", "(3)^2*x", "(x)*y",
+    "(x + y)*x", "(x - x)*z", "(2*x)*y", "x*(y)", "(t)*t", "x*x*x*x", "3/", "x^2 + ",
 ]
 
 
