@@ -11,7 +11,12 @@ integers over GF(p), and polynomials in ``t`` over GF(2^k), where the bare
 name ``t`` denotes the field generator.  A jet may carry its precision as a
 trailing ``+ O(deg N)``; serialization always emits it, parsing accepts it.
 
-Parsing walks the tokens once, without recursion: nested parentheses are an
+Two readers share one evaluator.  A flat sum, whose parentheses hold none
+and take no power (all that ``serialize_jet`` writes), is read term by term
+from one regex pass, and each distinct factor is evaluated once, into a
+cache that lives for that parse.  Every other text, and every text with an
+error, goes to the token loop, the one definition of nesting and of errors.
+It walks the tokens once, without recursion: nested parentheses are an
 explicit stack, and terms accumulate as packed monomials into one coefficient
 dict per open sum, truncated at the precision.  Each parse builds exactly one
 ``Jet``, at the end, so length and nesting depth are limited by memory only.
@@ -19,6 +24,7 @@ dict per open sum, truncated at the precision.  Each parse builds exactly one
 
 from __future__ import annotations
 
+import math
 import re
 import string
 
@@ -76,6 +82,12 @@ def _syntax_error(text: str, tokens, i: int, message: str) -> ParseError:
 
 # -- evaluation ----------------------------------------------------------------
 
+# A flat sum, read as pieces: an operator, then a literal or a name with
+# chained powers, or a group in parentheses with no parentheses inside and no
+# power after it.  ASCII digits only, as the token loop reports other digits.
+_ATOM = r"(?:[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*[0-9]+)*"
+_PIECE_RE = re.compile(rf"[-+*]\s*(?:{_ATOM}|\([^()]*\))\s*")
+_SIGNED_RE = re.compile(rf"\(\s*([+-]?)\s*({_ATOM})\s*\)")
 _PRECISION_SUFFIX = re.compile(r"\+\s*O\s*\(\s*deg\s+(\d+)\s*\)\s*$")
 
 
@@ -95,7 +107,9 @@ def parse_jet(text: str, field: Field, varnames, precision: int) -> Jet:
     if text.strip() == "":
         raise ParseError("empty expression", 0)
     index = {name: i for i, name in enumerate(varnames)}
-    return _Evaluator(field, index, len(varnames), precision).run(text)
+    evaluator = _Evaluator(field, index, len(varnames), precision)
+    acc = evaluator.sum(text)
+    return evaluator.run(text) if acc is None else evaluator.finish(acc, None)
 
 
 class _Evaluator:
@@ -126,23 +140,20 @@ class _Evaluator:
         self.one = field.one    # a variable's coefficient, skipped in products
         self.leaves = {}        # token -> value of the literals and variables seen
 
-    def leaf(self, text, tokens, i):
-        """The value of a literal or variable token, or its semantic error."""
-        tok = tokens[i]
+    def leaf(self, tok):
+        """The value of a literal or variable token; ``FieldError`` for an
+        error at the token's position, else ``PrecisionError``."""
         field = self.field
         binary = isinstance(field, BinaryField)
         if tok[0] not in _NAME_START:
             if ("/" in tok and not isinstance(field, RationalField)) or (
                     binary and tok not in ("0", "1")):
-                raise ParseError(f"literal {tok!r} is not in {field}", _position(text, tokens, i))
-            try:
-                value = field.parse_scalar(tok)
-            except FieldError as exc:
-                raise ParseError(str(exc), _position(text, tokens, i)) from None
+                raise FieldError(f"literal {tok!r} is not in {field}")
+            value = field.parse_scalar(tok)
         elif binary and tok == "t":
             value = gf2_poly_mod(0b10, field.modulus)
         elif tok not in self.index:
-            raise ParseError(f"unknown variable {tok!r}", _position(text, tokens, i))
+            raise FieldError(f"unknown variable {tok!r}")
         elif self.prec < 1:
             raise PrecisionError("a coordinate jet needs precision >= 1")
         else:
@@ -165,6 +176,78 @@ class _Evaluator:
             if not e:
                 return acc
             terms = _packed_product(terms, terms, limit, packing, route)
+
+    def sum(self, text):
+        """The packed terms of a flat sum, or None for the token loop to read it.
+
+        The pieces, an operator and a factor each, must cover the text.  Each
+        distinct piece's (key, coefficient) pair, signed, is kept in ``leaves``
+        beside the tokens' values: a piece starts with an operator, a token never.
+        """
+        if "t" in self.index and isinstance(self.field, BinaryField):
+            return None
+        text = text.lstrip()
+        text = text if text[:1] in ("+", "-") else "+" + text
+        pieces = _PIECE_RE.findall(text)
+        if "".join(pieces) != text:
+            return None
+        leaves, limit, one = self.leaves, self.limit, self.one
+        add, mul = self.route.add, self.field.mul
+        acc, key, c = {}, limit, one        # c * x^key: the term read so far, none yet
+        for piece in pieces + ["+0"]:       # a zero term closes the last one
+            pair = leaves.get(piece) or self.piece(piece)
+            if pair is None:
+                return None
+            if piece[0] == "*":
+                k, v = pair
+                key += k
+                if v is not one:
+                    c = v if c is one else mul(c, v)
+                continue
+            if key < limit:
+                acc[key] = add(acc[key], c) if key in acc else c
+            key, c = pair
+        return acc
+
+    def piece(self, piece):
+        """The pair of an operator and a factor, kept in ``leaves``, or None."""
+        pair = self.factor(piece[1:].strip())
+        if pair is not None:
+            if piece[0] == "-":
+                pair = pair[0], self.field.neg(pair[1])
+            self.leaves[piece] = pair
+        return pair
+
+    def factor(self, text):
+        """(key, coefficient), the key at or above the limit for a factor that
+        is zero or above the precision; None leaves a semantic error, a group
+        with several terms and a literal's power >= 256 to the token loop."""
+        if text[0] == "(":
+            signed = _SIGNED_RE.fullmatch(text)    # (c) or (-c), else a sum
+            if signed:
+                return self.piece((signed[1] or "+") + signed[2])
+            acc = self.sum(text[1:-1])
+            if acc is None or len(acc) > 1:
+                return None
+            terms = self.route.terms(acc)
+            return terms[0] if terms else (self.limit, self.one)
+        base, *exps = text.split("^")
+        base = base.rstrip()
+        try:    # a semantic error, or an exponent too long to convert
+            e = math.prod(map(int, exps))
+            atom = self.leaves.get(base)
+            if atom is None:
+                atom = self.leaves[base] = self.leaf(base)
+        except ValueError:
+            return None
+        if not e:
+            return 0, self.one
+        if not atom:
+            return self.limit, self.one
+        k, v = atom[0]
+        if k:
+            return (k * e if e * (k >> self.shift) <= self.prec else self.limit), v
+        return None if e >> 8 else (0, _scalar_power(self.field, v, e))
 
     def run(self, text):
         tokens = _tokenize(text)
@@ -198,8 +281,10 @@ class _Evaluator:
                                         f"expected a literal, variable or '(', found {tok!r}")
                 if error is None:
                     try:
-                        atom = leaves[tok] = self.leaf(text, tokens, i - 1)
-                    except (ParseError, PrecisionError) as exc:
+                        atom = leaves[tok] = self.leaf(tok)
+                    except FieldError as exc:
+                        error, c = ParseError(str(exc), _position(text, tokens, i - 1)), None
+                    except PrecisionError as exc:
                         error, c = exc, None
             while True:
                 # the factor's powers: x^a^b is (x^a)^b = x^(a*b)

@@ -89,6 +89,24 @@ def kernel_work(monkeypatch):
 
 
 @pytest.fixture
+def token_loop(monkeypatch):
+    """A function that starts counting, for the rest of the test, the texts
+    that the parser's token loop (``expr._Evaluator.run``) reads: every text
+    that the flat-sum reader hands back; it returns the live count."""
+    def start():
+        counts = {"entries": 0}
+        run = jetsplit.expr._Evaluator.run
+
+        def counted(self, text):
+            counts["entries"] += 1
+            return run(self, text)
+
+        monkeypatch.setattr(jetsplit.expr._Evaluator, "run", counted)
+        return counts
+    return start
+
+
+@pytest.fixture
 def echelon_work(monkeypatch):
     """A function that starts recording, for the rest of the test, every
     ``jacobian._Echelon`` built (the searches' and the verifiers'); it returns

@@ -743,11 +743,14 @@ LONG_EXPRESSIONS = {
 
 
 @pytest.mark.parametrize("shape", sorted(LONG_EXPRESSIONS))
-def test_long_and_deep_expressions_run_without_traceback(capsys, shape):
+def test_long_and_deep_expressions_run_without_traceback(capsys, shape, token_loop):
+    loop = token_loop()
     start = time.perf_counter()
     code, out, err = run(capsys, "norm", "--field", "q", "--vars", "x", "--valuation",
                          "padic:3", LONG_EXPRESSIONS[shape])
     assert time.perf_counter() - start < 3.0
+    # flat sums are read term by term; only the nested text needs the token loop
+    assert loop["entries"] == (shape == "nested")
     assert code == 0 and err == ""
     assert out.startswith("value: ")
 

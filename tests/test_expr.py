@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -6,7 +8,7 @@ import pytest
 
 from gen import FIELDS, rand_jet
 from jetsplit import (BinaryField, Jet, ParseError, PrimeField, RationalField,
-                      parse_jet, serialize_jet)
+                      parse_field_spec, parse_jet, serialize_jet)
 
 Q = RationalField()
 
@@ -143,3 +145,66 @@ def test_deep_unclosed_parentheses_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_timed("(" * 600 + "x", Q, ["x"], 2)
     assert str(err.value) == "expected ')', found '' (at position 601)"
+
+
+def bench_text(field, f, names):
+    """f as the benchmark writes it: graded terms, every coefficient in parentheses."""
+    terms = []
+    for alpha, c in sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, alpha) if e)
+        lit = f"({field.format_scalar(c)})"
+        terms.append(f"{lit}*{mono}" if mono else lit)
+    return " + ".join(terms) or "0"
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_flat_sums_never_enter_the_token_loop(spec, token_loop):
+    # the texts the benchmark writes and the ones serialize_jet writes are
+    # flat sums; a silent hand-back to the token loop would cost its speed
+    field = parse_field_spec(spec)
+    rng = random.Random(spec)
+    loop = token_loop()
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        prec = rng.randint(1, 7)
+        f = rand_jet(field, n, prec, rng, terms=rng.randint(1, 20))
+        names = [f"x{i + 1}" for i in range(n)]
+        for text in (bench_text(field, f, names), serialize_jet(f, names)):
+            assert parse_jet(text, field, names, prec) == f, text
+    assert loop["entries"] == 0
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "corpus.json"),
+          encoding="utf-8") as _handle:
+    # (field, variables, precision, expression) of the rejected golden parser inputs
+    REJECTED = [case["argv"][2:8:2] + case["argv"][7:] for case in json.load(_handle)
+                if case["name"].startswith("parse-error-")]
+
+
+def test_nested_and_rejected_texts_enter_the_token_loop_once(token_loop):
+    nested = ["(x + y)^2", "x*(y - (x + 1))", "((x))", "(x)^2", "(x + y)*x", "x*(y)^0"]
+    for text in nested:
+        loop = token_loop()
+        parse_jet(text, Q, ["x", "y"], 4)
+        assert loop["entries"] == 1, text
+    assert len(REJECTED) == 20
+    for spec, names, prec, text in REJECTED:
+        loop = token_loop()
+        with pytest.raises(ValueError):
+            parse_jet(text, parse_field_spec(spec), names.split(","), int(prec))
+        # an empty text is refused before either reader runs
+        assert loop["entries"] == (0 if text.strip() in ("", "+ O(deg 3)") else 1), text
+
+
+def test_flat_texts_of_10_5_characters_parse_in_linear_time(token_loop):
+    # the pieces' regex matches each piece once: no backtracking over the text
+    terms = [f"(-{i % 7 + 1}/7)*x^{i % 5}*y^{i % 3}" for i in range(6000)]
+    flat = " + ".join(terms)
+    product = "*".join(["x"] * 50000)
+    assert len(flat) > 10 ** 5 and len(product) > 10 ** 5 - 2
+    loop = token_loop()
+    f = parse_timed(flat, Q, ["x", "y"], 10 ** 9)
+    assert f.coeffs[(2, 1)] == sum(-Fraction(i % 7 + 1, 7) for i in range(6000)
+                                   if i % 5 == 2 and i % 3 == 1)
+    assert parse_timed(product, Q, ["x"], 10 ** 9).coeffs == {(50000,): 1}
+    assert loop["entries"] == 0
