@@ -161,13 +161,20 @@ def _cmd_determinacy(args):
     return _emit_checked(args, payload, lines)
 
 
+def _radius(entry):
+    try:
+        return Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        raise FieldError(f"--epsilon entry {entry!r} is not a rational number") from None
+
+
 def _cmd_norm(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
     f = _polynomial_input(args, field, names)
     valuation = parse_valuation_spec(args.valuation)
     if args.epsilon:
-        eps = [Fraction(e.strip()) for e in args.epsilon.split(",")]
+        eps = [_radius(e.strip()) for e in args.epsilon.split(",")]
     else:
         eps = [Fraction(1)] * f.nvars
     value = f.norm(valuation, eps)
@@ -339,6 +346,11 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact results may print integers of any length: the interpreter's
+    # int-to-str digit limit, where it has one, is lifted for this run only
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except VerificationError as exc:
@@ -347,6 +359,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jetsplit import Jet, RationalField
+from jetsplit import Jet, RationalField, parse_jet
 from jetsplit.cli import main
 
 # the package re-exports functions named like these modules
@@ -170,6 +170,43 @@ def test_norm_too_large_for_a_float_exits_2(capsys, options, expr):
     assert code == 2
     assert out == ""
     assert err == "error: the archimedean norm exceeds the float range\n"
+
+
+@pytest.mark.parametrize("epsilon, entry", [("1/0", "1/0"), ("1,,2", ""), ("abc", "abc"),
+                                            ("1/2, 2/x", "2/x")])
+def test_norm_bad_epsilon_entry_exits_2_naming_it(capsys, epsilon, entry):
+    code, out, err = run(capsys, "norm", "--field", "q", "--vars", "x,y", "--valuation", "abs",
+                         "--epsilon", epsilon, "x + y")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --epsilon entry {entry!r} is not a rational number\n"
+
+
+# the interpreter's int-to-str digit limit, 0 where it has none or it is lifted
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_split_prints_a_coefficient_above_the_digit_limit(capsys):
+    # (x + c/2*y^2)^2 - c^2/4*y^4 with c = 3^5000: c^2 has 4772 digits
+    code, out, err = run(capsys, "split", "--field", "q", "--vars", "x,y", "--precision", "4",
+                         "x^2 + 3^5000*x*y^2")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "verified: true"
+    numerator = lines[4][len("residual: -"):lines[4].index("/4*y^4 + O(deg 4)")]
+    assert len(numerator) == 4772 and numerator.endswith(str(pow(3, 10000, 10 ** 20)))
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == DIGIT_LIMIT
+
+
+def test_a_5000_digit_literal_is_read_by_the_cli_only(capsys):
+    literal = "7" * 5000
+    code, out, err = run(capsys, "split", "--field", "q", "--vars", "x,y", "--precision", "3",
+                         f"x*y^2 + {literal}*y^3")
+    assert code == 0 and err == ""
+    assert f"residual: x*y^2 + {literal}*y^3 + O(deg 3)\n" in out
+    if 0 < DIGIT_LIMIT < 5000:  # a library caller keeps the interpreter's limit
+        with pytest.raises(ValueError, match=f"^bad rational literal '{literal}'"):
+            parse_jet(f"{literal}*y", RationalField(), ["y"], 3)
 
 
 def test_ift_command(capsys):
