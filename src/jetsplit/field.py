@@ -666,11 +666,17 @@ class PAdicValuation(Valuation):
         return Fraction(1, self.p ** m) if m >= 0 else Fraction(self.p ** -m)
 
     def _vp(self, n):
-        n = abs(n)
-        m = 0
-        while n % self.p == 0:
-            n //= self.p
-            m += 1
+        """The exponent of p in n != 0: p^(2^k) is stripped for k = 0, 1, ...
+        while it divides, then what is left needs each power at most once."""
+        n, m, powers = abs(n), 0, [self.p]
+        while n % powers[-1] == 0:
+            n //= powers[-1]
+            m += 1 << len(powers) - 1
+            powers.append(powers[-1] * powers[-1])
+        for k in range(len(powers) - 2, -1, -1):
+            if n % powers[k] == 0:
+                n //= powers[k]
+                m += 1 << k
         return m
 
 

@@ -16,6 +16,7 @@ from jetsplit.cli import main
 # the package re-exports functions named like these modules
 cli_module = importlib.import_module("jetsplit.cli")
 expr_module = importlib.import_module("jetsplit.expr")
+field_module = importlib.import_module("jetsplit.field")
 ift_module = importlib.import_module("jetsplit.ift")
 jacobian_module = importlib.import_module("jetsplit.jacobian")
 split_module = importlib.import_module("jetsplit.split")
@@ -207,6 +208,37 @@ def test_a_5000_digit_literal_is_read_by_the_cli_only(capsys):
     if 0 < DIGIT_LIMIT < 5000:  # a library caller keeps the interpreter's limit
         with pytest.raises(ValueError, match=f"^bad rational literal '{literal}'"):
             parse_jet(f"{literal}*y", RationalField(), ["y"], 3)
+
+
+def test_padic_norm_strips_a_large_prime_power_by_squaring(capsys):
+    # v_3(3^100000) from 3^(2^k), k = 0..16 and back: one division per
+    # factor took 4.4 s; the lines run in _vp bound its steps
+    lines = {"vp": 0}
+    vp = field_module.PAdicValuation._vp.__code__
+
+    def trace(frame, event, arg):
+        if frame.f_code is not vp:
+            return None
+
+        def count(frame, event, arg):
+            lines["vp"] += event == "line"
+            return count
+        return count
+
+    start = time.perf_counter()
+    sys.settrace(trace)
+    try:
+        code, out, err = run(capsys, "norm", "--field", "q", "--vars", "x",
+                             "--valuation", "padic:3", "3^100000*x")
+    finally:
+        sys.settrace(None)
+    assert time.perf_counter() - start < 3.0
+    assert lines["vp"] < 200
+    assert code == 0 and err == ""
+    value, verified = out.splitlines()
+    assert verified == "verified: true"
+    assert value.startswith("value: 1/") and len(value) == len("value: 1/") + 47713
+    assert value.endswith(str(pow(3, 100000, 10 ** 20)))
 
 
 def test_ift_command(capsys):

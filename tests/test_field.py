@@ -172,6 +172,17 @@ def test_padic_valuation_example():
     assert v.value(q, Fraction(3, 8)) == Fraction(8)
 
 
+def test_padic_valuation_of_large_and_mixed_powers():
+    q = RationalField()
+    rng = random.Random(3)
+    for p in (2, 3, 7):
+        v = PAdicValuation(p)
+        for m in [0, 1, 2, 3, 7, 8, 15, 16, 17, 1000] + [rng.randrange(3000) for _ in range(30)]:
+            unit = rng.randrange(1, 10 ** 6) * p + rng.randrange(1, p)
+            assert v.value(q, Fraction(p ** m * unit, 5 * unit + p)) == Fraction(1, p ** m)
+            assert v.value(q, Fraction(-unit, p ** m)) == p ** m
+
+
 def test_trivial_valuation_any_field():
     v = TrivialValuation()
     assert v.value(PrimeField(7), 5) == 1
