@@ -346,8 +346,7 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # exact results may print integers of any length: the interpreter's
-    # int-to-str digit limit, where it has one, is lifted for this run only
+    # exact results print integers of any length: lift the int-to-str digit limit
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits:
         sys.set_int_max_str_digits(0)

@@ -223,7 +223,7 @@ class _Evaluator:
         is zero or above the precision; None leaves a semantic error, a group
         with several terms and a literal's power >= 256 to the token loop."""
         if text[0] == "(":
-            signed = _SIGNED_RE.fullmatch(text)    # (c) or (-c), else a sum
+            signed = _SIGNED_RE.fullmatch(text)    # (c) or (-c), cheaper than a sum
             if signed:
                 return self.piece((signed[1] or "+") + signed[2])
             acc = self.sum(text[1:-1])

@@ -666,8 +666,7 @@ class PAdicValuation(Valuation):
         return Fraction(1, self.p ** m) if m >= 0 else Fraction(self.p ** -m)
 
     def _vp(self, n):
-        """The exponent of p in n != 0: p^(2^k) is stripped for k = 0, 1, ...
-        while it divides, then what is left needs each power at most once."""
+        """The exponent of p in n != 0: strip p^(2^k) for k = 0, 1, ... and back."""
         n, m, powers = abs(n), 0, [self.p]
         while n % powers[-1] == 0:
             n //= powers[-1]
