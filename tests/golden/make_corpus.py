@@ -102,7 +102,7 @@ def split_input(field, n, N, rank, rng):
 
 
 def verify_failure_cases():
-    """`verify` on a stored split result that was tampered with: exit 1."""
+    """`verify` on a stored split result that was tampered with, in text and JSON: exit 1."""
     split_json = ["split", "--field", "q", "--vars", "x,y", "--precision", "4",
                   "--format", "json", "x^2 + x*y^2"]
     result = json.loads(run_case(split_json, {})[1])
@@ -113,7 +113,9 @@ def verify_failure_cases():
                                                                   "file:result.json"],
              {"result.json": json.dumps(data, indent=2) + "\n"})
             for tag, fmt, data in [("tampered-residual", [], tampered),
-                                   ("forged-rank", ["--format", "json"], forged)]]
+                                   ("forged-rank", ["--format", "json"], forged),
+                                   ("tampered-residual-json", ["--format", "json"], tampered),
+                                   ("forged-rank-text", [], forged)]]
 
 
 def split_cases(rng):
@@ -188,6 +190,8 @@ def quadform_cases():
                            "t*x1^2 + x1*x3 + (t^2+1)*x2*x4 + x4^2 + x2^2"], {}),
         ("quadform-q-unit-diagonal", ["quadform", "--field", "q", "--vars", "x,y",
                                       "x^2 + 4*y^2"], {}),
+        ("quadform-json-q-unit-diagonal", ["quadform", "--field", "q", "--vars", "x,y",
+                                           "--format", "json", "x^2 + 4*y^2"], {}),
         ("quadform-fp7-no-unit-diagonal", ["quadform", "--field", "fp:7", "--vars", "x,y",
                                            "--format", "json", "3*x^2 + y^2"], {}),
     ]
@@ -244,6 +248,9 @@ def milnor_cases():
                            "x^3 + y^4"], {}),
         ("determinacy-fp7", ["determinacy", "--field", "fp:7", "--vars", "x,y",
                              "x^2 + y^5"], {}),
+        # the text twin of milnor-q-precision-short: mu unknown, with its note
+        ("milnor-q-precision-short-text", ["milnor", "--field", "q", "--vars", "x,y",
+                                           "--precision", "4", "x^2 + y^7"], {}),
     ] + [(f"{cmd}-{tag}", [cmd, "--field", spec, "--vars", names] + opts + [expr], {})
          for tag, spec, names, expr, per_command in JACOBIAN_INPUTS
          for cmd, opts in zip(("milnor", "determinacy"), per_command)]
