@@ -156,6 +156,8 @@ EDGE_INPUTS = [
     "(t^2 + 2)*x", "(1/2)*x", "2*x*z", "0*z", "(0)*x*z", "x^9 + (2)*x*z", "x*y - y*x",
     "x^2^3*y + 3^2*x", "- 3/7*x*y + x^2", "(-t)*x + (t + 1)*y", "(3)^2*x", "(x)*y",
     "(x + y)*x", "(x - x)*z", "(2*x)*y", "x*(y)", "(t)*t", "x*x*x*x", "3/", "x^2 + ",
+    # literal powers: a nonzero literal to the power 0, and powers of 256 or more
+    "3^0*x", "2^0", "x*3^0", "3^2^0*y", "-3^0*x^0", "t^0*x", "0*3^300*x", "3^256*x - 3^256*x",
 ]
 
 
