@@ -137,9 +137,10 @@ def _cofactors(f, head_quad, head, packing, field):
         if c != field.zero and (low := key & heads):
             i = ((low & -low).bit_length() - 1) // width
             gs[i][key - packing.weights[i]] = c
-    for g in gs:
+    for g in gs:  # the input's 2-jet was read and checked: only a fault lands here
         if g and min(g) >> packing.shift < 2:
-            raise SplitShapeError("2-jet does not match the declared quadratic head")
+            raise VerificationError("split iteration",
+                                    "2-jet does not match the declared quadratic head")
     return gs
 
 

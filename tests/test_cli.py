@@ -694,6 +694,25 @@ def test_failed_split_check_exits_1_without_traceback(monkeypatch, capsys):
                   "increase past 3\n"
 
 
+def test_failed_split_check_on_a_wrong_2_jet_exits_1_without_traceback(monkeypatch, capsys):
+    # the input's 2-jet was read and checked before the first pass, so a
+    # moved series that gains x*y is the program's fault, not bad input
+    substitute = split_module._substitute_packed
+
+    def gains_xy(sources, source, bases, packing, route):
+        moved, *rest = substitute(sources, source, bases, packing, route)
+        moved[packing.weights[0] + packing.weights[1]] = Fraction(1)
+        return [moved, *rest]
+
+    monkeypatch.setattr(split_module, "_substitute_packed", gains_xy)
+    code, out, err = run(capsys, "split", "--field", "q", "--vars", "x,y,z",
+                         "--precision", "4", "x^2 + y^2 + x*z^2 + y*z^2")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: split iteration: 2-jet does not match the " \
+                  "declared quadratic head\n"
+
+
 def test_failed_split_check_on_a_dropped_cofactor_exits_1_without_traceback(monkeypatch, capsys):
     # without y's cofactor z^2 the iteration moves x*z^2 but never y*z^2,
     # so the residual keeps the head variable y
