@@ -9,6 +9,12 @@ is the exception: it re-checks a split result read from a file, and
 refuses a ``--field`` or ``--precision`` other than the file's.  ``norm``
 is a direct exact evaluation with no certificate behind its flag.
 Exit codes: 0 success, 1 verification failure, 2 input error.
+
+Each command states its output once, as fields: (JSON key, value, text
+lines) triples, where a field without a key is text only and one without
+lines is JSON only.  ``_emit`` alone prints them, as JSON after ``schema``
+and ``command`` or as text lines, appends ``verified`` and returns the exit
+code.  JSON keys follow the fields, except those a command lists first.
 """
 
 from __future__ import annotations
@@ -42,40 +48,36 @@ def _parse_vars(text: str):
     return names
 
 
-def _emit(args, payload: dict, lines):
+def _field(key, value, text=None):
+    """A field printed as JSON ``key`` and as the line ``key: text`` (the value by default)."""
+    return key, value, [f"{key}: {value if text is None else text}"]
+
+
+def _emit(args, command, fields, verified=True, json_order=()):
+    """Print the fields and ``verified``, the keys of ``json_order`` first in JSON."""
+    fields = [*fields, ("verified", verified, [f"verified: {'true' if verified else 'false'}"])]
     if args.format == "json":
+        values = {key: value for key, value, _ in fields if key is not None}
+        payload = {"schema": 1, "command": command}
+        payload.update((key, values[key]) for key in json_order)
+        payload.update(values)
         print(json.dumps(payload, indent=2))
     else:
-        print("\n".join(lines))
-
-
-def _emit_checked(args, payload: dict, lines):
-    """Print a result the library checked, ``verified: true`` last.
-
-    A failed library check has already raised ``VerificationError``.
-    """
-    payload["verified"] = True
-    _emit(args, payload, lines + ["verified: true"])
-    return 0
+        print("\n".join(line for _, _, lines in fields for line in lines))
+    return 0 if verified else 1
 
 
 def _cmd_split(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
     f = parse_jet(args.expr, field, names, args.precision)
-    result = split(f, args.precision)
-    payload = {"schema": 1, "command": "split"}
-    payload.update(result.to_json(names))
-    lines = [
-        f"field: {field.spec()}",
-        f"precision: {args.precision}",
-        f"rank: {result.rank}",
-        f"quad: {json.dumps(result.quad.to_json())}",
-        f"residual: {payload['residual']}",
-    ]
-    for name, text in zip(names, payload["change"]):
-        lines.append(f"change[{name}]: {text}")
-    return _emit_checked(args, payload, lines)
+    data = split(f, args.precision).to_json(names)
+    return _emit(args, "split", [
+        _field("field", data["field"]), _field("precision", data["precision"]),
+        _field("rank", data["rank"]), _field("quad", data["quad"], json.dumps(data["quad"])),
+        _field("residual", data["residual"]),
+        ("change", data["change"], [f"change[{x}]: {c}" for x, c in zip(names, data["change"])]),
+    ], json_order=("rank",))
 
 
 def _cmd_quadform(args):
@@ -85,23 +87,18 @@ def _cmd_quadform(args):
     q = QuadraticForm.from_jet(f)
     nf = normal_form(q)
     nf_text = serialize_jet(nf.normal_jet(2), names)
-    payload = {"schema": 1, "command": "quadform", "field": field.spec(),
-               "normal_form_text": nf_text, "normal_form": nf.to_json()}
-    lines = [f"field: {field.spec()}", f"rank: {nf.rank}",
-             f"normal_form: {nf_text}",
-             f"descriptor: {json.dumps(nf.to_json())}"]
     if field.char == 2:
         key, reduction = "solvable_reduction", arf_reduce_solvable(nf)
     else:
         key, reduction = "unit_diagonal", normalize_squares(nf)
     data = None if reduction is None else reduction.to_json()
-    payload[key] = data
-    lines.append(f"{key}: {'absent' if data is None else json.dumps(data)}")
+    fields = [_field("field", field.spec()), (None, None, [f"rank: {nf.rank}"]),
+              ("normal_form_text", nf_text, [f"normal_form: {nf_text}"]),
+              ("normal_form", nf.to_json(), [f"descriptor: {json.dumps(nf.to_json())}"]),
+              _field(key, data, "absent" if data is None else json.dumps(data))]
     if data is None and field.spec() == "q":
-        signs = "".join(diagonal_signs(nf))
-        payload["signs"] = signs
-        lines.append(f"signs: {signs}")
-    return _emit_checked(args, payload, lines)
+        fields.append(_field("signs", "".join(diagonal_signs(nf))))
+    return _emit(args, "quadform", fields)
 
 
 def _polynomial_input(args, field, names):
@@ -114,8 +111,6 @@ def _cmd_milnor(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
     f = _polynomial_input(args, field, names)
-    payload = {"schema": 1, "command": "milnor", "field": field.spec(),
-               "max_degree_searched": args.max_degree}
     if args.precision is not None or f.prec != POLYNOMIAL_PRECISION:
         # a jet, from --precision or an O(deg N) marker, is only meaningful
         # once a determinacy bound fits inside its own precision
@@ -123,25 +118,18 @@ def _cmd_milnor(args):
         if det.bound is None or det.bound > f.prec:
             note = ("no determinacy bound within the jet precision; "
                     "mu of the truncation is not certified")
-            payload.update({"mu": None, "stabilization_degree": None, "bound": None,
-                            "order": det.order, "note": note})
-            return _emit_checked(args, payload, ["mu: unknown", f"note: {note}"])
+            return _emit(args, "milnor", [
+                ("field", field.spec(), []), ("max_degree_searched", args.max_degree, []),
+                _field("mu", None, "unknown"), ("stabilization_degree", None, []),
+                ("bound", None, []), ("order", det.order, []), _field("note", note)])
     report = milnor_number(f, args.max_degree)
-    payload.update({
-        "mu": report.mu,
-        "stabilization_degree": report.stabilization_degree,
-        "bound": report.determinacy_bound,
-        "order": report.order,
-    })
-    mu_text = "infinite-or-unknown" if report.mu is None else str(report.mu)
-    lines = [
-        f"mu: {mu_text}",
-        f"stabilization_degree: {report.stabilization_degree}",
-        f"bound: {report.determinacy_bound}",
-        f"order: {report.order}",
-        f"max_degree_searched: {args.max_degree}",
-    ]
-    return _emit_checked(args, payload, lines)
+    return _emit(args, "milnor", [
+        ("field", field.spec(), []),
+        _field("mu", report.mu, "infinite-or-unknown" if report.mu is None else None),
+        _field("stabilization_degree", report.stabilization_degree),
+        _field("bound", report.determinacy_bound), _field("order", report.order),
+        _field("max_degree_searched", args.max_degree),
+    ], json_order=("field", "max_degree_searched"))
 
 
 def _cmd_determinacy(args):
@@ -149,16 +137,10 @@ def _cmd_determinacy(args):
     names = _parse_vars(args.vars)
     f = _polynomial_input(args, field, names)
     report = determinacy_certificate(f, args.max_degree)
-    payload = {"schema": 1, "command": "determinacy", "field": field.spec(),
-               "stabilization_degree": report.stabilization_degree, "bound": report.bound,
-               "order": report.order, "max_degree_searched": report.max_degree}
-    lines = [
-        f"stabilization_degree: {report.stabilization_degree}",
-        f"bound: {'absent' if report.bound is None else report.bound}",
-        f"order: {report.order}",
-        f"max_degree_searched: {report.max_degree}",
-    ]
-    return _emit_checked(args, payload, lines)
+    return _emit(args, "determinacy", [
+        ("field", field.spec(), []), _field("stabilization_degree", report.stabilization_degree),
+        _field("bound", report.bound, "absent" if report.bound is None else None),
+        _field("order", report.order), _field("max_degree_searched", report.max_degree)])
 
 
 def _radius(entry):
@@ -182,9 +164,8 @@ def _cmd_norm(args):
         rendered = str(value)
     else:
         rendered = repr(value)
-    payload = {"schema": 1, "command": "norm", "field": field.spec(),
-               "valuation": valuation.kind, "value": rendered}
-    return _emit_checked(args, payload, [f"value: {rendered}"])
+    return _emit(args, "norm", [("field", field.spec(), []), ("valuation", valuation.kind, []),
+                                _field("value", rendered)])
 
 
 def _cmd_ift(args):
@@ -200,10 +181,8 @@ def _cmd_ift(args):
     ys = ift_solve(system, args.precision)
     x_names = [names[i] for i in system.x_indices]
     solution = {u: serialize_jet(y, x_names) for u, y in zip(unknowns, ys)}
-    payload = {"schema": 1, "command": "ift", "field": field.spec(),
-               "precision": args.precision, "solution": solution}
-    lines = [f"{u}: {text}" for u, text in solution.items()]
-    return _emit_checked(args, payload, lines)
+    return _emit(args, "ift", [("field", field.spec(), []), ("precision", args.precision, []),
+                               ("solution", solution, [f"{u}: {y}" for u, y in solution.items()])])
 
 
 def _read_text(path):
@@ -227,16 +206,13 @@ def _cmd_transport(args):
     phi_prime = transport(problem)
     tail_names = names[problem.rank:]
     change = [serialize_jet(c, tail_names) for c in phi_prime.components]
-    payload = {"schema": 1, "command": "transport", "field": field.spec(),
-               "precision": N, "rank": problem.rank}
+    fields = [("field", field.spec(), []), ("precision", N, []), _field("rank", problem.rank)]
     if args.format == "json":   # the text form prints the change alone
-        payload["g0"] = serialize_jet(problem.g0, tail_names)
-        payload["g1"] = serialize_jet(problem.g1, tail_names)
-    payload["change"] = change
-    lines = [f"rank: {problem.rank}"]
-    for name, text in zip(tail_names, change):
-        lines.append(f"change[{name}]: {text}")
-    return _emit_checked(args, payload, lines)
+        fields += [("g0", serialize_jet(problem.g0, tail_names), []),
+                   ("g1", serialize_jet(problem.g1, tail_names), [])]
+    fields.append(("change", change,
+                   [f"change[{name}]: {text}" for name, text in zip(tail_names, change)]))
+    return _emit(args, "transport", fields)
 
 
 def _cmd_verify(args):
@@ -257,17 +233,10 @@ def _cmd_verify(args):
     try:
         check = verify_split(f, result)
     except VerificationError as exc:
-        payload = {"schema": 1, "command": "verify", "verified": False, "reason": str(exc)}
-        _emit(args, payload, [f"reason: {exc}", "verified: false"])
-        return 1
-    verified = check.is_zero()
-    difference = serialize_jet(check, names)
-    payload = {"schema": 1, "command": "verify", "verified": verified,
-               "difference": difference}
-    lines = [f"difference: {difference}",
-             f"verified: {'true' if verified else 'false'}"]
-    _emit(args, payload, lines)
-    return 0 if verified else 1
+        return _emit(args, "verify", [_field("reason", str(exc))], verified=False,
+                     json_order=("verified",))
+    return _emit(args, "verify", [_field("difference", serialize_jet(check, names))],
+                 verified=check.is_zero(), json_order=("verified",))
 
 
 @functools.cache
