@@ -160,10 +160,6 @@ class Jet:
         return cls(field, nvars, prec, {})
 
     @classmethod
-    def constant(cls, field, nvars, prec, c):
-        return cls(field, nvars, prec, {(0,) * nvars: c})
-
-    @classmethod
     def variable(cls, field, nvars, i, prec):
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
@@ -268,12 +264,6 @@ class Jet:
             raise PrecisionError("precision must be >= 0")
         # this jet's terms of degree <= k
         return Jet._valid(self.field, self.nvars, k, self._terms_to(k))
-
-    def with_precision(self, prec: int) -> "Jet":
-        """Same terms at another precision; existing terms must fit."""
-        # at the same or a higher precision every term fits; a lower one validates
-        make = Jet._valid if prec >= self.prec else Jet
-        return make(self.field, self.nvars, prec, dict(self.coeffs))
 
     def partial(self, i: int) -> "Jet":
         """Formal partial derivative; the exponent multiplies in the field."""
@@ -861,10 +851,6 @@ class CoordinateChange:
         self.nvars = len(components)
         self.prec = first.prec
         self.components = components
-
-    @classmethod
-    def identity(cls, field, nvars, prec):
-        return cls([Jet.variable(field, nvars, i, prec) for i in range(nvars)])
 
     @classmethod
     def from_linear(cls, field, matrix, prec):

@@ -3,9 +3,11 @@
 A series f in m^2 is transformed, by an explicit automorphism computed to a
 requested jet precision N, into (nondegenerate quadratic normal form H in head
 variables) + (residual series in the tail variables).  ``split`` classifies
-the 2-jet and moves it to its normal form by a linear change; the iteration
-then reads the head back from the moved series' 2-jet with
-``QuadNormalForm.read_split_shape``.  Write f = H(x_h) + x_h . g + r with
+the 2-jet with ``normal_form``, and the loop starts at that head's linear
+transition: its rows are the starting change, and f at them has the head's
+normal jet as its 2-jet.  A caller whose series is already in split shape
+passes ``QuadNormalForm.read_split_shape(f)``, whose transition is the
+identity.  Write f = H(x_h) + x_h . g + r, after that first substitution, with
 cofactors g of the mixed part and P = U + U^T the polar matrix of H's
 upper-triangular Gram matrix U.  Over every field
 
@@ -15,7 +17,8 @@ so the pass x_h -> x_h - P^{-1} g cancels the mixed part to its order and
 leaves only terms of strictly higher order.  The loop ends once the mixed
 part vanishes at precision N.  f, the change, the parts and the cofactors
 stay packed term lists at one packing for precision N (``jet._Packing``) from
-the first pass to the last, one ``jet._substitute_packed`` call per pass.
+the linear transition to the last pass, one ``jet._substitute_packed`` call
+for the transition and one per pass.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ def _cofactors(f, head_quad, head, packing, field):
         if c != field.zero and (low := key & heads):
             i = ((low & -low).bit_length() - 1) // width
             gs[i][key - packing.weights[i]] = c
-    for g in gs:  # the input's 2-jet was read and checked: only a fault lands here
+    for g in gs:  # the head's transition was checked: only a fault lands here
         if g and min(g) >> packing.shift < 2:
             raise VerificationError("split iteration",
                                     "2-jet does not match the declared quadratic head")
@@ -149,13 +152,13 @@ def _mixed_order(gs, shift):
     return min(orders) if orders else ABOVE_PRECISION
 
 
-def _iterate(f: Jet, N: int):
-    """The splitting loop under the head of f's 2-jet; returns (change, residual)."""
+def _iterate(f: Jet, N: int, quad: QuadNormalForm):
+    """The splitting loop from quad's transition; returns (change, residual)."""
     if f.prec < N:
         raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
-    f = f.truncate(N)
     field, n = f.field, f.nvars
-    quad = QuadNormalForm.read_split_shape(f)
+    if quad.nvars != n:
+        raise ValueError(f"a quadratic head in {quad.nvars} variables for a series in {n}")
     head_quad = quad.head_jet(N)
     head = quad.rank
     polar = [row[:head] for row in head_quad.hessian()[:head]]
@@ -163,7 +166,11 @@ def _iterate(f: Jet, N: int):
     packing, route = _Packing(N, n), _route(field)
     quad_terms = packing.terms(head_quad.coeffs)
     variables = [[(w, field.one)] for w in packing.weights]
-    terms, total = packing.terms(f.coeffs), variables
+    # the transition's rows are the starting change; f at them has quad's 2-jet
+    total = [[(w, c) for w, c in zip(packing.weights, row) if c != field.zero]
+             for row in quad.matrix]
+    moved, = _substitute_packed([(packing.terms(f.coeffs), N)], packing, total, packing, route)
+    terms = list(moved.items())
     gs = _cofactors(terms, quad_terms, head, packing, field)
     mixed_order = _mixed_order(gs, packing.shift)
     passes = 0
@@ -193,25 +200,27 @@ def _iterate(f: Jet, N: int):
     return CoordinateChange(total), f - head_quad
 
 
-def iterate_diagonal(f: Jet, N: int):
-    """Split a series whose 2-jet is already diagonal with nonzero entries.
+def iterate_diagonal(f: Jet, N: int, quad: QuadNormalForm):
+    """Split f under its classified head ``quad``, characteristic != 2.
 
-    Returns (change, residual); characteristic != 2.
+    ``quad`` is ``normal_form`` of f's 2-jet, or ``read_split_shape(f)`` for a
+    series already in split shape; the loop starts at quad's transition.
+    Returns (change, residual) with f(change) = quad's head + residual.
     """
     if f.field.char == 2:
         raise SplitShapeError("diagonal splitting iteration needs characteristic != 2")
-    return _iterate(f, N)
+    return _iterate(f, N, quad)
 
 
-def iterate_arf(f: Jet, N: int):
-    """Split a series whose 2-jet is an Arf normal form with unit middle terms.
+def iterate_arf(f: Jet, N: int, quad: QuadNormalForm):
+    """Split f under its classified Arf head ``quad``, characteristic 2.
 
-    Returns (change, residual); characteristic 2.  The residual keeps the
+    ``quad`` is obtained as for ``iterate_diagonal``.  The residual keeps the
     diagonal square tail of the 2-jet.
     """
     if f.field.char != 2:
         raise SplitShapeError("Arf splitting iteration needs characteristic 2")
-    return _iterate(f, N)
+    return _iterate(f, N, quad)
 
 
 def split(f: Jet, N: int) -> SplitResult:
@@ -224,10 +233,9 @@ def split(f: Jet, N: int) -> SplitResult:
     if any(sum(alpha) < 2 for alpha in f.coeffs):
         raise SplitShapeError("series must have no terms of degree < 2")
     nf = normal_form(QuadraticForm.from_jet(f))
-    linear = nf.change(N)
     iterate = iterate_arf if f.field.char == 2 else iterate_diagonal
-    change_it, residual = iterate(linear.apply(f), N)
-    result = SplitResult(nf, nf.rank, residual, linear.compose(change_it), N)
+    change, residual = iterate(f, N, nf)
+    result = SplitResult(nf, nf.rank, residual, change, N)
     if not verify_split(f, result).is_zero():
         raise VerificationError("split", "f(change) differs from head + residual")
     return result
@@ -237,17 +245,23 @@ def verify_split(f: Jet, result: SplitResult) -> Jet:
     """Recompute f(change) - (head quadratic + residual); zero on contract.
 
     Raises VerificationError when the result is not a split whatever the
-    difference: its rank is not the rank of its quadratic head, the head is
-    degenerate or of another rank than the Hessian of f, the change is not
-    an automorphism, or the residual involves a head variable.
+    difference: f, the residual or the change is known to a lower precision
+    than the result's, the result's rank is not the rank of its quadratic
+    head, the head is degenerate or of another rank than the Hessian of f,
+    the change is not an automorphism, or the residual involves a head
+    variable.
     """
+    N = result.precision
+    for name, jet in (("series", f), ("residual", result.residual), ("change", result.change)):
+        if jet.prec < N:
+            raise VerificationError("split", f"the {name} has precision {jet.prec}, below {N}")
     quad = result.quad
     rank = quad.rank
     if result.rank != rank:
         raise VerificationError(
             "split", f"rank {result.rank} is not the quadratic head's rank {rank}")
-    if f.prec > result.precision:
-        f = f.truncate(result.precision)
+    if f.prec > N:
+        f = f.truncate(N)
     head = result.head_jet()
     if head.hessian_rank() != rank:
         raise VerificationError("split", "the quadratic head is degenerate")

@@ -16,11 +16,21 @@ from jetsplit.split import embed_from_tail
 FIELDS = [RationalField(), PrimeField(7), PrimeField(2), BinaryField(2)]
 
 
+def constant_jet(field, nvars, prec, c):
+    """The jet c in nvars variables at precision prec."""
+    return Jet(field, nvars, prec, {(0,) * nvars: c})
+
+
+def identity_change(field, nvars, prec):
+    """The change x -> x in nvars variables at precision prec."""
+    return CoordinateChange([Jet.variable(field, nvars, i, prec) for i in range(nvars)])
+
+
 def jet_power(f, e):
     """f^e by repeated squaring with ``Jet.__mul__`` (e >= 0)."""
     if e < 0:
         raise ValueError("negative jet power")
-    result = Jet.constant(f.field, f.nvars, f.prec, f.field.one)
+    result = constant_jet(f.field, f.nvars, f.prec, f.field.one)
     while e:
         if e & 1:
             result = result * f
@@ -207,10 +217,11 @@ def rand_split_equivalence(field, f0, prec, rng):
     lin_inv = CoordinateChange.from_linear(
         field, linalg.invert(field, rho.linear_matrix()), prec)
     f_mid = lin_inv.apply(rho.apply(f0))
+    quad = QuadNormalForm.read_split_shape(f_mid)
     if field.char == 2:
-        sigma, _ = iterate_arf(f_mid, prec)
+        sigma, _ = iterate_arf(f_mid, prec, quad)
     else:
-        sigma, _ = iterate_diagonal(f_mid, prec)
+        sigma, _ = iterate_diagonal(f_mid, prec, quad)
     return rho.compose(lin_inv).compose(sigma)
 
 

@@ -27,11 +27,11 @@ from contextlib import redirect_stderr, redirect_stdout
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
-from gen import (rand_automorphism, rand_implicit_system, rand_invertible,  # noqa: E402
-                 rand_jet, rand_split_equivalence, rand_split_form, random_element,
-                 tail_block_change, transport_roundtrip)
-from jetsplit import (CoordinateChange, Jet, iterate_diagonal, linalg,  # noqa: E402
-                      parse_field_spec, parse_jet, serialize_jet)
+from gen import (identity_change, rand_automorphism, rand_implicit_system,  # noqa: E402
+                 rand_invertible, rand_jet, rand_split_equivalence, rand_split_form,
+                 random_element, tail_block_change, transport_roundtrip)
+from jetsplit import (CoordinateChange, Jet, QuadNormalForm, iterate_diagonal,  # noqa: E402
+                      linalg, parse_field_spec, parse_jet, serialize_jet)
 from jetsplit.cli import main  # noqa: E402
 
 FILE_PREFIX = "file:"
@@ -304,7 +304,8 @@ def fractional_transport_case():
         "x + 2/3*y - 1/1000033*z^2", "y + 5/7*x*z - 3/8*y^2", "z - 11/999979*x^2 + 3/4*z^2")])
     lin_inv = CoordinateChange.from_linear(
         field, linalg.invert(field, rho.linear_matrix()), N)
-    sigma, _ = iterate_diagonal(lin_inv.apply(rho.apply(f0)), N)
+    f_mid = lin_inv.apply(rho.apply(f0))
+    sigma, _ = iterate_diagonal(f_mid, N, QuadNormalForm.read_split_shape(f_mid))
     phi = rho.compose(lin_inv).compose(sigma)
     files = {"f0.txt": serialize_jet(f0, names) + "\n",
              "f1.txt": serialize_jet(phi.apply(f0), names) + "\n",
@@ -369,7 +370,7 @@ def char2_pair_cases():
             p = transport_roundtrip(field, 5, N, rng)
             both = any(a != field.zero and b != field.zero for a, b in p.quad.pairs)
             if (p.rank == 4 and both and p.g0 != p.g1
-                    and p.phi != CoordinateChange.identity(field, 5, N)):
+                    and p.phi != identity_change(field, 5, N)):
                 break
         cases.append(transport_case(spec, names_of(5), p))
     field = parse_field_spec("f2k:4")

@@ -11,7 +11,7 @@ expressions of a few hundred terms or nesting levels.
 import re
 from dataclasses import dataclass
 
-from gen import jet_power
+from gen import constant_jet, jet_power
 from jetsplit import BinaryField, FieldError, Jet, ParseError, RationalField
 from jetsplit.field import gf2_poly_mod
 
@@ -169,10 +169,10 @@ def _eval(node, field, index, nvars, prec) -> Jet:
             value = field.parse_scalar(node.text)
         except FieldError as exc:
             raise ParseError(str(exc), node.pos) from None
-        return Jet.constant(field, nvars, prec, value)
+        return constant_jet(field, nvars, prec, value)
     if isinstance(node, Var):
         if isinstance(field, BinaryField) and node.name == "t":
-            return Jet.constant(field, nvars, prec, gf2_poly_mod(0b10, field.modulus))
+            return constant_jet(field, nvars, prec, gf2_poly_mod(0b10, field.modulus))
         if node.name not in index:
             raise ParseError(f"unknown variable {node.name!r}", node.pos)
         return Jet.variable(field, nvars, index[node.name], prec)

@@ -625,6 +625,22 @@ def test_verify_rejects_other_forgeries(tmp_path, capsys, forge, reason):
     assert "verified: false" in out
 
 
+@pytest.mark.parametrize("expr, forge, reason", [
+    ("x^2 + x*y^2 + O(deg 3)", {"residual": "7*y^4 + O(deg 4)"}, "series has precision 3"),
+    ("x^2 + x*y^2", {"residual": "0 + O(deg 3)"}, "residual has precision 3"),
+    ("x^2 + x*y^2 + O(deg 2)", {"change": ["x + O(deg 2)", "y + O(deg 2)"]},
+     "series has precision 2"),
+    ("x^2 + x*y^2", {"change": ["x + O(deg 2)", "y + O(deg 2)"]}, "change has precision 2"),
+], ids=["series_marker", "residual_marker", "change_and_series_markers", "change_marker"])
+def test_verify_rejects_a_marker_below_the_file_precision(tmp_path, capsys, expr, forge, reason):
+    # each difference vanishes at the lowest precision among the jets
+    data = split_json(capsys)
+    data.update(forge)
+    code, out, err = verify(capsys, tmp_path, data, expr)
+    assert code == 1 and err == ""
+    assert out == f"reason: split: the {reason}, below 4\nverified: false\n"
+
+
 @pytest.mark.parametrize("key", ["field", "precision", "change", "residual", "quad", "rank"])
 def test_verify_missing_key_is_input_error(tmp_path, capsys, key):
     data = split_json(capsys)
@@ -695,8 +711,8 @@ def test_failed_split_check_exits_1_without_traceback(monkeypatch, capsys):
 
 
 def test_failed_split_check_on_a_wrong_2_jet_exits_1_without_traceback(monkeypatch, capsys):
-    # the input's 2-jet was read and checked before the first pass, so a
-    # moved series that gains x*y is the program's fault, not bad input
+    # the input's 2-jet was classified and its transition checked before the
+    # loop, so a moved series that gains x*y is the program's fault, not bad input
     substitute = split_module._substitute_packed
 
     def gains_xy(sources, source, bases, packing, route):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import jetsplit.jet
-from gen import (FIELDS, jet_power, monomials_of_degree, rand_automorphism, rand_jet,
-                 rand_m2_jet, rand_monomial, random_element, same_error)
+from gen import (FIELDS, constant_jet, identity_change, jet_power, monomials_of_degree,
+                 rand_automorphism, rand_jet, rand_m2_jet, rand_monomial, random_element,
+                 same_error)
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Field, ImplicitSystem, Jet, PAdicValuation,
                       PrecisionError, PrimeField, RationalField, ift_solve, milnor_number,
@@ -53,7 +54,7 @@ def test_substitute_identity():
     rng = random.Random(4)
     for field in FIELDS:
         f = rand_jet(field, 3, 5, rng, min_degree=0, terms=6)
-        ident = CoordinateChange.identity(field, 3, 5)
+        ident = identity_change(field, 3, 5)
         assert ident.apply(f) == f
 
 
@@ -245,7 +246,7 @@ def test_automorphism_flag_matches_linear_rank():
 def test_power_matches_repeated_product():
     rng = random.Random(9)
     f = rand_jet(Q, 2, 6, rng, terms=4)
-    acc = Jet.constant(Q, 2, 6, Fraction(1))
+    acc = constant_jet(Q, 2, 6, Fraction(1))
     for e in range(5):
         assert jet_power(f, e) == acc
         acc = acc * f
@@ -378,7 +379,7 @@ def test_substitute_zero_jet_and_zero_parts():
         parts = [Jet.variable(field, 3, 0, 5), Jet.variable(field, 3, 2, 6)]
         assert zero.substitute(parts) == Jet.zero(field, 3, 5)
         f = parse_jet("1 + x + x*y^2", field, ["x", "y"], 5)
-        assert f.substitute([Jet.zero(field, 1, 5)] * 2) == Jet.constant(field, 1, 5, field.one)
+        assert f.substitute([Jet.zero(field, 1, 5)] * 2) == constant_jet(field, 1, 5, field.one)
 
 
 def test_substitute_cancels_to_zero_over_gf2():
@@ -589,8 +590,6 @@ def test_internal_results_are_valid_jets():
         f, g = rand_pair(field, rng, large)
         results = [f + g, g + f, f - g, g - f, f - f, -f, f * g, f * f]
         results += [f.truncate(k) for k in range(f.prec + 1)]
-        top = max(map(sum, f.coeffs), default=0)
-        results += [f.with_precision(p) for p in range(top, f.prec + 3)]
         results += [f.degree_part(d) for d in range(-1, f.prec + 2)]
         if f.prec >= 1:
             results += [f.partial(i) for i in range(f.nvars)]
@@ -637,8 +636,6 @@ def test_public_constructor_messages_are_kept():
         f.truncate(-1)
     with pytest.raises(PrecisionError, match=r"^cannot truncate precision-5 jet at 6$"):
         f.truncate(6)
-    with pytest.raises(PrecisionError, match=r"^term \(1, 3\) exceeds precision 3$"):
-        f.with_precision(3)
     with pytest.raises(PrecisionError, match=r"^precision must be >= 0$"):
         parse_jet("2", Q, ["x"], -1)
     with pytest.raises(PrecisionError, match=r"^a coordinate jet needs precision >= 1$"):
@@ -672,7 +669,7 @@ def test_batch_raises_the_per_source_messages():
         [good[0], Jet.variable(f7, 3, 2, 4)],  # another field
         [good[0], Jet.variable(Q, 2, 1, 4)],  # another variable set
         [good[0], Jet.variable(Q, 3, 2, 3)],  # precision below the sources'
-        [good[0], good[1] + Jet.constant(Q, 3, 4, Fraction(1))],  # constant term
+        [good[0], good[1] + constant_jet(Q, 3, 4, Fraction(1))],  # constant term
     ]
     for parts in bad_parts:
         same_error(lambda: _substitute_batch(sources, parts),
@@ -686,15 +683,15 @@ def test_batch_raises_the_per_source_messages():
 
 
 def test_compose_raises_the_per_source_messages():
-    outer = CoordinateChange.identity(Q, 2, 4)
-    inners = [CoordinateChange.identity(Q, 3, 4),
-              CoordinateChange.identity(parse_field_spec("fp:7"), 2, 4),
-              CoordinateChange.identity(Q, 2, 3)]
+    outer = identity_change(Q, 2, 4)
+    inners = [identity_change(Q, 3, 4),
+              identity_change(parse_field_spec("fp:7"), 2, 4),
+              identity_change(Q, 2, 3)]
     for inner in inners:
         same_error(lambda: outer.compose(inner),
                    lambda: [c.substitute(inner.components) for c in outer.components])
     n = MAX_SUBSTITUTION_VARIABLES + 1
-    wide = CoordinateChange.identity(Q, n, 2)
+    wide = identity_change(Q, n, 2)
     same_error(lambda: wide.compose(wide),
                lambda: [c.substitute(wide.components) for c in wide.components])
 
@@ -790,7 +787,7 @@ def dense_work():
 
 @pytest.mark.parametrize("case, calls, pairs, ift_calls, ift_pairs",
                          [(ift_work, 240, 35053, 48, 4550),
-                          (split_work, 118, 716, 0, 0),
+                          (split_work, 115, 661, 0, 0),
                           (dense_work, 26, 235, 0, 0)],
                          ids=["ift-fp101", "split-fp7", "dense-q"])
 def test_substitution_work_is_pinned(kernel_work, case, calls, pairs, ift_calls, ift_pairs):

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
-from gen import FIELDS, rand_automorphism, rand_m2_jet
-from jetsplit import (BinaryField, Jet, PrecisionError, PrimeField,
-                      RationalField, SplitResult, SplitShapeError, iterate_arf,
-                      iterate_diagonal, parse_jet, split, verify_split)
+from gen import (FIELDS, identity_change, rand_automorphism, rand_m2_jet,
+                 rand_split_form)
+from jetsplit import (BinaryField, CoordinateChange, Jet, PrecisionError, PrimeField,
+                      QuadNormalForm, QuadraticForm, RationalField, SplitResult,
+                      SplitShapeError, VerificationError, iterate_arf, iterate_diagonal,
+                      normal_form, parse_jet, split, verify_split)
 from jetsplit.field import parse_field_spec
 
 Q = RationalField()
@@ -54,17 +57,23 @@ def test_two_step_iteration():
 def test_iterate_diagonal_requires_diagonal_two_jet():
     f = parse_jet("x*y + x^3", Q, ["x", "y"], 3)
     with pytest.raises(SplitShapeError):
-        iterate_diagonal(f, 3)
+        iterate_diagonal(f, 3, QuadNormalForm.read_split_shape(f))
+    g = parse_jet("x^2 + x^3", F2, ["x"], 3)
+    with pytest.raises(SplitShapeError, match="characteristic != 2"):
+        iterate_diagonal(g, 3, normal_form(QuadraticForm.from_jet(g)))
 
 
 def test_iterate_arf_requires_unit_pairs():
     f = parse_jet("x1^2 + x1*x2 + x3*x2", F2, ["x1", "x2", "x3"], 3)
     with pytest.raises(SplitShapeError):
-        iterate_arf(f, 3)
+        iterate_arf(f, 3, QuadNormalForm.read_split_shape(f))
     f4 = BinaryField(2)
     g = parse_jet("t*x1*x2", f4, ["x1", "x2"], 3)
     with pytest.raises(SplitShapeError):
-        iterate_arf(g, 3)
+        iterate_arf(g, 3, QuadNormalForm.read_split_shape(g))
+    h = parse_jet("x^2 + x^3", Q, ["x"], 3)
+    with pytest.raises(SplitShapeError, match="characteristic 2"):
+        iterate_arf(h, 3, normal_form(QuadraticForm.from_jet(h)))
 
 
 def test_char2_residual_keeps_square_tail():
@@ -179,10 +188,42 @@ def test_verify_split_detects_identity_change_on_unsplit_input():
     names = ["x", "y"]
     f = parse_jet("x^2 + x*y^2", Q, names, 4)
     r = split(f, 4)
-    from jetsplit import CoordinateChange
-
-    r.change = CoordinateChange.identity(Q, 2, 4)
+    r.change = identity_change(Q, 2, 4)
     assert not verify_split(f, r).is_zero()
+
+
+def test_verify_split_refuses_jets_below_the_result_precision():
+    # each forgery's difference vanishes at the lower precision it declares
+    names = ["x", "y"]
+    f = parse_jet("x^2 + x*y^2", Q, names, 4)
+    r = split(f, 4)
+    low_residual = dataclasses.replace(r, residual=parse_jet("7*y^4", Q, names, 3))
+    low_change = dataclasses.replace(r, change=CoordinateChange(
+        [c.truncate(1) for c in r.change.components]))
+    for g, forged, name, prec in [(f.truncate(3), r, "series", 3),
+                                  (f, low_residual, "residual", 3),
+                                  (f, low_change, "change", 1)]:
+        with pytest.raises(VerificationError, match=f"^split: the {name} has precision {prec}, "
+                                                    "below 4$"):
+            verify_split(g, forged)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_split_matches_the_three_step_pipeline(spec):
+    # the linear change applied first, the loop from the identity, the two composed
+    field = parse_field_spec(spec)
+    rng = random.Random(26)
+    for _ in range(12):
+        n, N = rng.randint(2, 4), rng.randint(3, 6)
+        _, _, f0 = rand_split_form(field, n, N, rng)
+        f = rand_automorphism(field, n, N, rng).apply(f0)
+        linear = normal_form(QuadraticForm.from_jet(f)).change(N)
+        moved = linear.apply(f)
+        iterate = iterate_arf if field.char == 2 else iterate_diagonal
+        change, residual = iterate(moved, N, QuadNormalForm.read_split_shape(moved))
+        r = split(f, N)
+        assert r.change == linear.compose(change)
+        assert r.residual == residual
 
 
 def test_split_json_shape():

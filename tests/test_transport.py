@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gen import rand_invertible, rand_split_form, tail_block_change, transport_roundtrip
+from gen import (identity_change, rand_invertible, rand_split_form, tail_block_change,
+                 transport_roundtrip)
 from jetsplit import (BinaryField, CoordinateChange, Jet, PrimeField,
                       RationalField, TransportHypothesisError,
                       TransportProblem, parse_jet, split_shape, transport)
@@ -17,7 +18,7 @@ def test_identity_equivalence_transports_to_identity():
     rng = random.Random(41)
     for field in (Q, F2):
         quad, g0, f0 = rand_split_form(field, 3, 5, rng, rank=2)
-        phi = CoordinateChange.identity(field, 3, 5)
+        phi = identity_change(field, 3, 5)
         p = TransportProblem(quad, g0, g0, phi, 5)
         pp = transport(p)
         assert pp.components[0] == Jet.variable(field, 1, 0, 5)
@@ -46,9 +47,10 @@ def test_char2_roundtrip_example():
     rho = CoordinateChange([parse_jet("x1", F2, names, prec),
                             parse_jet("x2 + x3^2", F2, names, prec),
                             parse_jet("x3 + x1*x3", F2, names, prec)])
-    from jetsplit import iterate_arf
+    from jetsplit import QuadNormalForm, iterate_arf
 
-    sigma, _ = iterate_arf(rho.apply(f0), prec)
+    moved = rho.apply(f0)
+    sigma, _ = iterate_arf(moved, prec, QuadNormalForm.read_split_shape(moved))
     total = rho.compose(sigma)
     quad0, g0 = split_shape(f0)
     quad1, g1 = split_shape(total.apply(f0))
@@ -61,7 +63,7 @@ def test_char2_roundtrip_example():
 def test_hypothesis_check_rejects_wrong_target():
     rng = random.Random(42)
     quad, g0, f0 = rand_split_form(Q, 3, 5, rng, rank=1)
-    phi = CoordinateChange.identity(Q, 3, 5)
+    phi = identity_change(Q, 3, 5)
     g_bad = g0 + parse_jet("x1^3", Q, ["x1", "x2"], 5)
     with pytest.raises(TransportHypothesisError):
         TransportProblem(quad, g0, g_bad, phi, 5)
@@ -71,7 +73,7 @@ def test_hypothesis_check_rejects_wrong_tail_order():
     quad, g0, f0 = rand_split_form(Q, 2, 5, random.Random(43), rank=1)
     bad = parse_jet("x1^2", Q, ["x1"], 5)
     with pytest.raises(TransportHypothesisError):
-        TransportProblem(quad, bad, bad, CoordinateChange.identity(Q, 2, 5), 5)
+        TransportProblem(quad, bad, bad, identity_change(Q, 2, 5), 5)
 
 
 def tail_block(p):
