@@ -140,7 +140,7 @@ def _cofactors(f, head_quad, head, packing, field):
         if c != field.zero and (low := key & heads):
             i = ((low & -low).bit_length() - 1) // width
             gs[i][key - packing.weights[i]] = c
-    for g in gs:  # the head's transition was checked: only a fault lands here
+    for g in gs:  # quad was read or classified from f's 2-jet: only a fault lands here
         if g and min(g) >> packing.shift < 2:
             raise VerificationError("split iteration",
                                     "2-jet does not match the declared quadratic head")
@@ -158,7 +158,7 @@ def _iterate(f: Jet, N: int, quad: QuadNormalForm):
         raise PrecisionError(f"requested precision {N} exceeds the input's {f.prec}")
     field, n = f.field, f.nvars
     if quad.nvars != n:
-        raise ValueError(f"a quadratic head in {quad.nvars} variables for a series in {n}")
+        raise ValueError(f"the head has {quad.nvars} variables, the series {n}")
     head_quad = quad.head_jet(N)
     head = quad.rank
     polar = [row[:head] for row in head_quad.hessian()[:head]]

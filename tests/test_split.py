@@ -61,6 +61,8 @@ def test_iterate_diagonal_requires_diagonal_two_jet():
     g = parse_jet("x^2 + x^3", F2, ["x"], 3)
     with pytest.raises(SplitShapeError, match="characteristic != 2"):
         iterate_diagonal(g, 3, normal_form(QuadraticForm.from_jet(g)))
+    with pytest.raises(ValueError, match="^the head has 1 variables, the series 2$"):
+        iterate_diagonal(f, 3, QuadNormalForm.read_split_shape(parse_jet("x^2", Q, ["x"], 3)))
 
 
 def test_iterate_arf_requires_unit_pairs():
