@@ -567,6 +567,7 @@ TRANSPORT_EDGE_INPUTS = [
     ("other-diagonal", "q", "x,y", "x^2 + y^3", "2*x^2 + y^3"),
     ("other-square-tail", "fp:2", "x1,x2,x3", "x1*x2 + x3^2 + x3^3", "x1*x2 + x3^3"),
     ("phi-does-not-map", "q", "x,y", "x^2 + y^3", "x^2 + y^3 + y^4"),
+    ("no-tail", "q", "x,y", "x^2 + y^2", "x^2 + y^2"),
 ]
 
 
@@ -585,6 +586,12 @@ def edge_cases():
                       ["transport", "--field", spec, "--vars", names, "--precision", "1",
                        "file:f0.txt", "file:f1.txt", "file:phi.txt"],
                       {"f0.txt": f + "\n", "f1.txt": f + "\n", "phi.txt": identity}))
+    # phi(f0) = f1 holds, but phi's tail rows take x1 linearly beside the square x3^2
+    cases.append(("transport-fp2-tail-takes-head",
+                  ["transport", "--field", "fp:2", "--vars", "x1,x2,x3", "--precision", "5",
+                   "file:f0.txt", "file:f1.txt", "file:phi.txt"],
+                  {"f0.txt": "x1*x2 + x3^2 + x3^3\n", "f1.txt": "x1*x2 + x3^2 + x3^3\n",
+                   "phi.txt": "x1\nx2 + x1 + x1^2 + x1*x3 + x3^2\nx3 + x1\n"}))
     cases.append(("split-linear-term", ["split", "--field", "q", "--vars", "x,y",
                                         "--precision", "4", "x + y^2"], {}))
     return cases
