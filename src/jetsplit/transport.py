@@ -9,24 +9,25 @@ field
 
   H(l + k) = H(l) + k^T (P l + U k),
 
-so on the zero set of F = P l + U k the head components act on H as their
-linear part does.  The head variables are re-expressed as series psi in the
-tail variables by solving F = 0 with the implicit function theorem, and
-then phi'_j = phi_j(psi, x_tail) for the tail components j.  In
-characteristic 2 the tail-variable linear part of phi must be the
-identity, so that the tail components are phi_j = x_j + k_j; the
-square-tail bookkeeping Sum d_j phi_j^2 = Sum d_j x_j^2 + Sum d_j k_j^2
-then matches the d_j k_j^2 terms against the transform of g0's own square
-tail, so F = 0 already yields g0(phi') = g1 exactly.  ``TransportProblem``
-makes that block D the identity by recoordinating the tail, which replaces
-g1 by g1(D^-1 x_tail); the change then carries g0 to that jet, the
-problem's ``g1`` and the JSON ``g1`` of the CLI, not to the supplied g1.
-The result is verified by substitution before it is returned.
+so on the zero set of F = P l + U k = U^T l + U phi_h (as k = phi_h - l)
+the head components act on H as their linear part does.  ``transport``
+builds F from U and re-expresses the head variables as series psi in the
+tail variables by solving F = 0 with the implicit function theorem; then
+phi'_j = phi_j(psi, x_tail) for the tail components j.  In characteristic 2
+the tail-variable linear part of phi must be the identity, so that the tail
+components are phi_j = x_j + k_j; the square-tail bookkeeping
+Sum d_j phi_j^2 = Sum d_j x_j^2 + Sum d_j k_j^2 then matches the d_j k_j^2
+terms against the transform of g0's own square tail, so F = 0 already
+yields g0(phi') = g1 exactly.  ``TransportProblem`` makes that block D the
+identity by recoordinating the tail, which replaces g1 by g1(D^-1 x_tail);
+the change then carries g0 to that jet, the problem's ``g1`` and the JSON
+``g1`` of the CLI, not to the supplied g1.
 
-f0 and f1 are read by ``split_shape``: ``QuadNormalForm.read_split_shape``
-gives the head, and the rest is projected to the tail variables.  The
-square tail is the part of the normal form's ``normal_jet`` outside its
-``head_jet``.
+``TransportProblem`` makes every refusal; ``transport`` builds F, solves it,
+substitutes once and checks the result twice by substitution.  f0 and f1
+are read by ``split_shape``: ``QuadNormalForm.read_split_shape`` gives the
+head, and the rest is projected to the tail variables.  The square tail is
+the part of the normal form's ``normal_jet`` outside its ``head_jet``.
 """
 
 from __future__ import annotations
@@ -50,20 +51,29 @@ class TransportProblem:
     """A verified instance: shared quad q, tail residuals g0, g1, and phi.
 
     g0 and g1 are jets in the tail variables (n - rank of them); phi acts on
-    all n variables.  The constructor checks the data as given: fields and
-    shapes, that each residual minus the square tail has order >= 3, that phi
-    is an automorphism, and then the hypothesis phi(f0) = f1 exactly at the
-    working precision N.
+    all n variables.  The constructor makes every refusal of the
+    construction, in this order:
 
-    In characteristic 2 it then makes phi's tail-to-tail linear block D the
-    identity, which ``transport`` needs.  Let rho be the linear change that is
-    the identity on the head variables and D^-1 on the tail.  It stores
-    phi o rho for phi and g1(D^-1 x_tail) for g1, raising
-    TransportHypothesisError when D is singular.  No second substitution is
-    needed: rho preserves degree and H involves only head variables, so
-    (phi o rho)(f0) = f1 o rho = H + g1(D^-1 x_tail) exactly at precision N,
-    and phi o rho is an automorphism whose tail block is D D^-1 = I.  Only the
-    order check is re-run on the new g1.
+    1. TransportHypothesisError: the fields differ; a residual is not in the
+       n - rank tail variables; phi does not act on all n variables; an input
+       carries less than the working precision N; g0 or g1 minus the square
+       tail has order < 3; phi is not an automorphism; phi(f0) = f1 fails at
+       precision N; in characteristic 2, phi's tail-to-tail linear block D is
+       singular, or g1(D^-1 x_tail) minus the square tail has order < 3.
+    2. TransportError: there are no tail variables; in characteristic 2, the
+       square tail is nonzero and the tail rows of phi's linear matrix take
+       head variables.
+
+    In characteristic 2 it makes D the identity, which ``transport`` needs.
+    Let rho be the linear change that is the identity on the head variables
+    and D^-1 on the tail.  It stores phi o rho for phi and g1(D^-1 x_tail)
+    for g1.  No second substitution is needed: rho preserves degree and H
+    involves only head variables, so (phi o rho)(f0) = f1 o rho =
+    H + g1(D^-1 x_tail) exactly at precision N, and phi o rho is an
+    automorphism whose tail block is D D^-1 = I.  Only the order check is
+    re-run on the new g1.  rho is the identity on the head columns, so
+    phi o rho has phi's tail-to-head linear block, and the last refusal reads
+    it from the linear matrix of the supplied phi, the one read for D.
     """
 
     def __init__(self, quad: QuadNormalForm, g0: Jet, g1: Jet,
@@ -87,7 +97,8 @@ class TransportProblem:
             quad.normal_jet(precision) - quad.head_jet(precision), rank)
         _check_square_tail(g0, square_tail)
         _check_square_tail(g1, square_tail)
-        if not phi.is_automorphism():
+        lin = phi.linear_matrix()
+        if linalg.rank(field, lin) != n:
             raise TransportHypothesisError("phi is not an automorphism")
         self.quad = quad
         self.g0 = g0
@@ -96,22 +107,28 @@ class TransportProblem:
         self.precision = precision
         if phi.apply(self.f0_jet()) != self.f1_jet():
             raise TransportHypothesisError("phi(f0) = f1 fails at the working precision")
-        if field.char != 2:
-            return
-        d_block = [row[rank:] for row in phi.linear_matrix()[rank:]]
-        if d_block == linalg.identity(field, m):
-            return
-        try:
-            d_inv = linalg.invert(field, d_block)
-        except ValueError:
-            raise TransportHypothesisError(
-                "tail linear block is singular; phi does not preserve the splitting") from None
-        rho = linalg.identity(field, n)
-        for i in range(m):
-            rho[rank + i][rank:] = d_inv[i]
-        self.phi = phi.compose(CoordinateChange.from_linear(field, rho, precision))
-        self.g1 = CoordinateChange.from_linear(field, d_inv, precision).apply(g1)
-        _check_square_tail(self.g1, square_tail)
+        d_block = [row[rank:] for row in lin[rank:]]
+        if field.char == 2 and d_block != linalg.identity(field, m):
+            try:
+                d_inv = linalg.invert(field, d_block)
+            except ValueError:
+                raise TransportHypothesisError(
+                    "tail linear block is singular; phi does not preserve the splitting") from None
+            rho = linalg.identity(field, n)
+            for i in range(m):
+                rho[rank + i][rank:] = d_inv[i]
+            self.phi = phi.compose(CoordinateChange.from_linear(field, rho, precision))
+            self.g1 = CoordinateChange.from_linear(field, d_inv, precision).apply(g1)
+            _check_square_tail(self.g1, square_tail)
+        if m == 0:
+            raise TransportError("no tail variables; nothing to transport")
+        # only characteristic 2 has a square tail; rho kept phi's tail-to-head block
+        if not square_tail.is_zero() and any(c != field.zero for row in lin[rank:]
+                                             for c in row[:rank]):
+            raise TransportError(
+                "tail components of phi mix in head variables linearly; "
+                "with a nonzero square tail the construction needs the "
+                "tail linear part to be exactly the identity")
 
     @property
     def field(self):
@@ -140,29 +157,20 @@ def transport(p: TransportProblem) -> CoordinateChange:
     """The tail automorphism phi' with g0(phi') = g1, verified exactly."""
     field = p.field
     rank, m = p.rank, p.tail_count
-    N = p.precision
-    if m == 0:
-        raise TransportError("no tail variables; nothing to transport")
-    if rank == 0:
-        psi = []
-    else:
-        if field.char == 2:
-            _check_char2_tail_linear(p)
+    psi = []
+    if rank:
         heads = p.phi.components[:rank]
         linears = [h.degree_part(1) for h in heads]
-        highers = [h - lin for h, lin in zip(heads, linears)]
-        head = QuadraticForm.from_jet(p.quad.head_jet(2))
-        eqs = []
-        for i, row in enumerate(head.polar()[:rank]):  # F = P l + U k; P is invertible
-            terms = [lin.scale(c) for c, lin in zip(row, linears) if c != field.zero]
-            terms += [highers[j].scale(c) for (r, j), c in head.gram.items() if r == i]
-            eqs.append(sum(terms[1:], terms[0]))
+        terms = [[] for _ in range(rank)]   # F = U^T l + U phi_h
+        for (i, j), c in QuadraticForm.from_jet(p.quad.head_jet(2)).gram.items():
+            terms[j].append(linears[i].scale(c))
+            terms[i].append(heads[j].scale(c))
         try:
-            sys = ImplicitSystem(eqs, list(range(rank)))
+            sys = ImplicitSystem([sum(t[1:], t[0]) for t in terms], list(range(rank)))
         except ValueError as exc:
             raise TransportError(f"implicit system rejected: {exc}") from None
-        psi = ift_solve(sys, N)
-    parts = list(psi) + [Jet.variable(field, m, j, N) for j in range(m)]
+        psi = ift_solve(sys, p.precision)
+    parts = psi + [Jet.variable(field, m, j, p.precision) for j in range(m)]
     phi_prime = CoordinateChange(_substitute_batch(p.phi.components[rank:], parts))
     if not phi_prime.is_automorphism():
         raise VerificationError("transport", "the transported change is not an automorphism")
@@ -186,19 +194,3 @@ def _check_square_tail(g: Jet, square_tail: Jet):
     h = g - square_tail
     if not h.is_zero() and h.order() < 3:
         raise TransportHypothesisError("residual minus the square tail must have order >= 3")
-
-
-def _check_char2_tail_linear(p: TransportProblem):
-    """Raise if phi's tail rows take head variables linearly while the square
-    tail is nonzero (characteristic 2).
-
-    The constructor has made the tail-to-tail linear block the identity.
-    """
-    if p.quad.normal_jet(2) == p.quad.head_jet(2):
-        return
-    lin = p.phi.linear_matrix()
-    if any(c != p.field.zero for row in lin[p.rank:] for c in row[:p.rank]):
-        raise TransportError(
-            "tail components of phi mix in head variables linearly; "
-            "with a nonzero square tail the construction needs the "
-            "tail linear part to be exactly the identity")

@@ -5,7 +5,7 @@ import pytest
 from gen import (identity_change, rand_invertible, rand_split_form, tail_block_change,
                  transport_roundtrip)
 from jetsplit import (BinaryField, CoordinateChange, Jet, PrimeField,
-                      RationalField, TransportHypothesisError,
+                      RationalField, TransportError, TransportHypothesisError,
                       TransportProblem, parse_jet, split_shape, transport)
 from jetsplit import linalg
 
@@ -74,6 +74,20 @@ def test_hypothesis_check_rejects_wrong_tail_order():
     bad = parse_jet("x1^2", Q, ["x1"], 5)
     with pytest.raises(TransportHypothesisError):
         TransportProblem(quad, bad, bad, identity_change(Q, 2, 5), 5)
+
+
+@pytest.mark.parametrize("field, names, f, phi_lines, message", [
+    (Q, "x,y", "x^2 + y^2", ["x", "y"], "no tail variables"),
+    # phi(f) = f, but phi's tail row x3 + x1 takes x1 beside the square tail x3^2
+    (F2, "x1,x2,x3", "x1*x2 + x3^2 + x3^3",
+     ["x1", "x2 + x1 + x1^2 + x1*x3 + x3^2", "x3 + x1"], "mix in head variables linearly"),
+], ids=["no-tail", "fp2-tail-takes-head"])
+def test_problem_refuses_what_transport_cannot_run(field, names, f, phi_lines, message):
+    names = names.split(",")
+    quad, g = split_shape(parse_jet(f, field, names, 5))
+    phi = CoordinateChange([parse_jet(line, field, names, 5) for line in phi_lines])
+    with pytest.raises(TransportError, match=message):
+        TransportProblem(quad, g, g, phi, 5)
 
 
 def tail_block(p):
