@@ -52,10 +52,6 @@ class SplitResult:
     def field(self):
         return self.residual.field
 
-    @property
-    def nvars(self):
-        return self.residual.nvars
-
     def head_jet(self) -> Jet:
         return self.quad.head_jet(self.precision)
 
@@ -246,15 +242,17 @@ def verify_split(f: Jet, result: SplitResult) -> Jet:
 
     Raises VerificationError when the result is not a split whatever the
     difference: f, the residual or the change is known to a lower precision
-    than the result's, the result's rank is not the rank of its quadratic
-    head, the head is degenerate or of another rank than the Hessian of f,
-    the change is not an automorphism, or the residual involves a head
-    variable.
+    than the result's, the residual or the change claims a higher one, the
+    result's rank is not the rank of its quadratic head, the head is
+    degenerate or of another rank than the Hessian of f, the change is not an
+    automorphism, or the residual involves a head variable.
     """
     N = result.precision
     for name, jet in (("series", f), ("residual", result.residual), ("change", result.change)):
         if jet.prec < N:
             raise VerificationError("split", f"the {name} has precision {jet.prec}, below {N}")
+        if jet.prec > N and name != "series":   # only the series may be longer
+            raise VerificationError("split", f"the {name} has precision {jet.prec}, above {N}")
     quad = result.quad
     rank = quad.rank
     if result.rank != rank:

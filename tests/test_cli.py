@@ -641,6 +641,23 @@ def test_verify_rejects_a_marker_below_the_file_precision(tmp_path, capsys, expr
     assert out == f"reason: split: the {reason}, below 4\nverified: false\n"
 
 
+@pytest.mark.parametrize("keys, reason", [
+    (["residual", "change"], "residual has precision 6"),
+    (["change"], "change has precision 6"),
+], ids=["residual_and_change", "change"])
+def test_verify_rejects_a_marker_above_the_file_precision(tmp_path, capsys, keys, reason):
+    # raised to O(deg 6), the residual -1/4*y^4 would omit the true -1/2*y^5
+    expr = "x^2 + x*y^2 + x*y^3"
+    data = split_json(capsys, expr)
+    code, out, _ = verify(capsys, tmp_path, data, expr + " + O(deg 6)")
+    assert code == 0 and out.endswith("verified: true\n")   # the series may be longer
+    for key in keys:
+        data[key] = json.loads(json.dumps(data[key]).replace("O(deg 4)", "O(deg 6)"))
+    code, out, err = verify(capsys, tmp_path, data, expr + " + O(deg 6)")
+    assert code == 1 and err == ""
+    assert out == f"reason: split: the {reason}, above 4\nverified: false\n"
+
+
 @pytest.mark.parametrize("key", ["field", "precision", "change", "residual", "quad", "rank"])
 def test_verify_missing_key_is_input_error(tmp_path, capsys, key):
     data = split_json(capsys)

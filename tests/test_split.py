@@ -210,6 +210,21 @@ def test_verify_split_refuses_jets_below_the_result_precision():
             verify_split(g, forged)
 
 
+def test_verify_split_refuses_jets_above_the_result_precision():
+    # a jet that claims coefficients above the result's precision must not pass
+    names = ["x", "y"]
+    f = parse_jet("x^2 + x*y^2 + x*y^3", Q, names, 6)
+    r = split(f, 4)
+    assert verify_split(f, r).is_zero()   # the series may be longer
+    high_residual = dataclasses.replace(r, residual=parse_jet("-1/4*y^4", Q, names, 6))
+    high_change = dataclasses.replace(r, change=CoordinateChange(
+        [Jet(Q, 2, 6, c.coeffs) for c in r.change.components]))
+    for forged, name in [(high_residual, "residual"), (high_change, "change")]:
+        with pytest.raises(VerificationError, match=f"^split: the {name} has precision 6, "
+                                                    "above 4$"):
+            verify_split(f, forged)
+
+
 @pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
 def test_split_matches_the_three_step_pipeline(spec):
     # the linear change applied first, the loop from the identity, the two composed
