@@ -197,9 +197,6 @@ class QuadNormalForm:
     def has_square(self) -> bool:
         return self.variant == "char2_solvable_a"
 
-    def change(self, prec: int = 2) -> CoordinateChange:
-        return CoordinateChange.from_linear(self.field, self.matrix, prec)
-
     def normal_jet(self, prec: int = 2) -> Jet:
         one = self.field.one
         gram = {(i, i): a for i, a in enumerate(self.diagonal)}

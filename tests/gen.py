@@ -26,6 +26,11 @@ def identity_change(field, nvars, prec):
     return CoordinateChange([Jet.variable(field, nvars, i, prec) for i in range(nvars)])
 
 
+def transition_change(nf, prec=2):
+    """The linear change whose substitution carries the classified form to nf's normal jet."""
+    return CoordinateChange.from_linear(nf.field, nf.matrix, prec)
+
+
 def jet_power(f, e):
     """f^e by repeated squaring with ``Jet.__mul__`` (e >= 0)."""
     if e < 0:

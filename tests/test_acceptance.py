@@ -10,7 +10,7 @@ import random
 import time
 
 from gen import (FIELDS, rand_automorphism, rand_implicit_system, rand_jet,
-                 rand_m2_jet, transport_roundtrip)
+                 rand_m2_jet, transition_change, transport_roundtrip)
 from jetsplit import (BinaryField, CoordinateChange, ImplicitSystem,
                       PrimeField, QuadraticForm, RationalField,
                       arf_normal_form, arf_reduce_solvable, ift_solve,
@@ -143,7 +143,7 @@ def test_criterion_06_solvable_reduction():
     assert red is not None
     assert red.variant == "char2_solvable_b"
     assert red.half_rank == 1
-    assert red.change(2).apply(q4.as_jet(2)) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
+    assert transition_change(red).apply(q4.as_jet(2)) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
     q2 = QuadraticForm.from_jet(parse_jet("x1^2 + x1*x2 + x2^2", F2, ["x1", "x2"], 2))
     assert arf_reduce_solvable(arf_normal_form(q2)) is None
     print("\nPASS: criterion 6 - x1^2 + x1*x2 + x2^2 reduces to x1*x2 over "

@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 from gen import (FIELDS, arf_reference, bilinear, rand_invertible, rand_m2_jet,
-                 rand_split_form, random_element)
+                 rand_split_form, random_element, transition_change)
 from jetsplit import (BinaryField, CharacteristicError, CoordinateChange,
                       PrimeField, QuadNormalForm, QuadraticForm,
                       RationalField, SplitShapeError, arf_normal_form,
@@ -164,7 +164,7 @@ def test_diagonalize_hyperbolic_rational():
     nf = diagonalize(q)
     assert nf.diagonal == (Fraction(1), Fraction(-1))
     assert nf.rank == 2
-    assert nf.change(2).apply(q.as_jet(2)) == nf.normal_jet(2)
+    assert transition_change(nf).apply(q.as_jet(2)) == nf.normal_jet(2)
 
 
 def test_diagonalize_already_diagonal():
@@ -199,7 +199,7 @@ def test_normalize_squares_rational():
     assert unit is not None
     assert unit.diagonal == (Fraction(1), Fraction(1))
     q = qf("4*x^2 + 9*y^2", Q, ["x", "y"])
-    assert unit.change(2).apply(q.as_jet(2)) == unit.normal_jet(2)
+    assert transition_change(unit).apply(q.as_jet(2)) == unit.normal_jet(2)
 
 
 def test_normalize_squares_absent_reports_signs():
@@ -216,7 +216,7 @@ def test_normalize_squares_gf7_quadratic_residues():
     unit = normalize_squares(good)
     assert unit is not None and unit.diagonal == (1,)
     q = qf("2*x^2", F7, ["x"])
-    assert unit.change(2).apply(q.as_jet(2)) == unit.normal_jet(2)
+    assert transition_change(unit).apply(q.as_jet(2)) == unit.normal_jet(2)
     bad = QuadNormalForm("diagonal", F7, 1, linalg.identity(F7, 1), diagonal=(3,))
     assert normalize_squares(bad) is None
 
@@ -335,7 +335,7 @@ def test_arf_reduce_solvable_examples():
     assert red2 is not None
     assert red2.variant == "char2_solvable_a"
     q = qf("x1*x2 + x3^2 + x4^2", F2, ["x1", "x2", "x3", "x4"])
-    assert red2.change(2).apply(q.as_jet(2)) == red2.normal_jet(2)
+    assert transition_change(red2).apply(q.as_jet(2)) == red2.normal_jet(2)
     assert red2.normal_jet(2) == parse_jet("x1*x2 + x3^2", F2,
                                            ["x1", "x2", "x3", "x4"], 2)
     # the square is the tail: it is read back from json, and the head leaves it out
@@ -349,7 +349,7 @@ def test_arf_reduce_full_pipeline_over_gf4():
     red = arf_reduce_solvable(arf_normal_form(q))
     assert red is not None
     assert red.variant == "char2_solvable_b"
-    assert red.change(2).apply(q.as_jet(2)) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
+    assert transition_change(red).apply(q.as_jet(2)) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
 
 
 def test_normal_form_dispatch():
@@ -365,7 +365,7 @@ def test_random_normal_forms_verify_and_rank_is_invariant():
             f = rand_m2_jet(field, n, 2, rng)
             q = QuadraticForm.from_jet(f)
             nf = normal_form(q)
-            assert nf.change(2).apply(q.as_jet(2)) == nf.normal_jet(2)
+            assert transition_change(nf).apply(q.as_jet(2)) == nf.normal_jet(2)
             assert linalg.rank(field, nf.matrix) == n
             # rank is invariant under a random linear change of the form
             m = rand_invertible(field, n, rng)

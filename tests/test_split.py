@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gen import (FIELDS, identity_change, rand_automorphism, rand_m2_jet,
-                 rand_split_form)
+                 rand_split_form, transition_change)
 from jetsplit import (BinaryField, CoordinateChange, Jet, PrecisionError, PrimeField,
                       QuadNormalForm, QuadraticForm, RationalField, SplitResult,
                       SplitShapeError, VerificationError, iterate_arf, iterate_diagonal,
@@ -234,7 +234,7 @@ def test_split_matches_the_three_step_pipeline(spec):
         n, N = rng.randint(2, 4), rng.randint(3, 6)
         _, _, f0 = rand_split_form(field, n, N, rng)
         f = rand_automorphism(field, n, N, rng).apply(f0)
-        linear = normal_form(QuadraticForm.from_jet(f)).change(N)
+        linear = transition_change(normal_form(QuadraticForm.from_jet(f)), N)
         moved = linear.apply(f)
         iterate = iterate_arf if field.char == 2 else iterate_diagonal
         change, residual = iterate(moved, N, QuadNormalForm.read_split_shape(moved))
