@@ -200,9 +200,40 @@ def macaulay_rank(field, gens, nvars, cutoff, min_multiplier_degree):
 ORACLE_FIELDS = [RationalField(), PrimeField(7), PrimeField(2), BinaryField(4)]
 
 
+def check_pivots(field, ech):
+    """Each pivot is stored under its lowest key and is normal for its route,
+    and rank_by_degree counts the pivot leads per degree.
+
+    Over Q a pivot is nonzero integers; it need not be primitive, since the
+    cut may drop the terms that kept a generator's content 1."""
+    per_degree = [0] * len(ech.rank_by_degree)
+    for lead, pivot in ech.pivots.items():
+        assert lead == min(pivot)
+        if isinstance(field, RationalField):
+            assert all(type(c) is int and c for c in pivot.values())
+        else:
+            assert pivot[lead] == field.one
+        per_degree[lead >> ech.shift] += 1
+    assert ech.rank_by_degree == per_degree
+
+
+@pytest.fixture
+def empty_rows(monkeypatch):
+    """The number of rows inserted so far that the cut left empty."""
+    count = [0]
+    insert = _Echelon.insert
+
+    def counted(self, row):
+        count[0] += not row
+        return insert(self, row)
+
+    monkeypatch.setattr(_Echelon, "insert", counted)
+    return lambda: count[0]
+
+
 @pytest.mark.parametrize("min_multiplier_degree", [0, 2])
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec())
-def test_echelon_ranks_match_dense_macaulay_matrix(field, min_multiplier_degree):
+def test_echelon_ranks_match_dense_macaulay_matrix(field, min_multiplier_degree, empty_rows):
     rng = random.Random(55 + min_multiplier_degree)
     cutoff = 5
     for trial in range(8):
@@ -216,9 +247,13 @@ def test_echelon_ranks_match_dense_macaulay_matrix(field, min_multiplier_degree)
             # after batch s the pivots up to degree s are final
             assert ech.rank_upto(s) == oracle[s], (trial, s)
         assert [ech.rank_upto(s) for s in range(cutoff + 1)] == oracle
+        check_pivots(field, ech)
         for s in range(cutoff + 1):
             fresh = _ideal_echelon(field, gens, nvars, s, min_multiplier_degree)
             assert len(fresh.pivots) == oracle[s], (trial, s)
+            check_pivots(field, fresh)
+    # some lifted rows x_j*p lose every term to the cut
+    assert empty_rows() > 0
 
 
 def skip_prone_generators(field, nvars, rng):
@@ -240,7 +275,8 @@ def skip_prone_generators(field, nvars, rng):
 @pytest.mark.parametrize("min_multiplier_degree", [0, 2])
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec())
 def test_search_ranks_under_skipped_rows_match_dense_macaulay_matrix(field,
-                                                                     min_multiplier_degree):
+                                                                     min_multiplier_degree,
+                                                                     empty_rows):
     rng = random.Random(56 + min_multiplier_degree)
     cutoff = 6
     skipped = 0
@@ -255,8 +291,11 @@ def test_search_ranks_under_skipped_rows_match_dense_macaulay_matrix(field,
                 assert fresh.skipped == 0
                 assert ech.rank_by_degree[:s + 1] == fresh.rank_by_degree == per_degree[:s + 1], \
                     (trial, s)
+                check_pivots(field, fresh)
+            check_pivots(field, ech)
             skipped += ech.skipped
     assert skipped > 0
+    assert empty_rows() > 0
 
 
 def test_search_skips_multiples_of_zero_rows_and_counts_repeat():
@@ -294,6 +333,9 @@ SEARCH_COUNTERS = [
      (111, 3, 2, 26, [0, 0, 1, 4, 10, 18, 27, 36, 10, 0, 0, 0, 0])),
     ("f2k:4", "x1,x2,x3,x4", "t*x1^3 + x2^3 + (t^2+1)*x3^5 + x4^3 + t^3*x1^2*x2^2 + x3*x4^3",
      12, True, (448, 73, 8, 53, [0, 0, 3, 12, 28, 52, 83, 120, 69, 0, 0, 0, 0])),
+    # shaped like a milnor-search slot over fp:101
+    ("fp:101", "x,y,z", "x^3 + 2*y^5 + 3*z^6 + x*y^2*z^2 + y^3*z^3", 16, True,
+     (333, 21, 4, 160, [0, 0, 1, 3, 8, 15, 23, 33, 43, 54, 66, 46, 16, 0, 0, 0, 0])),
 ]
 
 
@@ -353,11 +395,15 @@ def time_bound(seconds):
             signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))
 
 
-@pytest.mark.parametrize("spec, text", [("fp:7", "3*x^3 + 5*y^4"), ("f2k:4", "t*x^3 + y^5"),
-                                        ("fp:7", "2*x^2*y + 3*y^4 + 4*x^5")])
-def test_pivots_stay_monic_when_leads_are_not_units(spec, text):
+# rows offered and elimination steps over the search and the nine fresh
+# echelons, measured (266 and 124, 239 and 95, 301 and 200) with about 15% to spare
+@pytest.mark.parametrize("spec, text, work", [
+    ("fp:7", "3*x^3 + 5*y^4", (306, 143)), ("f2k:4", "t*x^3 + y^5", (275, 109)),
+    ("fp:7", "2*x^2*y + 3*y^4 + 4*x^5", (346, 230))])
+def test_pivots_stay_monic_when_leads_are_not_units(spec, text, work, echelon_work):
     # the GF(p) and GF(2^k) routes cancel a lead only against a monic pivot:
     # a non-monic one leaves the lead in place and the reduction never ends
+    counted = echelon_work()
     field = parse_field_spec(spec)
     f = poly(text, ["x", "y"], field)
     gens = [f] + jacobian_generators(f)
@@ -370,18 +416,27 @@ def test_pivots_stay_monic_when_leads_are_not_units(spec, text):
     for e in [ech] + fresh:
         assert all(pivot[lead] == field.one for lead, pivot in e.pivots.items())
     assert [len(e.pivots) for e in fresh] == oracle
+    counts = counted()
+    assert counts["offered"] <= work[0] and counts["steps"] <= work[1], counts
 
 
-@pytest.mark.parametrize("spec, text", [("fp:7", "3*x^3 + 5*y^4"), ("f2k:4", "t*x^3 + y^5")])
-def test_a_pivot_that_is_not_monic_fails_instead_of_looping(monkeypatch, spec, text):
+# rows offered before the failing step, measured (18 and 26) with about 15%
+# to spare; the step that fails is not counted, and no step comes before it
+@pytest.mark.parametrize("spec, text, offered", [("fp:7", "3*x^3 + 5*y^4", 21),
+                                                 ("f2k:4", "t*x^3 + y^5", 30)])
+def test_a_pivot_that_is_not_monic_fails_instead_of_looping(monkeypatch, spec, text, offered,
+                                                            echelon_work):
     # generators left as they are give pivots with non-unit leads; a step
     # against one cannot cancel the lead, and without a check _reduce spins
+    counted = echelon_work()
     field = parse_field_spec(spec)
     monkeypatch.setattr(type(_route(field)), "monic", lambda self, terms: terms)
     f = poly(text, ["x", "y"], field)
     with time_bound(5.0), pytest.raises(VerificationError,
                                         match=r"^echelon: a step left the lead \d+ in the row$"):
         milnor_number(f)
+    counts = counted()
+    assert counts["offered"] <= offered and counts["steps"] == 0, counts
 
 
 # -- the routes' row operations against elimination by field methods ----------
@@ -586,7 +641,8 @@ def test_search_size_limit():
     ["determinacy", "--vars", "x,y", "--max-degree", str(10 ** 9), "x^2 + y^3"],
     ["milnor", "--vars", "x,y", "--max-degree", "-1", "x^2 + y^3"],
 ])
-def test_search_size_limit_exits_2_at_once(argv, capsys):
+def test_search_size_limit_exits_2_at_once(argv, capsys, echelon_work):
+    work = echelon_work()
     start = time.perf_counter()
     code = main([argv[0], "--field", "q"] + argv[1:])
     elapsed = time.perf_counter() - start
@@ -595,3 +651,5 @@ def test_search_size_limit_exits_2_at_once(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert elapsed < 1.0, elapsed
+    # refused before any row is offered
+    assert work() == {"offered": 0, "steps": 0}
