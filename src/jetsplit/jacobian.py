@@ -53,6 +53,13 @@ key instead, the search on the non-isolated (x+y-z)^2*((x-y+2*z)^2 + x*y*z)
 to max degree 30 makes 50% more elimination steps.  The verifiers insert
 every row, so they stay an independent recount.
 
+Every row enters with its lead known: beta*g's is beta times g's lead and
+x_j*p's is x_j times p's lead, because the cut keeps a row's lowest term
+unless it drops every term.  A non-empty row whose lead no pivot holds,
+as most are, is a pivot as it arrived, with no reduction call; only the
+other rows are reduced.  The search reads x_j, the first variable
+dividing beta, from the lowest set bit of beta's packed exponent fields.
+
 A ``MilnorReport`` holds mu, its degree s, the bound 2*mu - order + 2 and
 the order; a ``DeterminacyReport`` the least k with m^(k+2) <= m^2 J +
 m^(k+3), the bound 2*k - order + 2 and the order.  When no Nakayama
@@ -123,12 +130,16 @@ class _Echelon:
     ``steps``, one per pivot subtracted.
 
     Coefficients are the field's native values and the row operations are
-    its route's (``jet._route``): primitive integers over Q, residues over
-    GF(p) and masks over GF(2^k), with normal pivots.  Rows arrive normal:
-    ``terms`` makes each generator's terms normal once (``monic``), and
-    beta*g and x_j*p keep that lead, the lowest key, which the cut never
-    drops.  So ``insert`` keeps a row that took no elimination step as it is
-    and normalizes only after a step.
+    its route's (``jet._route``): integers over Q, residues over GF(p) and
+    masks over GF(2^k).  Rows arrive normal: ``terms`` makes each
+    generator's terms normal once (``monic``: a monic lead, or primitive
+    integers over Q), and beta*g and x_j*p keep that lead, the lowest key,
+    which the cut never drops.  Over Q the cut may drop the terms that kept
+    the content 1, which only scales the row.  The caller knows each row's
+    lead: ``add`` keeps a row whose lead no pivot holds as a pivot as it
+    is, without a reduction, and sends any other row to ``insert``, which
+    keeps a row that took no elimination step as it is and normalizes only
+    after a step.
     """
 
     def __init__(self, field, nvars: int, cutoff: int):
@@ -168,15 +179,21 @@ class _Echelon:
         terms = self.packing.terms(g.coeffs)
         return self.route.monic(terms) if terms else terms
 
-    def multiple(self, terms, kb: int) -> dict:
-        """The row beta*g for packed beta and g's packed terms, cut at the cutoff."""
-        limit = self.limit
-        return {kb + ka: c for ka, c in terms if kb + ka < limit}
+    def add(self, row: dict, lead: int):
+        """Keep the row (consumed), whose lowest key is ``lead`` unless it is
+        empty: as a pivot as it arrived when no pivot holds that lead, else
+        through ``insert``.  Returns the new pivot's lead, or None at zero."""
+        if row and lead not in self.pivots:
+            self.offered += 1
+            self.pivots[lead] = row
+            self.rank_by_degree[lead >> self.shift] += 1
+            return lead
+        return self.insert(row)
 
     def insert(self, row: dict):
         """Reduce the row (consumed) and keep what is left as a new pivot.
 
-        Returns the new pivot, or None when the row reduced to zero.
+        Returns the new pivot's lead, or None when the row reduced to zero.
         """
         self.offered += 1
         steps = self.steps
@@ -184,9 +201,9 @@ class _Echelon:
         if lead is None:
             self.zero += 1
             return None
-        pivot = self.pivots[lead] = row if self.steps == steps else self.route.normalize(row, lead)
+        self.pivots[lead] = row if self.steps == steps else self.route.normalize(row, lead)
         self.rank_by_degree[lead >> self.shift] += 1
-        return pivot
+        return lead
 
     def contains_monomial(self, key: int) -> bool:
         return self._reduce({key: 1}) is None
@@ -223,33 +240,43 @@ def _growing_echelon(field, gens, nvars: int, max_degree: int,
     the pivots of lead degree <= s are final.  Rows in a generator's dead
     set are skipped, and a row whose beta/x_j left a pivot p is inserted as
     x_j*p (see the module docstring).  Multipliers are packed keys, so
-    x_j*beta is beta's key plus the unit key of x_j.
+    x_j*beta is beta's key plus the unit key of x_j, and the first variable
+    dividing beta is the field of the lowest set bit of beta's key below the
+    degree, looked up in a table built once.
     """
     ech = _Echelon(field, nvars, max_degree)
-    width, shift = ech.packing.width, ech.shift
-    mask = (1 << width) - 1
-    units = [(width * j, (1 << shift) + (1 << width * j)) for j in range(nvars)]
-    # per generator: order, terms, dead multipliers, the pivot each multiplier left
+    pivots, limit, units = ech.pivots, ech.limit, ech.packing.weights
+    # unit_at[b.bit_length()]: the unit key of x_j for the exponent field j
+    # that holds bit b - 1; unit_at[0] is None, for beta = 1
+    unit_at = [None] + [units[i // ech.packing.width] for i in range(ech.shift)]
+    fields = (1 << ech.shift) - 1
+    # per generator: order, terms, dead multipliers, the lead of the pivot
+    # each multiplier left
     batches = [(int(g.order()), ech.terms(g), set(), {}) for g in gens]
     for s in range(max_degree + 1):
-        for order, terms, dead, pivot_of in batches:
+        for order, terms, dead, lead_of in batches:
             if s - order >= min_multiplier_degree:
                 for kb in ech.monomials(s - order):
                     if kb in dead:
                         ech.offered += 1
                         ech.skipped += 1
-                        pivot = None
+                        lead = None
                     else:
-                        # x_j for the first variable dividing beta, if any
-                        unit = next((unit for low, unit in units if kb >> low & mask), None)
-                        lower = None if unit is None else pivot_of.get(kb - unit)
-                        row = (ech.multiple(terms, kb) if lower is None
-                               else ech.multiple(lower.items(), unit))
-                        pivot = ech.insert(row)
-                    if pivot is None:
-                        dead.update([kb + unit for _, unit in units])
+                        # x_j for the first variable dividing beta: the lowest set bit
+                        low = kb & fields
+                        unit = unit_at[(low & -low).bit_length()]
+                        lower = None if unit is None else lead_of.get(kb - unit)
+                        if lower is None:
+                            row = {kb + k: c for k, c in terms if kb + k < limit}
+                            lead = ech.add(row, kb + terms[0][0])
+                        else:
+                            row = {unit + k: c for k, c in pivots[lower].items()
+                                   if unit + k < limit}
+                            lead = ech.add(row, unit + lower)
+                    if lead is None:
+                        dead.update([kb + unit for unit in units])
                     else:
-                        pivot_of[kb] = pivot
+                        lead_of[kb] = lead
         yield s, ech
 
 
@@ -257,11 +284,12 @@ def _ideal_echelon(field, gens, nvars: int, cutoff: int,
                    min_multiplier_degree: int = 0) -> _Echelon:
     """Fresh echelon of all beta*g mod m^(cutoff+1), generator by generator."""
     ech = _Echelon(field, nvars, cutoff)
+    limit = ech.limit
     for g in gens:
         terms = ech.terms(g)
         for bdeg in range(min_multiplier_degree, cutoff - int(g.order()) + 1):
             for kb in ech.monomials(bdeg):
-                ech.insert(ech.multiple(terms, kb))
+                ech.add({kb + k: c for k, c in terms if kb + k < limit}, kb + terms[0][0])
     return ech
 
 
