@@ -397,10 +397,12 @@ def time_bound(seconds):
 
 # rows offered and elimination steps over the search and the nine fresh
 # echelons, measured (266 and 124, 239 and 95, 301 and 200) with about 15% to spare
-@pytest.mark.parametrize("spec, text, work", [
-    ("fp:7", "3*x^3 + 5*y^4", (306, 143)), ("f2k:4", "t*x^3 + y^5", (275, 109)),
-    ("fp:7", "2*x^2*y + 3*y^4 + 4*x^5", (346, 230))])
-def test_pivots_stay_monic_when_leads_are_not_units(spec, text, work, echelon_work):
+MONIC_WORK = {("fp:7", "3*x^3 + 5*y^4"): (306, 143), ("f2k:4", "t*x^3 + y^5"): (275, 109),
+              ("fp:7", "2*x^2*y + 3*y^4 + 4*x^5"): (346, 230)}
+
+
+@pytest.mark.parametrize("spec, text", list(MONIC_WORK))
+def test_pivots_stay_monic_when_leads_are_not_units(spec, text, echelon_work):
     # the GF(p) and GF(2^k) routes cancel a lead only against a monic pivot:
     # a non-monic one leaves the lead in place and the reduction never ends
     counted = echelon_work()
@@ -416,15 +418,18 @@ def test_pivots_stay_monic_when_leads_are_not_units(spec, text, work, echelon_wo
     for e in [ech] + fresh:
         assert all(pivot[lead] == field.one for lead, pivot in e.pivots.items())
     assert [len(e.pivots) for e in fresh] == oracle
+    offered, steps = MONIC_WORK[spec, text]
     counts = counted()
-    assert counts["offered"] <= work[0] and counts["steps"] <= work[1], counts
+    assert counts["offered"] <= offered and counts["steps"] <= steps, counts
 
 
 # rows offered before the failing step, measured (18 and 26) with about 15%
 # to spare; the step that fails is not counted, and no step comes before it
-@pytest.mark.parametrize("spec, text, offered", [("fp:7", "3*x^3 + 5*y^4", 21),
-                                                 ("f2k:4", "t*x^3 + y^5", 30)])
-def test_a_pivot_that_is_not_monic_fails_instead_of_looping(monkeypatch, spec, text, offered,
+NOT_MONIC_OFFERED = {("fp:7", "3*x^3 + 5*y^4"): 21, ("f2k:4", "t*x^3 + y^5"): 30}
+
+
+@pytest.mark.parametrize("spec, text", list(NOT_MONIC_OFFERED))
+def test_a_pivot_that_is_not_monic_fails_instead_of_looping(monkeypatch, spec, text,
                                                             echelon_work):
     # generators left as they are give pivots with non-unit leads; a step
     # against one cannot cancel the lead, and without a check _reduce spins
@@ -436,7 +441,7 @@ def test_a_pivot_that_is_not_monic_fails_instead_of_looping(monkeypatch, spec, t
                                         match=r"^echelon: a step left the lead \d+ in the row$"):
         milnor_number(f)
     counts = counted()
-    assert counts["offered"] <= offered and counts["steps"] == 0, counts
+    assert counts["offered"] <= NOT_MONIC_OFFERED[spec, text] and counts["steps"] == 0, counts
 
 
 # -- the routes' row operations against elimination by field methods ----------
