@@ -16,9 +16,9 @@ from .jacobian import (DEFAULT_MAX_DEGREE, DeterminacyReport, MilnorReport,
                        verify_determinacy, verify_milnor)
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
                   VerificationError)
-from .quadform import (QuadNormalForm, QuadraticForm, SplitShapeError,
-                       arf_normal_form, arf_reduce_solvable, diagonal_signs,
-                       diagonalize, normal_form, normalize_squares)
+from .quadform import (QuadNormalForm, SplitShapeError, arf_normal_form,
+                       arf_reduce_solvable, diagonal_signs, diagonalize,
+                       normal_form, normalize_squares)
 from .split import (SplitResult, embed_from_tail, iterate_arf,
                     iterate_diagonal, project_to_tail, split, verify_split)
 from .transport import (TransportError, TransportHypothesisError,
@@ -31,14 +31,14 @@ __all__ = [
     "CharacteristicError", "CoordinateChange", "DEFAULT_MAX_DEGREE",
     "DeterminacyReport", "Field", "FieldError", "ImplicitSystem", "Jet",
     "MilnorReport", "PAdicValuation", "ParseError", "PrecisionError",
-    "PrimeField", "QuadNormalForm", "QuadraticForm", "RationalField",
-    "SplitResult", "SplitShapeError", "TransportError",
-    "TransportHypothesisError", "TransportProblem", "TrivialValuation",
-    "Valuation", "VerificationError", "arf_normal_form",
-    "arf_reduce_solvable", "determinacy_certificate", "diagonal_signs",
-    "diagonalize", "embed_from_tail", "ift_solve", "iterate_arf",
-    "iterate_diagonal", "milnor_number", "normal_form", "normalize_squares",
-    "parse_field_spec", "parse_jet", "parse_valuation_spec",
-    "project_to_tail", "serialize_jet", "split", "split_shape", "transport",
-    "verify_determinacy", "verify_milnor", "verify_split",
+    "PrimeField", "QuadNormalForm", "RationalField", "SplitResult",
+    "SplitShapeError", "TransportError", "TransportHypothesisError",
+    "TransportProblem", "TrivialValuation", "Valuation", "VerificationError",
+    "arf_normal_form", "arf_reduce_solvable", "determinacy_certificate",
+    "diagonal_signs", "diagonalize", "embed_from_tail", "ift_solve",
+    "iterate_arf", "iterate_diagonal", "milnor_number", "normal_form",
+    "normalize_squares", "parse_field_spec", "parse_jet",
+    "parse_valuation_spec", "project_to_tail", "serialize_jet", "split",
+    "split_shape", "transport", "verify_determinacy", "verify_milnor",
+    "verify_split",
 ]

@@ -30,8 +30,7 @@ from .field import FieldError, parse_field_spec, parse_valuation_spec
 from .ift import ImplicitSystem, ift_solve
 from .jacobian import DEFAULT_MAX_DEGREE, determinacy_certificate, milnor_number
 from .jet import CoordinateChange, VerificationError
-from .quadform import (QuadraticForm, arf_reduce_solvable, diagonal_signs, normal_form,
-                       normalize_squares)
+from .quadform import arf_reduce_solvable, diagonal_signs, normal_form, normalize_squares
 from .split import SplitResult, split, verify_split
 from .transport import TransportProblem, split_shape, transport
 
@@ -84,8 +83,7 @@ def _cmd_quadform(args):
     field = parse_field_spec(args.field)
     names = _parse_vars(args.vars)
     f = parse_jet(args.expr, field, names, max(2, args.precision))
-    q = QuadraticForm.from_jet(f)
-    nf = normal_form(q)
+    nf = normal_form(f)
     nf_text = serialize_jet(nf.normal_jet(2), names)
     if field.char == 2:
         key, reduction = "solvable_reduction", arf_reduce_solvable(nf)

@@ -380,7 +380,7 @@ def default_varnames(n: int):
     return [f"x{i + 1}" for i in range(n)]
 
 
-def serialize_jet(f: Jet, varnames=None, with_precision: bool = True) -> str:
+def serialize_jet(f: Jet, varnames=None) -> str:
     """Canonical text form: graded-lex terms, then ``+ O(deg N)``."""
     names = list(varnames) if varnames is not None else default_varnames(f.nvars)
     if len(names) != f.nvars:
@@ -410,6 +410,4 @@ def serialize_jet(f: Jet, varnames=None, with_precision: bool = True) -> str:
         else:
             pieces.append(f"- {body}" if negative else f"+ {body}")
     text = " ".join(pieces) if pieces else "0"
-    if with_precision:
-        text += f" + O(deg {f.prec})"
-    return text
+    return f"{text} + O(deg {f.prec})"

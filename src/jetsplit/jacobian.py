@@ -137,9 +137,9 @@ class _Echelon:
     which the cut never drops.  Over Q the cut may drop the terms that kept
     the content 1, which only scales the row.  The caller knows each row's
     lead: ``add`` keeps a row whose lead no pivot holds as a pivot as it
-    is, without a reduction, and sends any other row to ``insert``, which
-    keeps a row that took no elimination step as it is and normalizes only
-    after a step.
+    is, without a reduction, and sends any other row to ``insert``.  Such a
+    row is empty or its lead is a pivot's, so what is left of it has taken
+    at least one elimination step, and ``insert`` normalizes it.
     """
 
     def __init__(self, field, nvars: int, cutoff: int):
@@ -196,12 +196,11 @@ class _Echelon:
         Returns the new pivot's lead, or None when the row reduced to zero.
         """
         self.offered += 1
-        steps = self.steps
         lead = self._reduce(row)
         if lead is None:
             self.zero += 1
             return None
-        self.pivots[lead] = row if self.steps == steps else self.route.normalize(row, lead)
+        self.pivots[lead] = self.route.normalize(row, lead)
         self.rank_by_degree[lead >> self.shift] += 1
         return lead
 

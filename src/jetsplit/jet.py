@@ -294,25 +294,25 @@ class Jet:
 
     # -- second-order data ---------------------------------------------------
 
+    def gram(self) -> dict:
+        """The Gram entries {(i, j): c}, i <= j, of the degree-2 terms c x_i x_j:
+        the one reader of the quadratic form that is this jet's 2-jet."""
+        return {tuple(i for i, e in enumerate(a) for _ in range(e)): c
+                for a, c in self.coeffs.items() if sum(a) == 2}
+
     def hessian(self):
-        """Matrix of second partials at 0, computed in the field."""
+        """Second partials at 0: the polar matrix U + U^T of the Gram matrix U."""
         if self.prec < 2:
             raise PrecisionError("hessian needs precision >= 2")
         field = self.field
         n = self.nvars
         h = [[field.zero] * n for _ in range(n)]
         two = field.from_int(2)
-        for a, c in self.coeffs.items():
-            if sum(a) != 2:
-                continue
-            support = [i for i, e in enumerate(a) if e]
-            if len(support) == 1:
-                i = support[0]
+        for (i, j), c in self.gram().items():
+            if i == j:
                 h[i][i] = field.mul(two, c)
             else:
-                i, j = support
-                h[i][j] = c
-                h[j][i] = c
+                h[i][j] = h[j][i] = c
         return h
 
     def hessian_rank(self) -> int:
@@ -867,14 +867,9 @@ class CoordinateChange:
         return cls(comps)
 
     def linear_matrix(self):
-        n = self.nvars
-        field = self.field
-        out = [[field.zero] * n for _ in range(n)]
-        for i, comp in enumerate(self.components):
-            for a, c in comp.coeffs.items():
-                if sum(a) == 1:
-                    out[i][a.index(1)] = c
-        return out
+        zero, n = self.field.zero, self.nvars
+        units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+        return [[comp.coeffs.get(u, zero) for u in units] for comp in self.components]
 
     def is_automorphism(self) -> bool:
         return linalg.rank(self.field, self.linear_matrix()) == self.nvars

@@ -1,5 +1,10 @@
 """Classification of quadratic forms.
 
+A quadratic form is the 2-jet of a series: the classifiers take a series f
+in m^2 and classify ``f.truncate(2)``.  ``Jet.gram`` is the one reader of
+its Gram entries and ``QuadNormalForm.normal_jet`` writes the normal form
+straight into a ``Jet``.
+
 Away from characteristic 2 a form is congruence-diagonalized; in
 characteristic 2 it is brought to Arf normal form (hyperbolic-style pairs
 ``a x_i^2 + x_i x_{i+1} + b x_{i+1}^2`` plus a diagonal square tail), with a
@@ -83,86 +88,15 @@ def _proved_prime(n: int) -> bool:
     return n < _MR_LIMIT and _is_prime(n)
 
 
-class QuadraticForm:
-    """q(x) = sum_{i<=j} a_ij x_i x_j with an upper-triangular coefficient map."""
-
-    def __init__(self, field: Field, nvars: int, gram: dict):
-        clean = {}
-        for (i, j), c in gram.items():
-            if not (0 <= i <= j < nvars):
-                raise ValueError(f"bad coefficient position {(i, j)}")
-            if c != field.zero:
-                clean[(i, j)] = c
-        self.field = field
-        self.nvars = nvars
-        self.gram = clean
-
-    @classmethod
-    def from_jet(cls, f: Jet) -> "QuadraticForm":
-        """Extract the 2-jet of a series in m^2 (no constant or linear terms)."""
-        if f.prec < 2:
-            raise QuadraticShapeError("need precision >= 2 to extract a quadratic form")
-        gram = {}
-        for alpha, c in f.coeffs.items():
-            d = sum(alpha)
-            if d < 2:
-                raise QuadraticShapeError("series has terms of degree < 2")
-            if d != 2:
-                continue
-            support = [i for i, e in enumerate(alpha) if e]
-            if len(support) == 1:
-                gram[(support[0], support[0])] = c
-            else:
-                gram[(support[0], support[1])] = c
-        return cls(f.field, f.nvars, gram)
-
-    def as_jet(self, prec: int = 2) -> Jet:
-        coeffs = {}
-        n = self.nvars
-        for (i, j), c in self.gram.items():
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            coeffs[tuple(alpha)] = c
-        return Jet(self.field, n, prec, coeffs)
-
-    def evaluate(self, v):
-        """q(v) for a coordinate vector v."""
-        field = self.field
-        s = field.zero
-        for (i, j), c in self.gram.items():
-            s = field.add(s, field.mul(c, field.mul(v[i], v[j])))
-        return s
-
-    def polar(self):
-        """The polar matrix P = A + A^T, as the Hessian of the 2-jet."""
-        return self.as_jet(2).hessian()
-
-    def symmetric_matrix(self):
-        """P/2 = (A + A^T)/2 as a full matrix; characteristic != 2 only."""
-        field = self.field
-        if field.char == 2:
-            raise CharacteristicError("no symmetric matrix in characteristic 2")
-        half = field.inv(field.from_int(2))
-        return [[field.mul(half, c) for c in row] for row in self.polar()]
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticForm) and self.field == other.field
-                and self.nvars == other.nvars and self.gram == other.gram)
-
-    def __repr__(self):
-        from .expr import serialize_jet
-        return f"QuadraticForm({serialize_jet(self.as_jet(), with_precision=False)!r})"
-
-
 @dataclass
 class QuadNormalForm:
     """A classified 2-jet together with the linear transition onto it.
 
     ``matrix`` is the substitution matrix S: applying the change
     phi_i = sum_j S[i][j] x_j to the original form reproduces ``normal_jet``.
-    ``normal_jet`` writes the split shape and ``read_split_shape`` reads it
-    back; no other module of the library knows where its coefficients sit.
+    ``normal_jet`` writes the split shape as a ``Jet`` and ``read_split_shape``
+    reads it back from ``Jet.gram``; no other module of the library knows
+    where its coefficients sit.
     The splitting loop and transport read it only through ``rank``,
     ``head_jet`` and ``normal_jet``.
 
@@ -198,14 +132,17 @@ class QuadNormalForm:
         return self.variant == "char2_solvable_a"
 
     def normal_jet(self, prec: int = 2) -> Jet:
-        one = self.field.one
-        gram = {(i, i): a for i, a in enumerate(self.diagonal)}
+        field, n = self.field, self.nvars
+        entries = [((i, i), a) for i, a in enumerate(self.diagonal)]
         k = len(self.diagonal)
         for a, b in self.pairs:
-            gram.update({(k, k): a, (k, k + 1): one, (k + 1, k + 1): b})
+            entries += [((k, k), a), ((k, k + 1), field.one), ((k + 1, k + 1), b)]
             k += 2
-        gram.update({(k + j, k + j): d for j, d in enumerate(self.tail)})
-        return QuadraticForm(self.field, self.nvars, gram).as_jet(prec)
+        entries += [((k + j, k + j), d) for j, d in enumerate(self.tail)]
+        if k + len(self.tail) > n:
+            raise ValueError(f"the normal form does not fit in {n} variables")
+        return Jet(field, n, prec, {tuple((t == i) + (t == j) for t in range(n)): c
+                                    for (i, j), c in entries})
 
     def head_jet(self, prec: int = 2) -> Jet:
         """Only the nondegenerate head: the normal jet without its tail."""
@@ -224,8 +161,7 @@ class QuadNormalForm:
         n = f.nvars
         if any(sum(alpha) < 2 for alpha in f.coeffs):
             raise SplitShapeError("series has terms of degree < 2")
-        # below precision 2 the check above leaves only the zero jet
-        gram = QuadraticForm.from_jet(f).gram if f.prec >= 2 else {}
+        gram = f.gram()
         squares = {i: c for (i, j), c in gram.items() if i == j}
         cross = {ij: c for ij, c in gram.items() if ij[0] != ij[1]}
         identity = linalg.identity(field, n)
@@ -274,6 +210,8 @@ class QuadNormalForm:
         if data.get("has_square", False) is not (variant == "char2_solvable_a"):
             raise FieldError(f"has_square does not match normal-form variant {variant!r}")
         nvars = data["nvars"]
+        if not isinstance(nvars, int) or isinstance(nvars, bool):
+            raise FieldError(f"nvars {nvars!r} is not an int")
         matrix = [[parse(c) for c in row] for row in data["transition_matrix"]]
         if variant in ("diagonal", "unit_diagonal"):
             return cls(variant, field, nvars, matrix,
@@ -328,19 +266,31 @@ def _permute(mats, order, b=None):
         b[:] = [[b[k][t] for t in order] for k in order]
 
 
-def diagonalize(q: QuadraticForm) -> QuadNormalForm:
-    """Congruence-diagonalize q over a field of characteristic != 2.
+def _two_jet(f: Jet) -> Jet:
+    """f's 2-jet, the quadratic form it classifies; f must lie in m^2."""
+    if f.prec < 2:
+        raise QuadraticShapeError("need precision >= 2 to extract a quadratic form")
+    q = f.truncate(2)
+    if q.order() < 2:
+        raise QuadraticShapeError("series has terms of degree < 2")
+    return q
+
+
+def diagonalize(f: Jet) -> QuadNormalForm:
+    """Congruence-diagonalize the 2-jet q of f over a field of characteristic != 2.
 
     Pivots prefer the smallest index with a nonzero diagonal entry; if the
     remaining block has a zero diagonal but a nonzero mixed entry a_ij, the
     substitution x_j -> x_j + x_i creates one.  Over the rationals each
     diagonal entry is reduced to its squarefree part.
     """
+    q = _two_jet(f)
     field = q.field
     if field.char == 2:
         raise CharacteristicError("diagonalization requires characteristic != 2")
     n = q.nvars
-    b = q.symmetric_matrix()
+    half = field.inv(field.from_int(2))
+    b = [[field.mul(half, c) for c in row] for row in q.hessian()]  # P/2
     s = linalg.identity(field, n)
     p = 0
     while p < n:
@@ -369,7 +319,7 @@ def diagonalize(q: QuadraticForm) -> QuadNormalForm:
                 _scale(field, [s], i, field.inv(t), b)  # strips the square factor
     nf = QuadNormalForm("diagonal", field, n, s,
                         diagonal=tuple(b[i][i] for i in range(k)))
-    _verify_transition("transition", q.as_jet(2), nf.matrix, nf)
+    _verify_transition("transition", q, nf.matrix, nf)
     return nf
 
 
@@ -403,8 +353,9 @@ def normalize_squares(nf: QuadNormalForm):
     return out
 
 
-def arf_normal_form(q: QuadraticForm) -> QuadNormalForm:
-    """Arf normal form: pair blocks with middle coefficient 1 plus a square tail.
+def arf_normal_form(f: Jet) -> QuadNormalForm:
+    """Arf normal form of the 2-jet q of f: pair blocks with middle
+    coefficient 1 plus a square tail.
 
     Reduces the polar matrix b in place, starting from the identity
     transition with every index free.  Each step takes the first free i with
@@ -415,12 +366,13 @@ def arf_normal_form(q: QuadraticForm) -> QuadNormalForm:
     in the order found, then the radical in index order, are the new
     coordinates, and the pair and tail coefficients are q at their columns.
     """
+    q = _two_jet(f)
     field = q.field
     if field.char != 2:
         raise CharacteristicError("Arf decomposition requires characteristic 2")
     zero = field.zero
     n = q.nvars
-    b = q.polar()
+    b = q.hessian()
     s = linalg.identity(field, n)
     free = list(range(n))
     order = []
@@ -437,11 +389,17 @@ def arf_normal_form(q: QuadraticForm) -> QuadNormalForm:
     if any(b[r][k] != zero for r in free for k in range(n)):
         raise VerificationError("arf decomposition", "the radical is not orthogonal")
     _permute([s], order + free)
-    value = [q.evaluate([row[k] for row in s]) for k in range(n)]
+    gram = q.gram()
+    value = []
+    for v in zip(*s):   # q at each column of the transition
+        total = zero
+        for (i, j), c in gram.items():
+            total = field.add(total, field.mul(c, field.mul(v[i], v[j])))
+        value.append(total)
     rank = len(order)
     nf = QuadNormalForm("arf", field, n, s, pairs=tuple(zip(value[0:rank:2], value[1:rank:2])),
                         tail=tuple(value[rank:]))
-    _verify_transition("transition", q.as_jet(2), nf.matrix, nf)
+    _verify_transition("transition", q, nf.matrix, nf)
     return nf
 
 
@@ -485,8 +443,8 @@ def arf_reduce_solvable(nf: QuadNormalForm):
     return out
 
 
-def normal_form(q: QuadraticForm) -> QuadNormalForm:
-    """Characteristic dispatch: diagonalize, or Arf normal form."""
-    if q.field.char == 2:
-        return arf_normal_form(q)
-    return diagonalize(q)
+def normal_form(f: Jet) -> QuadNormalForm:
+    """Classify the 2-jet of f: diagonalize, or Arf normal form in characteristic 2."""
+    if f.field.char == 2:
+        return arf_normal_form(f)
+    return diagonalize(f)

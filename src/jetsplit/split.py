@@ -29,7 +29,7 @@ from . import linalg
 from .field import FieldError, parse_field_spec
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
                   VerificationError, _Packing, _route, _substitute_packed)
-from .quadform import QuadNormalForm, QuadraticForm, SplitShapeError, normal_form
+from .quadform import QuadNormalForm, SplitShapeError, normal_form
 
 
 @dataclass
@@ -98,7 +98,7 @@ class SplitResult:
             quad = QuadNormalForm.from_json(field, entry("quad", dict))
         except (KeyError, TypeError, AttributeError) as exc:
             raise FieldError(f"result file key 'quad' is malformed: {exc!r}") from None
-        if quad.nvars != len(varnames) or quad.rank > quad.nvars:
+        if quad.nvars != len(varnames) or quad.rank + len(quad.tail) > quad.nvars:
             raise FieldError("result file key 'quad' does not fit the variables")
         return cls(quad, entry("rank", int), residual, change, N)
 
@@ -228,7 +228,7 @@ def split(f: Jet, N: int) -> SplitResult:
     f = f.truncate(N)
     if any(sum(alpha) < 2 for alpha in f.coeffs):
         raise SplitShapeError("series must have no terms of degree < 2")
-    nf = normal_form(QuadraticForm.from_jet(f))
+    nf = normal_form(f)
     iterate = iterate_arf if f.field.char == 2 else iterate_diagonal
     change, residual = iterate(f, N, nf)
     result = SplitResult(nf, nf.rank, residual, change, N)
@@ -245,7 +245,11 @@ def verify_split(f: Jet, result: SplitResult) -> Jet:
     than the result's, the residual or the change claims a higher one, the
     result's rank is not the rank of its quadratic head, the head is
     degenerate or of another rank than the Hessian of f, the change is not an
-    automorphism, or the residual involves a head variable.
+    automorphism, or the residual involves a head variable.  When the
+    difference is zero it also raises unless f lies in m^2, the change's
+    linear part is the head's transition and the residual's 2-jet is the
+    normal form's square tail: with the identity these give f's 2-jet at the
+    transition equal to the normal jet, so the head is f's classified 2-jet.
     """
     N = result.precision
     for name, jet in (("series", f), ("residual", result.residual), ("change", result.change)):
@@ -271,4 +275,12 @@ def verify_split(f: Jet, result: SplitResult) -> Jet:
         raise VerificationError("split", "the change is not an automorphism")
     if any(any(alpha[:rank]) for alpha in result.residual.coeffs):
         raise VerificationError("split", "the residual involves head variables")
-    return result.change.apply(f) - (head + result.residual)
+    difference = result.change.apply(f) - (head + result.residual)
+    if difference.is_zero():
+        if f.order() < 2:
+            raise VerificationError("split", "the series has terms of degree < 2")
+        if result.change.linear_matrix() != quad.matrix:
+            raise VerificationError("split", "the change's linear part is not the transition")
+        if result.residual.degree_part(2) != quad.normal_jet(N) - head:
+            raise VerificationError("split", "the residual's 2-jet is not the square tail")
+    return difference

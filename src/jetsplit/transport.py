@@ -35,7 +35,7 @@ from __future__ import annotations
 from . import linalg
 from .ift import ImplicitSystem, ift_solve
 from .jet import CoordinateChange, Jet, VerificationError, _substitute_batch
-from .quadform import QuadNormalForm, QuadraticForm
+from .quadform import QuadNormalForm
 from .split import embed_from_tail, project_to_tail
 
 
@@ -162,7 +162,7 @@ def transport(p: TransportProblem) -> CoordinateChange:
         heads = p.phi.components[:rank]
         linears = [h.degree_part(1) for h in heads]
         terms = [[] for _ in range(rank)]   # F = U^T l + U phi_h
-        for (i, j), c in QuadraticForm.from_jet(p.quad.head_jet(2)).gram.items():
+        for (i, j), c in p.quad.head_jet(2).gram().items():
             terms[j].append(linears[i].scale(c))
             terms[i].append(heads[j].scale(c))
         try:

@@ -146,12 +146,27 @@ def rand_split_form(field, nvars, prec, rng, rank=None):
     return quad, g, f
 
 
+def gram_jet(field, nvars, gram, prec=2):
+    """The jet sum c x_i x_j over the Gram entries {(i, j): c}, i <= j."""
+    return Jet(field, nvars, prec, {tuple((t == i) + (t == j) for t in range(nvars)): c
+                                    for (i, j), c in gram.items()})
+
+
+def evaluate(q, v):
+    """The quadratic part of the jet q at the coordinate vector v."""
+    field = q.field
+    s = field.zero
+    for (i, j), c in q.gram().items():
+        s = field.add(s, field.mul(c, field.mul(v[i], v[j])))
+    return s
+
+
 def bilinear(q, v, w):
-    """The polar form b(v, w) = q(v + w) - q(v) - q(w) = v^T P w of a QuadraticForm."""
+    """The polar form b(v, w) = q(v + w) - q(v) - q(w) = v^T P w of the 2-jet of q."""
     field = q.field
     zero, add, mul = field.zero, field.add, field.mul
     s = zero
-    for (i, j), c in q.gram.items():
+    for (i, j), c in q.gram().items():
         if v[i] != zero or v[j] != zero:
             s = add(s, mul(c, add(mul(v[i], w[j]), mul(v[j], w[i]))))
     return s
@@ -179,7 +194,7 @@ def arf_reference(q):
     def combine(z, bv, v, bw, w):
         return [add(zc, add(mul(bv, vc), mul(bw, wc))) for zc, vc, wc in zip(z, v, w)]
 
-    polar = q.polar()
+    polar = q.hessian()
     remaining = [(e, [row[i] for row in polar])
                  for i, e in enumerate(linalg.identity(field, q.nvars))]
     pairs = []
@@ -208,8 +223,8 @@ def arf_reference(q):
     if any(bilinear(q, z, w) != zero for z in radical for w in basis):
         raise AssertionError("the radical is not orthogonal")
     matrix = [[u[i] for u in basis] for i in range(q.nvars)]  # columns are basis vectors
-    return (matrix, tuple((q.evaluate(u), q.evaluate(w)) for u, w in pairs),
-            tuple(q.evaluate(z) for z in radical))
+    return (matrix, tuple((evaluate(q, u), evaluate(q, w)) for u, w in pairs),
+            tuple(evaluate(q, z) for z in radical))
 
 
 def rand_split_equivalence(field, f0, prec, rng):

@@ -37,6 +37,11 @@ from jetsplit.cli import main  # noqa: E402
 FILE_PREFIX = "file:"
 
 
+def bare(f, names):
+    """f's text without its `` + O(deg N)`` marker, as a polynomial argument."""
+    return serialize_jet(f, names).removesuffix(f" + O(deg {f.prec})")
+
+
 def names_of(n):
     return [f"x{i + 1}" for i in range(n)]
 
@@ -147,7 +152,7 @@ def ift_cases(rng):
         field = parse_field_spec(spec)
         names = names_of(nx + ny)
         system = rand_implicit_system(field, nx, ny, N, rng)
-        eqs = [serialize_jet(eq, names, with_precision=False) for eq in system.equations]
+        eqs = [bare(eq, names) for eq in system.equations]
         cases.append((f"ift-{spec.replace(':', '')}-{nx}x{ny}-N{N}",
                       ["ift", "--field", spec, "--vars", ",".join(names), "--split-vars",
                        ",".join(names[nx:]), "--precision", str(N), "--format", "json"]
@@ -326,7 +331,7 @@ def deep_ift_cases():
     cases = []
     field = parse_field_spec("f2k:4")
     system = rand_implicit_system(field, 2, 2, 12, rng)
-    eqs = [serialize_jet(eq, names_of(4), with_precision=False) for eq in system.equations]
+    eqs = [bare(eq, names_of(4)) for eq in system.equations]
     cases.append(("ift-f2k4-2x2-N12",
                   ["ift", "--field", "f2k:4", "--vars", "x1,x2,x3,x4", "--split-vars",
                    "x3,x4", "--precision", "12", "--format", "json"] + eqs, {}))
@@ -462,8 +467,7 @@ def quadform_branch_cases():
     rng = random.Random(1313)
     names = names_of(8)
     for spec in ("q", "fp:7", "fp:2", "f2k:4"):
-        expr = serialize_jet(dense_quadratic(parse_field_spec(spec), 8, rng), names,
-                             with_precision=False)
+        expr = bare(dense_quadratic(parse_field_spec(spec), 8, rng), names)
         common = ["--field", spec, "--vars", ",".join(names)]
         tag = f"{spec.replace(':', '')}-dense-n8"
         cases.append((f"quadform-{tag}", ["quadform"] + common + [expr], {}))
@@ -513,7 +517,7 @@ def arf_reduction_cases():
         for n in (12, 16):
             names = names_of(n)
             for kind, draw in (("sparse", sparse_quadratic), ("dense", dense_quadratic)):
-                expr = serialize_jet(draw(field, n, rng), names, with_precision=False)
+                expr = bare(draw(field, n, rng), names)
                 cases.append((f"quadform-json-{spec.replace(':', '')}-{kind}-n{n}",
                               ["quadform", "--field", spec, "--vars", ",".join(names),
                                "--format", "json", expr], {}))

@@ -9,10 +9,10 @@ import json
 import random
 import time
 
-from gen import (FIELDS, rand_automorphism, rand_implicit_system, rand_jet,
+from gen import (FIELDS, gram_jet, rand_automorphism, rand_implicit_system, rand_jet,
                  rand_m2_jet, transition_change, transport_roundtrip)
 from jetsplit import (BinaryField, CoordinateChange, ImplicitSystem,
-                      PrimeField, QuadraticForm, RationalField,
+                      PrimeField, RationalField,
                       arf_normal_form, arf_reduce_solvable, ift_solve,
                       milnor_number, parse_jet, serialize_jet, split,
                       transport, verify_split)
@@ -81,16 +81,13 @@ def test_criterion_04_hessian_rank_invariance():
 
 
 def _gf2_form_key(q):
-    return tuple(q.gram.get((i, j), 0) for i in range(3) for j in range(i, 3))
+    gram = q.gram()
+    return tuple(gram.get((i, j), 0) for i in range(3) for j in range(i, 3))
 
 
 def _form_from_key(key):
-    gram = {}
     positions = [(i, j) for i in range(3) for j in range(i, 3)]
-    for pos, c in zip(positions, key):
-        if c:
-            gram[pos] = c
-    return QuadraticForm(F2, 3, gram)
+    return gram_jet(F2, 3, dict(zip(positions, key)))
 
 
 def test_criterion_05_arf_oracle_equivalence_exhaustive():
@@ -111,16 +108,16 @@ def test_criterion_05_arf_oracle_equivalence_exhaustive():
         orbit_id[key] = key
         while stack:
             current = stack.pop()
-            jet = _form_from_key(current).as_jet(2)
+            jet = _form_from_key(current)
             for change in changes:
-                image = _gf2_form_key(QuadraticForm.from_jet(change.apply(jet)))
+                image = _gf2_form_key(change.apply(jet))
                 if image not in orbit_id:
                     orbit_id[image] = key
                     stack.append(image)
     nf_orbit = {}
     for key in keys:
         nf = arf_normal_form(_form_from_key(key))
-        nf_key = _gf2_form_key(QuadraticForm.from_jet(nf.normal_jet(2)))
+        nf_key = _gf2_form_key(nf.normal_jet(2))
         nf_orbit[key] = orbit_id[nf_key]
         # the transition is invertible, so the normal form stays in the orbit
         assert orbit_id[nf_key] == orbit_id[key]
@@ -138,13 +135,13 @@ def test_criterion_05_arf_oracle_equivalence_exhaustive():
 
 
 def test_criterion_06_solvable_reduction():
-    q4 = QuadraticForm.from_jet(parse_jet("x1^2 + x1*x2 + x2^2", F4, ["x1", "x2"], 2))
+    q4 = parse_jet("x1^2 + x1*x2 + x2^2", F4, ["x1", "x2"], 2)
     red = arf_reduce_solvable(arf_normal_form(q4))
     assert red is not None
     assert red.variant == "char2_solvable_b"
     assert red.half_rank == 1
-    assert transition_change(red).apply(q4.as_jet(2)) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
-    q2 = QuadraticForm.from_jet(parse_jet("x1^2 + x1*x2 + x2^2", F2, ["x1", "x2"], 2))
+    assert transition_change(red).apply(q4) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
+    q2 = parse_jet("x1^2 + x1*x2 + x2^2", F2, ["x1", "x2"], 2)
     assert arf_reduce_solvable(arf_normal_form(q2)) is None
     print("\nPASS: criterion 6 - x1^2 + x1*x2 + x2^2 reduces to x1*x2 over "
           "GF(4) and reports the reduction absent over GF(2)")

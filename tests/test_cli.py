@@ -625,6 +625,55 @@ def test_verify_rejects_other_forgeries(tmp_path, capsys, forge, reason):
     assert "verified: false" in out
 
 
+@pytest.mark.parametrize("forge, reason", [
+    ("matrix", "the change's linear part is not the transition"),
+    ("tail", "the residual's 2-jet is not the square tail"),
+    ("head", "the series has terms of degree < 2"),
+], ids=["matrix", "tail", "head"])
+def test_verify_rejects_a_head_that_is_not_the_classified_2_jet(tmp_path, capsys, forge,
+                                                                reason):
+    # each forgery keeps f(change) = head + residual: only the head's link to
+    # f's 2-jet is false
+    spec, names, expr = "q", "x,y", "x^2 + x*y^2"
+    if forge == "tail":
+        spec, names, expr = "fp:2", "x,y,z", "x*y + z^2 + z^3"
+    code, out, _ = run(capsys, "split", "--field", spec, "--vars", names, "--precision", "4",
+                       "--format", "json", expr)
+    assert code == 0
+    data = json.loads(out)
+    if forge == "matrix":
+        data["quad"]["transition_matrix"] = [["5", "7"], ["0", "0"]]
+    elif forge == "tail":
+        assert data["quad"]["tail"] == ["1"]
+        data["quad"]["tail"] = ["0"]
+    else:
+        # quadform reads 2*x^2 from y + 2*x^2; the change moves x^2 into y
+        expr = "y + 2*x^2"
+        data["quad"] = {"variant": "diagonal", "rank": 1, "nvars": 2, "diagonal": ["1"],
+                        "transition_matrix": [["1", "0"], ["0", "1"]]}
+        data["residual"] = "y + O(deg 4)"
+        data["change"] = ["x + O(deg 4)", "y - x^2 + O(deg 4)"]
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--field", spec, "--vars", names, expr, str(result))
+    assert (code, err) == (1, "")
+    assert f"reason: split: {reason}\n" in out and out.endswith("verified: false\n")
+
+
+def test_verify_refuses_a_tail_past_the_variables(tmp_path, capsys):
+    # the head leaves the tail out, so a tail entry past the variables is refused on reading
+    f = "x*y + z^2 + z^3"
+    code, out, _ = run(capsys, "split", "--field", "fp:2", "--vars", "x,y,z", "--precision", "4",
+                       "--format", "json", f)
+    assert code == 0
+    data = json.loads(out)
+    data["quad"]["tail"] = ["1", "1"]
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--field", "fp:2", "--vars", "x,y,z", f, str(result))
+    assert (code, out, err) == (2, "", "error: result file key 'quad' does not fit the variables\n")
+
+
 @pytest.mark.parametrize("expr, forge, reason", [
     ("x^2 + x*y^2 + O(deg 3)", {"residual": "7*y^4 + O(deg 4)"}, "series has precision 3"),
     ("x^2 + x*y^2", {"residual": "0 + O(deg 3)"}, "residual has precision 3"),
@@ -688,7 +737,8 @@ def test_verify_refuses_other_field_or_precision(tmp_path, capsys, options, mess
 
 
 @pytest.mark.parametrize("damage", ["not_object", "change_not_list", "precision_text",
-                                    "quad_no_variant", "quad_wrong_nvars"])
+                                    "quad_no_variant", "quad_wrong_nvars", "quad_float_nvars",
+                                    "quad_bool_nvars"])
 def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
     data = split_json(capsys)
     if damage == "not_object":
@@ -699,11 +749,17 @@ def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
         data["precision"] = "4"
     elif damage == "quad_no_variant":
         del data["quad"]["variant"]
+    elif damage == "quad_float_nvars":
+        data["quad"]["nvars"] = 2.0  # equals 2, but multiplies no list
+    elif damage == "quad_bool_nvars":
+        data["quad"]["nvars"] = True
     else:
         data["quad"]["nvars"] = 3
     code, _, err = verify(capsys, tmp_path, data)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    if damage in ("quad_float_nvars", "quad_bool_nvars"):
+        assert err == f"error: nvars {data['quad']['nvars']!r} is not an int\n"
 
 
 def test_verify_non_json_result_is_input_error(tmp_path, capsys):

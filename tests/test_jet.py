@@ -595,8 +595,8 @@ def test_internal_results_are_valid_jets():
             results += [f.partial(i) for i in range(f.nvars)]
         names = [f"x{i + 1}" for i in range(f.nvars)]
         # the literals cancel in every field
-        results.append(parse_jet(f"{serialize_jet(f, names, False)} + 1 - 1", field, names,
-                                 f.prec))
+        text = serialize_jet(f, names).removesuffix(f" + O(deg {f.prec})")
+        results.append(parse_jet(f"{text} + 1 - 1", field, names, f.prec))
         for result in results:
             assert_valid(result)
         assert results[-1] == f

@@ -6,11 +6,11 @@ from math import isqrt
 
 import pytest
 
-from gen import (FIELDS, arf_reference, bilinear, rand_invertible, rand_m2_jet,
-                 rand_split_form, random_element, transition_change)
-from jetsplit import (BinaryField, CharacteristicError, CoordinateChange,
-                      PrimeField, QuadNormalForm, QuadraticForm,
-                      RationalField, SplitShapeError, arf_normal_form,
+from gen import (FIELDS, arf_reference, bilinear, evaluate, gram_jet, rand_invertible,
+                 rand_m2_jet, rand_split_form, random_element, transition_change)
+from jetsplit import (BinaryField, CharacteristicError, CoordinateChange, Jet,
+                      PrimeField, QuadNormalForm, RationalField,
+                      SplitShapeError, arf_normal_form,
                       arf_reduce_solvable, diagonal_signs,
                       diagonalize, normal_form, normalize_squares, parse_field_spec,
                       parse_jet)
@@ -24,23 +24,43 @@ F7 = PrimeField(7)
 
 
 def qf(text, field, names, prec=2):
-    return QuadraticForm.from_jet(parse_jet(text, field, names, prec))
+    return parse_jet(text, field, names, prec)
 
 
 def test_extract_degree_two_part():
     q = qf("x^2 + y^3", Q, ["x", "y"], 3)
-    assert q.gram == {(0, 0): Fraction(1)}
+    assert q.gram() == {(0, 0): Fraction(1)}
     q2 = qf("x*y + x^3", F2, ["x", "y"], 3)
-    assert q2.gram == {(0, 1): 1}
+    assert q2.gram() == {(0, 1): 1}
     q3 = qf("y^3", Q, ["x", "y"], 3)
-    assert q3.gram == {}
+    assert q3.gram() == {}
+    assert Jet.variable(Q, 2, 0, 1).gram() == {}
 
 
 def test_extract_rejects_low_degree_terms():
-    with pytest.raises(QuadraticShapeError):
-        qf("x + x^2", Q, ["x"], 2)
-    with pytest.raises(QuadraticShapeError):
-        qf("1 + x^2", Q, ["x"], 2)
+    # each classifier checks the shape before the characteristic
+    for classify in (normal_form, diagonalize, arf_normal_form):
+        for field in (Q, F2):
+            for text in ("x + x^2", "1 + x^2"):
+                with pytest.raises(QuadraticShapeError,
+                                   match="^series has terms of degree < 2$"):
+                    classify(qf(text, field, ["x"], 2))
+            with pytest.raises(QuadraticShapeError,
+                               match="^need precision >= 2 to extract a quadratic form$"):
+                classify(Jet.zero(field, 1, 1))
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_normal_form_classifies_the_2_jet(spec):
+    field = parse_field_spec(spec)
+    rng = random.Random(30)
+    higher = 0
+    for _ in range(40):
+        n, prec = rng.randint(1, 4), rng.randint(3, 5)
+        f = rand_m2_jet(field, n, prec, rng, terms=8)
+        higher += f != f.truncate(2)
+        assert normal_form(f) == normal_form(f.truncate(2))
+    assert higher > 30
 
 
 def test_square_free_split():
@@ -164,7 +184,7 @@ def test_diagonalize_hyperbolic_rational():
     nf = diagonalize(q)
     assert nf.diagonal == (Fraction(1), Fraction(-1))
     assert nf.rank == 2
-    assert transition_change(nf).apply(q.as_jet(2)) == nf.normal_jet(2)
+    assert transition_change(nf).apply(q) == nf.normal_jet(2)
 
 
 def test_diagonalize_already_diagonal():
@@ -175,8 +195,7 @@ def test_diagonalize_already_diagonal():
 
 
 def test_diagonalize_zero_form():
-    q = QuadraticForm(Q, 2, {})
-    nf = diagonalize(q)
+    nf = diagonalize(Jet.zero(Q, 2, 2))
     assert nf.diagonal == ()
     assert nf.rank == 0
 
@@ -199,7 +218,7 @@ def test_normalize_squares_rational():
     assert unit is not None
     assert unit.diagonal == (Fraction(1), Fraction(1))
     q = qf("4*x^2 + 9*y^2", Q, ["x", "y"])
-    assert transition_change(unit).apply(q.as_jet(2)) == unit.normal_jet(2)
+    assert transition_change(unit).apply(q) == unit.normal_jet(2)
 
 
 def test_normalize_squares_absent_reports_signs():
@@ -216,7 +235,7 @@ def test_normalize_squares_gf7_quadratic_residues():
     unit = normalize_squares(good)
     assert unit is not None and unit.diagonal == (1,)
     q = qf("2*x^2", F7, ["x"])
-    assert transition_change(unit).apply(q.as_jet(2)) == unit.normal_jet(2)
+    assert transition_change(unit).apply(q) == unit.normal_jet(2)
     bad = QuadNormalForm("diagonal", F7, 1, linalg.identity(F7, 1), diagonal=(3,))
     assert normalize_squares(bad) is None
 
@@ -243,18 +262,23 @@ def test_bilinear_is_the_polar_form_of_x2_plus_3xy():
 
 @pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
 def test_bilinear_is_q_of_sum_minus_q_of_parts(spec):
+    # gram() reads back the written entries, and hessian() is U + U^T from them
     field = parse_field_spec(spec)
+    zero, two = field.zero, field.from_int(2)
     rng = random.Random(13)
     for n in range(1, 6):
         for _ in range(10):
-            q = QuadraticForm(field, n, {(i, j): random_element(field, rng)
-                                         for i in range(n) for j in range(i, n)})
+            gram = {(i, j): random_element(field, rng) for i in range(n) for j in range(i, n)}
+            q = gram_jet(field, n, gram, rng.randint(2, 4))
+            assert q.gram() == {ij: c for ij, c in gram.items() if c != zero}
+            p = q.hessian()
+            assert all(p[i][j] == p[j][i] == (field.mul(two, c) if i == j else c)
+                       for (i, j), c in gram.items())
             v = [random_element(field, rng) for _ in range(n)]
             w = [random_element(field, rng) for _ in range(n)]
             vw = [field.add(a, b) for a, b in zip(v, w)]
-            polar = field.sub(q.evaluate(vw), field.add(q.evaluate(v), q.evaluate(w)))
+            polar = field.sub(evaluate(q, vw), field.add(evaluate(q, v), evaluate(q, w)))
             assert bilinear(q, v, w) == polar
-            p = q.polar()
             assert polar == reduce(field.add, [field.mul(v[i], field.mul(p[i][j], w[j]))
                                                for i in range(n) for j in range(n)])
 
@@ -267,8 +291,7 @@ def test_arf_decompose_pure_square():
 
 
 def test_arf_decompose_zero_form():
-    q = QuadraticForm(F2, 2, {})
-    nf = arf_normal_form(q)
+    nf = arf_normal_form(Jet.zero(F2, 2, 2))
     assert len(nf.tail) == 2
 
 
@@ -276,9 +299,9 @@ def char2_quadratic(field, n, shape, rng):
     """A random form: shape 0 is zero, 1 all squares, and 2, 3 and 4 keep each
     coefficient with probability 1/3, 2/3 and 1."""
     density = (0, 0, 1 / 3, 2 / 3, 1)[shape]
-    return QuadraticForm(field, n, {(i, j): random_element(field, rng, nonzero=True)
-                                    for i in range(n) for j in range(i, n)
-                                    if (shape == 1 and i == j) or rng.random() < density})
+    return gram_jet(field, n, {(i, j): random_element(field, rng, nonzero=True)
+                               for i in range(n) for j in range(i, n)
+                               if (shape == 1 and i == j) or rng.random() < density})
 
 
 @pytest.mark.parametrize("spec", ["fp:2", "f2k:4", "f2k:8", "f2k:13"])
@@ -314,8 +337,7 @@ def test_arf_normal_form_rank_matches_hessian():
         for _ in range(50):
             n = rng.randint(1, 4)
             f = rand_m2_jet(field, n, 2, rng)
-            q = QuadraticForm.from_jet(f)
-            nf = arf_normal_form(q)
+            nf = arf_normal_form(f)
             assert 2 * nf.half_rank == f.hessian_rank()
 
 
@@ -335,7 +357,7 @@ def test_arf_reduce_solvable_examples():
     assert red2 is not None
     assert red2.variant == "char2_solvable_a"
     q = qf("x1*x2 + x3^2 + x4^2", F2, ["x1", "x2", "x3", "x4"])
-    assert transition_change(red2).apply(q.as_jet(2)) == red2.normal_jet(2)
+    assert transition_change(red2).apply(q) == red2.normal_jet(2)
     assert red2.normal_jet(2) == parse_jet("x1*x2 + x3^2", F2,
                                            ["x1", "x2", "x3", "x4"], 2)
     # the square is the tail: it is read back from json, and the head leaves it out
@@ -349,7 +371,7 @@ def test_arf_reduce_full_pipeline_over_gf4():
     red = arf_reduce_solvable(arf_normal_form(q))
     assert red is not None
     assert red.variant == "char2_solvable_b"
-    assert transition_change(red).apply(q.as_jet(2)) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
+    assert transition_change(red).apply(q) == parse_jet("x1*x2", F4, ["x1", "x2"], 2)
 
 
 def test_normal_form_dispatch():
@@ -363,15 +385,13 @@ def test_random_normal_forms_verify_and_rank_is_invariant():
         for _ in range(25):
             n = rng.randint(1, 4)
             f = rand_m2_jet(field, n, 2, rng)
-            q = QuadraticForm.from_jet(f)
-            nf = normal_form(q)
-            assert transition_change(nf).apply(q.as_jet(2)) == nf.normal_jet(2)
+            nf = normal_form(f)
+            assert transition_change(nf).apply(f) == nf.normal_jet(2)
             assert linalg.rank(field, nf.matrix) == n
             # rank is invariant under a random linear change of the form
             m = rand_invertible(field, n, rng)
             change = CoordinateChange.from_linear(field, m, 2)
-            q2 = QuadraticForm.from_jet(change.apply(q.as_jet(2)))
-            assert normal_form(q2).rank == nf.rank
+            assert normal_form(change.apply(f)).rank == nf.rank
 
 
 def test_json_roundtrip():

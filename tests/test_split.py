@@ -7,7 +7,7 @@ import pytest
 from gen import (FIELDS, identity_change, rand_automorphism, rand_m2_jet,
                  rand_split_form, transition_change)
 from jetsplit import (BinaryField, CoordinateChange, Jet, PrecisionError, PrimeField,
-                      QuadNormalForm, QuadraticForm, RationalField, SplitResult,
+                      QuadNormalForm, RationalField, SplitResult,
                       SplitShapeError, VerificationError, iterate_arf, iterate_diagonal,
                       normal_form, parse_jet, split, verify_split)
 from jetsplit.field import parse_field_spec
@@ -60,7 +60,7 @@ def test_iterate_diagonal_requires_diagonal_two_jet():
         iterate_diagonal(f, 3, QuadNormalForm.read_split_shape(f))
     g = parse_jet("x^2 + x^3", F2, ["x"], 3)
     with pytest.raises(SplitShapeError, match="characteristic != 2"):
-        iterate_diagonal(g, 3, normal_form(QuadraticForm.from_jet(g)))
+        iterate_diagonal(g, 3, normal_form(g))
     with pytest.raises(ValueError, match="^the head has 1 variables, the series 2$"):
         iterate_diagonal(f, 3, QuadNormalForm.read_split_shape(parse_jet("x^2", Q, ["x"], 3)))
 
@@ -75,7 +75,7 @@ def test_iterate_arf_requires_unit_pairs():
         iterate_arf(g, 3, QuadNormalForm.read_split_shape(g))
     h = parse_jet("x^2 + x^3", Q, ["x"], 3)
     with pytest.raises(SplitShapeError, match="characteristic 2"):
-        iterate_arf(h, 3, normal_form(QuadraticForm.from_jet(h)))
+        iterate_arf(h, 3, normal_form(h))
 
 
 def test_char2_residual_keeps_square_tail():
@@ -234,7 +234,7 @@ def test_split_matches_the_three_step_pipeline(spec):
         n, N = rng.randint(2, 4), rng.randint(3, 6)
         _, _, f0 = rand_split_form(field, n, N, rng)
         f = rand_automorphism(field, n, N, rng).apply(f0)
-        linear = transition_change(normal_form(QuadraticForm.from_jet(f)), N)
+        linear = transition_change(normal_form(f), N)
         moved = linear.apply(f)
         iterate = iterate_arf if field.char == 2 else iterate_diagonal
         change, residual = iterate(moved, N, QuadNormalForm.read_split_shape(moved))
