@@ -568,17 +568,17 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def split_json(capsys, expr="x^2 + x*y^2"):
-    code, out, _ = run(capsys, "split", "--field", "q", "--vars", "x,y",
+def split_json(capsys, expr="x^2 + x*y^2", spec="q", names="x,y"):
+    code, out, _ = run(capsys, "split", "--field", spec, "--vars", names,
                        "--precision", "4", "--format", "json", expr)
     assert code == 0
     return json.loads(out)
 
 
-def verify(capsys, tmp_path, data, expr="x^2 + x*y^2"):
+def verify(capsys, tmp_path, data, expr="x^2 + x*y^2", spec="q", names="x,y"):
     result = tmp_path / "result.json"
     result.write_text(json.dumps(data))
-    return run(capsys, "verify", "--field", "q", "--vars", "x,y", expr, str(result))
+    return run(capsys, "verify", "--field", spec, "--vars", names, expr, str(result))
 
 
 def test_verify_rejects_forged_zero_change(tmp_path, capsys):
@@ -738,9 +738,12 @@ def test_verify_refuses_other_field_or_precision(tmp_path, capsys, options, mess
 
 @pytest.mark.parametrize("damage", ["not_object", "change_not_list", "precision_text",
                                     "quad_no_variant", "quad_wrong_nvars", "quad_float_nvars",
-                                    "quad_bool_nvars"])
+                                    "quad_bool_nvars", "quad_claims_rank_7", "quad_short_pair"])
 def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
-    data = split_json(capsys)
+    expr, spec, names = "x^2 + x*y^2", "q", "x,y"
+    if damage == "quad_short_pair":
+        expr, spec, names = "x*y + z^2 + z^3", "fp:2", "x,y,z"
+    data = split_json(capsys, expr, spec, names)
     if damage == "not_object":
         data = [data]
     elif damage == "change_not_list":
@@ -753,13 +756,20 @@ def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
         data["quad"]["nvars"] = 2.0  # equals 2, but multiplies no list
     elif damage == "quad_bool_nvars":
         data["quad"]["nvars"] = True
+    elif damage == "quad_claims_rank_7":
+        data["quad"].update(rank=7, half_rank=3)  # the head x^2 has rank 1
+    elif damage == "quad_short_pair":
+        assert data["quad"]["pairs"] == [["0", "0"]]
+        data["quad"]["pairs"] = [["0"]]
     else:
         data["quad"]["nvars"] = 3
-    code, _, err = verify(capsys, tmp_path, data)
-    assert code == 2
+    code, out, err = verify(capsys, tmp_path, data, expr, spec, names)
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     if damage in ("quad_float_nvars", "quad_bool_nvars"):
         assert err == f"error: nvars {data['quad']['nvars']!r} is not an int\n"
+    elif damage in ("quad_claims_rank_7", "quad_short_pair"):
+        assert "'quad'" in err
 
 
 def test_verify_non_json_result_is_input_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from jetsplit import SplitResult
 from jetsplit.cli import main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "golden", "corpus.json")
@@ -64,3 +65,17 @@ def test_recoordinated_transport_work_is_pinned(tmp_path, capsys, kernel_work):
     assert capsys.readouterr().out == case["stdout"]
     assert work == {"calls": 89, "pairs": 172, "ift_calls": 44, "ift_pairs": 70,
                     "expr_calls": 0, "expr_pairs": 0, "kronecker": 0}
+
+
+SPLIT_JSON = [c for c in CASES if c["argv"][0] == "split" and c["exit"] == 0
+              and "--format" in c["argv"] and c["argv"][c["argv"].index("--format") + 1] == "json"]
+
+
+@pytest.mark.parametrize("case", SPLIT_JSON, ids=[c["name"] for c in SPLIT_JSON])
+def test_split_json_output_round_trips(case):
+    # verify reads back what split writes: a genuine result file is never refused
+    data = json.loads(case["stdout"])
+    names = case["argv"][case["argv"].index("--vars") + 1].split(",")
+    back = SplitResult.from_json(data, names).to_json(names)
+    assert back == {key: data[key] for key in
+                    ("rank", "quad", "field", "precision", "residual", "change")}
