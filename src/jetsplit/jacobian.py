@@ -60,12 +60,12 @@ as most are, is a pivot as it arrived, with no reduction call; only the
 other rows are reduced.  The search reads x_j, the first variable
 dividing beta, from the lowest set bit of beta's packed exponent fields.
 
-A ``MilnorReport`` holds mu, its degree s, the bound 2*mu - order + 2 and
-the order; a ``DeterminacyReport`` the least k with m^(k+2) <= m^2 J +
-m^(k+3), the bound 2*k - order + 2 and the order.  When no Nakayama
-certificate appears up to max_degree, a report holds only the order and
-max_degree: mu or k is "infinite or unknown", never a claim of
-non-isolation.
+A ``MilnorReport`` holds mu, its degree s and the order, a
+``DeterminacyReport`` the least k with m^(k+2) <= m^2 J + m^(k+3) and the
+order; each derives its bound 2*mu - order + 2 or 2*k - order + 2.  When no
+Nakayama certificate appears up to max_degree, a report holds only the
+order and max_degree: mu or k is "infinite or unknown", never a claim of
+non-isolation, and it has no bound.
 
 The verifiers (``verify_milnor``, ``verify_determinacy``) share the row
 kernel but not the search.  Each builds a fresh echelon at the certified
@@ -76,12 +76,12 @@ never lowers a lead, its pivots of lead degree <= s - 1 give the rank at
 cutoff s - 1, and the rows it adds, those with |beta| + ord g = s, have no
 term below degree s.
 Like every check in the library, a verifier returns nothing on success and
-raises ``VerificationError`` naming the condition that failed: a degree or
-bound claimed without a certificate, the order (a certificate claimed for
-the zero series included), a degree below the least one that can certify,
-no cover at the certified degree, the mu recount or the bound.  Each search
-runs its verifier on the report it found before returning it.  A step that
-leaves its lead in the row (a pivot not monic) raises it with stage ``echelon``.
+raises ``VerificationError`` naming the condition that failed: a degree
+claimed without mu, the order (a certificate claimed for the zero series
+included), a degree below the least one that can certify, no cover at the
+certified degree or the mu recount.  Each search runs its verifier on the
+report it found before returning it.  A step that leaves its lead in the
+row (a pivot not monic) raises it with stage ``echelon``.
 
 A search refuses (``ValueError``) a negative max degree, and a search or
 check refuses more than ``MAX_MONOMIALS`` monomials of degree <= its
@@ -309,15 +309,23 @@ def jacobian_generators(f: Jet):
     return [g for g in (f.partial(i) for i in range(f.nvars)) if not g.is_zero()]
 
 
+def _bound(degree: int | None, order: int | None) -> int | None:
+    """The right-determinacy bound 2*degree - order + 2, for degree mu or k."""
+    return None if degree is None or order is None else 2 * degree - order + 2
+
+
 @dataclass
 class MilnorReport:
     """Outcome of the bounded Milnor-number search; s is ``stabilization_degree``."""
 
     mu: int | None
     stabilization_degree: int | None
-    determinacy_bound: int | None
     order: int | None
     max_degree: int
+
+    @property
+    def determinacy_bound(self) -> int | None:
+        return _bound(self.mu, self.order)
 
 
 @dataclass
@@ -325,9 +333,12 @@ class DeterminacyReport:
     """Outcome of the bounded determinacy search; k is ``stabilization_degree``."""
 
     stabilization_degree: int | None
-    bound: int | None
     order: int | None
     max_degree: int
+
+    @property
+    def bound(self) -> int | None:
+        return _bound(self.stabilization_degree, self.order)
 
 
 def _order(f: Jet):
@@ -335,27 +346,14 @@ def _order(f: Jet):
     return None if order == ABOVE_PRECISION else int(order)
 
 
-def _bound(degree: int, order: int) -> int:
-    """The right-determinacy bound 2*degree - order + 2, for degree mu or k."""
-    return 2 * degree - order + 2
-
-
 def _check_order(stage: str, f: Jet, claimed_order, name: str, value):
-    """The series' order, once it is the claimed one; a claimed value needs one."""
+    """Raise unless the claimed order is the series'; a claimed value needs one."""
     order = _order(f)
     if claimed_order != order:
         raise VerificationError(stage, f"order {claimed_order} is not the series' order {order}")
     if value is not None and order is None:
         raise VerificationError(stage, f"{name} {value} is claimed for a series with no order "
                                 "(the zero series)")
-    return order
-
-
-def _check_bound(stage: str, claimed_bound, name: str, value: int, order: int):
-    bound = _bound(value, order)
-    if claimed_bound != bound:
-        raise VerificationError(
-            stage, f"bound {claimed_bound} is not 2*{name} - order + 2 = {bound}")
 
 
 def _first_cover(f: Jet, max_degree: int, min_multiplier_degree: int = 0):
@@ -375,10 +373,10 @@ def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
     order = _order(f)
     found = _first_cover(f, max_degree)
     if found is None:
-        return MilnorReport(None, None, None, order, max_degree)
+        return MilnorReport(None, None, order, max_degree)
     s, ech = found
     mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
-    report = MilnorReport(mu, s, _bound(mu, order), order, max_degree)
+    report = MilnorReport(mu, s, order, max_degree)
     verify_milnor(f, report)
     return report
 
@@ -387,15 +385,15 @@ def verify_milnor(f: Jet, report: MilnorReport):
     """Re-check the certificate and mu on a fresh echelon, apart from the search.
 
     Every degree-s monomial must reduce to zero modulo J + m^(s+1), and mu
-    must equal the codimension of J modulo m^s, with the bound and order
-    that follow from it.  A report without mu claims only the order, and
-    the zero series, which has no order, has no finite mu.
+    must equal the codimension of J modulo m^s; the order must be the
+    series'.  A report without mu claims only the order, and the zero
+    series, which has no order, has no finite mu.
     Raises VerificationError naming the first condition that fails.
     """
     s = report.stabilization_degree
-    if report.mu is None and (s is not None or report.determinacy_bound is not None):
-        raise VerificationError("milnor", "a report without mu claims a degree or a bound")
-    order = _check_order("milnor", f, report.order, "mu", report.mu)
+    if report.mu is None and s is not None:
+        raise VerificationError("milnor", "a report without mu claims a degree")
+    _check_order("milnor", f, report.order, "mu", report.mu)
     if report.mu is None:
         return
     if s is None or s < 1:
@@ -405,7 +403,6 @@ def verify_milnor(f: Jet, report: MilnorReport):
     mu = count_monomials_upto(f.nvars, s - 1) - ech.rank_upto(s - 1)
     if report.mu != mu:
         raise VerificationError("milnor", f"mu {report.mu} is not the recounted {mu}")
-    _check_bound("milnor", report.determinacy_bound, "mu", mu, order)
 
 
 def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> DeterminacyReport:
@@ -413,23 +410,19 @@ def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> Det
     order = _order(f)
     found = _first_cover(f, max_degree, min_multiplier_degree=2)
     if found is None:
-        return DeterminacyReport(None, None, order, max_degree)
-    k = found[0] - 2
-    report = DeterminacyReport(k, _bound(k, order), order, max_degree)
+        return DeterminacyReport(None, order, max_degree)
+    report = DeterminacyReport(found[0] - 2, order, max_degree)
     verify_determinacy(f, report)
     return report
 
 
 def verify_determinacy(f: Jet, report: DeterminacyReport):
-    """Re-check the certificate m^(k+2) <= m^2 J + m^(k+3), the order and the bound."""
+    """Re-check the certificate m^(k+2) <= m^2 J + m^(k+3) and the order."""
     k = report.stabilization_degree
-    if k is None and report.bound is not None:
-        raise VerificationError("determinacy", "a report without k claims a bound")
-    order = _check_order("determinacy", f, report.order, "k", k)
+    _check_order("determinacy", f, report.order, "k", k)
     if k is None:
         return
     if k < 0:
         raise VerificationError("determinacy", f"degree {k} is not >= 0")
     _check_cover("determinacy", "m^2 J", f, jacobian_generators(f), k + 2,
                  min_multiplier_degree=2)
-    _check_bound("determinacy", report.bound, "k", k, order)

@@ -97,8 +97,8 @@ class QuadNormalForm:
     ``normal_jet`` writes the split shape as a ``Jet`` and ``read_split_shape``
     reads it back from ``Jet.gram``; no other module of the library knows
     where its coefficients sit.
-    The splitting loop and transport read it only through ``rank``,
-    ``head_jet`` and ``normal_jet``.
+    The splitting loop reads its ``nvars``, ``rank``, ``matrix`` and
+    ``head_jet``; transport its ``nvars``, ``rank``, ``head_jet`` and ``normal_jet``.
 
     The normal jet is the ``diagonal`` squares, then one block
     a x_k^2 + x_k x_{k+1} + b x_{k+1}^2 per entry (a, b) of ``pairs``, then the
@@ -113,11 +113,14 @@ class QuadNormalForm:
 
     variant: str  # diagonal | unit_diagonal | arf | char2_solvable_a | char2_solvable_b
     field: Field
-    nvars: int
     matrix: list
     diagonal: tuple = ()
     pairs: tuple = ()
     tail: tuple = ()
+
+    @property
+    def nvars(self) -> int:
+        return len(self.matrix)
 
     @property
     def half_rank(self) -> int:
@@ -126,10 +129,6 @@ class QuadNormalForm:
     @property
     def rank(self) -> int:
         return len(self.diagonal) + 2 * len(self.pairs)
-
-    @property
-    def has_square(self) -> bool:
-        return self.variant == "char2_solvable_a"
 
     def normal_jet(self, prec: int = 2) -> Jet:
         field, n = self.field, self.nvars
@@ -170,7 +169,7 @@ class QuadNormalForm:
                 raise SplitShapeError("2-jet is not diagonal")
             if sorted(squares) != list(range(len(squares))):
                 raise SplitShapeError("diagonal entries are not in leading position")
-            return cls("diagonal", field, n, identity,
+            return cls("diagonal", field, identity,
                        diagonal=tuple(squares[i] for i in range(len(squares))))
         rank = 2 * len(cross)
         if sorted(cross) != [(i, i + 1) for i in range(0, rank, 2)]:
@@ -178,7 +177,7 @@ class QuadNormalForm:
         if any(c != field.one for c in cross.values()):
             raise SplitShapeError("2-jet pair middle coefficients are not 1")
         d = [squares.get(i, field.zero) for i in range(n)]
-        return cls("arf", field, n, identity,
+        return cls("arf", field, identity,
                    pairs=tuple(zip(d[0:rank:2], d[1:rank:2])), tail=tuple(d[rank:]))
 
     def to_json(self) -> dict:
@@ -195,35 +194,28 @@ class QuadNormalForm:
             out["tail"] = [fmt(d) for d in self.tail]
         else:
             out["half_rank"] = self.half_rank
-            out["has_square"] = self.has_square
+            out["has_square"] = self.variant == "char2_solvable_a"
         out["transition_matrix"] = [[fmt(c) for c in row] for row in self.matrix]
         return out
 
     @classmethod
     def from_json(cls, field: Field, data: dict) -> "QuadNormalForm":
-        """The form ``to_json`` wrote; FieldError for a variant of another characteristic."""
+        """The head ``split`` writes: ``diagonal``, or ``arf`` in characteristic 2.
+
+        Reads only the entries and the transition matrix, and raises
+        FieldError for any other variant; the derived keys are not read.
+        """
         parse = field.parse_scalar
         variant = data["variant"]
-        if variant not in (("arf", "char2_solvable_a", "char2_solvable_b") if field.char == 2
-                           else ("diagonal", "unit_diagonal")):
-            raise FieldError(f"variant {variant!r} is not of characteristic {field.char}")
-        if data.get("has_square", False) is not (variant == "char2_solvable_a"):
-            raise FieldError(f"has_square does not match normal-form variant {variant!r}")
-        nvars = data["nvars"]
-        if not isinstance(nvars, int) or isinstance(nvars, bool):
-            raise FieldError(f"nvars {nvars!r} is not an int")
+        if variant != ("arf" if field.char == 2 else "diagonal"):
+            raise FieldError(f"variant {variant!r} is not the one split writes "
+                             f"in characteristic {field.char}")
         matrix = [[parse(c) for c in row] for row in data["transition_matrix"]]
-        if variant in ("diagonal", "unit_diagonal"):
-            return cls(variant, field, nvars, matrix,
-                       diagonal=tuple(parse(a) for a in data["diagonal"]))
-        if variant == "arf":
-            return cls(variant, field, nvars, matrix,
-                       pairs=tuple((parse(a), parse(b)) for a, b in data["pairs"]),
-                       tail=tuple(parse(d) for d in data["tail"]))
-        half = data["half_rank"]
-        return cls(variant, field, nvars, matrix,
-                   pairs=tuple((field.zero, field.zero) for _ in range(half)),
-                   tail=(field.one,) if variant == "char2_solvable_a" else ())
+        if variant == "diagonal":
+            return cls(variant, field, matrix, diagonal=tuple(parse(a) for a in data["diagonal"]))
+        return cls(variant, field, matrix,
+                   pairs=tuple((parse(a), parse(b)) for a, b in data["pairs"]),
+                   tail=tuple(parse(d) for d in data["tail"]))
 
 
 def _verify_transition(what: str, source: Jet, matrix, nf: QuadNormalForm):
@@ -317,8 +309,7 @@ def diagonalize(f: Jet) -> QuadNormalForm:
             _, t = _square_free_split(b[i][i])
             if t != 1:
                 _scale(field, [s], i, field.inv(t), b)  # strips the square factor
-    nf = QuadNormalForm("diagonal", field, n, s,
-                        diagonal=tuple(b[i][i] for i in range(k)))
+    nf = QuadNormalForm("diagonal", field, s, diagonal=tuple(b[i][i] for i in range(k)))
     _verify_transition("transition", q, nf.matrix, nf)
     return nf
 
@@ -342,12 +333,11 @@ def normalize_squares(nf: QuadNormalForm):
     roots = [field.sqrt(a) for a in nf.diagonal]
     if any(r is None for r in roots):
         return None
-    n = nf.nvars
-    m = linalg.identity(field, n)
+    m = linalg.identity(field, nf.nvars)
     matrix = linalg.copy_matrix(nf.matrix)
     for i, r in enumerate(roots):
         _scale(field, [m, matrix], i, field.inv(r))
-    out = QuadNormalForm("unit_diagonal", field, n, matrix,
+    out = QuadNormalForm("unit_diagonal", field, matrix,
                          diagonal=tuple(field.one for _ in roots))
     _verify_transition("unit-diagonal rescaling", nf.normal_jet(2), m, out)
     return out
@@ -397,7 +387,7 @@ def arf_normal_form(f: Jet) -> QuadNormalForm:
             total = field.add(total, field.mul(c, field.mul(v[i], v[j])))
         value.append(total)
     rank = len(order)
-    nf = QuadNormalForm("arf", field, n, s, pairs=tuple(zip(value[0:rank:2], value[1:rank:2])),
+    nf = QuadNormalForm("arf", field, s, pairs=tuple(zip(value[0:rank:2], value[1:rank:2])),
                         tail=tuple(value[rank:]))
     _verify_transition("transition", q, nf.matrix, nf)
     return nf
@@ -413,9 +403,8 @@ def arf_reduce_solvable(nf: QuadNormalForm):
     if nf.variant != "arf":
         raise ValueError("arf_reduce_solvable expects an Arf normal form")
     field = nf.field
-    n = nf.nvars
     l = nf.half_rank
-    extra = linalg.identity(field, n)
+    extra = linalg.identity(field, nf.nvars)
     matrix = linalg.copy_matrix(nf.matrix)
     mats = [extra, matrix]
     for t, (a, c) in enumerate(nf.pairs):
@@ -437,7 +426,7 @@ def arf_reduce_solvable(nf: QuadNormalForm):
     for j in range(1, k_sq):
         _add(field, mats, 2 * l, 2 * l + j, field.one)  # collapse x^2 + ... onto one square
     square = (field.one,) if k_sq else ()
-    out = QuadNormalForm("char2_solvable_a" if square else "char2_solvable_b", field, n, matrix,
+    out = QuadNormalForm("char2_solvable_a" if square else "char2_solvable_b", field, matrix,
                          pairs=tuple((field.zero, field.zero) for _ in range(l)), tail=square)
     _verify_transition("solvable reduction", nf.normal_jet(2), extra, out)
     return out

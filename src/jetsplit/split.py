@@ -23,6 +23,7 @@ for the transition and one per pass.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from . import linalg
@@ -39,14 +40,19 @@ class SplitResult:
     ``residual`` lives in the ambient variables but involves only tail
     variables; in characteristic 2 it includes the diagonal square tail of
     the 2-jet.  ``change`` satisfies f(change) = head quadratic + residual:
-    ``split`` checks that with ``verify_split`` before it returns.
+    ``split`` checks that with ``verify_split`` before it returns.  ``rank``
+    is the head's: ``from_json`` reads the file's ``rank`` and ``quad`` only
+    to compare them with what ``to_json`` writes for the head it read.
     """
 
     quad: QuadNormalForm
-    rank: int
     residual: Jet
     change: CoordinateChange
     precision: int
+
+    @property
+    def rank(self) -> int:
+        return self.quad.rank
 
     @property
     def field(self):
@@ -71,8 +77,9 @@ class SplitResult:
     def from_json(cls, data, varnames) -> "SplitResult":
         """The result that ``to_json`` wrote, read back in the given variables.
 
-        Raises FieldError (an input error) naming a missing or malformed key;
-        the result is not checked, which is ``verify_split``'s task.
+        Raises FieldError (an input error) naming a missing or malformed key,
+        or a ``quad`` or ``rank`` whose JSON text is not what ``to_json``
+        writes for the head read; checking the rest is ``verify_split``'s task.
         """
         from .expr import parse_jet
 
@@ -96,11 +103,17 @@ class SplitResult:
         residual = parse_jet(entry("residual", str), field, varnames, N)
         try:
             quad = QuadNormalForm.from_json(field, entry("quad", dict))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except FieldError:
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise FieldError(f"result file key 'quad' is malformed: {exc!r}") from None
         if quad.nvars != len(varnames) or quad.rank + len(quad.tail) > quad.nvars:
             raise FieldError("result file key 'quad' does not fit the variables")
-        return cls(quad, entry("rank", int), residual, change, N)
+        entry("rank", int)
+        for key, written in (("quad", quad.to_json()), ("rank", quad.rank)):
+            if json.dumps(data[key], sort_keys=True) != json.dumps(written, sort_keys=True):
+                raise FieldError(f"result file key {key!r} is not what split writes for its head")
+        return cls(quad, residual, change, N)
 
 
 def project_to_tail(f: Jet, rank: int) -> Jet:
@@ -231,7 +244,7 @@ def split(f: Jet, N: int) -> SplitResult:
     nf = normal_form(f)
     iterate = iterate_arf if f.field.char == 2 else iterate_diagonal
     change, residual = iterate(f, N, nf)
-    result = SplitResult(nf, nf.rank, residual, change, N)
+    result = SplitResult(nf, residual, change, N)
     if not verify_split(f, result).is_zero():
         raise VerificationError("split", "f(change) differs from head + residual")
     return result
@@ -243,9 +256,9 @@ def verify_split(f: Jet, result: SplitResult) -> Jet:
     Raises VerificationError when the result is not a split whatever the
     difference: f, the residual or the change is known to a lower precision
     than the result's, the residual or the change claims a higher one, the
-    result's rank is not the rank of its quadratic head, the head is
-    degenerate or of another rank than the Hessian of f, the change is not an
-    automorphism, or the residual involves a head variable.  When the
+    head is degenerate or of another rank than the Hessian of f, the change
+    is not an automorphism, or the residual involves a head variable.  The
+    rank is the head's, so it cannot disagree with it.  When the
     difference is zero it also raises unless f lies in m^2, the change's
     linear part is the head's transition and the residual's 2-jet is the
     normal form's square tail: with the identity these give f's 2-jet at the
@@ -259,9 +272,6 @@ def verify_split(f: Jet, result: SplitResult) -> Jet:
             raise VerificationError("split", f"the {name} has precision {jet.prec}, above {N}")
     quad = result.quad
     rank = quad.rank
-    if result.rank != rank:
-        raise VerificationError(
-            "split", f"rank {result.rank} is not the quadratic head's rank {rank}")
     if f.prec > N:
         f = f.truncate(N)
     head = result.head_jet()

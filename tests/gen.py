@@ -126,7 +126,7 @@ def rand_split_form(field, nvars, prec, rng, rank=None):
         pairs = tuple((random_element(field, rng), random_element(field, rng))
                       for _ in range(l))
         tail = tuple(random_element(field, rng) for _ in range(nvars - rank))
-        quad = QuadNormalForm("arf", field, nvars, linalg.identity(field, nvars),
+        quad = QuadNormalForm("arf", field, linalg.identity(field, nvars),
                               pairs=pairs, tail=tail)
         m = nvars - rank
         g = rand_jet(field, m, prec, rng, min_degree=3, terms=4)
@@ -138,7 +138,7 @@ def rand_split_form(field, nvars, prec, rng, rank=None):
         k = rng.randint(0, nvars) if rank is None else rank
         rank = k
         diag = tuple(random_element(field, rng, nonzero=True) for _ in range(k))
-        quad = QuadNormalForm("diagonal", field, nvars, linalg.identity(field, nvars),
+        quad = QuadNormalForm("diagonal", field, linalg.identity(field, nvars),
                               diagonal=diag)
         m = nvars - rank
         g = rand_jet(field, m, prec, rng, min_degree=3, terms=4)

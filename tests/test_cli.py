@@ -340,17 +340,17 @@ def test_verify_command_detects_mismatch(tmp_path, capsys):
 
 
 def test_verify_rejects_a_char2_head_that_reads_the_tail(tmp_path, capsys):
-    # the forged head is a char2_solvable_a form of rank 2 under the identity
-    # change; its square z^2 sits on the tail variable z, so it belongs to the
-    # residual, and a head jet that kept it made the difference 0
+    # the head is the Arf pair x*y with the square tail z^2 under the identity
+    # change; z^2 sits on the tail variable z, so it belongs to the residual,
+    # and a head jet that kept it would make the difference 0
     f = "x*y + z^2 + z^3"
     code, out, _ = run(capsys, "split", "--field", "fp:2", "--vars", "x,y,z",
                        "--precision", "4", "--format", "json", f)
     assert code == 0
     data = json.loads(out)
     identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
-    data["quad"] = {"variant": "char2_solvable_a", "rank": 2, "nvars": 3, "half_rank": 1,
-                    "has_square": True, "transition_matrix": identity}
+    data["quad"] = {"variant": "arf", "rank": 2, "nvars": 3, "pairs": [["0", "0"]],
+                    "tail": ["1"], "transition_matrix": identity}
     data["residual"] = "z^3 + O(deg 4)"
     result = tmp_path / "result.json"
     result.write_text(json.dumps(data))
@@ -366,17 +366,19 @@ IDENTITY_3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
 @pytest.mark.parametrize("spec, quad, message", [
     # x*y is an Arf pair under the identity; over q it is no split head
     ("q", {"variant": "arf", "pairs": [["0", "0"]], "tail": ["0"]},
-     "variant 'arf' is not of characteristic 0"),
+     "variant 'arf' is not the one split writes in characteristic 0"),
     ("fp:2", {"variant": "diagonal", "diagonal": ["1"]},
-     "variant 'diagonal' is not of characteristic 2"),
+     "variant 'diagonal' is not the one split writes in characteristic 2"),
+    # split writes the Arf form; quadform alone writes its solvable reductions
     ("fp:2", {"variant": "char2_solvable_b", "half_rank": 1, "has_square": True},
-     "has_square does not match normal-form variant 'char2_solvable_b'"),
+     "variant 'char2_solvable_b' is not the one split writes in characteristic 2"),
     ("fp:2", {"variant": "char2_solvable_a", "half_rank": 1, "has_square": False},
-     "has_square does not match normal-form variant 'char2_solvable_a'"),
+     "variant 'char2_solvable_a' is not the one split writes in characteristic 2"),
+    # a key split does not write for its head
     ("q", {"variant": "diagonal", "diagonal": ["1"], "has_square": True},
-     "has_square does not match normal-form variant 'diagonal'"),
+     "result file key 'quad' is not what split writes for its head"),
     ("q", {"variant": "squares", "diagonal": ["1"]},
-     "variant 'squares' is not of characteristic 0"),
+     "variant 'squares' is not the one split writes in characteristic 0"),
 ], ids=["arf_over_q", "diagonal_over_fp2", "solvable_b_with_square",
         "solvable_a_without_square", "diagonal_with_square", "unknown"])
 def test_verify_refuses_a_variant_outside_the_characteristic(tmp_path, capsys, spec, quad,
@@ -594,17 +596,14 @@ def test_verify_rejects_forged_zero_change(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("forge, reason", [
-    ("rank", "rank 2 is not the quadratic head's rank 1"),
     ("residual_in_head", "the residual involves head variables"),
     ("degenerate_head", "the quadratic head is degenerate"),
     ("low_rank_head", "the series has Hessian rank 2"),
-], ids=["rank", "residual_in_head", "degenerate_head", "low_rank_head"])
+], ids=["residual_in_head", "degenerate_head", "low_rank_head"])
 def test_verify_rejects_other_forgeries(tmp_path, capsys, forge, reason):
     expr = "x^2 + x*y^2"
     data = split_json(capsys)
-    if forge == "rank":
-        data["rank"] = 2
-    elif forge == "residual_in_head":
+    if forge == "residual_in_head":
         # the identity change leaves x*y^2, which involves the head variable x
         data["change"] = ["x", "y"]
         data["residual"] = "x*y^2"
@@ -738,7 +737,8 @@ def test_verify_refuses_other_field_or_precision(tmp_path, capsys, options, mess
 
 @pytest.mark.parametrize("damage", ["not_object", "change_not_list", "precision_text",
                                     "quad_no_variant", "quad_wrong_nvars", "quad_float_nvars",
-                                    "quad_bool_nvars", "quad_claims_rank_7", "quad_short_pair"])
+                                    "quad_bool_nvars", "quad_claims_rank_7", "quad_short_pair",
+                                    "forged_rank"])
 def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
     expr, spec, names = "x^2 + x*y^2", "q", "x,y"
     if damage == "quad_short_pair":
@@ -761,15 +761,18 @@ def test_verify_malformed_result_is_input_error(tmp_path, capsys, damage):
     elif damage == "quad_short_pair":
         assert data["quad"]["pairs"] == [["0", "0"]]
         data["quad"]["pairs"] = [["0"]]
+    elif damage == "forged_rank":
+        data["rank"] = 2  # the head x^2 has rank 1
     else:
         data["quad"]["nvars"] = 3
     code, out, err = verify(capsys, tmp_path, data, expr, spec, names)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    if damage in ("quad_float_nvars", "quad_bool_nvars"):
-        assert err == f"error: nvars {data['quad']['nvars']!r} is not an int\n"
-    elif damage in ("quad_claims_rank_7", "quad_short_pair"):
+    if damage.startswith("quad_"):
         assert "'quad'" in err
+    if damage in ("quad_float_nvars", "quad_bool_nvars", "quad_claims_rank_7", "forged_rank"):
+        key = "rank" if damage == "forged_rank" else "quad"
+        assert err == f"error: result file key {key!r} is not what split writes for its head\n"
 
 
 def test_verify_non_json_result_is_input_error(tmp_path, capsys):

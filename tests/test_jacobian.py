@@ -94,7 +94,7 @@ def test_verify_milnor_recheck():
 def test_determinacy_of_quadric():
     f = poly("x^2 + y^2", ["x", "y"])
     report = determinacy_certificate(f)
-    assert report == DeterminacyReport(1, 2, 2, 12)
+    assert report == DeterminacyReport(1, 2, 12) and report.bound == 2
     verify_determinacy(f, report)
 
 
@@ -536,8 +536,6 @@ def test_verify_milnor_rejects_forged_reports():
         verify_milnor(f, report)
         for change, reason in (({"mu": report.mu + 1}, "mu .* is not the recounted"),
                                ({"mu": report.mu - 1}, "mu .* is not the recounted"),
-                               ({"determinacy_bound": report.determinacy_bound + 1},
-                                "bound .* is not 2\\*mu - order \\+ 2"),
                                ({"order": report.order + 1}, "order .* is not the series' order"),
                                ({"stabilization_degree": 0}, "stabilization degree 0 is not >= 1"),
                                ({"stabilization_degree": None},
@@ -553,15 +551,14 @@ def test_verify_milnor_rejects_forged_reports():
     with pytest.raises(VerificationError, match=rf"^milnor: no cover at degree {s}: "
                                                 rf"m\^{s} is not in J \+ m\^{s + 1}$"):
         verify_milnor(f, early)
-    # a report without mu may claim neither a degree nor a bound
-    for forged in (MilnorReport(None, 3, 99, 7, 12), MilnorReport(None, 3, None, 3, 12),
-                   MilnorReport(None, None, 99, 3, 12)):
-        with pytest.raises(VerificationError,
-                           match="^milnor: a report without mu claims a degree or a bound"):
+    # a report without mu may claim no degree, and has no bound
+    for forged in (MilnorReport(None, 3, 7, 12), MilnorReport(None, 3, 3, 12)):
+        assert forged.determinacy_bound is None
+        with pytest.raises(VerificationError, match="^milnor: a report without mu claims a degree$"):
             verify_milnor(f, forged)
-    verify_milnor(f, MilnorReport(None, None, None, 3, 12))
+    verify_milnor(f, MilnorReport(None, None, 3, 12))
     with pytest.raises(VerificationError, match="^milnor: order 7 is not the series' order 3"):
-        verify_milnor(f, MilnorReport(None, None, None, 7, 12))
+        verify_milnor(f, MilnorReport(None, None, 7, 12))
 
 
 def test_verify_milnor_rejects_mu_for_the_zero_series():
@@ -570,7 +567,7 @@ def test_verify_milnor_rejects_mu_for_the_zero_series():
         assert milnor_number(f).mu is None
         with pytest.raises(VerificationError, match="^milnor: mu 1 is claimed for a series "
                                                     r"with no order \(the zero series\)$"):
-            verify_milnor(f, MilnorReport(1, 1, 4, None, 12))
+            verify_milnor(f, MilnorReport(1, 1, None, 12))
 
 
 def test_verify_determinacy_rejects_a_lower_degree():
@@ -579,9 +576,7 @@ def test_verify_determinacy_rejects_a_lower_degree():
         report = determinacy_certificate(f)
         verify_determinacy(f, report)
         k = report.stabilization_degree
-        for change, reason in (({"bound": report.bound + 1},
-                                "bound .* is not 2\\*k - order \\+ 2"),
-                               ({"order": report.order + 1}, "order .* is not the series' order"),
+        for change, reason in (({"order": report.order + 1}, "order .* is not the series' order"),
                                ({"stabilization_degree": k - 1},
                                 rf"no cover at degree {k + 1}: "
                                 rf"m\^{k + 1} is not in m\^2 J \+ m\^{k + 2}$"),
@@ -589,17 +584,16 @@ def test_verify_determinacy_rejects_a_lower_degree():
             forged = dataclasses.replace(report, **change)
             with pytest.raises(VerificationError, match=f"^determinacy: {reason}"):
                 verify_determinacy(f, forged)
-    # a report without k may claim only the order
+    # a report without k claims only the order, and has no bound
     f = poly("x^3 + y^4", ["x", "y"])
-    verify_determinacy(f, DeterminacyReport(None, None, 3, 12))
-    with pytest.raises(VerificationError, match="^determinacy: a report without k claims a bound"):
-        verify_determinacy(f, DeterminacyReport(None, 5, 3, 12))
+    verify_determinacy(f, DeterminacyReport(None, 3, 12))
+    assert DeterminacyReport(None, 3, 12).bound is None
     with pytest.raises(VerificationError, match="^determinacy: order 7 is not the series' order 3"):
-        verify_determinacy(f, DeterminacyReport(None, None, 7, 12))
+        verify_determinacy(f, DeterminacyReport(None, 7, 12))
     # the zero series has no order, so no bound can follow from a claimed k
     with pytest.raises(VerificationError, match="^determinacy: k 1 is claimed for a series "
                                                 r"with no order \(the zero series\)$"):
-        verify_determinacy(Jet(Q, 0, POLY, {}), DeterminacyReport(1, 3, None, 12))
+        verify_determinacy(Jet(Q, 0, POLY, {}), DeterminacyReport(1, None, 12))
 
 
 # rows offered and elimination steps per search, measured (milnor 1320 and
