@@ -107,20 +107,29 @@ def split_input(field, n, N, rank, rng):
 
 
 def verify_failure_cases():
-    """`verify` on a stored split result that was tampered with, in text and JSON: exit 1."""
+    """`verify` on a stored split result that was changed, in text and JSON.
+
+    Returns two lists.  A tampered residual fails the check (exit 1).  A
+    forged rank is not what split writes for the head, so reading the file
+    refuses it (exit 2).
+    """
     split_json = ["split", "--field", "q", "--vars", "x,y", "--precision", "4",
                   "--format", "json", "x^2 + x*y^2"]
     result = json.loads(run_case(split_json, {})[1])
     tampered = dict(result, residual="-1/3*y^4 + O(deg 4)")
     forged = dict(result, rank=2)
-    return [(f"verify-fails-{tag}",
-             ["verify", "--field", "q", "--vars", "x,y"] + fmt + ["x^2 + x*y^2",
-                                                                  "file:result.json"],
-             {"result.json": json.dumps(data, indent=2) + "\n"})
-            for tag, fmt, data in [("tampered-residual", [], tampered),
-                                   ("forged-rank", ["--format", "json"], forged),
-                                   ("tampered-residual-json", ["--format", "json"], tampered),
-                                   ("forged-rank-text", [], forged)]]
+
+    def cases(*rows):
+        return [(f"verify-fails-{tag}",
+                 ["verify", "--field", "q", "--vars", "x,y"] + fmt + ["x^2 + x*y^2",
+                                                                      "file:result.json"],
+                 {"result.json": json.dumps(data, indent=2) + "\n"})
+                for tag, fmt, data in rows]
+
+    return (cases(("tampered-residual", [], tampered),
+                  ("tampered-residual-json", ["--format", "json"], tampered)),
+            cases(("forged-rank", ["--format", "json"], forged),
+                  ("forged-rank-text", [], forged)))
 
 
 def split_cases(rng):
@@ -680,19 +689,18 @@ def build():
           "--epsilon", "2", "x + x^5 + O(deg 6)"], {}),
     ]
     rejected = [parser_case("parse-error", *row) for row in PARSER_ERRORS]
-    refused = verify_failure_cases()
+    failing, refused = verify_failure_cases()
     corpus = []
-    for name, argv, files in specs + edge_cases() + parsed + rejected + refused:
+    for name, argv, files in specs + edge_cases() + parsed + rejected + failing + refused:
         code, out, err = run_case(argv, files)
         corpus.append({"name": name, "argv": argv, "files": files,
                        "exit": code, "stdout": out, "stderr": err})
-    names = {name for name, _, _ in specs + parsed}
-    failed = [c["name"] for c in corpus if c["name"] in names and c["exit"] != 0]
-    tail = corpus[len(corpus) - len(rejected) - len(refused):]
-    accepted = [c["name"] for c in tail[:len(rejected)] if c["exit"] != 2]
-    passed = [c["name"] for c in tail[len(rejected):] if c["exit"] != 1]
+    exits = {c["name"]: c["exit"] for c in corpus}
+    failed = [name for name, _, _ in specs + parsed if exits[name] != 0]
+    accepted = [name for name, _, _ in rejected + refused if exits[name] != 2]
+    passed = [name for name, _, _ in failing if exits[name] != 1]
     if failed or accepted or passed:
-        raise SystemExit(f"cases exited nonzero: {failed}; parser errors not exit 2: "
+        raise SystemExit(f"cases exited nonzero: {failed}; refused inputs not exit 2: "
                          f"{accepted}; failed checks not exit 1: {passed}")
     return corpus
 
