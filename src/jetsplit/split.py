@@ -257,9 +257,8 @@ def verify_split(f: Jet, result: SplitResult) -> Jet:
     difference: f, the residual or the change is known to a lower precision
     than the result's, the residual or the change claims a higher one, the
     head is degenerate or of another rank than the Hessian of f, the change
-    is not an automorphism, or the residual involves a head variable.  The
-    rank is the head's, so it cannot disagree with it.  When the
-    difference is zero it also raises unless f lies in m^2, the change's
+    is not an automorphism, or the residual involves a head variable.  When
+    the difference is zero it also raises unless f lies in m^2, the change's
     linear part is the head's transition and the residual's 2-jet is the
     normal form's square tail: with the identity these give f's 2-jet at the
     transition equal to the normal jet, so the head is f's classified 2-jet.

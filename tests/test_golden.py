@@ -4,8 +4,8 @@ The corpus holds README examples and seeded split/verify, ift, transport,
 quadform, norm, milnor and determinacy calls over every field, split, ift
 and transport with large denominators over q and large residues over
 fp:1000000007, rejected transport and split inputs, `verify` on tampered
-split results (exit 1) and on a forged rank (exit 2), quadform through every congruence branch and dense
-8-variable forms, characteristic-2 quadform in up to 16 variables, calls
+split results (exit 1) and on a forged rank (exit 2), quadform through
+every congruence branch and dense 8-variable forms, characteristic-2 quadform in up to 16 variables, calls
 whose truncated products are dense in one or two variables (Catalan ift,
 parser powers at precision 10^9, a deep split over fp:1000003), and
 parser inputs (nesting, powers, signs, truncation, literals bare and in

@@ -554,7 +554,8 @@ def test_verify_milnor_rejects_forged_reports():
     # a report without mu may claim no degree, and has no bound
     for forged in (MilnorReport(None, 3, 7, 12), MilnorReport(None, 3, 3, 12)):
         assert forged.determinacy_bound is None
-        with pytest.raises(VerificationError, match="^milnor: a report without mu claims a degree$"):
+        with pytest.raises(VerificationError,
+                           match="^milnor: a report without mu claims a degree$"):
             verify_milnor(f, forged)
     verify_milnor(f, MilnorReport(None, None, 3, 12))
     with pytest.raises(VerificationError, match="^milnor: order 7 is not the series' order 3"):
