@@ -1,16 +1,21 @@
 import dataclasses
+import importlib
 import json
+import math
 import random
 
 import pytest
 
-from gen import (FIELDS, identity_change, rand_automorphism, rand_m2_jet,
-                 rand_split_form, transition_change)
-from jetsplit import (BinaryField, CoordinateChange, Jet, PrecisionError, PrimeField,
-                      QuadNormalForm, RationalField, SplitResult,
+from gen import (FIELDS, identity_change, monomials_of_degree, rand_automorphism, rand_m2_jet,
+                 rand_split_form, random_element, transition_change)
+from jetsplit import (BinaryField, CoordinateChange, ImplicitSystem, Jet, PrecisionError,
+                      PrimeField, QuadNormalForm, RationalField, SplitResult,
                       SplitShapeError, VerificationError, iterate_arf, iterate_diagonal,
-                      normal_form, parse_jet, split, verify_split)
+                      ift_solve, normal_form, parse_jet, split, verify_split)
 from jetsplit.field import parse_field_spec
+
+# the package re-exports a function named like this module
+split_module = importlib.import_module("jetsplit.split")
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -262,3 +267,90 @@ def test_split_result_json_round_trip(spec):
     assert result.rank == 2 and not result.residual.is_zero()
     data = json.loads(json.dumps(result.to_json(names)))
     assert SplitResult.from_json(data, names) == result
+
+
+def dense_split_input(field, n, N, rank, rng):
+    """A split form of the given rank (its even part in characteristic 2) plus
+    about half of all monomials of degree 3..N, moved by a random automorphism."""
+    _, _, f0 = rand_split_form(field, n, N, rng, rank=rank)
+    dense = Jet(field, n, N, {beta: random_element(field, rng, nonzero=True)
+                              for d in range(3, N + 1)
+                              for beta in monomials_of_degree(n, d) if rng.random() < 0.5})
+    return rand_automorphism(field, n, N, rng).apply(f0 + dense)
+
+
+def critical_residual(f, N):
+    """f after the head's transition S, at x_h = phi(y): phi solves
+    d(f o S)/dx_h = 0 through degree N - 1 (``ift_solve``), whose degree-N
+    coefficient does not reach f o S(phi(y), y) below degree N + 1."""
+    quad = normal_form(f)
+    g = transition_change(quad, N).apply(f)
+    rank, n, field = quad.rank, f.nvars, f.field
+    if rank == 0:
+        return g
+    if rank == n:
+        phi = [Jet.zero(field, n, N)] * rank
+    else:
+        solution = ift_solve(ImplicitSystem([g.partial(i) for i in range(rank)], range(rank)),
+                             N - 1)
+        phi = [Jet(field, n, N, {(0,) * rank + a: c for a, c in y.coeffs.items()})
+               for y in solution]
+    return g.substitute(phi + [Jet.variable(field, n, j, N) for j in range(rank, n)])
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_residual_is_the_series_on_the_critical_manifold(spec):
+    # the residual is unique once the tail is fixed: whatever change split
+    # prints, its residual is the series on the critical manifold of the head
+    field = parse_field_spec(spec)
+    rng = random.Random(27)
+    for i in range(12):
+        n, N = rng.randint(2, 4), rng.randint(3, 6)
+        f = dense_split_input(field, n, N, i % (n + 1), rng)
+        assert split(f, N).residual == critical_residual(f, N), (spec, i)
+
+
+# the passes each seed-28 input of dense_split_input makes, per field; and the
+# mixed-part orders of the deep split, after the transition and each pass
+PASS_COUNTS = {"q": [3, 3, 2, 3, 2, 2, 3, 3, 2, 2], "fp:7": [3, 2, 3, 3, 2, 3, 3, 3, 3, 3],
+               "fp:2": [3, 2, 3, 3, 3, 2, 3, 2, 3, 2], "f2k:4": [3, 3, 2, 3, 2, 3, 3, 3, 3, 3]}
+DEEP_ORDERS = {("q", 60): [3, 4, 6, 10, 18, 34, math.inf],
+               ("fp:1000003", 200): [3, 4, 6, 10, 18, 34, 66, 130, math.inf]}
+
+
+@pytest.fixture
+def mixed_orders(monkeypatch):
+    """Every split's mixed-part orders, after the transition and after each pass."""
+    orders = []
+    iterate, mixed_order = split_module._iterate, split_module._mixed_order
+
+    def started(*args):
+        orders.append([])
+        return iterate(*args)
+
+    def recorded(gs, shift):
+        orders[-1].append(mixed_order(gs, shift))
+        return orders[-1][-1]
+
+    monkeypatch.setattr(split_module, "_iterate", started)
+    monkeypatch.setattr(split_module, "_mixed_order", recorded)
+    return orders
+
+
+def test_each_pass_reaches_twice_the_order_minus_two(mixed_orders):
+    # a pass at mixed order r leaves order >= 2r - 2 (the split docstring);
+    # the pass counts are pinned
+    for spec, counts in PASS_COUNTS.items():
+        field = parse_field_spec(spec)
+        rng = random.Random(28)
+        for i in range(len(counts)):
+            n, N = rng.randint(2, 4), rng.randint(5, 8)
+            rank = rng.randint(1, n // 2) * 2 if field.char == 2 else rng.randint(1, n - 1)
+            split(dense_split_input(field, n, N, rank, rng), N)
+        assert [len(orders) - 1 for orders in mixed_orders[-len(counts):]] == counts, spec
+    for (spec, P), deep in DEEP_ORDERS.items():
+        split(parse_jet("x^2+x^2*y+x*y^3+y^3", parse_field_spec(spec), ["x", "y"], P), P)
+        assert mixed_orders[-1] == deep, spec
+    for orders in mixed_orders:
+        for r, new in zip(orders, orders[1:]):
+            assert new >= 2 * r - 2, orders
