@@ -7,18 +7,46 @@ the 2-jet with ``normal_form``, and the loop starts at that head's linear
 transition: its rows are the starting change, and f at them has the head's
 normal jet as its 2-jet.  A caller whose series is already in split shape
 passes ``QuadNormalForm.read_split_shape(f)``, whose transition is the
-identity.  Write f = H(x_h) + x_h . g + r, after that first substitution, with
-cofactors g of the mixed part and P = U + U^T the polar matrix of H's
-upper-triangular Gram matrix U.  Over every field
+identity.  Write f = H(x_h) + x_h . g + t, after that first substitution,
+with cofactors g of the mixed part (every term with a head variable, H
+aside), t in the tail variables alone, and P = U + U^T the polar matrix of
+H's upper-triangular Gram matrix U.  Over every field
 
-  H(x + d) = H(x) + x^T P d + H(d),
+  H(x + d) = H(x) + x^T P d + H(d).
 
-so the pass x_h -> x_h - P^{-1} g cancels the mixed part to its order and
-leaves only terms of strictly higher order.  The loop ends once the mixed
-part vanishes at precision N.  f, the change, the parts and the cofactors
-stay packed term lists at one packing for precision N (``jet._Packing``) from
-the linear transition to the last pass, one ``jet._substitute_packed`` call
-for the transition and one per pass.
+- **Pass.** Let k >= 3 be the mixed order, the order of x_h . g, and g' the
+  terms of g of degree <= 2k - 4.  The pass x_h -> x_h + d, d = -P^{-1} g',
+  of order k - 1, leaves
+
+    f(x_h + d) = H(x_h) + t + x_h . (g - g') + x_h . (g(x_h + d) - g(x_h))
+                 + H(d) + d . g(x_h + d),
+
+  and each of the four remainders has order >= 2k - 2: g - g' starts at
+  degree 2k - 3, every term of g(x_h + d) - g(x_h) trades an x for a d, and
+  the last two are products of two factors of order >= k - 1.  So the mixed
+  order climbs to at least 2k - 2, as it would with the whole of g, whose
+  other terms only make the parts denser for the next pass to redo.
+- **Last pass.** Once 2k - 2 > N, g' is all of g (of degree <= N - 1 <=
+  2k - 4) and every product d_i d_j lies above N, so Taylor's formula (in any characteristic the terms past
+  the first are products of two or more d_i) gives f(x_h + d) = f +
+  sum_i (df/dx_i) d_i exactly below degree N + 1: f and the change move by
+  one product per head variable (``_taylor_step``), and the mixed part
+  vanishes.
+- **The residual is unique.** The loop's change is S, the transition,
+  composed with x_h -> x_h + delta(x, y), y -> y, with delta of order >= 2.
+  If f o S(x_h + delta, y) = H(x_h) + R(y), differentiate in x_h and set
+  x_h = 0: the right side gives P x_h = 0 there, and I + d(delta)/dx_h is
+  invertible, so (delta(0, y), y) is critical for f o S in x_h.  P is
+  invertible (for Arf pairs too), so by the implicit function theorem
+  delta(0, y) is the unique phi(y) with phi(0) = 0 on that critical
+  manifold, and R(y) = f o S(phi(y), y).  Which change the passes find
+  does not move the residual; the change itself is not unique.
+
+The loop ends once the mixed part vanishes at precision N.  f, the change,
+the parts and the cofactors stay packed term lists at one packing for
+precision N (``jet._Packing``) from the linear transition to the last pass,
+one ``jet._substitute_packed`` call for the transition and one per pass but
+the last, which is the Taylor step.
 """
 
 from __future__ import annotations
@@ -29,7 +57,8 @@ from dataclasses import dataclass
 from . import linalg
 from .field import FieldError, parse_field_spec
 from .jet import (ABOVE_PRECISION, CoordinateChange, Jet, PrecisionError,
-                  VerificationError, _Packing, _route, _substitute_packed)
+                  VerificationError, _Packing, _product_into, _route,
+                  _substitute_packed)
 from .quadform import QuadNormalForm, SplitShapeError, normal_form
 
 
@@ -187,26 +216,57 @@ def _iterate(f: Jet, N: int, quad: QuadNormalForm):
         passes += 1
         if passes > N + 1:
             raise VerificationError("split iteration", "no progress after N + 1 passes")
-        parts = list(variables)
-        for i, row in enumerate(step):  # x_h -> x_h - P^{-1} g
-            part = dict(parts[i])
+        # d = -P^{-1} g from g's terms below degree 2k - 3, k the mixed order:
+        # the rest of g reaches only the order 2k - 2 that the pass leaves
+        cut = (2 * mixed_order - 3) << packing.shift
+        corrections = []
+        for row in step:
+            d = {}
             for c, g in zip(row, gs):
                 if c != field.zero:
                     for key, v in g.items():
-                        part[key] = field.add(part.get(key, field.zero), field.mul(c, v))
-            parts[i] = sorted(t for t in part.items() if t[1] != field.zero)
-        # f(parts) and total's components at parts share their parts: one batch
-        terms, *total = (list(r.items()) for r in _substitute_packed(
-            [(t, N) for t in (terms, *total)], packing, parts, packing, route))
+                        if key < cut:
+                            d[key] = field.add(d.get(key, field.zero), field.mul(c, v))
+            corrections.append(sorted(t for t in d.items() if t[1] != field.zero))
+        if 2 * mixed_order - 2 > N:  # the last pass: d_i d_j lies above N
+            terms, *total = _taylor_step([terms, *total], corrections, packing, field)
+        else:  # f(parts) and total's components at parts share their parts: one batch
+            parts = [v + d for v, d in zip(variables, corrections)] + variables[head:]
+            terms, *total = (list(r.items()) for r in _substitute_packed(
+                [(t, N) for t in (terms, *total)], packing, parts, packing, route))
         gs = _cofactors(terms, quad_terms, head, packing, field)
         new_order = _mixed_order(gs, packing.shift)
         if new_order <= mixed_order:
             raise VerificationError(
                 "split iteration", f"mixed part order did not increase past {mixed_order}")
         mixed_order = new_order
-    # the substitution's keys are below the limit, and its values nonzero
+    # every pass keeps keys below the limit and drops zero values
     f, *total = (Jet._valid(field, n, N, packing.unpack(dict(t))) for t in (terms, *total))
     return CoordinateChange(total), f - head_quad
+
+
+def _taylor_step(sources, corrections, packing, field):
+    """Each source s, a packed term list at ``packing``, at x_i -> x_i + d_i
+    for i < len(corrections): s + sum_i (ds/dx_i) d_i below the limit, which
+    is s at those parts when every product d_i d_j lies at or above it."""
+    route = _route(field, fraction_free=False)
+    limit, mask = packing.limit, (1 << packing.width) - 1
+    moved = []
+    for terms in sources:
+        out = dict(terms)
+        for i, d in enumerate(corrections):
+            if not d:
+                continue
+            weight, offset = packing.weights[i], packing.width * i
+            # only the terms whose derivative times d's lowest term stays below the limit
+            reach = limit - d[0][0] + weight
+            derivative = sorted(
+                (key - weight, c) for key, v in terms
+                if key < reach and (e := key >> offset & mask)
+                and (c := field.mul(field.from_int(e), v)) != field.zero)
+            _product_into(out, derivative, d, limit, route.add, route.mul, packing)
+        moved.append(list(route.decode(out).items()))
+    return moved
 
 
 def iterate_diagonal(f: Jet, N: int, quad: QuadNormalForm):

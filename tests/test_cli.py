@@ -500,6 +500,25 @@ def test_dense_quadratic_form_in_80_variables_over_gf2_is_fast(capsys):
     assert "\nrank: 40\n" in out and out.endswith("verified: true\n")
 
 
+@pytest.mark.parametrize("spec, precision, calls, pairs", [
+    ("q", "200", 1300, 170_000),
+    ("fp:1000003", "1600", 11_200, 11_100_000),
+])
+def test_deep_split_is_fast(capsys, kernel_work, spec, precision, calls, pairs):
+    # the mixed order runs 3, 4, 6, 10, ..., 130 (q) or 1026 (fp); each pass
+    # applies only the correction that sets the next order, and the last is
+    # one Taylor step: 1225 calls and 162,384 pairs (q), 10,636 and
+    # 10,574,701 (fp), measured, about 5% to spare; whole corrections and a
+    # substitution in every pass took 2275 and 295,045, and 24,878 and 30,899,655
+    work = kernel_work()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "split", "--field", spec, "--vars", "x,y",
+                         "--precision", precision, "x^2+x^2*y+x*y^3+y^3")
+    assert time.perf_counter() - start < 6.0
+    assert code == 0 and err == "" and out.endswith("\nverified: true\n")
+    assert work["calls"] <= calls and work["pairs"] <= pairs, work
+
+
 SHARED_FACTOR = "(x+y-z)^2*((x-y+2*z)^2 + x*y*z)"
 
 

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import operator
 import random
@@ -19,6 +20,9 @@ from jetsplit.jet import (MAX_SUBSTITUTION_VARIABLES, _kronecker_into, _kronecke
                           _next_power, _Packing, _packed_product, _product_into, _route,
                           _square_into, _substitute_batch, _substitute_packed)
 from jetsplit.split import _cofactors
+
+# the package re-exports a function named like this module
+split_module = importlib.import_module("jetsplit.split")
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -787,7 +791,7 @@ def dense_work():
 
 @pytest.mark.parametrize("case, calls, pairs, ift_calls, ift_pairs",
                          [(ift_work, 240, 35053, 48, 4550),
-                          (split_work, 115, 661, 0, 0),
+                          (split_work, 99, 523, 0, 0),
                           (dense_work, 26, 235, 0, 0)],
                          ids=["ift-fp101", "split-fp7", "dense-q"])
 def test_substitution_work_is_pinned(kernel_work, case, calls, pairs, ift_calls, ift_pairs):
@@ -954,23 +958,27 @@ def test_catalan_ift_takes_the_route_for_its_dense_products(kernel_work):
 
 def test_four_variable_split_never_takes_the_route(kernel_work, monkeypatch):
     # the split-dense shape: a nondegenerate head plus dense terms of degree
-    # 3..8 in four variables over fp:7; its products are large, but in four
+    # 3..10 in four variables over fp:7; its products are large, but in four
     # variables the kernel refuses the route before any per-term work
     rng = random.Random(2212)
     f7 = parse_field_spec("fp:7")
     coeffs = {(2, 0, 0, 0): 1, (0, 2, 0, 0): 3, (0, 0, 1, 1): 1}
-    coeffs.update((beta, rng.randrange(1, 7)) for d in range(3, 9)
+    coeffs.update((beta, rng.randrange(1, 7)) for d in range(3, 11)
                   for beta in monomials_of_degree(4, d) if rng.random() < 0.6)
-    f = Jet(f7, 4, 8, coeffs)
+    f = Jet(f7, 4, 10, coeffs)
     work = kernel_work()
-    counted, offered = jetsplit.jet._product_into, []
+    offered = []
 
-    def recorded(out, a, b, limit, add, mul, packing=None):
-        if packing is not None and len(a) * len(b) >= 4800:  # past both try thresholds
-            offered.append(packing.m)
-        counted(out, a, b, limit, add, mul, packing)
+    def recorder(counted):
+        def recorded(out, a, b, limit, add, mul, packing=None):
+            if packing is not None and len(a) * len(b) >= 4800:  # past both try thresholds
+                offered.append(packing.m)
+            counted(out, a, b, limit, add, mul, packing)
+        return recorded
 
-    monkeypatch.setattr(jetsplit.jet, "_product_into", recorded)
-    split(f, 8)
-    # 39 such products, every one in four variables, and none took the route
+    # substitution's products and those of split's last pass
+    for module in (jetsplit.jet, split_module):
+        monkeypatch.setattr(module, "_product_into", recorder(module._product_into))
+    split(f, 10)
+    # 62 such products, every one in four variables, and none took the route
     assert work["kronecker"] == 0 and len(offered) >= 30 and set(offered) == {4}, offered
