@@ -63,7 +63,7 @@ def test_recoordinated_transport_work_is_pinned(tmp_path, capsys, kernel_work):
     work = kernel_work()
     assert replay(case, tmp_path) == 0
     assert capsys.readouterr().out == case["stdout"]
-    assert work == {"calls": 89, "pairs": 172, "ift_calls": 44, "ift_pairs": 70,
+    assert work == {"calls": 88, "pairs": 170, "ift_calls": 44, "ift_pairs": 70,
                     "expr_calls": 0, "expr_pairs": 0, "kronecker": 0}
 
 
