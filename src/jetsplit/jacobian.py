@@ -135,7 +135,10 @@ class _Echelon:
     generator's terms normal once (``monic``: a monic lead, or primitive
     integers over Q), and beta*g and x_j*p keep that lead, the lowest key,
     which the cut never drops.  Over Q the cut may drop the terms that kept
-    the content 1, which only scales the row.  The caller knows each row's
+    the content 1, which only scales the row; dividing such a pivot by its
+    content made the milnor-search bench's seed-1 pass slower, min 177-196
+    ms against 160-180 ms (8 passes per run, 6 alternating runs, two-core
+    Xeon, Python 3.11), with the same output.  The caller knows each row's
     lead: ``add`` keeps a row whose lead no pivot holds as a pivot as it
     is, without a reduction, and sends any other row to ``insert``.  Such a
     row is empty or its lead is a pivot's, so what is left of it has taken

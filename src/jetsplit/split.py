@@ -25,13 +25,15 @@ H's upper-triangular Gram matrix U.  Over every field
   degree 2k - 3, every term of g(x_h + d) - g(x_h) trades an x for a d, and
   the last two are products of two factors of order >= k - 1.  So the mixed
   order climbs to at least 2k - 2, as it would with the whole of g, whose
-  other terms only make the parts denser for the next pass to redo.
+  other terms only make the parts denser for the next pass to redo.  The
+  two differ by x_h . (g - g') from degree 2k - 2 on, so where the whole of
+  g would cancel the mixed part there by chance the pass stops at 2k - 2.
 - **Last pass.** Once 2k - 2 > N, g' is all of g (of degree <= N - 1 <=
-  2k - 4) and every product d_i d_j lies above N, so Taylor's formula (in any characteristic the terms past
-  the first are products of two or more d_i) gives f(x_h + d) = f +
-  sum_i (df/dx_i) d_i exactly below degree N + 1: f and the change move by
-  one product per head variable (``_taylor_step``), and the mixed part
-  vanishes.
+  2k - 4) and every product d_i d_j lies above N, so Taylor's formula (in
+  any characteristic the terms past the first are products of two or more
+  d_i) gives f(x_h + d) = f + sum_i (df/dx_i) d_i exactly below degree
+  N + 1: f and the change move by one product per head variable
+  (``_taylor_step``), and the mixed part vanishes.
 - **The residual is unique.** The loop's change is S, the transition,
   composed with x_h -> x_h + delta(x, y), y -> y, with delta of order >= 2.
   If f o S(x_h + delta, y) = H(x_h) + R(y), differentiate in x_h and set
