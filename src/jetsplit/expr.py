@@ -136,7 +136,7 @@ class _Evaluator:
         self.prec = prec
         self.packing = _Packing(prec, nvars)
         self.shift, self.limit = self.packing.shift, self.packing.limit
-        self.route = _route(field, fraction_free=False)
+        self.route = _route(field)
         self.one = field.one    # a variable's coefficient, skipped in products
         self.leaves = {}        # token -> value of the literals and variables seen
 

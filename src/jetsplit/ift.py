@@ -124,7 +124,7 @@ def ift_solve(sys: ImplicitSystem, N: int):
     _check_width(sys.nvars)
     packing, source = _Packing(N, len(sys.x_indices)), _Packing(N, sys.nvars)
     shift = packing.shift
-    route, horner_route = _route(field, fraction_free=False), _route(field)
+    route = _route(field)
     xs = {v: [(w, field.one)] for v, w in zip(sys.x_indices, packing.weights)}
 
     def substitute(sources, ys, top):  # the packed sources at x and the packed ys, cut at top
@@ -132,7 +132,7 @@ def ift_solve(sys: ImplicitSystem, N: int):
         parts = {**xs, **{v: _cut(y, (top + 1) << shift) for v, y in zip(sys.y_indices, ys)}}
         return [sorted(r.items()) for r in _substitute_packed(
             [(_cut(s, cut), top) for s in sources], source,
-            [parts[v] for v in range(sys.nvars)], packing, horner_route)]
+            [parts[v] for v in range(sys.nvars)], packing, route)]
 
     schedule = [N]
     while schedule[-1] > 1:

@@ -90,8 +90,11 @@ degree, which bounds the number of columns of its echelon.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import combinations
 
 from .jet import ABOVE_PRECISION, Jet, VerificationError, _Packing, _route
 
@@ -114,6 +117,24 @@ def _check_search_size(nvars: int, max_degree: int):
                          f"exceed the limit of {MAX_MONOMIALS}; lower --max-degree")
 
 
+@functools.lru_cache(maxsize=256)
+def _lex_monomials(nvars: int, width: int, degree: int):
+    """Packed keys (``jet._Packing``, fields of this width) of the degree-d
+    monomials in nvars variables, in lex order: x_1's exponent descending,
+    then x_2's, and so on.  By stars and bars: e_j is the number of stars
+    between bar j - 1 and bar j, and ``combinations`` yields the bars in
+    ascending lex order, so the keys are reversed.  Pure, hence cached: the
+    callers share each list and only read it."""
+    if not nvars:
+        return [0] if degree == 0 else []
+    weights = [1 << width * j for j in range(nvars)]
+    slots = degree + nvars - 1
+    base = (degree << width * nvars) - sum(weights)  # the degree field, less 1 per e_j
+    keys = [base + sum(map(operator.mul, map(operator.sub, (*bars, slots), (-1, *bars)), weights))
+            for bars in combinations(range(slots), nvars - 1)]
+    return keys[::-1]
+
+
 class _Echelon:
     """Row echelon form of polynomials cut above degree ``cutoff``.
 
@@ -123,7 +144,8 @@ class _Echelon:
     its degree is <= cutoff, and ``min(row)`` is a lowest-degree term, the
     lead.  At cutoff 0 every exponent field is empty and only the constant
     monomial, key 0, is below the limit.  The order of the pivots within a
-    degree is arbitrary; only per-degree pivot counts are read.
+    degree is arbitrary; only per-degree pivot counts are read.  Multiplier
+    keys come from ``_lex_monomials``, shared by all echelons of one shape.
 
     The counters are plain ints: rows ``offered``, rows ``skipped`` without
     reduction (by the search), rows reduced to ``zero`` and elimination
@@ -154,28 +176,10 @@ class _Echelon:
         self.pivots = {}
         self.rank_by_degree = [0] * (cutoff + 1)
         self.offered = self.skipped = self.zero = self.steps = 0
-        # _lex[j][d]: the degree-d monomials in x_j, x_j+1, ... as packed
-        # exponent fields without the degree, in lex order
-        self._lex = [[] for _ in range(nvars)]
-        self._monomials = {}
 
     def monomials(self, degree: int):
-        """Packed keys of the degree-d monomials in lex order: x_1's exponent
-        descending, then x_2's, and so on."""
-        keys = self._monomials.get(degree)
-        if keys is None:
-            if not self.nvars:
-                return [0] if degree == 0 else []
-            lex, width, last = self._lex, self.packing.width, self.nvars - 1
-            for d in range(len(lex[0]), degree + 1):
-                lex[last].append([d << width * last])
-                for j in range(last - 1, -1, -1):
-                    low, tails = width * j, lex[j + 1]
-                    lex[j].append([(first << low) + tail for first in range(d, -1, -1)
-                                   for tail in tails[d - first]])
-            top = degree << self.shift
-            keys = self._monomials[degree] = [top + key for key in lex[0][degree]]
-        return keys
+        """Packed keys of the degree-d monomials in lex order (``_lex_monomials``)."""
+        return _lex_monomials(self.nvars, self.packing.width, degree)
 
     def terms(self, g: Jet):
         """Packed terms of g up to the cutoff, native and normal."""

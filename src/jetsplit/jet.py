@@ -37,17 +37,16 @@ at most one Python frame per source variable, so substitution accepts at most
 
 Every product and elimination loop (substitution, ``Jet.__mul__``, the
 parser's products and sums, ``ift``'s matrix products and the Jacobian
-echelon) computes on native values, chosen per field in one place
-(``_route``); a field type without a route is refused with ``TypeError``.
-Over Q substitution is fraction-free: the source and the parts are scaled
-to integers (``_RationalRoute``), the kernel adds and multiplies Python
-ints, and each output coefficient is divided once by the common scale, one
-``Fraction`` normalisation per coefficient; products of field elements add
-and multiply the Fractions inline.  Over GF(p) residues are multiplied and
-added as ints and reduced mod p once per coefficient, when a product or a
-sum becomes a multiplicand and at the end.  Over GF(2^k) masks are added by
-xor and multiplied by the field's ``nonzero_product``, one log/exp table
-lookup.  Each route's decode drops zeros, so a result skips
+echelon) computes on native values, from one stateless route per field type
+(``_route``); a field type without one is refused with ``TypeError``.  Over
+Q products add and multiply the ``Fraction`` values inline; substitution is
+fraction-free (``_RationalRoute``): the source and the parts are scaled to
+integers, the kernel adds and multiplies Python ints, and each output
+coefficient is divided once by the common scale.  Over GF(p) residues are
+multiplied and added as ints and reduced mod p once per coefficient, when a
+product or a sum becomes a multiplicand and at the end.  Over GF(2^k) masks
+are added by xor and multiplied by the field's ``nonzero_product``, one
+log/exp table lookup.  Each route's decode drops zeros, so a result skips
 ``Jet.__init__``'s checks.  ``Jet.coeffs`` holds field elements throughout.
 
 Dense products in one or two variables on ints >= 0 (GF(p) residues) are
@@ -234,7 +233,7 @@ class Jet:
         field = self.field
         prec = min(self.prec, other.prec)
         packing = _Packing(prec, self.nvars)
-        route = _route(field, fraction_free=False)
+        route = _route(field)
         out = {}
         _product_into(out, packing.terms(self.coeffs), packing.terms(other.coeffs),
                       packing.limit, route.add, route.mul, packing)
@@ -443,7 +442,7 @@ def _substitute_packed(sources, source, bases, packing, route):
     top_limit = (max(prec for _, prec in sources) + 1) << shift
     offsets, mask = [source.width * i for i in range(n)], (1 << source.width) - 1
     add, mul, multiplicand = route.add, route.mul, route.terms
-    bases = route.encode_parts(bases)
+    bases, d = route.encode_parts(bases)
     powers = [[None, base] for base in bases]
     orders = [base[0][0] >> shift if base else None for base in bases]
     levels = sorted((i for i in range(n) if len(bases[i]) > 1), key=lambda i: -len(bases[i]))
@@ -503,23 +502,19 @@ def _substitute_packed(sources, source, bases, packing, route):
     results = []
     for terms, prec in sources:
         out = {}
-        horner(route.encode(terms, source.shift), 0, prec, out)
-        results.append(route.decode(out))
+        terms, scale = route.encode(terms, source.shift, d)
+        horner(terms, 0, prec, out)
+        results.append(route.unscale(out, scale))
     del horner  # it calls itself: without this the power tables wait for the cycle collector
     return results
 
 
-def _route(field, fraction_free=True):
-    """The native values and operations for the field; each field type has its own.
-
-    Over Q, substitution and the echelon compute fraction-free on scaled
-    integers; a product of field elements (``fraction_free=False``) adds and
-    multiplies the ``Fraction`` values themselves.  Every product and
-    elimination loop takes its route here, so a field type without one is
-    refused.
-    """
+def _route(field):
+    """The native values and operations for the field, one stateless route per
+    field type.  Every product, substitution and elimination loop takes its
+    route here, so a field type without one is refused."""
     if isinstance(field, RationalField):
-        return _RationalRoute() if fraction_free else _Route()
+        return _RationalRoute()
     if isinstance(field, PrimeField):
         return _PrimeRoute(field.p)
     if isinstance(field, BinaryField):
@@ -530,21 +525,21 @@ def _route(field, fraction_free=True):
 
 class _Route:
     """The native values a coefficient loop computes on, and how it adds and
-    multiplies them.
+    multiplies them; this class adds and multiplies with Python's + and *,
+    which the kernel runs inline.
 
-    ``encode_parts`` turns substitution's parts' packed term lists into
-    native values, once per batch, and ``encode`` one source's packed term
-    list, degrees above bit ``shift``.  ``terms`` makes a packed dict of
-    native values into a sorted term list without zeros, ready to be a
-    multiplicand, and ``decode`` turns a packed result into field elements
-    without zeros.  ``char2`` marks characteristic 2, where squaring is additive.
-    This class computes on Fractions with Python's + and *, which the kernel
-    runs inline; it serves products only.  The subclasses compute on native
-    ints for Q and GF(p) and on masks for GF(2^k), and add the echelon's row
-    operations on packed dicts: ``monic`` makes a generator's terms normal,
+    ``terms`` makes a packed dict of native values a sorted term list without
+    zeros, ready to be a multiplicand; ``decode`` makes a packed result field
+    elements without zeros.  Substitution: ``encode_parts`` encodes the parts
+    once per batch and returns their common denominator d beside them,
+    ``encode`` one source (degrees above bit ``shift``) and returns its scale,
+    and ``unscale`` decodes a result at that scale; here both are 1.  The
+    caller keeps them, so no route has per-call state.  ``char2`` marks
+    characteristic 2, where squaring is additive.  The subclasses add the
+    echelon's row operations: ``monic`` makes a generator's terms normal,
     ``eliminate`` cancels a row's lead against a normal pivot in place, and
-    ``normalize`` makes a reduced row normal.  Normal is monic at the lead
-    (the lowest key) over GF(p) and GF(2^k), primitive integers over Q.
+    ``normalize`` makes a reduced row normal: monic at the lead (the lowest
+    key) over GF(p) and GF(2^k), primitive integers over Q.
     """
 
     add = operator.add
@@ -552,10 +547,10 @@ class _Route:
     char2 = False
 
     def encode_parts(self, bases):
-        return bases
+        return bases, 1
 
-    def encode(self, terms, shift):
-        return terms
+    def encode(self, terms, shift, d):
+        return terms, 1
 
     def terms(self, packed):
         return sorted((k, c) for k, c in packed.items() if c)
@@ -563,19 +558,23 @@ class _Route:
     def decode(self, packed):
         return {k: c for k, c in packed.items() if c}
 
+    def unscale(self, packed, scale):
+        return self.decode(packed)
+
     def monic(self, terms):
         return list(self.normalize(dict(terms), terms[0][0]).items())
 
 
 class _RationalRoute(_Route):
-    """Fraction-free: integers scaled so that one division per coefficient ends it.
+    """Q: products add and multiply the Fractions themselves; substitution
+    and the echelon compute fraction-free, on integers.
 
-    With D the lcm of the parts' denominators, each part is P_i / D with P_i
-    integral; D is shared by the batch.  With B the lcm of one source's
-    denominators and top its largest degree, c_alpha * B * D^(top - |alpha|)
-    * prod P_i^alpha_i is an integer, and is B * D^top times the term it
-    stands for.  The scale uses the source's top degree, not the precision,
-    which may be as large as 10^9.
+    With d the lcm of the parts' denominators, each part is P_i / d with P_i
+    integral.  With b the lcm of one source's denominators and top its
+    largest degree, c_alpha * b * d^(top - |alpha|) * prod P_i^alpha_i is an
+    integer, and is the scale b * d^top times the term it stands for.  The
+    scale uses the source's top degree, not the precision, which may be as
+    large as 10^9.
 
     Echelon rows are integers, reduced as row <- a*row - b*pivot.  Pivots
     are primitive after a step; a row cut at the cutoff that took no step
@@ -583,19 +582,16 @@ class _RationalRoute(_Route):
     """
 
     def encode_parts(self, bases):
-        d = self.d = math.lcm(*(c.denominator for base in bases for _, c in base))
-        return [[(k, c.numerator * (d // c.denominator)) for k, c in base] for base in bases]
+        d = math.lcm(*(c.denominator for base in bases for _, c in base))
+        return [[(k, c.numerator * (d // c.denominator)) for k, c in base] for base in bases], d
 
-    def encode(self, terms, shift):
-        d = self.d
+    def encode(self, terms, shift, d):
         b = math.lcm(*(c.denominator for _, c in terms))
         top = max((k for k, _ in terms), default=0) >> shift
-        self.scale = b * d ** top
-        return [(k, c.numerator * (b // c.denominator) * d ** (top - (k >> shift)))
-                for k, c in terms]
+        return ([(k, c.numerator * (b // c.denominator) * d ** (top - (k >> shift)))
+                 for k, c in terms], b * d ** top)
 
-    def decode(self, packed):
-        scale = self.scale
+    def unscale(self, packed, scale):
         return {k: Fraction(c, scale) for k, c in packed.items() if c}
 
     def monic(self, terms):

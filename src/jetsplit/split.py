@@ -213,11 +213,9 @@ def _iterate(f: Jet, N: int, quad: QuadNormalForm):
     terms = list(moved.items())
     gs = _cofactors(terms, quad_terms, head, packing, field)
     mixed_order = _mixed_order(gs, packing.shift)
-    passes = 0
+    # a finite order is an integer in 3..N, and each pass raises it or raises
+    # VerificationError: at most N - 2 passes
     while mixed_order != ABOVE_PRECISION:
-        passes += 1
-        if passes > N + 1:
-            raise VerificationError("split iteration", "no progress after N + 1 passes")
         # d = -P^{-1} g from g's terms below degree 2k - 3, k the mixed order:
         # the rest of g reaches only the order 2k - 2 that the pass leaves
         cut = (2 * mixed_order - 3) << packing.shift
@@ -251,7 +249,7 @@ def _taylor_step(sources, corrections, packing, field):
     """Each source s, a packed term list at ``packing``, at x_i -> x_i + d_i
     for i < len(corrections): s + sum_i (ds/dx_i) d_i below the limit, which
     is s at those parts when every product d_i d_j lies at or above it."""
-    route = _route(field, fraction_free=False)
+    route = _route(field)
     limit, mask = packing.limit, (1 << packing.width) - 1
     moved = []
     for terms in sources:

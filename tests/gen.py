@@ -97,6 +97,32 @@ def rand_jet(field, nvars, prec, rng, min_degree=0, max_degree=None, terms=4):
     return Jet(field, nvars, prec, coeffs)
 
 
+def naive_times(field, a, b, prec):
+    """Product of two tuple-keyed coefficient dicts, terms above prec dropped."""
+    out = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            z = tuple(i + j for i, j in zip(x, y))
+            if sum(z) <= prec:
+                out[z] = field.add(out.get(z, field.zero), field.mul(cx, cy))
+    return out
+
+
+def naive_substitute(f, parts, m):
+    """sum c_alpha * prod parts[i]^alpha_i by repeated dict products, at f.prec."""
+    field = f.field
+    prec = f.prec
+    acc = {}
+    for alpha, c in f.coeffs.items():
+        term = {(0,) * m: c}
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                term = naive_times(field, term, parts[i].coeffs, prec)
+        for z, v in term.items():
+            acc[z] = field.add(acc.get(z, field.zero), v)
+    return Jet(field, m, prec, acc)
+
+
 def rand_invertible(field, n, rng):
     while True:
         m = [[random_element(field, rng) for _ in range(n)] for _ in range(n)]

@@ -11,7 +11,12 @@ Each case is a CLI argument list, the input files it reads and the exit code,
 stdout and stderr the program produced.  ``tests/test_golden.py`` replays
 every case and requires byte-identical output, so regenerate only when an output
 change is intended, and say so in the change log.  Inputs are drawn from
-fixed seeds with the generators in ``tests/gen.py``.
+fixed seeds with the generators in ``tests/gen.py``, except those of the
+cases in ``recorded_inputs.json``: the random transport cases, whose phi was
+built with ``gen.rand_split_equivalence``, that is with the splitting loop,
+and a split input drawn after some of them.  Rebuilt, they would move with
+every change to the change that ``split`` finds, though ``transport`` is
+untouched; recorded, they stay fixed.
 """
 
 from __future__ import annotations
@@ -27,14 +32,20 @@ from contextlib import redirect_stderr, redirect_stdout
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
-from gen import (identity_change, rand_automorphism, rand_implicit_system,  # noqa: E402
-                 rand_invertible, rand_jet, rand_split_equivalence, rand_split_form,
-                 random_element, tail_block_change, transport_roundtrip)
-from jetsplit import (CoordinateChange, Jet, QuadNormalForm, iterate_diagonal,  # noqa: E402
-                      linalg, parse_field_spec, parse_jet, serialize_jet)
+from gen import (rand_automorphism, rand_implicit_system, rand_jet,  # noqa: E402
+                 rand_split_form, random_element)
+from jetsplit import Jet, parse_field_spec, serialize_jet  # noqa: E402
 from jetsplit.cli import main  # noqa: E402
 
 FILE_PREFIX = "file:"
+
+with open(os.path.join(HERE, "recorded_inputs.json"), encoding="utf-8") as _handle:
+    RECORDED = {case["name"]: case for case in json.load(_handle)}
+
+
+def recorded(*names):
+    """The cases of these names with the argv and input files recorded for them."""
+    return [(name, RECORDED[name]["argv"], RECORDED[name]["files"]) for name in names]
 
 
 def bare(f, names):
@@ -169,27 +180,11 @@ def ift_cases(rng):
     return cases
 
 
-def transport_cases(rng):
-    cases = []
-    for spec, n, N in [("q", 2, 5), ("fp:7", 3, 5), ("fp:2", 3, 5), ("f2k:4", 3, 4)]:
-        field = parse_field_spec(spec)
-        names = names_of(n)
-        p = transport_roundtrip(field, n, N, rng)
-        while p.rank == 0:
-            p = transport_roundtrip(field, n, N, rng)
-        cases.append(transport_case(spec, names, p))
-    return cases
-
-
-def transport_case(spec, names, p):
-    """A json `transport` call on the files of a TransportProblem."""
-    files = {"f0.txt": serialize_jet(p.f0_jet(), names) + "\n",
-             "f1.txt": serialize_jet(p.f1_jet(), names) + "\n",
-             "phi.txt": "".join(serialize_jet(c, names) + "\n" for c in p.phi.components)}
-    return (f"transport-{spec.replace(':', '')}-n{len(names)}-N{p.precision}",
-            ["transport", "--field", spec, "--vars", ",".join(names),
-             "--precision", str(p.precision), "--format", "json",
-             "file:f0.txt", "file:f1.txt", "file:phi.txt"], files)
+def transport_cases():
+    """json `transport` on a random split form f0, its image f1 under a random
+    split equivalence phi, and phi (``gen.transport_roundtrip``), one per field."""
+    return recorded("transport-q-n2-N5", "transport-fp7-n3-N5", "transport-fp2-n3-N5",
+                    "transport-f2k4-n3-N4")
 
 
 def quadform_cases():
@@ -305,28 +300,9 @@ def large_coefficient_cases():
           "3/7*y1 - 2/5*y2 + 11/13*x1 - 1000003/999983*x2*y1 + 5/1000033*y2^2"
           " - 1/999979*x1^3",
           "1/4*y1 + 9/11*y2 - 7/1000037*x1*x2 + 2/3*y1*y2^2 + 999961/17*x2^4"], {}),
-        fractional_transport_case(),
+        # transport over q with fractions in f0, f1 and phi
+        *recorded("transport-q-fractional"),
     ]
-
-
-def fractional_transport_case():
-    """transport over q with fractions in f0, f1 and phi (built as transport_roundtrip)."""
-    field = parse_field_spec("q")
-    names, N = ["x", "y", "z"], 5
-    f0 = parse_jet("x^2 - 3*y^2 + 7/1000003*z^3 - 999983/11*z^4 + 5/13*z^5", field, names, N)
-    rho = CoordinateChange([parse_jet(e, field, names, N) for e in (
-        "x + 2/3*y - 1/1000033*z^2", "y + 5/7*x*z - 3/8*y^2", "z - 11/999979*x^2 + 3/4*z^2")])
-    lin_inv = CoordinateChange.from_linear(
-        field, linalg.invert(field, rho.linear_matrix()), N)
-    f_mid = lin_inv.apply(rho.apply(f0))
-    sigma, _ = iterate_diagonal(f_mid, N, QuadNormalForm.read_split_shape(f_mid))
-    phi = rho.compose(lin_inv).compose(sigma)
-    files = {"f0.txt": serialize_jet(f0, names) + "\n",
-             "f1.txt": serialize_jet(phi.apply(f0), names) + "\n",
-             "phi.txt": "".join(serialize_jet(c, names) + "\n" for c in phi.components)}
-    return ("transport-q-fractional",
-            ["transport", "--field", "q", "--vars", ",".join(names), "--precision", str(N),
-             "--format", "json", "file:f0.txt", "file:f1.txt", "file:phi.txt"], files)
 
 
 def deep_ift_cases():
@@ -359,13 +335,7 @@ def deep_ift_cases():
                   ["ift", "--field", "q", "--vars", "y1,y2", "--split-vars", "y1,y2",
                    "--precision", "20", "--format", "json",
                    "y1 + 2/3*y2^2 - y1*y2", "y2 - 3*y1^3 + y1*y2^4"], {}))
-    for spec in ("q", "fp:2"):
-        field = parse_field_spec(spec)
-        p = transport_roundtrip(field, 3, 10, rng)
-        while p.rank == 0 or p.g0 == p.g1:
-            p = transport_roundtrip(field, 3, 10, rng)
-        cases.append(transport_case(spec, names_of(3), p))
-    return cases
+    return cases + recorded("transport-q-n3-N10", "transport-fp2-n3-N10")
 
 
 def char2_pair_cases():
@@ -373,27 +343,11 @@ def char2_pair_cases():
 
     The earlier char-2 transport cases have an identity phi or at most one
     nonzero square per pair; these move x_i^2 and x_{i+1}^2 of one pair at
-    once, over f2k:4 and fp:2, with g0 != g1.  Drawn from their own seed, so
-    the cases above keep their inputs.
+    once, over f2k:4 and fp:2, with g0 != g1.  Then a json split over f2k:4
+    in 5 variables at rank 4, drawn after them.
     """
-    rng = random.Random(2222)
-    cases = []
-    for spec, N in [("f2k:4", 4), ("fp:2", 5)]:
-        field = parse_field_spec(spec)
-        while True:
-            p = transport_roundtrip(field, 5, N, rng)
-            both = any(a != field.zero and b != field.zero for a, b in p.quad.pairs)
-            if (p.rank == 4 and both and p.g0 != p.g1
-                    and p.phi != identity_change(field, 5, N)):
-                break
-        cases.append(transport_case(spec, names_of(5), p))
-    field = parse_field_spec("f2k:4")
-    names = names_of(5)
-    expr = serialize_jet(split_input(field, 5, 5, 4, rng), names)
-    cases.append(("split-json-f2k4-n5-N5-rank4",
-                  ["split", "--field", "f2k:4", "--vars", ",".join(names), "--precision",
-                   "5", "--format", "json", expr], {}))
-    return cases
+    return recorded("transport-f2k4-n5-N4", "transport-fp2-n5-N5",
+                    "split-json-f2k4-n5-N5-rank4")
 
 
 def tail_block_cases():
@@ -402,32 +356,10 @@ def tail_block_cases():
 
     A zero square tail keeps f1 in split shape under any tail block.  The files
     hold f0, phi = (split equivalence) composed with the block change, and
-    f1 = phi(f0); one call prints text, which shows the change alone.  Drawn
-    from their own seed, so the cases above keep their inputs.
+    f1 = phi(f0); one call prints text, which shows the change alone.
     """
-    rng = random.Random(4444)
-    cases = []
-    for spec, n, fmt in [("fp:2", 4, "json"), ("f2k:4", 4, "json"), ("fp:2", 5, "json"),
-                         ("f2k:4", 3, "text")]:
-        field = parse_field_spec(spec)
-        names, N, m = names_of(n), 5, n - 2
-        while True:
-            quad, _, f0 = rand_split_form(field, n, N, rng, rank=2)
-            if all(d == field.zero for d in quad.tail):
-                break
-        phi = rand_split_equivalence(field, f0, N, rng)
-        block = linalg.identity(field, m)
-        while block == linalg.identity(field, m):
-            block = rand_invertible(field, m, rng)
-        phi = phi.compose(tail_block_change(field, n, block, N))
-        files = {"f0.txt": serialize_jet(f0, names) + "\n",
-                 "f1.txt": serialize_jet(phi.apply(f0), names) + "\n",
-                 "phi.txt": "".join(serialize_jet(c, names) + "\n" for c in phi.components)}
-        cases.append((f"transport-tail-block-{spec.replace(':', '')}-n{n}-{fmt}",
-                      ["transport", "--field", spec, "--vars", ",".join(names),
-                       "--precision", str(N), "--format", fmt,
-                       "file:f0.txt", "file:f1.txt", "file:phi.txt"], files))
-    return cases
+    return recorded("transport-tail-block-fp2-n4-json", "transport-tail-block-f2k4-n4-json",
+                    "transport-tail-block-fp2-n5-json", "transport-tail-block-f2k4-n3-text")
 
 
 # quadform inputs, as (tag, field, variables, expression): a zero diagonal
@@ -674,7 +606,7 @@ def parser_case(prefix, tag, spec, names, N, expr):
 
 def build():
     rng = random.Random(20260)
-    specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases(rng)
+    specs = (readme_cases() + split_cases(rng) + ift_cases(rng) + transport_cases()
              + quadform_cases() + norm_cases() + milnor_cases() + large_coefficient_cases()
              + deep_ift_cases() + char2_pair_cases() + quadform_branch_cases()
              + tail_block_cases() + arf_reduction_cases() + dense_product_cases())

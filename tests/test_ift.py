@@ -200,7 +200,7 @@ def test_matrix_product_matches_jet_arithmetic():
             packing = _Packing(top, nvars)
             packed = [[[packing.terms(x.coeffs) for x in row] for row in m] for m in (a, b, want)]
             got = _product(packed[0], packed[1], (prec + 1) << packing.shift, packing,
-                           _route(field, fraction_free=False))
+                           _route(field))
             assert got == packed[2]
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gen import monomials_of_degree, rand_invertible, rand_jet, random_element
+from gen import (monomials_of_degree, naive_substitute, naive_times, rand_invertible, rand_jet,
+                 random_element)
 from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeField,
                       RationalField, VerificationError, determinacy_certificate, linalg,
                       milnor_number, parse_jet, verify_determinacy, verify_milnor)
@@ -15,7 +16,7 @@ from jetsplit.cli import main
 from jetsplit.field import parse_field_spec
 from jetsplit.jacobian import (MAX_MONOMIALS, _Echelon, _growing_echelon, _ideal_echelon,
                                count_monomials_upto, jacobian_generators)
-from jetsplit.jet import _route
+from jetsplit.jet import _Packing, _packed_product, _route, _substitute_packed
 
 Q = RationalField()
 POLY = 10 ** 9
@@ -483,35 +484,72 @@ def same_row(field, native, reference):
     return all(Fraction(c) == ratio * reference[m] for m, c in native.items())
 
 
-@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
-def test_route_row_operations_match_field_methods(spec):
-    field = parse_field_spec(spec)
-    route = _route(field)
-    rng = random.Random(11)
+def check_row_operations(field, route, rng):
+    """monic, eliminate and normalize of the route on one random pivot and row,
+    against elimination by the field's methods."""
 
     def row_at(lead):
         keys = [lead] + rng.sample(range(lead + 1, lead + 30), rng.randint(0, 8))
         return {k: random_element(field, rng, nonzero=True) for k in keys}
 
+    lead = rng.randrange(20)
+    terms = sorted(row_at(lead).items())
+    pivot = dict(route.monic(terms))
+    reference_pivot = dict(field_monic(field, terms))
+    assert same_row(field, pivot, reference_pivot)
+    # a row in native values: integers over Q, elements of a finite field
+    reference_row = row_at(lead)
+    row = dict(reference_row)
+    if isinstance(field, RationalField):
+        row = {k: c.numerator for k, c in row.items()}
+        reference_row = {k: Fraction(c) for k, c in row.items()}
+    route.eliminate(row, pivot, lead)
+    field_eliminate(field, reference_row, reference_pivot, lead)
+    assert lead not in row and same_row(field, row, reference_row)
+    if row:
+        lead = min(row)
+        assert same_row(field, route.normalize(row, lead),
+                        field_normalize(field, reference_row, lead))
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_route_row_operations_match_field_methods(spec):
+    field = parse_field_spec(spec)
+    route = _route(field)
+    rng = random.Random(11)
     for _ in range(300):
-        lead = rng.randrange(20)
-        terms = sorted(row_at(lead).items())
-        pivot = dict(route.monic(terms))
-        reference_pivot = dict(field_monic(field, terms))
-        assert same_row(field, pivot, reference_pivot)
-        # a row in native values: integers over Q, elements of a finite field
-        reference_row = row_at(lead)
-        row = dict(reference_row)
-        if isinstance(field, RationalField):
-            row = {k: c.numerator for k, c in row.items()}
-            reference_row = {k: Fraction(c) for k, c in row.items()}
-        route.eliminate(row, pivot, lead)
-        field_eliminate(field, reference_row, reference_pivot, lead)
-        assert lead not in row and same_row(field, row, reference_row)
-        if row:
-            lead = min(row)
-            assert same_row(field, route.normalize(row, lead),
-                            field_normalize(field, reference_row, lead))
+        check_row_operations(field, route, rng)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "f2k:4"])
+def test_one_route_serves_every_loop_and_keeps_no_state(spec):
+    # one route, interleaved: a batch substitution (fraction-free over q), a
+    # packed product (of Fractions over q) and the echelon's row operations,
+    # each against the field's methods; no call sets an attribute on the route
+    field = parse_field_spec(spec)
+    route = _route(field)
+    state = dict(vars(route))
+    rng = random.Random(2024)
+    for _ in range(60):
+        n, m, prec = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 7)
+        sources = [rand_jet(field, n, rng.randint(0, prec), rng, terms=rng.randint(0, 6))
+                   for _ in range(2)]
+        parts = [rand_jet(field, m, prec, rng, min_degree=1, terms=rng.randint(0, 4))
+                 for _ in range(n)]
+        packing, source = _Packing(prec, m), _Packing(prec, n)
+        got = _substitute_packed([(source.terms(f.coeffs), f.prec) for f in sources], source,
+                                 [packing.terms(p.coeffs) for p in parts], packing, route)
+        assert [Jet(field, m, f.prec, packing.unpack(out)) for f, out in zip(sources, got)] \
+            == [naive_substitute(f, parts, m) for f in sources]
+        assert vars(route) == state
+        a, b = (rand_jet(field, m, prec, rng, terms=rng.randint(0, 6)) for _ in range(2))
+        product = _packed_product(packing.terms(a.coeffs), packing.terms(b.coeffs),
+                                  packing.limit, packing, route)
+        want = Jet(field, m, prec, naive_times(field, a.coeffs, b.coeffs, prec))
+        assert product == packing.terms(want.coeffs)
+        assert vars(route) == state
+        check_row_operations(field, route, rng)
+        assert vars(route) == state
 
 
 def test_rational_rows_are_primitive_integers():

@@ -9,8 +9,8 @@ import pytest
 
 import jetsplit.jet
 from gen import (FIELDS, constant_jet, identity_change, jet_power, monomials_of_degree,
-                 rand_automorphism, rand_jet, rand_m2_jet, rand_monomial, random_element,
-                 same_error)
+                 naive_substitute, naive_times, rand_automorphism, rand_jet, rand_m2_jet,
+                 rand_monomial, random_element, same_error)
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Field, ImplicitSystem, Jet, PAdicValuation,
                       PrecisionError, PrimeField, RationalField, ift_solve, milnor_number,
@@ -262,32 +262,6 @@ def test_power_matches_repeated_product():
 # is above BinaryField._TABLE_LIMIT, so it multiplies without log tables
 ORACLE_FIELDS = [parse_field_spec(s)
                  for s in ("q", "fp:7", "fp:2", "f2k:4", "fp:1000000007", "f2k:13")]
-
-
-def naive_times(field, a, b, prec):
-    """Product of two tuple-keyed coefficient dicts, terms above prec dropped."""
-    out = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            z = tuple(i + j for i, j in zip(x, y))
-            if sum(z) <= prec:
-                out[z] = field.add(out.get(z, field.zero), field.mul(cx, cy))
-    return out
-
-
-def naive_substitute(f, parts, m):
-    """sum c_alpha * prod parts[i]^alpha_i by repeated dict products, at f.prec."""
-    field = f.field
-    prec = f.prec
-    acc = {}
-    for alpha, c in f.coeffs.items():
-        term = {(0,) * m: c}
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                term = naive_times(field, term, parts[i].coeffs, prec)
-        for z, v in term.items():
-            acc[z] = field.add(acc.get(z, field.zero), v)
-    return Jet(field, m, prec, acc)
 
 
 def test_substitute_matches_naive_expansion():
