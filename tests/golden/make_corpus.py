@@ -4,8 +4,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_corpus.py
 
-With ``--check`` it writes nothing: it rebuilds the corpus in memory and
-exits 1 on the first case that differs from ``corpus.json``.
+With ``--check`` it writes nothing: it rebuilds the corpus in memory, names
+on stderr every case that differs from ``corpus.json`` and in which of argv,
+files, exit, stdout and stderr, and then exits 1; it exits 0 when all match.
 
 Each case is a CLI argument list, the input files it reads and the exit code,
 stdout and stderr the program produced.  ``tests/test_golden.py`` replays
@@ -638,17 +639,30 @@ def build():
 
 
 def check(corpus, path):
-    """0 when corpus equals the stored one case for case, else 1 naming the first difference."""
+    """0 when corpus equals the stored one case for case, else 1 after naming,
+    on stderr, every case that differs and which of its entries differ, every
+    case only one side holds, and a change of order."""
     with open(path, encoding="utf-8") as handle:
         stored = json.load(handle)
-    for new, old in zip(corpus, stored):
-        if new != old:
-            print(f"golden case {old['name']} differs from the rebuilt case {new['name']}",
-                  file=sys.stderr)
-            return 1
-    if len(corpus) != len(stored):
-        print(f"the corpus holds {len(stored)} cases, the rebuild {len(corpus)}",
-              file=sys.stderr)
+    rebuilt = {case["name"]: case for case in corpus}
+    kept = {case["name"]: case for case in stored}
+    lines = []
+    for name, old in kept.items():
+        new = rebuilt.get(name)
+        if new is None:
+            lines.append(f"golden case {name} is not rebuilt")
+        elif new != old:
+            keys = [key for key in ("argv", "files", "exit", "stdout", "stderr")
+                    if new.get(key) != old.get(key)]
+            lines.append(f"golden case {name} differs in {', '.join(keys)}")
+    lines += [f"rebuilt case {name} is not in the corpus" for name in rebuilt if name not in kept]
+    if not lines and list(rebuilt) != list(kept):
+        lines.append("the rebuild holds the stored cases in another order")
+    if lines or len(corpus) != len(stored):
+        for line in lines:
+            print(line, file=sys.stderr)
+        print(f"{len(lines)} differences; the corpus holds {len(stored)} cases, "
+              f"the rebuild {len(corpus)}", file=sys.stderr)
         return 1
     print(f"all {len(corpus)} cases match")
     return 0

@@ -587,12 +587,15 @@ def test_composite_minor_ratio_still_exits_2(capsys):
 
 
 @pytest.mark.parametrize("command", [["quadform"], ["split", "--precision", "3"]])
-def test_undecidable_squarefree_coefficient_exits_2(capsys, command):
+def test_undecidable_squarefree_coefficient_exits_2(capsys, kernel_work, command):
     coeff = P * Q2 * 998244353  # no prime factor below 2^21, above 2^63
+    work = kernel_work()
     start = time.perf_counter()
     code, out, err = run(capsys, *command, "--field", "q", "--vars", "x,y",
                          f"{coeff}*x^2 + y^3")
     assert time.perf_counter() - start < 3.0
+    # the classification refuses the head before any product (measured)
+    assert not any(work.values()), work
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -938,12 +941,15 @@ def test_failed_jacobian_check_exits_1_without_traceback(monkeypatch, capsys, co
     assert err == f"verification failed: {command}: {condition}\n"
 
 
-def test_too_many_variables_for_substitution_exits_2_at_once(capsys):
+def test_too_many_variables_for_substitution_exits_2_at_once(capsys, kernel_work):
     names = ",".join(f"x{i}" for i in range(1, 1201))
+    work = kernel_work()
     start = time.perf_counter()
     code, out, err = run(capsys, "split", "--field", "fp:7", "--vars", names,
                          "--precision", "3", "x1^2 + x2^3")
     assert time.perf_counter() - start < 3.0
+    # the width check refuses the substitution before any product (measured)
+    assert not any(work.values()), work
     assert code == 2
     assert out == ""
     assert err == "error: substitution in 1200 variables exceeds the limit of 512\n"
