@@ -43,6 +43,16 @@ H's upper-triangular Gram matrix U.  Over every field
   delta(0, y) is the unique phi(y) with phi(0) = 0 on that critical
   manifold, and R(y) = f o S(phi(y), y).  Which change the passes find
   does not move the residual; the change itself is not unique.
+- **The change modulo m^N.**  Below degree N + 1, f(change) reads the
+  change only below degree N.  In every characteristic Taylor's formula with
+  Hasse derivatives D^b gives g(phi + tau) = sum_b (D^b g)(phi) tau^b.  Let
+  g lie in m^2, phi have no constant term and tau have order N.  The term
+  with |b| = 1 has order >= 1 + N, and those with |b| >= 2 have order >=
+  2N, so g(phi + tau) = g(phi) through degree N.  The loop therefore
+  carries the change modulo m^N: every pass moves f at precision N and the
+  change's components at N - 1, so the change that ``split`` returns has no
+  term of degree N.  ``verify_split`` recomputes f(change) at N, where
+  degree-N terms of a stored change make no difference.
 
 The loop ends once the mixed part vanishes at precision N.  f, the change,
 the parts and the cofactors stay packed term lists at one packing for
@@ -71,7 +81,10 @@ class SplitResult:
     ``residual`` lives in the ambient variables but involves only tail
     variables; in characteristic 2 it includes the diagonal square tail of
     the 2-jet.  ``change`` satisfies f(change) = head quadratic + residual:
-    ``split`` checks that with ``verify_split`` before it returns.  ``rank``
+    ``split`` checks that with ``verify_split`` before it returns.  The
+    change is known modulo m^N, which is all that f(change) reads at
+    precision N: ``split`` writes it without terms of degree N, and such
+    terms in a change read back change nothing.  ``rank``
     is the head's: ``from_json`` reads the file's ``rank`` and ``quad`` only
     to compare them with what ``to_json`` writes for the head it read.
     """
@@ -228,12 +241,14 @@ def _iterate(f: Jet, N: int, quad: QuadNormalForm):
                         if key < cut:
                             d[key] = field.add(d.get(key, field.zero), field.mul(c, v))
             corrections.append(sorted(t for t in d.items() if t[1] != field.zero))
+        # f at precision N, the change modulo m^N: f(change) never reads its degree N
+        sources = [(terms, N), *((t, N - 1) for t in total)]
         if 2 * mixed_order - 2 > N:  # the last pass: d_i d_j lies above N
-            terms, *total = _taylor_step([terms, *total], corrections, packing, field)
+            terms, *total = _taylor_step(sources, corrections, packing, field)
         else:  # f(parts) and total's components at parts share their parts: one batch
             parts = [v + d for v, d in zip(variables, corrections)] + variables[head:]
             terms, *total = (list(r.items()) for r in _substitute_packed(
-                [(t, N) for t in (terms, *total)], packing, parts, packing, route))
+                sources, packing, parts, packing, route))
         gs = _cofactors(terms, quad_terms, head, packing, field)
         new_order = _mixed_order(gs, packing.shift)
         if new_order <= mixed_order:
@@ -246,13 +261,16 @@ def _iterate(f: Jet, N: int, quad: QuadNormalForm):
 
 
 def _taylor_step(sources, corrections, packing, field):
-    """Each source s, a packed term list at ``packing``, at x_i -> x_i + d_i
-    for i < len(corrections): s + sum_i (ds/dx_i) d_i below the limit, which
-    is s at those parts when every product d_i d_j lies at or above it."""
+    """Each source (s, prec), s a packed term list at ``packing`` without terms
+    above prec, at x_i -> x_i + d_i for i < len(corrections): s + sum_i
+    (ds/dx_i) d_i through degree prec, which is s at those parts when every
+    product d_i d_j lies above prec.  The loop passes f at N and the change's
+    components at N - 1."""
     route = _route(field)
-    limit, mask = packing.limit, (1 << packing.width) - 1
+    mask = (1 << packing.width) - 1
     moved = []
-    for terms in sources:
+    for terms, prec in sources:
+        limit = (prec + 1) << packing.shift
         out = dict(terms)
         for i, d in enumerate(corrections):
             if not d:

@@ -519,15 +519,16 @@ def test_dense_quadratic_form_in_80_variables_over_gf2_is_fast(capsys, kernel_wo
 
 
 @pytest.mark.parametrize("spec, precision, calls, pairs", [
-    ("q", "200", 1300, 170_000),
-    ("fp:1000003", "1600", 11_200, 11_100_000),
+    ("q", "200", 1285, 170_000),
+    ("fp:1000003", "1600", 11_150, 11_100_000),
 ])
 def test_deep_split_is_fast(capsys, kernel_work, spec, precision, calls, pairs):
     # the mixed order runs 3, 4, 6, 10, ..., 130 (q) or 1026 (fp); each pass
-    # applies only the correction that sets the next order, and the last is
-    # one Taylor step: 1225 calls and 162,384 pairs (q), 10,636 and
-    # 10,574,701 (fp), measured, about 5% to spare; whole corrections and a
-    # substitution in every pass took 2275 and 295,045, and 24,878 and 30,899,655
+    # applies only the correction that sets the next order, the last is one
+    # Taylor step, and the change is carried modulo m^N: 1225 calls and
+    # 162,144 pairs (q), 10,636 and 10,572,675 (fp), measured, about 5% to
+    # spare; whole corrections and a substitution in every pass took 2275 and
+    # 295,045, and 24,878 and 30,899,655
     work = kernel_work()
     start = time.perf_counter()
     code, out, err = run(capsys, "split", "--field", spec, "--vars", "x,y",
@@ -621,6 +622,28 @@ def verify(capsys, tmp_path, data, expr="x^2 + x*y^2", spec="q", names="x,y"):
     result = tmp_path / "result.json"
     result.write_text(json.dumps(data))
     return run(capsys, "verify", "--field", spec, "--vars", names, expr, str(result))
+
+
+@pytest.mark.parametrize("spec, names, expr", [
+    ("q", "x,y", "x^2 + x*y^2 + x*y^3"),
+    ("fp:7", "x,y,z", "x^2 + 3*y^2 + x*y*z + z^3"),
+    ("fp:2", "x1,x2,x3", "x1*x2 + x1*x3^2 + x3^3"),
+    ("f2k:4", "x1,x2,x3", "t*x1*x2 + x1*x3^2 + (t+1)*x3^3"),
+])
+def test_verify_never_reads_the_change_at_degree_n(tmp_path, capsys, spec, names, expr):
+    # f in m^2 reads its change modulo m^N only: a result file whose change
+    # has degree-N terms, as split printed before it carried the change
+    # modulo m^N, verifies unchanged
+    data = split_json(capsys, expr, spec, names)
+    variables, N = names.split(","), data["precision"]
+    marker = f" + O(deg {N})"
+    for i, text in enumerate(data["change"]):
+        assert text.endswith(marker)
+        extra = f"{variables[i]}*{variables[-1]}^{N - 1}"
+        data["change"][i] = f"{text.removesuffix(marker)} + {extra}{marker}"
+    code, out, err = verify(capsys, tmp_path, data, expr, spec, names)
+    assert (code, err) == (0, "")
+    assert out == f"difference: 0{marker}\nverified: true\n"
 
 
 def test_verify_rejects_forged_zero_change(tmp_path, capsys):

@@ -765,7 +765,7 @@ def dense_work():
 
 @pytest.mark.parametrize("case, calls, pairs, ift_calls, ift_pairs",
                          [(ift_work, 240, 35053, 48, 4550),
-                          (split_work, 99, 523, 0, 0),
+                          (split_work, 99, 501, 0, 0),
                           (dense_work, 26, 235, 0, 0)],
                          ids=["ift-fp101", "split-fp7", "dense-q"])
 def test_substitution_work_is_pinned(kernel_work, case, calls, pairs, ift_calls, ift_pairs):

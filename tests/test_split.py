@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gen import (FIELDS, identity_change, monomials_of_degree, rand_automorphism, rand_m2_jet,
-                 rand_split_form, random_element, transition_change)
+                 rand_monomial, rand_split_form, random_element, transition_change)
 from jetsplit import (BinaryField, CoordinateChange, ImplicitSystem, Jet, PrecisionError,
                       PrimeField, QuadNormalForm, RationalField, SplitResult,
                       SplitShapeError, VerificationError, iterate_arf, iterate_diagonal,
@@ -354,3 +354,36 @@ def test_each_pass_reaches_twice_the_order_minus_two(mixed_orders):
     for orders in mixed_orders:
         for r, new in zip(orders, orders[1:]):
             assert new >= 2 * r - 2, orders
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_f_in_m2_never_reads_the_degree_n_part_of_its_change(spec):
+    # g(phi + tau) = sum_beta (D^beta g)(phi) tau^beta, D^beta the Hasse
+    # derivatives: with g in m^2 and tau homogeneous of degree N every term
+    # with |beta| >= 1 lies above N, in every characteristic; a linear term
+    # of g reads tau itself
+    field = parse_field_spec(spec)
+    rng = random.Random(29)
+    for _ in range(12):
+        n, N = rng.randint(1, 4), rng.randint(2, 6)
+        f = rand_m2_jet(field, n, N, rng, terms=rng.randint(1, 8))
+        phi = list(rand_automorphism(field, n, N, rng).components)
+        tau = [Jet(field, n, N, {rand_monomial(n, N, rng): random_element(field, rng, nonzero=True)
+                                 for _ in range(rng.randint(1, 3))}) for _ in range(n)]
+        moved = [p + t for p, t in zip(phi, tau)]
+        assert f.substitute(moved) == f.substitute(phi)
+        linear = f + Jet.variable(field, n, 0, N)
+        assert linear.substitute(moved) - linear.substitute(phi) == tau[0]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7", "fp:2", "f2k:4"])
+def test_split_prints_no_change_term_of_degree_n(spec):
+    # the loop carries the change modulo m^N, at every rank the field allows
+    field = parse_field_spec(spec)
+    rng = random.Random(30)
+    for n in (1, 2, 3, 4):
+        for rank in range(0, n + 1, 2 if field.char == 2 else 1):
+            N = rng.randint(3, 6)
+            r = split(dense_split_input(field, n, N, rank, rng), N)
+            assert r.rank == rank
+            assert all(c.degree_part(N).is_zero() for c in r.change.components), (spec, n, rank)
