@@ -83,8 +83,9 @@ class SplitResult:
     the 2-jet.  ``change`` satisfies f(change) = head quadratic + residual:
     ``split`` checks that with ``verify_split`` before it returns.  The
     change is known modulo m^N, which is all that f(change) reads at
-    precision N: ``split`` writes it without terms of degree N, and such
-    terms in a change read back change nothing.  ``rank``
+    precision N: ``split`` writes it without terms of degree N, and those of
+    a change that ``from_json`` reads do not move ``verify_split``'s
+    difference.  ``rank``
     is the head's: ``from_json`` reads the file's ``rank`` and ``quad`` only
     to compare them with what ``to_json`` writes for the head it read.
     """
