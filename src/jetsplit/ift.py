@@ -47,8 +47,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from . import linalg
-from .jet import (Jet, PrecisionError, VerificationError, _check_width, _Packing, _product_into,
-                  _route, _substitute_batch, _substitute_packed)
+from .jet import (Jet, PrecisionError, VerificationError, _Packing, _product_into, _route,
+                  _substitute_batch, _substitute_packed)
 
 
 class ImplicitSystem:
@@ -85,14 +85,9 @@ class ImplicitSystem:
             raise ValueError("singular Jacobian block at the origin") from None
 
     def _jacobian_block(self):
-        field = self.field
-        m = len(self.equations)
-        j0 = [[field.zero] * m for _ in range(m)]
-        for i, eq in enumerate(self.equations):
-            for col, v in enumerate(self.y_indices):
-                alpha = tuple(1 if t == v else 0 for t in range(self.nvars))
-                j0[i][col] = eq.coeffs.get(alpha, field.zero)
-        return j0
+        zero = self.field.zero
+        return [[linear.get(v, zero) for v in self.y_indices]
+                for linear in map(Jet.linear, self.equations)]
 
     def _parts(self, ys, prec):
         """Substitution tuple sending x-variables to coordinates, unknowns to ys."""
@@ -121,7 +116,6 @@ def ift_solve(sys: ImplicitSystem, N: int):
     for eq in sys.equations:
         if eq.prec < N:
             raise PrecisionError("equation precision below the requested precision")
-    _check_width(sys.nvars)
     packing, source = _Packing(N, len(sys.x_indices)), _Packing(N, sys.nvars)
     shift = packing.shift
     route = _route(field)

@@ -29,11 +29,9 @@ their one coefficients.  A power table builds p^e as p^(e-1) * p, and an
 even power from its half (``_next_power``): in characteristic 2 by the
 Frobenius map, with no product; else, in three or more variables, by one
 pass over unordered pairs (``_square_into``) unless its half has more of
-them than p^(e-1) * p has pairs, as a sparse part's high powers do.  A
-bench pass at seed 1 makes 433,646 term pairs instead of 552,486 on
-split-dense, and 423,875 instead of 458,283 on ift-transport.  Horner takes
-at most one Python frame per source variable, so substitution accepts at most
-``MAX_SUBSTITUTION_VARIABLES`` of them.
+them than p^(e-1) * p has pairs, as a sparse part's high powers do.
+Horner runs one loop over a work list, not a recursion, so no number of
+variables or parts deepens the Python stack.
 
 Every product and elimination loop (substitution, ``Jet.__mul__``, the
 parser's products and sums, ``ift``'s matrix products and the Jacobian
@@ -94,8 +92,6 @@ from .field import (ArchimedeanValuation, BinaryField, Field, PrimeField, Ration
 
 # order() of the zero jet: larger than any precision, safe in comparisons
 ABOVE_PRECISION = math.inf
-# Horner substitution takes at most one Python frame per source variable
-MAX_SUBSTITUTION_VARIABLES = 512
 
 
 class PrecisionError(ValueError):
@@ -287,11 +283,15 @@ class Jet:
 
         Every part must live in the same target variable set and carry at
         least this jet's precision; the result is exact at that precision.
-        At most ``MAX_SUBSTITUTION_VARIABLES`` source variables are accepted.
         """
         return _substitute_batch([self], parts)[0]
 
     # -- second-order data ---------------------------------------------------
+
+    def linear(self) -> dict:
+        """The coefficients {j: c} of the degree-1 terms c x_j, read in one
+        pass over the terms: the one reader of this jet's linear part."""
+        return {a.index(1): c for a, c in self.coeffs.items() if sum(a) == 1}
 
     def gram(self) -> dict:
         """The Gram entries {(i, j): c}, i <= j, of the degree-2 terms c x_i x_j:
@@ -395,7 +395,6 @@ def _substitute_batch(sources, parts):
             raise ValueError(f"need {f.nvars} substitution components, got {n}")
         if f.field != sources[0].field:
             raise ValueError("substitution components over a different field")
-    _check_width(n)
     if not n or not sources:
         return [Jet(f.field, 0, f.prec, dict(f.coeffs)) for f in sources]
     field = sources[0].field
@@ -414,13 +413,6 @@ def _substitute_batch(sources, parts):
     outs = _substitute_packed([(source.terms(f.coeffs), f.prec) for f in sources], source,
                               [packing.terms(p.coeffs) for p in parts], packing, _route(field))
     return [Jet._valid(field, m, f.prec, packing.unpack(out)) for f, out in zip(sources, outs)]
-
-
-def _check_width(n):
-    """Refuse substitution in more than ``MAX_SUBSTITUTION_VARIABLES`` source variables."""
-    if n > MAX_SUBSTITUTION_VARIABLES:
-        raise ValueError(f"substitution in {n} variables exceeds the limit of "
-                         f"{MAX_SUBSTITUTION_VARIABLES}")
 
 
 def _substitute_packed(sources, source, bases, packing, route):
@@ -454,58 +446,68 @@ def _substitute_packed(sources, source, bases, packing, route):
             cache.append(_next_power(cache, top_limit, packing, route))
         return cache[e]
 
-    def horner(terms, k, budget, out):
-        """out += sum of c * prod parts[i]^alpha_i over levels[k:] and the folded
-        parts, to degree budget.
+    def horner(terms, budget, out):
+        """out += sum of c * prod parts[i]^alpha_i over the terms, to degree budget.
 
-        f = sum_e x_i^e f_e for i = levels[k]: each inner sum is evaluated to
-        the budget left after part i's order, then multiplied once by
-        parts[i]^e.  On the last level a term's folded parts make no product
-        (their power keys add, c takes their one coefficients), and the term
-        makes one product with the last dense part's power, if any.
+        One loop over a work list of tasks, last in first out.  A sum task
+        (k, terms, budget, out) adds its terms' values over levels[k:] and the
+        folded parts.  f = sum_e x_i^e f_e for i = levels[k]: the task pushes,
+        per exponent e in reverse, a product task and above it the sum task of
+        f_e to the budget left after part i's order, so f_e is complete when
+        its product multiplies it once by parts[i]^e; tasks run in the order
+        of a recursive Horner.  On the last level a term's folded parts make
+        no product (their power keys add, c takes their one coefficients), and
+        the term makes one product with the last dense part's power, if any.
         """
-        limit = (budget + 1) << shift
-        if k + 1 >= len(levels):
-            i = levels[k] if levels else None
-            for alpha, c in terms:
-                key = 0
-                for j, offset in folded:
-                    e = alpha >> offset & mask
-                    if e:
-                        if orders[j] is None or e * orders[j] > budget:
-                            break
-                        (kj, cj), = power(j, e)
-                        key += kj
-                        c = mul(c, cj)
-                else:
-                    e = 0 if i is None else alpha >> offsets[i] & mask
-                    if e == 0:
-                        if key < limit:
-                            v = out.get(key)
-                            out[key] = c if v is None else add(v, c)
-                    elif e * orders[i] <= budget:
-                        _product_into(out, [(key, c)], power(i, e), limit, add, mul)
-            return
-        i = levels[k]
-        order, offset = orders[i], offsets[i]
-        groups = {}
-        for alpha, c in terms:
-            groups.setdefault(alpha >> offset & mask, []).append((alpha, c))
-        for e, group in groups.items():
-            if e == 0:
-                horner(group, k + 1, budget, out)
-            elif e * order <= budget:
-                inner = {}
-                horner(group, k + 1, budget - e * order, inner)
+        work = [(0, terms, budget, out)]
+        while work:
+            task = work.pop()
+            if task[0] is None:  # (None, i, e, inner, limit, out): inner's tasks are done
+                _, i, e, inner, limit, out = task
                 _product_into(out, power(i, e), multiplicand(inner), limit, add, mul, packing)
+                continue
+            k, terms, budget, out = task
+            limit = (budget + 1) << shift
+            if k + 1 >= len(levels):
+                i = levels[k] if levels else None
+                for alpha, c in terms:
+                    key = 0
+                    for j, offset in folded:
+                        e = alpha >> offset & mask
+                        if e:
+                            if orders[j] is None or e * orders[j] > budget:
+                                break
+                            (kj, cj), = power(j, e)
+                            key += kj
+                            c = mul(c, cj)
+                    else:
+                        e = 0 if i is None else alpha >> offsets[i] & mask
+                        if e == 0:
+                            if key < limit:
+                                v = out.get(key)
+                                out[key] = c if v is None else add(v, c)
+                        elif e * orders[i] <= budget:
+                            _product_into(out, [(key, c)], power(i, e), limit, add, mul)
+                continue
+            i = levels[k]
+            order, offset = orders[i], offsets[i]
+            groups = {}
+            for alpha, c in terms:
+                groups.setdefault(alpha >> offset & mask, []).append((alpha, c))
+            for e, group in reversed(groups.items()):
+                if e == 0:
+                    work.append((k + 1, group, budget, out))
+                elif e * order <= budget:
+                    inner = {}
+                    work.append((None, i, e, inner, limit, out))
+                    work.append((k + 1, group, budget - e * order, inner))
 
     results = []
     for terms, prec in sources:
         out = {}
         terms, scale = route.encode(terms, source.shift, d)
-        horner(terms, 0, prec, out)
+        horner(terms, prec, out)
         results.append(route.unscale(out, scale))
-    del horner  # it calls itself: without this the power tables wait for the cycle collector
     return results
 
 
@@ -863,9 +865,9 @@ class CoordinateChange:
         return cls(comps)
 
     def linear_matrix(self):
-        zero, n = self.field.zero, self.nvars
-        units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
-        return [[comp.coeffs.get(u, zero) for u in units] for comp in self.components]
+        zero = self.field.zero
+        return [[linear.get(j, zero) for j in range(self.nvars)]
+                for linear in map(Jet.linear, self.components)]
 
     def is_automorphism(self) -> bool:
         return linalg.rank(self.field, self.linear_matrix()) == self.nvars

@@ -8,7 +8,7 @@ from gen import (FIELDS, rand_implicit_system, rand_invertible, rand_jet, random
 from jetsplit import (ImplicitSystem, Jet, PrimeField, RationalField,
                       ift_solve, parse_field_spec, parse_jet)
 from jetsplit.ift import _cut, _product
-from jetsplit.jet import MAX_SUBSTITUTION_VARIABLES, _Packing, _route
+from jetsplit.jet import _Packing, _route
 
 Q = RationalField()
 
@@ -218,12 +218,12 @@ def test_residuals_raise_the_per_source_messages():
     for ys in bad:
         same_error(lambda: sys.residuals(ys, 4),
                    lambda: [eq.truncate(4).substitute(sys._parts(ys, 4)) for eq in eqs])
-    n = MAX_SUBSTITUTION_VARIABLES + 1
-    wide = ImplicitSystem([Jet.variable(Q, n, 0, 2)], [0])
-    ys = [Jet.zero(Q, n - 1, 2)]
-    same_error(lambda: wide.residuals(ys, 2),
-               lambda: [eq.truncate(2).substitute(wide._parts(ys, 2))
-                        for eq in wide.equations])
+    n = 513
+    wide = ImplicitSystem([parse_jet("y - x1*x512", Q, ["y"] + [f"x{i}" for i in range(1, n)],
+                                     2)], [0])
+    ys = ift_solve(wide, 2)
+    assert ys == [parse_jet("x1*x512", Q, [f"x{i}" for i in range(1, n)], 2)]
+    assert wide.residuals(ys, 2) == [Jet.zero(Q, n - 1, 2)]
 
 
 def test_cuts_match_truncate():

@@ -1,7 +1,10 @@
+import gc
 import importlib
+import inspect
 import itertools
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -13,12 +16,12 @@ from gen import (FIELDS, constant_jet, identity_change, jet_power, monomials_of_
                  rand_monomial, random_element, same_error)
 from jetsplit import (ABOVE_PRECISION, ArchimedeanValuation,
                       CoordinateChange, Field, ImplicitSystem, Jet, PAdicValuation,
-                      PrecisionError, PrimeField, RationalField, ift_solve, milnor_number,
-                      parse_field_spec, parse_jet, split)
+                      PrecisionError, PrimeField, RationalField, ift_solve, linalg,
+                      milnor_number, parse_field_spec, parse_jet, split)
 from jetsplit.expr import serialize_jet
-from jetsplit.jet import (MAX_SUBSTITUTION_VARIABLES, _kronecker_into, _kronecker_pays,
-                          _next_power, _Packing, _packed_product, _product_into, _route,
-                          _square_into, _substitute_batch, _substitute_packed)
+from jetsplit.jet import (_kronecker_into, _kronecker_pays, _next_power, _Packing,
+                          _packed_product, _product_into, _route, _square_into,
+                          _substitute_batch, _substitute_packed)
 from jetsplit.split import _cofactors
 
 # the package re-exports a function named like this module
@@ -339,16 +342,67 @@ def test_product_matches_naive_product():
         assert f * f == Jet(field, 2, 10 ** 9, naive_times(field, f.coeffs, f.coeffs, 10 ** 9))
 
 
-def test_substitute_variable_cap():
-    n = MAX_SUBSTITUTION_VARIABLES
+def test_substitute_in_1200_variables():
+    n = 1200
     for field in ORACLE_FIELDS:
         f = Jet(field, n, 3, {(2,) + (0,) * (n - 1): field.one,
                               (0,) * (n - 1) + (3,): field.one})
         parts = [Jet.variable(field, 2, i % 2, 3) for i in range(n)]
         assert f.substitute(parts) == parse_jet("x^2 + y^3", field, ["x", "y"], 3)
-    wide = Jet.zero(Q, n + 1, 3)
-    with pytest.raises(ValueError, match=f"exceeds the limit of {n}"):
-        wide.substitute([Jet.variable(Q, 1, 0, 3)] * (n + 1))
+
+
+def test_substitution_in_240_multi_term_parts_needs_no_recursion():
+    # each part of two or three terms is one Horner level; the levels are
+    # walked on a work list, so a stack 50 frames above the caller suffices
+    rng = random.Random(3501)
+    n, prec = 240, 4
+    support = [beta for d in range(1, prec + 1) for beta in monomials_of_degree(2, d)]
+    for field in ORACLE_FIELDS[:4]:
+        parts = [Jet(field, 2, prec, {beta: random_element(field, rng, nonzero=True)
+                                      for beta in rng.sample(support, rng.randint(2, 3))})
+                 for _ in range(n)]
+        f = Jet(field, n, prec, {rand_monomial(n, rng.randint(2, prec), rng):
+                                 random_element(field, rng, nonzero=True) for _ in range(20)})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            got = f.substitute(parts)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == naive_substitute(f, parts, 2)
+
+
+def test_substitution_leaves_no_reference_cycle():
+    # no Horner closure refers to itself, so the power tables are freed on
+    # return, without the cycle collector
+    f = jq("x^3 + x*y^2 + y^4 + x^2*y", ["x", "y"], 6)
+    parts = [jq("x + y^2", ["x", "y"], 6), jq("y + x*y + x^2", ["x", "y"], 6)]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            f.substitute(parts)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_linear_part_is_read_from_the_degree_1_terms():
+    rng = random.Random(3502)
+    for field in ORACLE_FIELDS:
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            phi = CoordinateChange([rand_jet(field, n, 3, rng, min_degree=1, terms=6)
+                                    for _ in range(n)])
+            units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+            want = [[c.coeffs.get(u, field.zero) for u in units] for c in phi.components]
+            assert phi.linear_matrix() == want
+            assert [c.linear() for c in phi.components] == [
+                {j: v for j, v in enumerate(row) if v != field.zero} for row in want]
+            y = rng.sample(range(n), rng.randint(1, n))
+            block = [[row[v] for v in y] for row in want[:len(y)]]
+            if linalg.rank(field, block) == len(y):
+                assert ImplicitSystem(phi.components[:len(y)], y).j0 == block
 
 
 def test_substitute_zero_jet_and_zero_parts():
@@ -655,9 +709,10 @@ def test_batch_raises_the_per_source_messages():
     mixed = sources + [parse_jet("x*y", f7, ["x", "y"], 4)]  # a source over another field
     same_error(lambda: _substitute_batch(mixed, good),
                lambda: [f.substitute(good) for f in mixed])
-    wide = [Jet.zero(Q, MAX_SUBSTITUTION_VARIABLES + 1, 3)] * 2
-    parts = [Jet.variable(Q, 1, 0, 3)] * (MAX_SUBSTITUTION_VARIABLES + 1)
-    same_error(lambda: _substitute_batch(wide, parts), lambda: [f.substitute(parts) for f in wide])
+    n = 513
+    wide = [Jet.zero(Q, n, 3), Jet(Q, n, 3, {(1,) + (0,) * (n - 2) + (2,): Fraction(2, 3)})]
+    parts = [Jet.variable(Q, 1, 0, 3)] * n
+    assert _substitute_batch(wide, parts) == [naive_substitute(f, parts, 1) for f in wide]
 
 
 def test_compose_raises_the_per_source_messages():
@@ -668,10 +723,8 @@ def test_compose_raises_the_per_source_messages():
     for inner in inners:
         same_error(lambda: outer.compose(inner),
                    lambda: [c.substitute(inner.components) for c in outer.components])
-    n = MAX_SUBSTITUTION_VARIABLES + 1
-    wide = identity_change(Q, n, 2)
-    same_error(lambda: wide.compose(wide),
-               lambda: [c.substitute(wide.components) for c in wide.components])
+    wide = identity_change(Q, 513, 2)
+    assert wide.compose(wide) == wide
 
 
 # -- every part shape on every Horner level -------------------------------------
