@@ -8,7 +8,8 @@ on stderr.  ``verified`` therefore reports the library's check.  ``verify``
 is the exception: it re-checks a split result read from a file, and
 refuses a ``--field`` or ``--precision`` other than the file's.  ``norm``
 is a direct exact evaluation with no certificate behind its flag.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, and 141
+(128 + SIGPIPE) with no message when stdout's reader closes it early.
 
 Each command states its output once, as fields: (JSON key, value, text
 lines) triples, where a field without a key is text only and one without
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -322,6 +324,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # not bad input; /dev/null takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,16 +78,13 @@ class ImplicitSystem:
         self.field = field
         self.nvars = nvars
         self.x_indices = tuple(i for i in range(nvars) if i not in set(y_indices))
-        self.j0 = self._jacobian_block()
+        column = {v: t for t, v in enumerate(y_indices)}  # J0 = dF/dy at 0, sparse rows
+        self.j0 = [{column[v]: c for v, c in eq.linear().items() if v in column}
+                   for eq in equations]
         try:
             self.j0_inv = linalg.invert(self.field, self.j0)
         except ValueError:
             raise ValueError("singular Jacobian block at the origin") from None
-
-    def _jacobian_block(self):
-        zero = self.field.zero
-        return [[linear.get(v, zero) for v in self.y_indices]
-                for linear in map(Jet.linear, self.equations)]
 
     def _parts(self, ys, prec):
         """Substitution tuple sending x-variables to coordinates, unknowns to ys."""
@@ -135,7 +132,7 @@ def ift_solve(sys: ImplicitSystem, N: int):
     partials = [source.terms(eq.truncate(N - N // 2).partial(v).coeffs)
                 for eq in sys.equations for v in sys.y_indices]
     equations = [source.terms(eq.coeffs) for eq in sys.equations]
-    u = [[[(0, c)] if c != field.zero else [] for c in row] for row in sys.j0_inv]
+    u = [[[(0, row[t])] if t in row else [] for t in range(len(sys.j0))] for row in sys.j0_inv]
     exact = 1  # I - J u has order >= exact
     ys = [[] for _ in sys.y_indices]
     k = 0

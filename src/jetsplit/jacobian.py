@@ -60,7 +60,7 @@ as most are, is a pivot as it arrived, with no reduction call; only the
 other rows are reduced.  The search reads x_j, the first variable
 dividing beta, from the lowest set bit of beta's packed exponent fields.
 
-A ``MilnorReport`` holds mu, its degree s and the order, a
+A ``MilnorReport`` holds mu, the least covering degree s and the order, a
 ``DeterminacyReport`` the least k with m^(k+2) <= m^2 J + m^(k+3) and the
 order; each derives its bound 2*mu - order + 2 or 2*k - order + 2.  When no
 Nakayama certificate appears up to max_degree, a report holds only the
@@ -74,14 +74,16 @@ certified degree by full reduction rather than by counting leads.
 ``verify_milnor`` recounts mu on that same echelon cut at s: since reduction
 never lowers a lead, its pivots of lead degree <= s - 1 give the rank at
 cutoff s - 1, and the rows it adds, those with |beta| + ord g = s, have no
-term below degree s.
+term below degree s.  So its pivot count at degree s - 1 also tells
+whether the degree is the least covering one (for s >= 2; k >= 1).
 Like every check in the library, a verifier returns nothing on success and
 raises ``VerificationError`` naming the condition that failed: a degree
 claimed without mu, the order (a certificate claimed for the zero series
 included), a degree below the least one that can certify, no cover at the
-certified degree or the mu recount.  Each search runs its verifier on the
-report it found before returning it.  A step that leaves its lead in the
-row (a pivot not monic) raises it with stage ``echelon``.
+certified degree, a cover one degree lower or the mu recount.  Each search
+runs its verifier on the report it found before returning it.  A step that
+leaves its lead in the row (a pivot not monic) raises it with stage
+``echelon``.
 
 A search refuses (``ValueError``) a negative max degree, and a search or
 check refuses more than ``MAX_MONOMIALS`` monomials of degree <= its
@@ -97,6 +99,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .jet import ABOVE_PRECISION, Jet, VerificationError, _Packing, _route
+from .linalg import _Pivots
 
 DEFAULT_MAX_DEGREE = 12
 # admits max_degree 198 in 2 variables, 47 in 3, 23 in 4, 15 in 5, 12 in 6, 10 in 7
@@ -135,8 +138,9 @@ def _lex_monomials(nvars: int, width: int, degree: int):
     return keys[::-1]
 
 
-class _Echelon:
-    """Row echelon form of polynomials cut above degree ``cutoff``.
+class _Echelon(_Pivots):
+    """Row echelon form of polynomials cut above degree ``cutoff``, reduced by
+    ``linalg``'s pivots on the field's native values (``jet._route``).
 
     A row is a dict from packed monomial (``jet._Packing`` at precision
     cutoff) to nonzero coefficient.  Rows hold degrees <= cutoff only, so
@@ -148,34 +152,27 @@ class _Echelon:
     keys come from ``_lex_monomials``, shared by all echelons of one shape.
 
     The counters are plain ints: rows ``offered``, rows ``skipped`` without
-    reduction (by the search), rows reduced to ``zero`` and elimination
-    ``steps``, one per pivot subtracted.
+    reduction (by the search), rows reduced to ``zero`` and ``steps``.
 
-    Coefficients are the field's native values and the row operations are
-    its route's (``jet._route``): integers over Q, residues over GF(p) and
-    masks over GF(2^k).  Rows arrive normal: ``terms`` makes each
-    generator's terms normal once (``monic``: a monic lead, or primitive
-    integers over Q), and beta*g and x_j*p keep that lead, the lowest key,
-    which the cut never drops.  Over Q the cut may drop the terms that kept
-    the content 1, which only scales the row; dividing such a pivot by its
+    Rows arrive normal: ``terms`` makes each generator's terms normal once
+    (``monic``), and beta*g and x_j*p keep that lead, the lowest key, which
+    the cut never drops.  Over Q the cut may drop the terms that kept the
+    content 1, which only scales the row; dividing such a pivot by its
     content made the milnor-search bench's seed-1 pass slower, min 177-196
     ms against 160-180 ms (8 passes per run, 6 alternating runs, two-core
     Xeon, Python 3.11), with the same output.  The caller knows each row's
     lead: ``add`` keeps a row whose lead no pivot holds as a pivot as it
-    is, without a reduction, and sends any other row to ``insert``.  Such a
-    row is empty or its lead is a pivot's, so what is left of it has taken
-    at least one elimination step, and ``insert`` normalizes it.
+    is, without a reduction, and sends any other row to ``insert``.
     """
 
     def __init__(self, field, nvars: int, cutoff: int):
-        self.route = _route(field)
+        super().__init__(_route(field))
         self.nvars = nvars
         self.packing = _Packing(cutoff, nvars)
         self.shift = self.packing.shift
         self.limit = self.packing.limit
-        self.pivots = {}
         self.rank_by_degree = [0] * (cutoff + 1)
-        self.offered = self.skipped = self.zero = self.steps = 0
+        self.offered = self.skipped = self.zero = 0
 
     def monomials(self, degree: int):
         """Packed keys of the degree-d monomials in lex order (``_lex_monomials``)."""
@@ -190,29 +187,17 @@ class _Echelon:
         """Keep the row (consumed), whose lowest key is ``lead`` unless it is
         empty: as a pivot as it arrived when no pivot holds that lead, else
         through ``insert``.  Returns the new pivot's lead, or None at zero."""
-        if row and lead not in self.pivots:
-            self.offered += 1
-            self.pivots[lead] = row
-            self.rank_by_degree[lead >> self.shift] += 1
-            return lead
-        return self.insert(row)
-
-    def insert(self, row: dict):
-        """Reduce the row (consumed) and keep what is left as a new pivot.
-
-        Returns the new pivot's lead, or None when the row reduced to zero.
-        """
         self.offered += 1
-        lead = self._reduce(row)
-        if lead is None:
+        if row and lead not in self.pivots:
+            self.pivots[lead] = row
+        elif (lead := self.insert(row)) is None:
             self.zero += 1
             return None
-        self.pivots[lead] = self.route.normalize(row, lead)
         self.rank_by_degree[lead >> self.shift] += 1
         return lead
 
     def contains_monomial(self, key: int) -> bool:
-        return self._reduce({key: 1}) is None
+        return self.reduce({key: 1}) is None
 
     def covers(self, degree: int) -> bool:
         """Every degree-d monomial is a pivot lead (pivots of degree d are final)."""
@@ -220,20 +205,6 @@ class _Echelon:
 
     def rank_upto(self, degree: int) -> int:
         return sum(self.rank_by_degree[:degree + 1])
-
-    def _reduce(self, row):
-        """Reduce in place until the lead is no pivot lead; that lead, or None at zero."""
-        pivots, eliminate = self.pivots, self.route.eliminate
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                return lead
-            eliminate(row, pivot, lead)
-            if lead in row:
-                raise VerificationError("echelon", f"a step left the lead {lead} in the row")
-            self.steps += 1
-        return None
 
 
 def _growing_echelon(field, gens, nvars: int, max_degree: int,
@@ -302,12 +273,16 @@ def _ideal_echelon(field, gens, nvars: int, cutoff: int,
 def _check_cover(stage: str, ideal: str, f: Jet, gens, degree: int,
                  min_multiplier_degree: int = 0) -> _Echelon:
     """Raise unless m^degree <= ideal + m^(degree+1), by full reduction on a fresh
-    echelon; return that echelon."""
+    echelon, and degree is the least such degree from the search's first one
+    on (its pivot counts); return that echelon."""
     _check_search_size(f.nvars, degree)
     ech = _ideal_echelon(f.field, gens, f.nvars, degree, min_multiplier_degree)
     if not all(ech.contains_monomial(key) for key in ech.monomials(degree)):
         raise VerificationError(
             stage, f"no cover at degree {degree}: m^{degree} is not in {ideal} + m^{degree + 1}")
+    if degree - 1 >= max(1, min_multiplier_degree) and ech.covers(degree - 1):
+        raise VerificationError(
+            stage, f"a cover at degree {degree - 1}: m^{degree - 1} is in {ideal} + m^{degree}")
     return ech
 
 
@@ -391,7 +366,8 @@ def milnor_number(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> MilnorReport:
 def verify_milnor(f: Jet, report: MilnorReport):
     """Re-check the certificate and mu on a fresh echelon, apart from the search.
 
-    Every degree-s monomial must reduce to zero modulo J + m^(s+1), and mu
+    Every degree-s monomial must reduce to zero modulo J + m^(s+1), s must be
+    the least such degree (for s >= 2, m^(s-1) is not in J + m^s), and mu
     must equal the codimension of J modulo m^s; the order must be the
     series'.  A report without mu claims only the order, and the zero
     series, which has no order, has no finite mu.
@@ -424,7 +400,8 @@ def determinacy_certificate(f: Jet, max_degree: int = DEFAULT_MAX_DEGREE) -> Det
 
 
 def verify_determinacy(f: Jet, report: DeterminacyReport):
-    """Re-check the certificate m^(k+2) <= m^2 J + m^(k+3) and the order."""
+    """Re-check the certificate m^(k+2) <= m^2 J + m^(k+3), that k is the least
+    such degree (for k >= 1, m^(k+1) is not in m^2 J + m^(k+2)) and the order."""
     k = report.stabilization_degree
     _check_order("determinacy", f, report.order, "k", k)
     if k is None:

@@ -34,8 +34,9 @@ Horner runs one loop over a work list, not a recursion, so no number of
 variables or parts deepens the Python stack.
 
 Every product and elimination loop (substitution, ``Jet.__mul__``, the
-parser's products and sums, ``ift``'s matrix products and the Jacobian
-echelon) computes on native values, from one stateless route per field type
+parser's products and sums, ``ift``'s matrix products, and ``linalg``'s one
+elimination behind every rank, inverse and Jacobian echelon) computes on
+native values, from one stateless route per field type
 (``_route``); a field type without one is refused with ``TypeError``.  Over
 Q products add and multiply the ``Fraction`` values inline; substitution is
 fraction-free (``_RationalRoute``): the source and the parts are scaled to
@@ -86,7 +87,6 @@ from fractions import Fraction
 from collections import Counter
 from itertools import chain, compress, repeat
 
-from . import linalg
 from .field import (ArchimedeanValuation, BinaryField, Field, PrimeField, RationalField,
                     Valuation)
 
@@ -300,22 +300,23 @@ class Jet:
                 for a, c in self.coeffs.items() if sum(a) == 2}
 
     def hessian(self):
-        """Second partials at 0: the polar matrix U + U^T of the Gram matrix U."""
+        """Second partials at 0: the polar matrix U + U^T of the Gram matrix U,
+        as n sparse rows {j: c} without zeros (``linalg``'s row format)."""
         if self.prec < 2:
             raise PrecisionError("hessian needs precision >= 2")
         field = self.field
-        n = self.nvars
-        h = [[field.zero] * n for _ in range(n)]
+        h = [{} for _ in range(self.nvars)]
         two = field.from_int(2)
         for (i, j), c in self.gram().items():
-            if i == j:
-                h[i][i] = field.mul(two, c)
-            else:
+            if i != j:
                 h[i][j] = h[j][i] = c
+            elif (d := field.mul(two, c)) != field.zero:
+                h[i][i] = d
         return h
 
     def hessian_rank(self) -> int:
-        return linalg.rank(self.field, self.hessian())
+        from .linalg import rank  # linalg imports this module
+        return rank(self.field, self.hessian())
 
     # -- norms -----------------------------------------------------------------
 
@@ -538,10 +539,11 @@ class _Route:
     and ``unscale`` decodes a result at that scale; here both are 1.  The
     caller keeps them, so no route has per-call state.  ``char2`` marks
     characteristic 2, where squaring is additive.  The subclasses add the
-    echelon's row operations: ``monic`` makes a generator's terms normal,
-    ``eliminate`` cancels a row's lead against a normal pivot in place, and
-    ``normalize`` makes a reduced row normal: monic at the lead (the lowest
-    key) over GF(p) and GF(2^k), primitive integers over Q.
+    row operations of ``linalg``'s elimination, behind every rank, inverse
+    and Jacobian echelon: ``monic`` makes a row of field elements native and
+    normal, ``eliminate`` cancels a row's entry at a normal pivot's lead in
+    place, and ``normalize`` makes a reduced row normal: monic at the lead
+    (the lowest key) over GF(p) and GF(2^k), primitive integers over Q.
     """
 
     add = operator.add
@@ -870,7 +872,8 @@ class CoordinateChange:
                 for linear in map(Jet.linear, self.components)]
 
     def is_automorphism(self) -> bool:
-        return linalg.rank(self.field, self.linear_matrix()) == self.nvars
+        from .linalg import rank  # linalg imports this module
+        return rank(self.field, map(Jet.linear, self.components)) == self.nvars
 
     def apply(self, f: Jet) -> Jet:
         return f.substitute(self.components)

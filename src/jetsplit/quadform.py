@@ -220,10 +220,10 @@ class QuadNormalForm:
 
 def _verify_transition(what: str, source: Jet, matrix, nf: QuadNormalForm):
     """Raise unless the invertible linear change ``matrix`` carries ``source`` to nf's 2-jet."""
-    field = nf.field
-    if CoordinateChange.from_linear(field, matrix, 2).apply(source) != nf.normal_jet(2):
+    change = CoordinateChange.from_linear(nf.field, matrix, 2)
+    if change.apply(source) != nf.normal_jet(2):
         raise VerificationError("quadform", f"the {what} does not give the normal form")
-    if linalg.rank(field, matrix) != nf.nvars:
+    if not change.is_automorphism():
         raise VerificationError("quadform", f"the {what} is singular")
 
 
@@ -282,7 +282,8 @@ def diagonalize(f: Jet) -> QuadNormalForm:
         raise CharacteristicError("diagonalization requires characteristic != 2")
     n = q.nvars
     half = field.inv(field.from_int(2))
-    b = [[field.mul(half, c) for c in row] for row in q.hessian()]  # P/2
+    b = [[field.mul(half, row.get(j, field.zero)) for j in range(n)]  # P/2
+         for row in q.hessian()]
     s = linalg.identity(field, n)
     p = 0
     while p < n:
@@ -334,7 +335,7 @@ def normalize_squares(nf: QuadNormalForm):
     if any(r is None for r in roots):
         return None
     m = linalg.identity(field, nf.nvars)
-    matrix = linalg.copy_matrix(nf.matrix)
+    matrix = [row[:] for row in nf.matrix]
     for i, r in enumerate(roots):
         _scale(field, [m, matrix], i, field.inv(r))
     out = QuadNormalForm("unit_diagonal", field, matrix,
@@ -362,7 +363,7 @@ def arf_normal_form(f: Jet) -> QuadNormalForm:
         raise CharacteristicError("Arf decomposition requires characteristic 2")
     zero = field.zero
     n = q.nvars
-    b = q.hessian()
+    b = [[row.get(j, zero) for j in range(n)] for row in q.hessian()]
     s = linalg.identity(field, n)
     free = list(range(n))
     order = []
@@ -405,7 +406,7 @@ def arf_reduce_solvable(nf: QuadNormalForm):
     field = nf.field
     l = nf.half_rank
     extra = linalg.identity(field, nf.nvars)
-    matrix = linalg.copy_matrix(nf.matrix)
+    matrix = [row[:] for row in nf.matrix]
     mats = [extra, matrix]
     for t, (a, c) in enumerate(nf.pairs):
         u = field.solve_affine_quadratic(a, c)

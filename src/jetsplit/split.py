@@ -215,8 +215,7 @@ def _iterate(f: Jet, N: int, quad: QuadNormalForm):
         raise ValueError(f"the head has {quad.nvars} variables, the series {n}")
     head_quad = quad.head_jet(N)
     head = quad.rank
-    polar = [row[:head] for row in head_quad.hessian()[:head]]
-    step = [[field.neg(c) for c in row] for row in linalg.invert(field, polar)]
+    inverse = linalg.invert(field, head_quad.hessian()[:head])  # P^{-1}
     packing, route = _Packing(N, n), _route(field)
     quad_terms = packing.terms(head_quad.coeffs)
     variables = [[(w, field.one)] for w in packing.weights]
@@ -234,13 +233,12 @@ def _iterate(f: Jet, N: int, quad: QuadNormalForm):
         # the rest of g reaches only the order 2k - 2 that the pass leaves
         cut = (2 * mixed_order - 3) << packing.shift
         corrections = []
-        for row in step:
+        for row in inverse:
             d = {}
-            for c, g in zip(row, gs):
-                if c != field.zero:
-                    for key, v in g.items():
-                        if key < cut:
-                            d[key] = field.add(d.get(key, field.zero), field.mul(c, v))
+            for j, c in row.items():
+                for key, v in gs[j].items():
+                    if key < cut:
+                        d[key] = field.sub(d.get(key, field.zero), field.mul(c, v))
             corrections.append(sorted(t for t in d.items() if t[1] != field.zero))
         # f at precision N, the change modulo m^N: f(change) never reads its degree N
         sources = [(terms, N), *((t, N - 1) for t in total)]

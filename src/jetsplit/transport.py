@@ -73,7 +73,8 @@ class TransportProblem:
     automorphism whose tail block is D D^-1 = I.  Only the order check is
     re-run on the new g1.  rho is the identity on the head columns, so
     phi o rho has phi's tail-to-head linear block, and the last refusal reads
-    it from the linear matrix of the supplied phi, the one read for D.
+    it from the linear parts of the supplied phi's tail components, the ones
+    read for D.
     """
 
     def __init__(self, quad: QuadNormalForm, g0: Jet, g1: Jet,
@@ -97,8 +98,7 @@ class TransportProblem:
             quad.normal_jet(precision) - quad.head_jet(precision), rank)
         _check_square_tail(g0, square_tail)
         _check_square_tail(g1, square_tail)
-        lin = phi.linear_matrix()
-        if linalg.rank(field, lin) != n:
+        if not phi.is_automorphism():
             raise TransportHypothesisError("phi is not an automorphism")
         self.quad = quad
         self.g0 = g0
@@ -107,10 +107,13 @@ class TransportProblem:
         self.precision = precision
         if phi.apply(self.f0_jet()) != self.f1_jet():
             raise TransportHypothesisError("phi(f0) = f1 fails at the working precision")
-        d_block = [row[rank:] for row in lin[rank:]]
-        if field.char == 2 and d_block != linalg.identity(field, m):
+        # the tail components' linear parts: the block D and the tail-to-head block
+        tails = [c.linear() for c in phi.components[rank:]]
+        d_block = [{j - rank: c for j, c in lin.items() if j >= rank} for lin in tails]
+        if field.char == 2 and d_block != [{i: field.one} for i in range(m)]:
             try:
-                d_inv = linalg.invert(field, d_block)
+                d_inv = [[row.get(j, field.zero) for j in range(m)]
+                         for row in linalg.invert(field, d_block)]
             except ValueError:
                 raise TransportHypothesisError(
                     "tail linear block is singular; phi does not preserve the splitting") from None
@@ -123,8 +126,7 @@ class TransportProblem:
         if m == 0:
             raise TransportError("no tail variables; nothing to transport")
         # only characteristic 2 has a square tail; rho kept phi's tail-to-head block
-        if not square_tail.is_zero() and any(c != field.zero for row in lin[rank:]
-                                             for c in row[:rank]):
+        if not square_tail.is_zero() and any(j < rank for lin in tails for j in lin):
             raise TransportError(
                 "tail components of phi mix in head variables linearly; "
                 "with a nonzero square tail the construction needs the "

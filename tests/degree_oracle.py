@@ -1,11 +1,13 @@
 """Degree-by-degree solving of implicit systems: a test oracle for ``ift_solve``.
 
 The degree-d part of y is one linear solve against the constant Jacobian J0,
-using the residual that the lower degrees leave, so the system is substituted
-at every precision 1..N.  It reaches the same unique solution as the Newton
-iteration by another route, so the two must produce identical jets.
+inverted by ``linalg_oracle``, using the residual that the lower degrees
+leave, so the system is substituted at every precision 1..N.  It reaches
+the same unique solution as the Newton iteration by another route, so the
+two must produce identical jets.
 """
 
+import linalg_oracle
 from jetsplit import ImplicitSystem, Jet, PrecisionError, VerificationError
 
 
@@ -35,6 +37,7 @@ def ift_solve_by_degree(sys: ImplicitSystem, N: int):
             raise PrecisionError("equation precision below the requested precision")
     nx = len(sys.x_indices)
     ny = len(sys.y_indices)
+    j0_inv = linalg_oracle.invert(field, linalg_oracle.dense(field, sys.j0, ny))
     sol = [dict() for _ in range(ny)]
     for d in range(1, N + 1):
         ys = [Jet(field, nx, d, s) for s in sol]
@@ -45,7 +48,7 @@ def ift_solve_by_degree(sys: ImplicitSystem, N: int):
                 if sum(alpha) == d:
                     by_monomial.setdefault(alpha, [field.zero] * ny)[i] = c
         for alpha, vec in by_monomial.items():
-            for j, (corr,) in enumerate(matmul(field, sys.j0_inv, [[c] for c in vec])):
+            for j, (corr,) in enumerate(matmul(field, j0_inv, [[c] for c in vec])):
                 if corr != field.zero:
                     sol[j][alpha] = field.neg(corr)
     ys = [Jet(field, nx, N, s) for s in sol]

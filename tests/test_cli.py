@@ -328,6 +328,27 @@ def test_process_entry_point_exit_codes(tmp_path, capsys):
     assert (code, out) == (2, "") and len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_closed_stdout_exits_141_without_a_message(tmp_path):
+    # the output (a 300 x 300 transition matrix) is larger than a pipe's buffer
+    names = ",".join(f"x{i}" for i in range(1, 301))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "jetsplit", "split", "--field", "fp:7",
+                             "--vars", names, "--precision", "3", "x1^2 + x2^3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+    # an unreadable input file is still bad input
+    code, out, err = run_process("transport", "--field", "q", "--vars", "x,y", "--precision", "4",
+                                 *(str(tmp_path / name) for name in ("f0", "f1", "phi")))
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] ")
+
+
 def test_verify_command_detects_mismatch(tmp_path, capsys):
     code, out, _ = run(capsys, "split", "--field", "q", "--vars", "x,y",
                        "--precision", "4", "--format", "json", "x^2 + x*y^2")

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import linalg_oracle
 from gen import (monomials_of_degree, naive_substitute, naive_times, rand_invertible, rand_jet,
                  random_element)
 from jetsplit import (BinaryField, DeterminacyReport, Jet, MilnorReport, PrimeField,
-                      RationalField, VerificationError, determinacy_certificate, linalg,
+                      RationalField, VerificationError, determinacy_certificate,
                       milnor_number, parse_jet, verify_determinacy, verify_milnor)
 from jetsplit.cli import main
 from jetsplit.field import parse_field_spec
@@ -195,7 +196,7 @@ def macaulay_rank(field, gens, nvars, cutoff, min_multiplier_degree):
                     if gamma in columns:
                         row[columns[gamma]] = c
                 rows.append(row)
-    return linalg.rank(field, rows)
+    return linalg_oracle.rank(field, rows)
 
 
 ORACLE_FIELDS = [RationalField(), PrimeField(7), PrimeField(2), BinaryField(4)]
@@ -633,6 +634,32 @@ def test_verify_determinacy_rejects_a_lower_degree():
     with pytest.raises(VerificationError, match="^determinacy: k 1 is claimed for a series "
                                                 r"with no order \(the zero series\)$"):
         verify_determinacy(Jet(Q, 0, POLY, {}), DeterminacyReport(1, None, 12))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec())
+def test_verifiers_reject_a_degree_above_the_least(field):
+    # one degree higher still covers and recounts the same mu (Nakayama), so
+    # only the check that no lower degree covers rejects it
+    checked = 0
+    for text in ("x^3 + y^4", "x^2 + y^2", "x*y + y^5", "x^3 + x*y^3 + y^5"):
+        f = parse_jet(text, field, ["x", "y"], POLY)
+        milnor, determinacy = milnor_number(f), determinacy_certificate(f)
+        if milnor.mu is not None:
+            s = milnor.stabilization_degree
+            late = MilnorReport(milnor.mu, s + 1, milnor.order, milnor.max_degree)
+            with pytest.raises(VerificationError,
+                               match=rf"^milnor: a cover at degree {s}: m\^{s} is in J \+ m\^{s + 1}$"):
+                verify_milnor(f, late)
+            checked += 1
+        if determinacy.stabilization_degree is not None:
+            k = determinacy.stabilization_degree
+            late = DeterminacyReport(k + 1, determinacy.order, determinacy.max_degree)
+            with pytest.raises(VerificationError,
+                               match=rf"^determinacy: a cover at degree {k + 2}: "
+                                     rf"m\^{k + 2} is in m\^2 J \+ m\^{k + 3}$"):
+                verify_determinacy(f, late)
+            checked += 1
+    assert checked >= 4
 
 
 # rows offered and elimination steps per search, measured (milnor 1320 and

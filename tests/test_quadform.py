@@ -14,6 +14,7 @@ from jetsplit import (BinaryField, CharacteristicError, CoordinateChange, FieldE
                       arf_reduce_solvable, diagonal_signs,
                       diagonalize, normal_form, normalize_squares, parse_field_spec,
                       parse_jet)
+import linalg_oracle
 from jetsplit import linalg, quadform
 from jetsplit.quadform import QuadraticShapeError, _square_free_split
 
@@ -272,15 +273,17 @@ def test_bilinear_is_q_of_sum_minus_q_of_parts(spec):
             q = gram_jet(field, n, gram, rng.randint(2, 4))
             assert q.gram() == {ij: c for ij, c in gram.items() if c != zero}
             p = q.hessian()
-            assert all(p[i][j] == p[j][i] == (field.mul(two, c) if i == j else c)
-                       for (i, j), c in gram.items())
+            assert all(p[i].get(j, zero) == p[j].get(i, zero)
+                       == (field.mul(two, c) if i == j else c) for (i, j), c in gram.items())
+            assert all(c != zero for row in p for c in row.values())
             v = [random_element(field, rng) for _ in range(n)]
             w = [random_element(field, rng) for _ in range(n)]
             vw = [field.add(a, b) for a, b in zip(v, w)]
             polar = field.sub(evaluate(q, vw), field.add(evaluate(q, v), evaluate(q, w)))
             assert bilinear(q, v, w) == polar
-            assert polar == reduce(field.add, [field.mul(v[i], field.mul(p[i][j], w[j]))
-                                               for i in range(n) for j in range(n)])
+            assert polar == reduce(field.add, [field.mul(v[i], field.mul(c, w[j]))
+                                               for i, row in enumerate(p)
+                                               for j, c in row.items()], zero)
 
 
 def test_arf_decompose_pure_square():
@@ -391,7 +394,7 @@ def test_random_normal_forms_verify_and_rank_is_invariant():
             f = rand_m2_jet(field, n, 2, rng)
             nf = normal_form(f)
             assert transition_change(nf).apply(f) == nf.normal_jet(2)
-            assert linalg.rank(field, nf.matrix) == n
+            assert linalg_oracle.rank(field, nf.matrix) == n
             # rank is invariant under a random linear change of the form
             m = rand_invertible(field, n, rng)
             change = CoordinateChange.from_linear(field, m, 2)

@@ -7,6 +7,7 @@ from gen import (identity_change, rand_invertible, rand_split_form, tail_block_c
 from jetsplit import (BinaryField, CoordinateChange, Jet, PrimeField,
                       RationalField, TransportError, TransportHypothesisError,
                       TransportProblem, parse_jet, split_shape, transport)
+import linalg_oracle
 from jetsplit import linalg
 
 Q = RationalField()
@@ -163,4 +164,4 @@ def test_transport_result_is_automorphism_with_invertible_linear_part():
     rng = random.Random(48)
     p = transport_roundtrip(Q, 3, 5, rng)
     pp = transport(p)
-    assert linalg.rank(Q, pp.linear_matrix()) == p.tail_count
+    assert linalg_oracle.rank(Q, pp.linear_matrix()) == p.tail_count
