@@ -14,24 +14,37 @@ addition and the degree guard is one comparison.  Terms are kept in lists
 sorted by key, hence by degree, and all three share one truncated product,
 ``_product_into``, which adds and multiplies inline when it is given
 Python's own + and *.  Substitution evaluates the series in Horner form:
-monomials are grouped by their leading exponent, each distinct exponent
-prefix costs one truncated product, and the sum is accumulated in one
-packed dict.  ``_substitute_batch`` (``Jet.substitute`` is its one-source
-case) evaluates many sources at one tuple of parts: it is its checks plus
-``_substitute_packed``, which takes the sources and the parts packed, reads
-each exponent from a source's key, encodes the parts once and shares one
-table of their powers, cut at the batch's top precision; ``ift``'s Newton
-steps and ``split``'s passes call it directly.  Parts with more terms lead
-(ties keep index order), so a dense part's powers multiply once per
-exponent, not once per prefix.  One-term and zero parts, such as ``ift``'s
-parameters, make no product: a term adds their cached powers' keys and takes
-their one coefficients.  A power table builds p^e as p^(e-1) * p, and an
-even power from its half (``_next_power``): in characteristic 2 by the
-Frobenius map, with no product; else, in three or more variables, by one
-pass over unordered pairs (``_square_into``) unless its half has more of
-them than p^(e-1) * p has pairs, as a sparse part's high powers do.
-Horner runs one loop over a work list, not a recursion, so no number of
-variables or parts deepens the Python stack.
+monomials are grouped by their leading exponent, and the sum is accumulated
+in one packed dict.  ``_substitute_batch`` (``Jet.substitute`` is its
+one-source case) evaluates many sources at one tuple of parts: it is its
+checks plus ``_substitute_packed``, which takes the sources and the parts
+packed, reads each exponent from a source's key, encodes the parts once and
+shares one table of their powers, cut at the batch's top precision;
+``ift``'s Newton steps and ``split``'s passes call it directly.  Parts with
+more terms lead (ties keep index order).  A level of part p, of order o,
+whose groups f_E have the exponents E_1 > ... > E_r kept (E * o <= budget),
+is nested (Brent and Kung, J. ACM 1978): acc = f_E1, then
+
+    acc <- f_Ej + p^(E_(j-1) - E_j) * acc,  cut at degree budget - E_j * o,
+
+and one last product p^(E_r) * acc, none when E_r = 0.  So a dense part
+multiplies by itself, or by the small power of an exponent gap, where a sum
+of p^E * f_E would multiply by its ever denser high powers.  The cuts drop
+nothing at or below the budget: after step j the level's value is
+p^(E_j) * acc + sum_(l > j) p^(E_l) * f_El, and p^(E_j) has order >= E_j * o,
+so a term of acc above degree budget - E_j * o makes only terms above the
+budget.  The last level keeps one product per term, of its coefficient and
+the cached power of the last dense part.  One-term and zero parts, such as
+``ift``'s parameters, are folded into it and make no product: a term adds
+their cached powers' keys and takes their one coefficients.  So a power table holds the gap powers of the nested levels'
+parts and the powers of the last and the folded parts.  It builds p^e as
+p^(e-1) * p, a one-term part's as one term with no product, and an even
+power from its half (``_next_power``): in characteristic 2 by the Frobenius
+map, with no product; else, in three or more variables, by one pass over
+unordered pairs (``_square_into``) unless its half has more of them than
+p^(e-1) * p has pairs, as a sparse part's high powers do.  Horner runs one
+loop over a work list, not a recursion, so no number of variables or parts
+deepens the Python stack.
 
 Every product and elimination loop (substitution, ``Jet.__mul__``, the
 parser's products and sums, ``ift``'s matrix products, and ``linalg``'s one
@@ -160,8 +173,9 @@ class Jet:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         if prec < 1:
             raise PrecisionError("a coordinate jet needs precision >= 1")
-        alpha = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(field, nvars, prec, {alpha: field.one})
+        # one term of degree 1 <= prec, nvars entries and a nonzero value
+        alpha = (0,) * i + (1,) + (0,) * (nvars - i - 1)
+        return cls._valid(field, nvars, prec, {alpha: field.one})
 
     # -- basic queries --------------------------------------------------------
 
@@ -452,13 +466,17 @@ def _substitute_packed(sources, source, bases, packing, route):
 
         One loop over a work list of tasks, last in first out.  A sum task
         (k, terms, budget, out) adds its terms' values over levels[k:] and the
-        folded parts.  f = sum_e x_i^e f_e for i = levels[k]: the task pushes,
-        per exponent e in reverse, a product task and above it the sum task of
-        f_e to the budget left after part i's order, so f_e is complete when
-        its product multiplies it once by parts[i]^e; tasks run in the order
-        of a recursive Horner.  On the last level a term's folded parts make
-        no product (their power keys add, c takes their one coefficients), and
-        the term makes one product with the last dense part's power, if any.
+        folded parts.  f = sum_E x_i^E f_E for i = levels[k] is nested over
+        its kept exponents E_1 > ... > E_r (module docstring).  For E_j from
+        E_r up to E_1 the task pushes a product task and above it the sum
+        task of f_Ej into acc_j.  The product adds parts[i]^(E_j - E_(j+1)) *
+        acc_j to acc_(j+1), cut at the budget left after E_(j+1); for j = r it
+        adds parts[i]^(E_r) * acc_r to out, and there is none when E_r = 0,
+        where acc_r is out.  So acc_j is complete when its product reads it;
+        tasks run in the order of a recursive Horner.  On the last level a
+        term's folded parts make no product (their power keys add, c takes
+        their one coefficients), and the term makes one product with the
+        last dense part's power, if any.
         """
         work = [(0, terms, budget, out)]
         while work:
@@ -495,13 +513,14 @@ def _substitute_packed(sources, source, bases, packing, route):
             groups = {}
             for alpha, c in terms:
                 groups.setdefault(alpha >> offset & mask, []).append((alpha, c))
-            for e, group in reversed(groups.items()):
-                if e == 0:
-                    work.append((k + 1, group, budget, out))
-                elif e * order <= budget:
+            acc, below = out, 0  # acc holds the sum that parts[i]^below multiplies
+            for e in sorted(e for e in groups if e * order <= budget):
+                if e > below:
                     inner = {}
-                    work.append((None, i, e, inner, limit, out))
-                    work.append((k + 1, group, budget - e * order, inner))
+                    work.append((None, i, e - below, inner,
+                                 (budget - below * order + 1) << shift, acc))
+                    acc, below = inner, e
+                work.append((k + 1, groups[e], budget - e * order, acc))
 
     results = []
     for terms, prec in sources:
@@ -695,6 +714,9 @@ def _next_power(cache, limit, packing, route):
     """p^e below limit for e = len(cache), given cache = [None, p, ..., p^(e-1)]
     (module docstring).  One- and two-variable products keep the Kronecker route."""
     e = len(cache)
+    if len(cache[1]) == 1:  # a one-term part's power is one term
+        (k, c), = cache[1]
+        return route.terms({ke + k: route.mul(ce, c) for ke, ce in cache[-1] if ke + k < limit})
     half = cache[e // 2]
     if e % 2 == 0 and route.char2:
         return [(2 * k, route.mul(c, c)) for k, c in half if 2 * k < limit]
@@ -855,16 +877,15 @@ class CoordinateChange:
     @classmethod
     def from_linear(cls, field, matrix, prec):
         """Linear change with components phi_i = sum_j matrix[i][j] * x_j."""
-        n = len(matrix)
-        comps = []
-        for row in matrix:
-            coeffs = {}
-            for j, c in enumerate(row):
-                if c != field.zero:
-                    alpha = tuple(1 if t == j else 0 for t in range(n))
-                    coeffs[alpha] = c
-            comps.append(Jet(field, n, prec, coeffs))
-        return cls(comps)
+        n, zero = len(matrix), field.zero
+        if any(len(row) != n for row in matrix):
+            raise ValueError(f"a linear change needs a {n} x {n} matrix")
+        if prec < 1:
+            raise PrecisionError("a coordinate jet needs precision >= 1")
+        # terms of degree 1 <= prec with n entries and no zero value
+        return cls(Jet._valid(field, n, prec, {(0,) * j + (1,) + (0,) * (n - j - 1): c
+                                               for j, c in enumerate(row) if c != zero})
+                   for row in matrix)
 
     def linear_matrix(self):
         zero = self.field.zero

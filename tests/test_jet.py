@@ -664,6 +664,27 @@ def test_internal_results_are_valid_jets():
                                               if any(a[:head])})
 
 
+def test_linear_changes_and_coordinates_are_valid_jets():
+    # from_linear and Jet.variable build their degree-1 terms without
+    # Jet.__init__; the matrix must be square and the precision >= 1
+    rng = random.Random(37)
+    for field in BATCH_FIELDS:
+        for n in (1, 2, 5):
+            matrix = [[random_element(field, rng) for _ in range(n)] for _ in range(n)]
+            change = CoordinateChange.from_linear(field, matrix, rng.randint(1, 4))
+            for comp in change.components:
+                assert_valid(comp)
+            assert change.linear_matrix() == matrix
+            for i in range(n):
+                x = Jet.variable(field, n, i, 1)
+                assert_valid(x)
+                assert x.linear() == {i: field.one}
+    with pytest.raises(ValueError, match=r"^a linear change needs a 2 x 2 matrix$"):
+        CoordinateChange.from_linear(Q, [[1, 0, 0], [0, 1]], 2)
+    with pytest.raises(PrecisionError, match=r"^a coordinate jet needs precision >= 1$"):
+        CoordinateChange.from_linear(Q, [[Fraction(1)]], 0)
+
+
 def test_public_constructor_messages_are_kept():
     f = jq("x^2 + x*y^3", ["x", "y"], 5)
     with pytest.raises(PrecisionError, match=r"^precision must be >= 0$"):
@@ -780,6 +801,70 @@ def test_batch_matches_naive_expansion_for_every_part_shape_in_every_order():
             assert got == [naive_substitute(h, parts, 2) for h in sources], shapes
 
 
+# -- nested Horner levels ------------------------------------------------------------
+
+# x1 exponents: gaps, a lowest exponent of 0 or above it, every exponent up to
+# 7, and one group alone (above a budget of 7 when x1's part has order 2)
+NESTED_PATTERNS = [(0, 3, 7), (3, 7), (0, 1, 2, 3, 4, 5, 6, 7), (2, 6), (5,), (0,)]
+
+
+def nested_part(field, m, prec, order, size, rng, coeff):
+    """A part in m variables at prec, of order ``order``, with about ``size``
+    terms spread over the degrees order..prec."""
+    support = [beta for d in range(order, prec + 1) for beta in monomials_of_degree(m, d)]
+    coeffs = {beta: coeff() for beta in rng.sample(support, min(size, len(support)))}
+    coeffs[rand_monomial(m, order, rng)] = coeff()
+    return Jet(field, m, prec, coeffs)
+
+
+def nested_source(field, prec, tails, pattern, rng, coeff):
+    """A source in x1..x4 at prec whose x1 exponents are those of ``pattern``
+    up to prec, each with one to ``tails`` tails in x2, x3, x4."""
+    coeffs = {}
+    for e in (e for e in pattern if e <= prec):
+        for _ in range(rng.randint(1, tails)):
+            coeffs[(e,) + rand_monomial(3, rng.randint(0, prec - e), rng)] = coeff()
+    return Jet(field, 4, prec, coeffs)
+
+
+@pytest.mark.parametrize("m, top", [(1, 15), (1, 31), (2, 7), (4, 7)])
+def test_nested_levels_match_naive_expansion(m, top, kernel_work):
+    # three multi-term parts make two nested levels and the last one, and a
+    # one-term or zero part is folded; a level sums its groups as
+    # f_E1 + p^(E1 - E2) * (...), cut below the budget, so the x1 patterns
+    # cover gaps, E_r = 0 and E_r > 0, and a group above the budget; a batch
+    # holds sources at the top precision, which fills the packing's exponent
+    # fields, and below it.  One-variable products at 31 take the Kronecker
+    # route on GF(p) residues; the naive expansion there is slow, so only
+    # those fields run, with fewer terms
+    rng = random.Random(3700 + 100 * m + top)
+    if top == 31:
+        cases = [(parse_field_spec("fp:7"), False), (F2, False)]
+        tails, orders_list = 1, [(1, 1, 1)]
+    else:
+        cases = [(field, False) for field in BATCH_FIELDS] + [(Q, True)]
+        tails, orders_list = 3, [(1, 1, 1), (2, 1, 2), (1, 2, 1)]
+    work = kernel_work()
+    for field, large in cases:
+        def coeff():
+            if large:
+                return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                                rng.randint(1, 10 ** 6))
+            return random_element(field, rng, nonzero=True)
+
+        for orders in orders_list:
+            parts = [nested_part(field, m, top + rng.choice((0, 2)), order, size, rng, coeff)
+                     for order, size in zip(orders, (24, 14, 6))]
+            parts.append(rng.choice([Jet.zero(field, m, top),
+                                     Jet(field, m, top, {rand_monomial(m, 1, rng): coeff()})]))
+            sources = [nested_source(field, rng.choice((top, top, top - 2, top // 2)), tails,
+                                     pattern, rng, coeff) for pattern in NESTED_PATTERNS]
+            sources.append(Jet.zero(field, 4, top - 1))
+            got = _substitute_batch(sources, parts)
+            assert got == [naive_substitute(f, parts, m) for f in sources], (field, orders)
+    assert (work["kronecker"] > 0) == (top == 31)
+
+
 # -- pinned substitution work ------------------------------------------------------
 
 def ift_work():
@@ -819,14 +904,16 @@ def dense_work():
 
 
 @pytest.mark.parametrize("case, calls, pairs, ift_calls, ift_pairs",
-                         [(ift_work, 240, 35053, 48, 4550),
-                          (split_work, 99, 501, 0, 0),
-                          (dense_work, 26, 235, 0, 0)],
+                         [(ift_work, 208, 26455, 48, 4550),
+                          (split_work, 70, 500, 0, 0),
+                          (dense_work, 21, 232, 0, 0)],
                          ids=["ift-fp101", "split-fp7", "dense-q"])
 def test_substitution_work_is_pinned(kernel_work, case, calls, pairs, ift_calls, ift_pairs):
-    # the Horner level order and the fold set these counts; a change to either
-    # shows here as more or less work, while the results stay exact; ift's
-    # matrix products are counted apart
+    # the Horner level order, the nesting of the dense levels (one product by
+    # a power of the part per exponent gap) and the fold set these counts; a
+    # change to any shows here as more or less work, while the results stay
+    # exact; one-term parts' powers make no product; ift's matrix products are
+    # counted apart
     run = case()
     work = kernel_work()
     run()
